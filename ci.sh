@@ -20,6 +20,13 @@ cargo build --release --workspace
 echo "== cargo test =="
 cargo test -q --workspace
 
+echo "== perfbench harness: fmt, clippy, unit tests =="
+# perfbench/ (the repository benchmark) is a Cargo workspace of its
+# own, so the workspace-wide steps above never reach it.
+cargo fmt --manifest-path perfbench/Cargo.toml -- --check
+cargo clippy --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
+cargo test -q --manifest-path perfbench/Cargo.toml
+
 echo "== golden + determinism + invariant suites (incl. Small tier) =="
 # Also part of the workspace run above; named here so a regression in
 # the reference results fails with these suites' messages up front.

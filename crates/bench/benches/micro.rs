@@ -87,24 +87,36 @@ mod heap_queue {
     }
 }
 
+/// A payload as large as the simulator's own event enum (`Ev` in
+/// `ndpb-core`, 96 bytes): what the queue moves per schedule and pop in
+/// a real run, where a `u64` payload hides the cost of moving entries.
+type Fat = [u64; 12];
+
 /// Drives `schedule`/`pop` through one workload mix. `offset(rng, i)`
 /// yields the delay of the `i`-th event after the queue's `now`; the
 /// driver keeps ~1k events in flight (steady-state churn, like the
-/// simulator) and then drains.
+/// simulator) and then drains. The `u64` form schedules `i` itself;
+/// the `Fat` form schedules a 96-byte [`Fat`] carrying `i`.
 macro_rules! queue_workload {
-    ($q:expr, $offset:expr) => {{
+    ($q:expr, $offset:expr) => {
+        queue_workload!($q, $offset, |i: u64| i, |e: u64| e)
+    };
+    ($q:expr, $offset:expr, Fat) => {
+        queue_workload!($q, $offset, |i: u64| -> Fat { [i; 12] }, |e: Fat| e[0])
+    };
+    ($q:expr, $offset:expr, $make:expr, $read:expr) => {{
         let mut q = $q;
         let mut rng = SimRng::new(7);
         let mut sum = 0u64;
         for i in 0..50_000u64 {
             let at = SimTime::from_ticks(q.now().ticks() + $offset(&mut rng, i));
-            q.schedule(at, i);
+            q.schedule(at, $make(i));
             if i >= 1_000 {
-                sum += q.pop().expect("queue holds 1k events").1;
+                sum += $read(q.pop().expect("queue holds 1k events").1);
             }
         }
         while let Some((_, e)) = q.pop() {
-            sum += e;
+            sum += $read(e);
         }
         sum
     }};
@@ -112,7 +124,8 @@ macro_rules! queue_workload {
 
 /// Head-to-head: timer-wheel `EventQueue` vs the old `BinaryHeap`
 /// queue on the three mixes that matter — near-horizon (bucket tier),
-/// far-future (overflow tier), and same-tick bursts (FIFO churn).
+/// far-future (overflow tier), and same-tick bursts (FIFO churn) — the
+/// near-horizon and same-tick mixes also with event-sized payloads.
 fn event_queue_head_to_head() {
     let near = |rng: &mut SimRng, _i: u64| rng.next_below(256);
     bench("micro/evq_wheel_near_horizon_50k", ITERS, || {
@@ -120,6 +133,12 @@ fn event_queue_head_to_head() {
     });
     bench("micro/evq_heap_near_horizon_50k", ITERS, || {
         queue_workload!(heap_queue::HeapQueue::new(), near)
+    });
+    bench("micro/evq_wheel_near_horizon_96b_50k", ITERS, || {
+        queue_workload!(EventQueue::new(), near, Fat)
+    });
+    bench("micro/evq_heap_near_horizon_96b_50k", ITERS, || {
+        queue_workload!(heap_queue::HeapQueue::new(), near, Fat)
     });
 
     let far = |rng: &mut SimRng, _i: u64| 4096 + rng.next_below(3 * 4096);
@@ -143,6 +162,12 @@ fn event_queue_head_to_head() {
     });
     bench("micro/evq_heap_same_tick_50k", ITERS, || {
         queue_workload!(heap_queue::HeapQueue::new(), same_tick)
+    });
+    bench("micro/evq_wheel_same_tick_96b_50k", ITERS, || {
+        queue_workload!(EventQueue::new(), same_tick, Fat)
+    });
+    bench("micro/evq_heap_same_tick_96b_50k", ITERS, || {
+        queue_workload!(heap_queue::HeapQueue::new(), same_tick, Fat)
     });
 }
 

@@ -149,27 +149,78 @@ pub fn reason(status: u16) -> &'static str {
 }
 
 /// Writes one HTTP response with a JSON body.
-pub fn write_response(
-    stream: &mut TcpStream,
+///
+/// Head and body go out as one buffer in one `write_all`: the socket
+/// has Nagle's algorithm on, so a second small write would sit until
+/// the client's delayed ACK (~40 ms) on every keep-alive round trip.
+pub fn write_response<W: Write>(
+    stream: &mut W,
     status: u16,
     body: &str,
     keep_alive: bool,
 ) -> io::Result<()> {
-    let head = format!(
+    let mut out = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
         status,
         reason(status),
         body.len(),
         if keep_alive { "keep-alive" } else { "close" },
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+    out.push_str(body);
+    stream.write_all(out.as_bytes())?;
     stream.flush()
 }
 
-/// Writes one line-protocol response: the JSON body and a newline.
-pub fn write_line(stream: &mut TcpStream, body: &str) -> io::Result<()> {
-    stream.write_all(body.as_bytes())?;
-    stream.write_all(b"\n")?;
+/// Writes one line-protocol response: the JSON body and a newline, in
+/// one write for the same reason as [`write_response`].
+pub fn write_line<W: Write>(stream: &mut W, body: &str) -> io::Result<()> {
+    let mut out = String::with_capacity(body.len() + 1);
+    out.push_str(body);
+    out.push('\n');
+    stream.write_all(out.as_bytes())?;
     stream.flush()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Records every `write` call so a test can see how a response was
+    /// split across writes (each one can become its own TCP segment).
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn http_response_is_one_write() {
+        let mut w = CountingWriter::default();
+        write_response(&mut w, 200, r#"{"ok":true}"#, true).unwrap();
+        assert_eq!(w.writes, 1);
+        let text = String::from_utf8(w.bytes).unwrap();
+        assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
+        assert!(text.contains("Content-Length: 11\r\n"));
+        assert!(text.contains("Connection: keep-alive\r\n"));
+        assert!(text.ends_with("\r\n\r\n{\"ok\":true}"));
+    }
+
+    #[test]
+    fn line_response_is_one_write() {
+        let mut w = CountingWriter::default();
+        write_line(&mut w, r#"{"ok":true}"#).unwrap();
+        assert_eq!(w.writes, 1);
+        assert_eq!(w.bytes, b"{\"ok\":true}\n");
+    }
 }

@@ -206,11 +206,12 @@ impl<E> ShardedEventQueue<E> {
     /// *and* the best key on any other shard; the winner's wheel then
     /// drains its front bucket up to that bound
     /// ([`TimerWheel::pop_run`]), so the per-event cost of the batch is
-    /// one `VecDeque` pop instead of a head scan + bitmap walk + heap
-    /// peek. Equivalence with single pops holds because keys are
-    /// globally unique and every event scheduled *during* the batch's
-    /// dispatch gets a strictly larger seq at `at >= now`, i.e. it
-    /// cannot order before anything already in the batch.
+    /// unlinking one slab node from the bucket's list instead of a head
+    /// scan + bitmap walk + heap peek. Equivalence with single pops
+    /// holds because keys are globally unique and every event scheduled
+    /// *during* the batch's dispatch gets a strictly larger seq at
+    /// `at >= now`, i.e. it cannot order before anything already in the
+    /// batch.
     #[inline]
     pub fn pop_run(&mut self, out: &mut Vec<E>) -> Option<SimTime> {
         let mut best: Option<((SimTime, u64), usize)> = None;

@@ -23,6 +23,22 @@
 //!   still pops before a younger same-tick event that was scheduled
 //!   directly into the wheel.
 //!
+//! # Near-tier storage: one node slab
+//!
+//! Every near-tier event lives in one arena, a `Vec` of nodes
+//! `{at, seq, next, event}`. A bucket is just a `head`/`tail` pair of
+//! `u32` node indices, and `next` links a bucket's nodes in FIFO order,
+//! so an insert appends at the tail and a pop unlinks the head. Popped
+//! nodes go onto a LIFO free list (threaded through the same `next`
+//! field, their `event` left `None`), and the next insert takes the most
+//! recently freed — still cache-warm — node. The slab therefore grows
+//! only while the pending near-tier count sets a new peak: once a run
+//! reaches its peak, schedule and pop allocate nothing, and an empty
+//! bucket costs 8 bytes of table and no heap memory. The far tier keeps
+//! its payloads in the heap entries themselves; it holds few events,
+//! and an entry moves into the slab only when growth pulls it into the
+//! near tier.
+//!
 //! # Horizon configuration and auto-tuning
 //!
 //! The near-tier horizon defaults to [`WHEEL_SLOTS`] ticks, which covers
@@ -37,10 +53,11 @@
 //! * **Auto-tuning:** the wheel counts overflow inserts whose delta would
 //!   fit under [`MAX_WHEEL_SLOTS`]; once [`GROW_TRIGGER`] such inserts
 //!   accumulate, the horizon doubles (at least) to cover the largest of
-//!   them, re-bucketing pending near-tier events and pulling newly
-//!   capturable overflow entries into the wheel. Growth is bounded by
-//!   [`MAX_WHEEL_SLOTS`], so a stray far-future timer cannot balloon the
-//!   calendar.
+//!   them, relinking the pending near-tier nodes into the wider calendar
+//!   in `(time, seq)` order (payloads stay where they are in the slab)
+//!   and pulling newly capturable overflow entries into the wheel.
+//!   Growth is bounded by [`MAX_WHEEL_SLOTS`], so a stray far-future
+//!   timer cannot balloon the calendar.
 //!
 //! Re-tiering never reorders anything: pop order is defined purely by
 //! `(time, seq)`, independent of which tier an event happens to sit in,
@@ -56,7 +73,7 @@
 //! [`EventQueue::with_horizon`]: crate::EventQueue::with_horizon
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
@@ -79,8 +96,12 @@ pub const MAX_WHEEL_SLOTS: usize = 1 << 17;
 /// Capturable overflow inserts tolerated before the horizon grows. Each
 /// pre-growth overflow insert costs one heap push — a few thousand of
 /// them are noise, while a persistent far-heavy schedule (millions of
-/// events) amortizes the one-off re-bucketing instantly.
+/// events) amortizes the one-off relinking instantly.
 const GROW_TRIGGER: u64 = 2048;
+
+/// Node index meaning "none": the end of a bucket list or of the free
+/// list.
+const NIL: u32 = u32::MAX;
 
 /// A two-tier calendar queue ordering `(time, seq, event)` triples by
 /// `(time, seq)`.
@@ -99,12 +120,20 @@ pub struct TimerWheel<E> {
     /// Current near-tier width in ticks; always a power of two in
     /// `[64, MAX_WHEEL_SLOTS]`.
     slots: usize,
-    buckets: Vec<Bucket<E>>,
+    /// One FIFO list of slab nodes per slot.
+    buckets: Vec<Bucket>,
     /// Bit `i % 64` of word `i / 64` set ⇔ bucket `i` is non-empty.
     words: Vec<u64>,
     /// Bit `w % 64` of summary word `w / 64` set ⇔ `words[w] != 0`.
     summary: Vec<u64>,
-    /// Events currently in the near tier.
+    /// The node slab behind every bucket list. Its length is the peak
+    /// near-tier count so far: nodes are only ever recycled, never
+    /// removed.
+    nodes: Vec<Node<E>>,
+    /// Most recently freed node, heading the LIFO free list (`NIL` when
+    /// every node is in use).
+    free: u32,
+    /// Events currently in the near tier (linked nodes).
     wheel_len: usize,
     overflow: BinaryHeap<Overflow<E>>,
     /// Overflow inserts since the last growth that a `MAX_WHEEL_SLOTS`
@@ -115,11 +144,28 @@ pub struct TimerWheel<E> {
     grows: u32,
 }
 
+/// A bucket's node list: `head` is its oldest node (`NIL` when the
+/// bucket is empty), `tail` its newest, valid only while `head` is not
+/// `NIL`. All linked nodes share one `at` and are in `seq` order.
+#[derive(Clone, Copy, Debug)]
+struct Bucket {
+    head: u32,
+    tail: u32,
+}
+
+const EMPTY_BUCKET: Bucket = Bucket {
+    head: NIL,
+    tail: NIL,
+};
+
+/// One slab slot. Linked into a bucket it holds `Some(event)`; on the
+/// free list it holds `None` and `next` points at the next free node.
 #[derive(Debug)]
-struct Bucket<E> {
-    /// `(at, seq, event)` in insertion (= `seq`) order; all live entries
-    /// share the same `at`.
-    items: VecDeque<(SimTime, u64, E)>,
+struct Node<E> {
+    at: SimTime,
+    seq: u64,
+    next: u32,
+    event: Option<E>,
 }
 
 #[derive(Debug)]
@@ -156,8 +202,8 @@ impl<E> Default for TimerWheel<E> {
 
 impl<E> TimerWheel<E> {
     /// Creates an empty wheel with the default [`WHEEL_SLOTS`] horizon.
-    /// Buckets are lazily allocated: an untouched bucket is an empty
-    /// `VecDeque`, which holds no heap memory.
+    /// Only the bucket and bitmap tables are allocated; the node slab
+    /// grows on the first inserts.
     pub fn new() -> Self {
         Self::with_horizon(WHEEL_SLOTS as u64)
     }
@@ -171,13 +217,11 @@ impl<E> TimerWheel<E> {
             .next_power_of_two() as usize;
         TimerWheel {
             slots,
-            buckets: (0..slots)
-                .map(|_| Bucket {
-                    items: VecDeque::new(),
-                })
-                .collect(),
+            buckets: vec![EMPTY_BUCKET; slots],
             words: vec![0; slots / 64],
             summary: vec![0; (slots / 64).div_ceil(64)],
+            nodes: Vec::new(),
+            free: NIL,
             wheel_len: 0,
             overflow: BinaryHeap::new(),
             capturable: 0,
@@ -219,14 +263,93 @@ impl<E> TimerWheel<E> {
     #[inline]
     fn insert_near(&mut self, at: SimTime, seq: u64, event: E) {
         let idx = (at.ticks() & self.slot_mask()) as usize;
-        let bucket = &mut self.buckets[idx];
         // The live window is exactly one wheel revolution wide, so a
         // live bucket holds a single tick.
-        debug_assert!(bucket.items.front().is_none_or(|&(t, _, _)| t == at));
-        bucket.items.push_back((at, seq, event));
-        self.words[idx >> 6] |= 1 << (idx & 63);
-        self.summary[idx >> 12] |= 1 << ((idx >> 6) & 63);
+        debug_assert!({
+            let head = self.buckets[idx].head;
+            head == NIL || self.nodes[head as usize].at == at
+        });
+        let n = self.alloc(at, seq, event);
+        self.link(idx, n);
         self.wheel_len += 1;
+    }
+
+    /// Fills the most recently freed node, or appends a new one when the
+    /// free list is empty, and returns its index (unlinked: `next` is
+    /// `NIL`).
+    #[inline]
+    fn alloc(&mut self, at: SimTime, seq: u64, event: E) -> u32 {
+        let node = Node {
+            at,
+            seq,
+            next: NIL,
+            event: Some(event),
+        };
+        if self.free != NIL {
+            let n = self.free;
+            let slot = &mut self.nodes[n as usize];
+            self.free = slot.next;
+            *slot = node;
+            n
+        } else {
+            let n = u32::try_from(self.nodes.len())
+                .ok()
+                .filter(|&n| n != NIL)
+                .expect("timer wheel node slab is full");
+            self.nodes.push(node);
+            n
+        }
+    }
+
+    /// Appends the unlinked node `n` to bucket `idx`, marking the bucket
+    /// occupied if it was empty.
+    #[inline]
+    fn link(&mut self, idx: usize, n: u32) {
+        let bucket = &mut self.buckets[idx];
+        if bucket.head == NIL {
+            bucket.head = n;
+            self.words[idx >> 6] |= 1 << (idx & 63);
+            self.summary[idx >> 12] |= 1 << ((idx >> 6) & 63);
+        } else {
+            self.nodes[bucket.tail as usize].next = n;
+        }
+        bucket.tail = n;
+    }
+
+    /// Unlinks the head node of the non-empty bucket `idx`, puts the node
+    /// on the free list and returns its entry. The caller clears the
+    /// occupancy bit if the bucket is now empty.
+    #[inline]
+    fn take_head(&mut self, idx: usize) -> (SimTime, u64, E) {
+        let n = self.buckets[idx].head;
+        let node = &mut self.nodes[n as usize];
+        let event = node.event.take().expect("linked node without an event");
+        self.buckets[idx].head = node.next;
+        node.next = self.free;
+        self.free = n;
+        self.wheel_len -= 1;
+        (node.at, node.seq, event)
+    }
+
+    /// Clears bucket `idx`'s occupancy bit (and its summary bit when the
+    /// whole word empties). Called once the bucket's list is empty.
+    #[inline]
+    fn mark_empty(&mut self, idx: usize) {
+        self.words[idx >> 6] &= !(1 << (idx & 63));
+        if self.words[idx >> 6] == 0 {
+            self.summary[idx >> 12] &= !(1 << ((idx >> 6) & 63));
+        }
+    }
+
+    /// `(at, seq)` of bucket `idx`'s head node, or `None` if the bucket
+    /// is empty.
+    #[inline]
+    fn head_key(&self, idx: usize) -> Option<(SimTime, u64)> {
+        let head = self.buckets[idx].head;
+        (head != NIL).then(|| {
+            let node = &self.nodes[head as usize];
+            (node.at, node.seq)
+        })
     }
 
     /// Inserts `event` at `(at, seq)`. The caller guarantees `at >= now`
@@ -257,8 +380,8 @@ impl<E> TimerWheel<E> {
         self.overflow.push(Overflow { at, seq, event });
     }
 
-    /// Widens the near tier to cover at least `target` ticks,
-    /// re-bucketing pending near-tier events and pulling newly
+    /// Widens the near tier to cover at least `target` ticks, relinking
+    /// pending near-tier nodes into the wider calendar and pulling newly
     /// capturable overflow entries in. Pop order is unaffected — it is
     /// defined by `(time, seq)` regardless of tier.
     fn grow(&mut self, now: SimTime, target: u64) {
@@ -269,42 +392,43 @@ impl<E> TimerWheel<E> {
         if new_slots <= self.slots {
             return;
         }
-        let old_slots = self.slots;
-        let mut old_buckets = std::mem::replace(
-            &mut self.buckets,
-            (0..new_slots)
-                .map(|_| Bucket {
-                    items: VecDeque::new(),
-                })
-                .collect(),
-        );
+        let old_buckets = std::mem::replace(&mut self.buckets, vec![EMPTY_BUCKET; new_slots]);
         self.slots = new_slots;
         self.words = vec![0; new_slots / 64];
         self.summary = vec![0; (new_slots / 64).div_ceil(64)];
-        self.wheel_len = 0;
         self.grows += 1;
-        // Collect everything that belongs in the widened window: the old
+        // Collect every node that belongs in the widened window: the old
         // near tier plus overflow entries now inside it (the heap front
         // carries the minimum time, so the first non-capturable entry
         // means the rest are non-capturable too). An overflow entry can
         // share a tick with near-tier events while carrying a *smaller*
         // seq — see `overflow_interleaves_with_wheel_by_seq` — so the
-        // merged set is sorted by (time, seq) before re-bucketing to
-        // keep FIFO-within-bucket equal to seq order.
-        let mut pending: Vec<(SimTime, u64, E)> = Vec::new();
-        for bucket in old_buckets.iter_mut().take(old_slots) {
-            pending.extend(bucket.items.drain(..));
+        // merged set is sorted by (time, seq) before relinking to keep
+        // FIFO-within-bucket equal to seq order. Only the keys and node
+        // indices move; payloads stay in their slab nodes.
+        let mut pending: Vec<(SimTime, u64, u32)> = Vec::with_capacity(self.wheel_len);
+        for bucket in &old_buckets {
+            let mut n = bucket.head;
+            while n != NIL {
+                let node = &self.nodes[n as usize];
+                pending.push((node.at, node.seq, n));
+                n = node.next;
+            }
         }
         while let Some(o) = self.overflow.peek() {
             if o.at.ticks() - now.ticks() >= new_slots as u64 {
                 break;
             }
             let o = self.overflow.pop().expect("peeked entry vanished");
-            pending.push((o.at, o.seq, o.event));
+            let n = self.alloc(o.at, o.seq, o.event);
+            self.wheel_len += 1;
+            pending.push((o.at, o.seq, n));
         }
         pending.sort_unstable_by_key(|&(at, seq, _)| (at, seq));
-        for (at, seq, event) in pending {
-            self.insert_near(at, seq, event);
+        let mask = self.slot_mask();
+        for (at, _, n) in pending {
+            self.nodes[n as usize].next = NIL;
+            self.link((at.ticks() & mask) as usize, n);
         }
     }
 
@@ -324,14 +448,9 @@ impl<E> TimerWheel<E> {
             return Some((o.at, o.seq, o.event));
         }
         let (_, _, idx) = wheel_front.expect("non-overflow pop with empty wheel");
-        let bucket = &mut self.buckets[idx];
-        let entry = bucket.items.pop_front().expect("occupied bucket was empty");
-        self.wheel_len -= 1;
-        if bucket.items.is_empty() {
-            self.words[idx >> 6] &= !(1 << (idx & 63));
-            if self.words[idx >> 6] == 0 {
-                self.summary[idx >> 12] &= !(1 << ((idx >> 6) & 63));
-            }
+        let entry = self.take_head(idx);
+        if self.buckets[idx].head == NIL {
+            self.mark_empty(idx);
         }
         Some(entry)
     }
@@ -365,8 +484,9 @@ impl<E> TimerWheel<E> {
     /// [`peek_key`](Self::peek_key): returns the popped entry plus the
     /// key of the *new* front. When the popped bucket still holds a
     /// same-tick successor — the common case in burst-heavy schedules —
-    /// that key is read straight off the bucket, skipping the second
-    /// occupancy-bitmap scan a separate `peek_key` call would pay.
+    /// that key is read straight off the bucket's new head node,
+    /// skipping the second occupancy-bitmap scan a separate `peek_key`
+    /// call would pay.
     /// `ShardedEventQueue` re-peeks after every pop, so it rides this.
     #[inline]
     #[allow(clippy::type_complexity)]
@@ -389,16 +509,11 @@ impl<E> TimerWheel<E> {
             return Some(((o.at, o.seq, o.event), key));
         }
         let (_, _, idx) = wheel_front.expect("non-overflow pop with empty wheel");
-        let bucket = &mut self.buckets[idx];
-        let entry = bucket.items.pop_front().expect("occupied bucket was empty");
-        self.wheel_len -= 1;
-        let next_near = match bucket.items.front() {
-            Some(&(at, seq, _)) => Some((at, seq)),
+        let entry = self.take_head(idx);
+        let next_near = match self.head_key(idx) {
+            Some(key) => Some(key),
             None => {
-                self.words[idx >> 6] &= !(1 << (idx & 63));
-                if self.words[idx >> 6] == 0 {
-                    self.summary[idx >> 12] &= !(1 << ((idx >> 6) & 63));
-                }
+                self.mark_empty(idx);
                 // Every remaining event is >= the popped time, so the
                 // popped time is a valid scan origin.
                 self.front_bucket(entry.0).map(|(at, seq, _)| (at, seq))
@@ -417,11 +532,11 @@ impl<E> TimerWheel<E> {
     /// the events to `out` in pop order.
     ///
     /// A live bucket holds exactly one tick's events in seq order, so
-    /// the run is a `VecDeque` prefix: one occupancy-bitmap scan and one
-    /// overflow compare cover the whole batch, where a pop-at-a-time
-    /// loop re-pays both per event. When the overflow front is the
-    /// global minimum (rare — far-future timers), the run is that
-    /// single heap entry.
+    /// the run is a prefix of its node list: one occupancy-bitmap scan
+    /// and one overflow compare cover the whole batch, where a
+    /// pop-at-a-time loop re-pays both per event. When the overflow
+    /// front is the global minimum (rare — far-future timers), the run
+    /// is that single heap entry.
     ///
     /// Returns the run's timestamp and the key of the new front (the
     /// same pair [`pop_with_key`](Self::pop_with_key) would report after
@@ -470,25 +585,18 @@ impl<E> TimerWheel<E> {
                 cs
             }
         };
-        let bucket = &mut self.buckets[idx];
-        let mut popped = 0usize;
-        while let Some(&(_, seq, _)) = bucket.items.front() {
-            if seq >= cap_seq {
-                break;
-            }
-            let (_, _, ev) = bucket.items.pop_front().expect("front vanished");
-            out.push(ev);
-            popped += 1;
+        let before = out.len();
+        while self.head_key(idx).is_some_and(|(_, seq)| seq < cap_seq) {
+            out.push(self.take_head(idx).2);
         }
-        debug_assert!(popped > 0, "pop_run front key was not below the limit");
-        self.wheel_len -= popped;
-        let next_near = match bucket.items.front() {
-            Some(&(t, s, _)) => Some((t, s)),
+        debug_assert!(
+            out.len() > before,
+            "pop_run front key was not below the limit"
+        );
+        let next_near = match self.head_key(idx) {
+            Some(key) => Some(key),
             None => {
-                self.words[idx >> 6] &= !(1 << (idx & 63));
-                if self.words[idx >> 6] == 0 {
-                    self.summary[idx >> 12] &= !(1 << ((idx >> 6) & 63));
-                }
+                self.mark_empty(idx);
                 // Every remaining event is >= the drained tick, so it
                 // is a valid scan origin.
                 self.front_bucket(at).map(|(t, s, _)| (t, s))
@@ -508,9 +616,8 @@ impl<E> TimerWheel<E> {
             return None;
         }
         let idx = self.next_occupied((now.ticks() & self.slot_mask()) as usize);
-        let &(at, seq, _) = self.buckets[idx]
-            .items
-            .front()
+        let (at, seq) = self
+            .head_key(idx)
             .expect("occupancy bit set on empty bucket");
         Some((at, seq, idx))
     }
@@ -747,6 +854,123 @@ mod tests {
                 (g, w) => panic!("length mismatch: {g:?} vs {w:?}"),
             }
         }
+    }
+
+    /// Length of the free list, walked through the nodes' `next` links.
+    fn free_len<E>(w: &TimerWheel<E>) -> usize {
+        let mut len = 0;
+        let mut n = w.free;
+        while n != NIL {
+            assert!(
+                w.nodes[n as usize].event.is_none(),
+                "free node holds an event"
+            );
+            len += 1;
+            n = w.nodes[n as usize].next;
+        }
+        len
+    }
+
+    #[test]
+    fn dropping_the_wheel_drops_each_pending_payload_once() {
+        use std::rc::Rc;
+        let payload = Rc::new(());
+        let far = SimTime::from_ticks(3 * WHEEL_SLOTS as u64);
+        let mut w = TimerWheel::new();
+        let mut seq = 0u64;
+        let mut insert = |w: &mut TimerWheel<Rc<()>>, now: SimTime, at: SimTime| {
+            w.insert(now, at, seq, Rc::clone(&payload));
+            seq += 1;
+        };
+        for i in 0..12 {
+            insert(&mut w, SimTime::ZERO, SimTime::from_ticks(i % 4));
+        }
+        for i in 0..6 {
+            insert(&mut w, SimTime::ZERO, SimTime::from_ticks(far.ticks() + i));
+        }
+        // Relink everything into a wider calendar (pulling the overflow
+        // entries into the slab), then schedule past the new horizon so
+        // both tiers hold events again.
+        w.grow(SimTime::ZERO, 8 * WHEEL_SLOTS as u64);
+        assert!(w.overflow.is_empty());
+        for i in 0..5 {
+            insert(
+                &mut w,
+                SimTime::ZERO,
+                SimTime::from_ticks(64 * WHEEL_SLOTS as u64 + i),
+            );
+        }
+        // Popped payloads leave `None` nodes on the free list behind.
+        let mut run = Vec::new();
+        w.pop_run(SimTime::ZERO, None, &mut run);
+        let popped = w.pop(SimTime::ZERO).unwrap();
+        assert_eq!(run.len() + 1, 4);
+        assert!(w.wheel_len > 0 && !w.overflow.is_empty());
+        assert_eq!(free_len(&w), 4);
+        assert_eq!(Rc::strong_count(&payload), 1 + 23);
+        drop((run, popped));
+        assert_eq!(Rc::strong_count(&payload), 1 + 19);
+        drop(w);
+        assert_eq!(
+            Rc::strong_count(&payload),
+            1,
+            "a payload leaked or dropped twice"
+        );
+    }
+
+    #[test]
+    fn slab_length_is_the_peak_near_tier_count() {
+        // A long random interleaving of inserts (same-tick bursts, near,
+        // far and growth-triggering deltas) with all three pop paths.
+        // The slab only grows when the free list is empty, i.e. when the
+        // near tier sets a new peak, so its final length *is* that peak.
+        let mut rng = crate::SimRng::new(0x51AB);
+        let mut w = TimerWheel::with_horizon(64);
+        let mut now = SimTime::ZERO;
+        let mut seq = 0u64;
+        let mut peak = 0usize;
+        let mut run = Vec::new();
+        for _ in 0..40_000 {
+            if rng.chance(0.55) || w.is_empty() {
+                let delta = match rng.next_below(8) {
+                    0 => 0,
+                    1..=3 => rng.next_below(64),
+                    4..=6 => rng.next_below(4 * w.horizon() as u64),
+                    _ => MAX_WHEEL_SLOTS as u64 + rng.next_below(1 << 20),
+                };
+                let at = SimTime::from_ticks(now.ticks() + delta);
+                for _ in 0..1 + rng.next_below(3) {
+                    w.insert(now, at, seq, seq);
+                    seq += 1;
+                }
+            } else {
+                now = match rng.next_below(3) {
+                    0 => w.pop(now).unwrap().0,
+                    1 => w.pop_with_key(now).unwrap().0 .0,
+                    _ => {
+                        run.clear();
+                        w.pop_run(now, None, &mut run).unwrap().0
+                    }
+                };
+            }
+            peak = peak.max(w.wheel_len);
+            assert_eq!(w.nodes.len(), w.wheel_len + free_len(&w));
+        }
+        assert!(w.grows() >= 2, "schedule must exercise relinking");
+        assert!(
+            w.nodes.len() < seq as usize / 4,
+            "freed nodes were not reused"
+        );
+        assert_eq!(w.nodes.len(), peak);
+        while let Some((t, _, _)) = w.pop(now) {
+            now = t;
+        }
+        assert_eq!(
+            w.nodes.len(),
+            peak,
+            "draining must not shrink or grow the slab"
+        );
+        assert_eq!(free_len(&w), peak);
     }
 
     #[test]

@@ -7,8 +7,12 @@
 //! exercise every storage path: same-tick bucket FIFO, near-horizon
 //! buckets, far-future overflow-heap entries, events landing exactly at
 //! `now`, and interleaved pops that slide the wheel window mid-stream.
+//! The reference-model and batched-drain properties also run on a
+//! 64-tick wheel under schedules that make its horizon grow several
+//! times while events are pending, so relinking the node slab into a
+//! wider calendar is covered too.
 
-use ndpb_sim::wheel::WHEEL_SLOTS;
+use ndpb_sim::wheel::{MAX_WHEEL_SLOTS, WHEEL_SLOTS};
 use ndpb_sim::{EventQueue, SimRng, SimTime};
 
 /// Reference model: every scheduled event in a flat list; popping scans
@@ -49,46 +53,96 @@ fn random_offset(rng: &mut SimRng) -> u64 {
     }
 }
 
+/// One random offset scaled to the queue's current horizon: inside it,
+/// one to three horizons past it (overflow inserts a wider wheel would
+/// capture, which make the horizon grow), at `now`, or beyond
+/// [`MAX_WHEEL_SLOTS`] (never captured).
+fn growth_offset(rng: &mut SimRng, horizon: usize) -> u64 {
+    let h = horizon as u64;
+    match rng.next_below(10) {
+        0 => 0,
+        1..=3 => rng.next_below(h),
+        4..=8 => h + rng.next_below(3 * h),
+        _ => MAX_WHEEL_SLOTS as u64 + rng.next_below(100_000),
+    }
+}
+
+/// Runs `ops` random schedule/pop steps on `q` and on the reference
+/// model, drains both, and asserts identical pop streams. `offset`
+/// draws each delay from the rng and the queue's current horizon.
+/// Returns how many times the horizon changed while events were
+/// pending.
+fn check_against_reference(
+    mut q: EventQueue<u32>,
+    seed: u64,
+    ops: usize,
+    offset: fn(&mut SimRng, usize) -> u64,
+) -> usize {
+    let mut rng = SimRng::new(seed);
+    let mut model = RefModel::default();
+    let mut id = 0u32;
+    let mut popped = Vec::new();
+    let mut expected = Vec::new();
+    let mut horizon = q.horizon();
+    let mut growths = 0;
+    for _ in 0..ops {
+        // Bias toward scheduling so the queue stays populated, but
+        // interleave enough pops to advance `now` through several
+        // wheel revolutions.
+        if rng.chance(0.6) || model.pending.is_empty() {
+            // Duplicate ticks on purpose: reuse the previous offset
+            // sometimes so bucket FIFO order is exercised.
+            let at = q.now().ticks() + offset(&mut rng, q.horizon());
+            let copies = if rng.chance(0.2) { 3 } else { 1 };
+            for _ in 0..copies {
+                q.schedule(SimTime::from_ticks(at), id);
+                model.schedule(at, id);
+                id += 1;
+            }
+        } else {
+            popped.push(q.pop().map(|(t, e)| (t.ticks(), e)));
+            expected.push(model.pop());
+        }
+        if q.horizon() != horizon {
+            assert!(!q.is_empty(), "growth must happen mid-drain");
+            horizon = q.horizon();
+            growths += 1;
+        }
+    }
+    // Drain both completely.
+    loop {
+        let got = q.pop().map(|(t, e)| (t.ticks(), e));
+        let want = model.pop();
+        let done = got.is_none() && want.is_none();
+        popped.push(got);
+        expected.push(want);
+        if done {
+            break;
+        }
+    }
+    assert_eq!(popped, expected, "divergence from reference (seed {seed})");
+    growths
+}
+
 #[test]
 fn random_schedules_pop_identically_to_reference_model() {
     for seed in 0..8u64 {
-        let mut rng = SimRng::new(0xF00D + seed);
-        let mut q = EventQueue::new();
-        let mut model = RefModel::default();
-        let mut id = 0u32;
-        let mut popped = Vec::new();
-        let mut expected = Vec::new();
-        for _ in 0..4_000 {
-            // Bias toward scheduling so the queue stays populated, but
-            // interleave enough pops to advance `now` through several
-            // wheel revolutions.
-            if rng.chance(0.6) || model.pending.is_empty() {
-                // Duplicate ticks on purpose: reuse the previous offset
-                // sometimes so bucket FIFO order is exercised.
-                let at = q.now().ticks() + random_offset(&mut rng);
-                let copies = if rng.chance(0.2) { 3 } else { 1 };
-                for _ in 0..copies {
-                    q.schedule(SimTime::from_ticks(at), id);
-                    model.schedule(at, id);
-                    id += 1;
-                }
-            } else {
-                popped.push(q.pop().map(|(t, e)| (t.ticks(), e)));
-                expected.push(model.pop());
-            }
-        }
-        // Drain both completely.
-        loop {
-            let got = q.pop().map(|(t, e)| (t.ticks(), e));
-            let want = model.pop();
-            let done = got.is_none() && want.is_none();
-            popped.push(got);
-            expected.push(want);
-            if done {
-                break;
-            }
-        }
-        assert_eq!(popped, expected, "divergence from reference (seed {seed})");
+        check_against_reference(EventQueue::new(), 0xF00D + seed, 4_000, |rng, _| {
+            random_offset(rng)
+        });
+    }
+}
+
+#[test]
+fn growing_horizon_pops_identically_to_reference_model() {
+    for seed in 0..3u64 {
+        let growths = check_against_reference(
+            EventQueue::with_horizon(64),
+            0x6E0 + seed,
+            10_000,
+            growth_offset,
+        );
+        assert!(growths >= 2, "horizon grew {growths} times (seed {seed})");
     }
 }
 
@@ -185,14 +239,20 @@ fn scheduling_before_now_panics() {
 // migrate events from the overflow heap into the near window.
 
 /// Builds two identically-scheduled queues from one random script,
-/// returning (batched queue, single-pop queue).
-fn twin_queues(seed: u64, ops: usize) -> (EventQueue<u32>, EventQueue<u32>) {
+/// returning (batched queue, single-pop queue). `mk` builds each queue
+/// and `offset` draws each delay from the rng and the current horizon.
+fn twin_queues(
+    seed: u64,
+    ops: usize,
+    mk: fn() -> EventQueue<u32>,
+    offset: fn(&mut SimRng, usize) -> u64,
+) -> (EventQueue<u32>, EventQueue<u32>) {
     let mut rng = SimRng::new(seed);
-    let mut a = EventQueue::new();
-    let mut b = EventQueue::new();
+    let mut a = mk();
+    let mut b = mk();
     let mut id = 0u32;
     for _ in 0..ops {
-        let at = a.now().ticks() + random_offset(&mut rng);
+        let at = a.now().ticks() + offset(&mut rng, a.horizon());
         let copies = if rng.chance(0.25) { 4 } else { 1 };
         for _ in 0..copies {
             a.schedule(SimTime::from_ticks(at), id);
@@ -212,32 +272,60 @@ fn twin_queues(seed: u64, ops: usize) -> (EventQueue<u32>, EventQueue<u32>) {
     (a, b)
 }
 
+/// Drains `a` through `pop_run` and `b` through `pop` and asserts the
+/// two `(tick, event)` streams are identical.
+fn assert_batched_drain_matches(mut a: EventQueue<u32>, mut b: EventQueue<u32>, seed: u64) {
+    let mut batched = Vec::new();
+    let mut run = Vec::new();
+    while let Some(at) = a.pop_run(&mut run) {
+        for &e in &run {
+            batched.push((at.ticks(), e));
+        }
+        run.clear();
+    }
+    let mut single = Vec::new();
+    while let Some((t, e)) = b.pop() {
+        single.push((t.ticks(), e));
+    }
+    assert_eq!(batched, single, "pop_run diverged from pop (seed {seed})");
+    assert!(a.is_empty() && b.is_empty());
+    assert_eq!(a.popped(), b.popped());
+}
+
 #[test]
 fn batched_drain_is_byte_identical_to_single_pops() {
     for seed in 0..8u64 {
-        let (mut a, mut b) = twin_queues(0xBA7C + seed, 3_000);
-        let mut batched = Vec::new();
-        let mut run = Vec::new();
-        while let Some(at) = a.pop_run(&mut run) {
-            for &e in &run {
-                batched.push((at.ticks(), e));
-            }
-            run.clear();
-        }
-        let mut single = Vec::new();
-        while let Some((t, e)) = b.pop() {
-            single.push((t.ticks(), e));
-        }
-        assert_eq!(batched, single, "pop_run diverged from pop (seed {seed})");
-        assert!(a.is_empty() && b.is_empty());
-        assert_eq!(a.popped(), b.popped());
+        let (a, b) = twin_queues(0xBA7C + seed, 3_000, EventQueue::new, |rng, _| {
+            random_offset(rng)
+        });
+        assert_batched_drain_matches(a, b, seed);
+    }
+}
+
+#[test]
+fn batched_drain_across_horizon_growth_matches_single_pops() {
+    for seed in 0..4u64 {
+        let (a, b) = twin_queues(
+            0x6B7C + seed,
+            12_000,
+            || EventQueue::with_horizon(64),
+            growth_offset,
+        );
+        // `growth_offset` never asks a wheel of horizon `h` to cover more
+        // than `4h`, so one growth takes 64 ticks to at most 256: a
+        // horizon of 1024 or more took at least two.
+        assert!(a.horizon() >= 1024, "horizon {} (seed {seed})", a.horizon());
+        assert_eq!(a.horizon(), b.horizon());
+        assert_batched_drain_matches(a, b, seed);
     }
 }
 
 #[test]
 fn runs_never_span_ticks_and_clock_matches() {
     for seed in 0..4u64 {
-        let (mut q, _) = twin_queues(0x5EED + seed, 2_000);
+        let (mut q, _) = twin_queues(0x5EED + seed, 2_000, EventQueue::new, |rng, _| {
+            random_offset(rng)
+        });
         let mut run = Vec::new();
         let mut prev: Option<u64> = None;
         while let Some(at) = q.pop_run(&mut run) {
