@@ -26,20 +26,12 @@ use ndpb_core::result::{geomean, RunResult};
 use ndpb_core::System;
 use ndpb_workloads::{build_app, Scale};
 
-/// Runs one (application, design) pair under `cfg`.
-///
-/// Routes through [`System::with_app_factory`]: when `cfg.shards > 1`
-/// the workload is generated concurrently with the (512-unit, at Table
-/// I) system scaffolding, which is where one run's shard speedup comes
-/// from — the event loop itself stays serial so results are
-/// byte-identical at every shard count.
+/// Runs one (application, design) pair under `cfg`: builds the
+/// workload for `cfg`'s geometry and seed at `scale`, then runs it to
+/// completion on a [`System`].
 pub fn run_one(app_name: &str, design: DesignPoint, cfg: SystemConfig, scale: Scale) -> RunResult {
-    let geometry = cfg.geometry.clone();
-    let seed = cfg.seed;
-    System::with_app_factory(cfg, design, move || {
-        build_app(app_name, &geometry, scale, seed)
-    })
-    .run()
+    let app = build_app(app_name, &cfg.geometry, scale, cfg.seed);
+    System::new(cfg, design, app).run()
 }
 
 /// [`run_one`] with tracing: attaches a [`ndpb_trace::RingRecorder`] of

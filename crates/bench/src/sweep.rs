@@ -122,7 +122,6 @@ pub struct Sweeper {
     jobs: usize,
     cache: Option<ResultCache>,
     audit: Option<AuditLevel>,
-    shards: Option<usize>,
     metrics: SharedMetrics,
     sweeps_run: AtomicU64,
     resident: OnceLock<Arc<ResidentPool>>,
@@ -135,7 +134,6 @@ impl Sweeper {
             jobs: jobs.max(1),
             cache: None,
             audit: None,
-            shards: None,
             metrics: SharedMetrics::new(),
             sweeps_run: AtomicU64::new(0),
             resident: OnceLock::new(),
@@ -162,23 +160,6 @@ impl Sweeper {
     /// The forced audit level, if any.
     pub fn audit(&self) -> Option<AuditLevel> {
         self.audit
-    }
-
-    /// Forces every point's shard count (the `repro --shards` flag).
-    ///
-    /// Unlike [`with_audit`](Self::with_audit), this must NOT move the
-    /// cache key: shard count is observationally invisible
-    /// (`SystemConfig::fingerprint` normalizes it away), so serial and
-    /// sharded runs share one cache namespace — a result stored at
-    /// `shards=1` satisfies `--shards 4` and vice versa.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = Some(shards.max(1));
-        self
-    }
-
-    /// The forced shard count, if any.
-    pub fn shards(&self) -> Option<usize> {
-        self.shards
     }
 
     /// Worker count.
@@ -218,9 +199,6 @@ impl Sweeper {
         for (i, mut p) in points.into_iter().enumerate() {
             if let Some(level) = self.audit {
                 p.cfg.audit = level;
-            }
-            if let Some(shards) = self.shards {
-                p.cfg.shards = shards;
             }
             match self.cache.as_ref().and_then(|c| c.load(p.key())) {
                 Some(hit) => {
@@ -296,7 +274,6 @@ impl Sweeper {
                 p.cfg.audit = level;
                 p.key()
             }
-            // No shards override here: shard count never moves the key.
             None => point.key(),
         };
         let hit = cache.load(key)?;
@@ -321,9 +298,6 @@ impl Sweeper {
     pub fn submit(&self, mut point: SweepPoint) -> PointTicket {
         if let Some(level) = self.audit {
             point.cfg.audit = level;
-        }
-        if let Some(shards) = self.shards {
-            point.cfg.shards = shards;
         }
         let m = &self.metrics;
         m.inc(m.register("sweep/points_total"));

@@ -8,10 +8,11 @@
 //! that every access contends for.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::time::Instant;
 
 use ndpb_dram::{Bus, EnergyBreakdown};
 use ndpb_sim::stats::BusyTime;
-use ndpb_sim::{ShardedEventQueue, SimTime, TICKS_PER_CORE_CYCLE};
+use ndpb_sim::{EventQueue, SimTime, TICKS_PER_CORE_CYCLE};
 use ndpb_tasks::{Application, ExecCtx, Task};
 
 use crate::config::SystemConfig;
@@ -68,10 +69,8 @@ pub struct HostOnly {
     cfg: SystemConfig,
     host: HostOnlyConfig,
     app: Box<dyn Application>,
-    /// Completion queue, sharded by worker id (`cfg.shards` wheels,
-    /// capped at the worker count). Exact-merge pop order keeps results
-    /// byte-identical for every shard count, like `System`.
-    q: ShardedEventQueue<Done>,
+    /// Completion queue.
+    q: EventQueue<Done>,
     ready: VecDeque<Task>,
     future: BTreeMap<u32, Vec<Task>>,
     worker_free: Vec<SimTime>,
@@ -101,7 +100,6 @@ impl HostOnly {
             .map(|_| Bus::new(cfg.geometry.channel_dq_bits()))
             .collect();
         let w = host.workers;
-        let shards = cfg.shards.clamp(1, w.max(1));
         HostOnly {
             cfg,
             host,
@@ -112,7 +110,7 @@ impl HostOnly {
             // default 4096-tick horizon overflow-dominated — the 0.96x
             // H regression vs the old heap. Start the calendar wide; the
             // wheel still auto-tunes if contention pushes further out.
-            q: ShardedEventQueue::with_horizon(shards, 1 << 16),
+            q: EventQueue::with_horizon(1 << 16),
             ready: VecDeque::new(),
             future: BTreeMap::new(),
             worker_free: vec![SimTime::ZERO; w],
@@ -180,7 +178,6 @@ impl HostOnly {
         }
         self.q.schedule(
             t,
-            w % self.q.shards(),
             Done {
                 worker: w as u32,
                 task,
@@ -222,16 +219,26 @@ impl HostOnly {
             self.enqueue(t);
         }
         self.dispatch(SimTime::ZERO);
-        // Batched same-tick dispatch (DESIGN.md §3c): one merged head
-        // scan per run of equal-time completions instead of one per pop.
+        // Batched same-tick dispatch (DESIGN.md §3c): one head scan per
+        // run of equal-time completions instead of one per pop. The
+        // phase profiler's clock reads are per-batch hooks in this loop.
         let mut batch: Vec<Done> = Vec::with_capacity(32);
-        if self.profile.is_some() {
-            self.run_profiled(&mut batch);
-        } else {
-            while let Some(now) = self.q.pop_run(&mut batch) {
-                for done in batch.drain(..) {
-                    self.complete(now, done);
-                }
+        loop {
+            let t0 = self.profile.is_some().then(Instant::now);
+            let now = self.q.pop_run(&mut batch);
+            if let (Some(p), Some(t0)) = (self.profile.as_mut(), t0) {
+                p.queue_ns += t0.elapsed().as_nanos() as u64;
+            }
+            let Some(now) = now else { break };
+            let t1 = self.profile.as_mut().map(|p| {
+                p.note_batch(batch.len());
+                Instant::now()
+            });
+            for done in batch.drain(..) {
+                self.complete(now, done);
+            }
+            if let (Some(p), Some(t1)) = (self.profile.as_mut(), t1) {
+                p.dispatch_ns += t1.elapsed().as_nanos() as u64;
             }
         }
         assert!(
@@ -241,26 +248,8 @@ impl HostOnly {
         self.finalize()
     }
 
-    /// The batched loop with phase timing (two clock reads per run).
-    fn run_profiled(&mut self, batch: &mut Vec<Done>) {
-        let mut prof = ProfileStats::default();
-        loop {
-            let t0 = std::time::Instant::now();
-            let now = self.q.pop_run(batch);
-            prof.queue_ns += t0.elapsed().as_nanos() as u64;
-            let Some(now) = now else { break };
-            prof.note_batch(batch.len());
-            let t1 = std::time::Instant::now();
-            for done in batch.drain(..) {
-                self.complete(now, done);
-            }
-            prof.dispatch_ns += t1.elapsed().as_nanos() as u64;
-        }
-        self.profile = Some(prof);
-    }
-
     fn finalize(mut self) -> RunResult {
-        let finalize_start = self.profile.is_some().then(std::time::Instant::now);
+        let finalize_start = self.profile.is_some().then(Instant::now);
         let makespan = self
             .worker_last
             .iter()
@@ -319,7 +308,6 @@ impl HostOnly {
             per_unit_busy: self.worker_busy.iter().map(|b| b.total().ticks()).collect(),
             metrics: ndpb_trace::MetricsReport::default(),
             trace: Vec::new(),
-            parallel: None,
             profile: self.profile.take().map(|mut p| {
                 p.finalize_ns = finalize_start
                     .map(|t| t.elapsed().as_nanos() as u64)

@@ -7,13 +7,15 @@
 //! bridge gather/scatter rounds with dynamic triggering (Section V),
 //! and hierarchical data-transfer-aware load balancing (Section VI).
 
+use std::time::Instant;
+
 use crate::fasthash::FastMap;
 
 use ndpb_dram::{AddressMap, BlockAddr, Bus, EnergyBreakdown, UnitId};
 use ndpb_proto::message::DataMessage;
 use ndpb_proto::Message;
 use ndpb_sim::stats::FinishTimes;
-use ndpb_sim::{ShardedEventQueue, SimRng, SimTime, TICKS_PER_CORE_CYCLE};
+use ndpb_sim::{EventQueue, SimRng, SimTime, TICKS_PER_CORE_CYCLE};
 use ndpb_tasks::{Application, ExecCtx, Task, Timestamp};
 use ndpb_trace::{ComponentId, MetricId, MetricsRegistry, TraceEvent, TraceRecord, TraceSink};
 
@@ -22,7 +24,7 @@ use crate::bridge::{HostBridge, RankBridge};
 use crate::config::{w_threshold, SystemConfig, TriggerPolicy};
 use crate::design::{CommPath, DesignPoint, LbPolicy};
 use crate::epoch::EpochTracker;
-use crate::result::{ParallelStats, ProfileStats, RunResult};
+use crate::result::{ProfileStats, RunResult};
 use crate::steal;
 use crate::unit::{NdpUnit, ScheduledBlock};
 
@@ -67,17 +69,9 @@ pub struct System {
     lb: LbPolicy,
     map: AddressMap,
     app: Box<dyn Application>,
-    /// The event queue, partitioned into `cfg.shards` per-rank-affinity
-    /// timer wheels. Pop order — and therefore every result — is
-    /// byte-identical to a single queue for any shard count (the
-    /// sharded queue's exact-merge contract); events are routed to
-    /// shards by [`System::shard_of`].
-    q: ShardedEventQueue<Ev>,
-    /// Unit id → shard, precomputed so the per-event affinity lookup on
-    /// the schedule hot path is one indexed load instead of divisions.
-    unit_shard: Vec<u32>,
-    /// Rank id → shard (same reasoning).
-    rank_shard: Vec<u32>,
+    /// The event queue: pops in exact `(time, seq)` order, so every
+    /// result is a pure function of the configuration and seed.
+    q: EventQueue<Ev>,
     units: Vec<NdpUnit>,
     bridges: Vec<RankBridge>,
     host: HostBridge,
@@ -118,88 +112,12 @@ pub struct System {
     /// Free list of spawn `Vec`s cycling between [`Ev::TaskDone`] events
     /// and [`Self::exec_ctx`].
     spawn_pool: crate::pool::BufPool<Task>,
-    /// Whether the windowed parallel engine is driving this run. When
-    /// set, global-class events (rounds, state polls, link traffic)
-    /// live on [`Self::gq`] instead of the wheels, so the wheels hold
-    /// only unit-class events a lane may drain.
-    windowed: bool,
-    /// Leader-owned staging heap for global-class events in windowed
-    /// mode, ordered by the same `(time, seq)` key as the wheels (seqs
-    /// come from the queue's single counter via `alloc_seq`).
-    gq: std::collections::BinaryHeap<GEntry>,
-    /// Unit-class window-survivor creations held back at barriers
-    /// until every causally-preceding event has executed. They keep
-    /// their original causal positions forever: the next window seeds
-    /// them back into their shard's pending heap, and between windows
-    /// the leader dispatches one directly whenever it is the global
-    /// minimum (DESIGN.md §9: the staging buffer). Re-stamping them
-    /// through the wheel would erase the mid-tick coordinates other
-    /// survivors still compare against.
-    staged: std::collections::BinaryHeap<crate::parallel::PendingEv>,
-    /// Global-class window survivors (round requests crossing a
-    /// barrier). Same protocol as `staged`, but they can never be
-    /// seeded into a lane, so the earliest one caps the next window's
-    /// stop instead.
-    staged_g: std::collections::BinaryHeap<crate::parallel::PendingEv>,
-    /// Causal position of the event the leader is currently
-    /// dispatching (empty outside a dispatch). Lets [`Self::sched`]
-    /// stamp positions on creations that must queue behind staged
-    /// survivors.
-    dispatch_pos: Vec<u64>,
-    /// Creation counter within the current leader dispatch (the `i` in
-    /// the position encoding, mirroring a lane's per-handler counter).
-    dispatch_births: u64,
-    /// Parallel-execution statistics, populated by the windowed engine
-    /// and surfaced as [`RunResult::parallel`].
-    pstats: Option<ParallelStats>,
     /// Event-loop phase profile, armed by [`System::set_profile`] and
     /// surfaced as [`RunResult::profile`]. Deliberately *not* part of
     /// [`SystemConfig`]: the config's debug representation is hashed
     /// into cache fingerprints, and a wall-clock measurement toggle
     /// must never change a result's identity.
     profile: Option<ProfileStats>,
-}
-
-/// A global-class event staged on [`System::gq`] in windowed mode.
-/// Ordered by `(at, seq)` — *reversed*, so `BinaryHeap`'s max-heap
-/// yields the smallest key first, matching wheel pop order exactly.
-struct GEntry {
-    at: SimTime,
-    seq: u64,
-    ev: Ev,
-}
-
-impl PartialEq for GEntry {
-    fn eq(&self, other: &Self) -> bool {
-        (self.at, self.seq) == (other.at, other.seq)
-    }
-}
-impl Eq for GEntry {}
-impl PartialOrd for GEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for GEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
-/// Whether an event is global-class: its handler may touch state
-/// outside one rank's shard (host bridge, cross-rank tables, buses of
-/// other ranks), so the windowed engine always runs it on the leader
-/// between windows.
-fn is_global_class(ev: &Ev) -> bool {
-    matches!(
-        ev,
-        Ev::RankState(_)
-            | Ev::RankRound(_)
-            | Ev::HostState
-            | Ev::HostRound
-            | Ev::LinkRound(_)
-            | Ev::LinkDeliver(..)
-    )
 }
 
 /// Per-cause attribution of communication-DRAM traffic. Every byte
@@ -443,62 +361,33 @@ impl System {
     /// Panics if the configuration is invalid (see
     /// [`SystemConfig::validate`]).
     pub fn new(cfg: SystemConfig, design: DesignPoint, app: Box<dyn Application>) -> Self {
-        Self::with_app_factory(cfg, design, move || app)
-    }
-
-    /// Builds a system, calling `make_app` for the application.
-    ///
-    /// With `cfg.shards > 1`, construction itself is sharded: the
-    /// application is built on its own thread while the NDP units are
-    /// built in per-shard chunks in parallel. The RNG streams each
-    /// component receives are forked serially up front in the exact
-    /// order the serial constructor always used (forking mutates the
-    /// parent), so the built system — and every result — is
-    /// byte-identical to `shards = 1`; only the wall-clock cost of
-    /// standing up a 512-unit system changes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid (see
-    /// [`SystemConfig::validate`]).
-    pub fn with_app_factory<F>(cfg: SystemConfig, design: DesignPoint, make_app: F) -> Self
-    where
-        F: FnOnce() -> Box<dyn Application> + Send,
-    {
         cfg.validate();
-        // More shards than ranks would only add empty wheels to every
-        // pop's head scan.
-        let shards = cfg.shards.clamp(1, cfg.geometry.total_ranks() as usize);
+        // Every component gets its own RNG stream, forked in a fixed
+        // order (units, then rank bridges, then the host bridge):
+        // forking mutates the parent, so this order is part of every
+        // result's identity.
         let mut rng = SimRng::new(cfg.seed);
         let map = AddressMap::new(&cfg.geometry, cfg.g_xfer, cfg.timing.row_bytes);
-        let unit_rngs: Vec<(UnitId, SimRng)> = cfg
+        let units: Vec<NdpUnit> = cfg
             .geometry
             .all_units()
-            .map(|id| (id, rng.fork(id.0 as u64)))
+            .map(|id| NdpUnit::new(id, &cfg, rng.fork(id.0 as u64)))
             .collect();
-        let bridge_rngs: Vec<SimRng> = (0..cfg.geometry.total_ranks())
-            .map(|r| rng.fork(1_000_000 + r as u64))
+        let bridges: Vec<RankBridge> = (0..cfg.geometry.total_ranks())
+            .map(|r| {
+                RankBridge::new(
+                    ndpb_dram::RankId(r),
+                    cfg.geometry.units_per_rank() as usize,
+                    &cfg,
+                    rng.fork(1_000_000 + r as u64),
+                )
+            })
             .collect();
-        let host_rng = rng.fork(2_000_000);
-        // Construction fan-out is bounded by the cores actually
-        // available: on a single-core host, extra builder threads would
-        // only add spawn and context-switch cost (results are identical
-        // either way — the RNG streams above are already forked).
-        let builders =
-            shards.min(std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get));
-        let (units, bridges, app) = if builders > 1 {
-            Self::build_parallel(&cfg, builders, unit_rngs, bridge_rngs, make_app)
-        } else {
-            (
-                unit_rngs
-                    .into_iter()
-                    .map(|(id, r)| NdpUnit::new(id, &cfg, r))
-                    .collect(),
-                Self::build_bridges(&cfg, bridge_rngs),
-                make_app(),
-            )
-        };
-        let host = HostBridge::new(cfg.geometry.total_ranks() as usize, &cfg, host_rng);
+        let host = HostBridge::new(
+            cfg.geometry.total_ranks() as usize,
+            &cfg,
+            rng.fork(2_000_000),
+        );
         let rank_bus = (0..cfg.geometry.total_ranks())
             .map(|_| Bus::new(cfg.geometry.intra_rank_data_bits()))
             .collect();
@@ -512,15 +401,6 @@ impl System {
             None => Vec::new(),
         };
         let link_scheduled = vec![false; cfg.geometry.total_ranks() as usize];
-        let upr = cfg.geometry.units_per_rank();
-        let rank_shard: Vec<u32> = (0..cfg.geometry.total_ranks())
-            .map(|r| r % shards as u32)
-            .collect();
-        let unit_shard: Vec<u32> = cfg
-            .geometry
-            .all_units()
-            .map(|id| rank_shard[(id.0 / upr) as usize])
-            .collect();
         let traced_block = std::env::var_os("NDPB_TRACE_BLOCK")
             .and_then(|v| v.to_string_lossy().parse::<u64>().ok());
         let mut metrics = MetricsRegistry::new();
@@ -535,9 +415,7 @@ impl System {
             design,
             map,
             app,
-            q: ShardedEventQueue::new(shards),
-            unit_shard,
-            rank_shard,
+            q: EventQueue::new(),
             units,
             bridges,
             host,
@@ -558,147 +436,14 @@ impl System {
             vec_pool: crate::pool::BufPool::new(),
             exec_ctx: ExecCtx::new(ndpb_dram::UnitId(0)),
             spawn_pool: crate::pool::BufPool::new(),
-            windowed: false,
-            gq: std::collections::BinaryHeap::new(),
-            staged: std::collections::BinaryHeap::new(),
-            staged_g: std::collections::BinaryHeap::new(),
-            dispatch_pos: Vec::new(),
-            dispatch_births: 0,
-            pstats: None,
             profile: None,
         }
     }
 
-    /// Builds the rank bridges from pre-forked RNG streams (order and
-    /// salts fixed by [`Self::with_app_factory`]).
-    fn build_bridges(cfg: &SystemConfig, bridge_rngs: Vec<SimRng>) -> Vec<RankBridge> {
-        bridge_rngs
-            .into_iter()
-            .enumerate()
-            .map(|(r, rr)| {
-                RankBridge::new(
-                    ndpb_dram::RankId(r as u32),
-                    cfg.geometry.units_per_rank() as usize,
-                    cfg,
-                    rr,
-                )
-            })
-            .collect()
-    }
-
-    /// Parallel construction path (`builders > 1`): the application
-    /// factory runs on one scoped thread while the units are built in
-    /// `builders` order-preserving chunks on others; the (few) bridges
-    /// are built inline. Determinism is carried entirely by the
-    /// pre-forked RNG streams — each chunk consumes exactly the streams
-    /// the serial path would have handed the same units.
-    fn build_parallel<F>(
-        cfg: &SystemConfig,
-        builders: usize,
-        unit_rngs: Vec<(UnitId, SimRng)>,
-        bridge_rngs: Vec<SimRng>,
-        make_app: F,
-    ) -> (Vec<NdpUnit>, Vec<RankBridge>, Box<dyn Application>)
-    where
-        F: FnOnce() -> Box<dyn Application> + Send,
-    {
-        let total = unit_rngs.len();
-        let chunk = total.div_ceil(builders).max(1);
-        std::thread::scope(|s| {
-            let app_handle = s.spawn(make_app);
-            let mut remaining = unit_rngs;
-            let mut unit_handles = Vec::with_capacity(builders);
-            while !remaining.is_empty() {
-                let tail = remaining.split_off(chunk.min(remaining.len()));
-                let batch = std::mem::replace(&mut remaining, tail);
-                unit_handles.push(s.spawn(move || {
-                    batch
-                        .into_iter()
-                        .map(|(id, r)| NdpUnit::new(id, cfg, r))
-                        .collect::<Vec<_>>()
-                }));
-            }
-            let bridges = Self::build_bridges(cfg, bridge_rngs);
-            let mut units = Vec::with_capacity(total);
-            for h in unit_handles {
-                units.extend(h.join().expect("unit construction panicked"));
-            }
-            let app = app_handle
-                .join()
-                .expect("application construction panicked");
-            (units, bridges, app)
-        })
-    }
-
-    /// Shard affinity of an event: the rank whose state its handler
-    /// touches, modulo the shard count. Host-level events pin to shard
-    /// 0. Affinity only decides which wheel holds the event — pop order
-    /// is globally merged — so this is a locality knob, never a
-    /// correctness one.
-    #[inline]
-    fn shard_of(&self, ev: &Ev) -> usize {
-        if self.q.shards() == 1 {
-            return 0;
-        }
-        match *ev {
-            Ev::CoreWake(u) | Ev::TaskDone(u, ..) | Ev::Deliver(u, _) => {
-                self.unit_shard[u as usize] as usize
-            }
-            Ev::RankState(r) | Ev::RankRound(r) | Ev::LinkRound(r) | Ev::LinkDeliver(r, _) => {
-                self.rank_shard[r as usize] as usize
-            }
-            Ev::HostState | Ev::HostRound => 0,
-        }
-    }
-
-    /// Schedules `ev` at `at` on its affinity shard (see
-    /// [`Self::shard_of`]).
-    ///
-    /// In windowed mode, global-class events go to the leader's staging
-    /// heap instead of the wheels, stamped from the same sequence
-    /// counter so `(time, seq)` order across both populations is
-    /// exactly what one queue would have produced.
+    /// Schedules `ev` at `at`.
     #[inline]
     fn sched(&mut self, at: SimTime, ev: Ev) {
-        if self.windowed {
-            // A leader creation firing at or after a still-staged
-            // survivor's tick must queue behind it: the survivor may
-            // share its fire tick, and the serial engine scheduled the
-            // survivor first (its creator executed before this
-            // dispatch). Stage it at its own causal position so the
-            // release loop stamps both in serial order. Survivors
-            // firing strictly later can never collide on a tick, so
-            // everything else stamps immediately.
-            let staged_at = match (self.staged.peek(), self.staged_g.peek()) {
-                (None, None) => None,
-                (Some(s), None) | (None, Some(s)) => Some(s.at),
-                (Some(a), Some(b)) => Some(a.at.min(b.at)),
-            };
-            if !self.dispatch_pos.is_empty() && staged_at.is_some_and(|m| m <= at) {
-                let mut pos = Vec::with_capacity(self.dispatch_pos.len() + 3);
-                pos.push(at.ticks());
-                pos.push(1);
-                pos.extend_from_slice(&self.dispatch_pos);
-                pos.push(self.dispatch_births);
-                self.dispatch_births += 1;
-                let p = crate::parallel::PendingEv { pos, at, ev };
-                if is_global_class(&p.ev) {
-                    self.staged_g.push(p);
-                } else {
-                    self.staged.push(p);
-                }
-                return;
-            }
-            self.dispatch_births += 1;
-            if is_global_class(&ev) {
-                debug_assert!(at >= self.q.now());
-                let seq = self.q.alloc_seq();
-                self.gq.push(GEntry { at, seq, ev });
-                return;
-            }
-        }
-        let shard = self.shard_of(&ev);
-        self.q.schedule(at, shard, ev);
+        self.q.schedule(at, ev);
     }
 
     /// Charges communication-DRAM traffic to the system total and the
@@ -742,10 +487,10 @@ impl System {
     /// Arms the event-loop phase profiler: [`run`](Self::run) will
     /// attribute wall time to queue ops vs. handler dispatch vs.
     /// finalization and record the same-tick batch-length histogram,
-    /// surfacing it as [`RunResult::profile`]. Profiled runs take the
-    /// serial exact-merge path (phase timings of interleaved lanes
-    /// would be meaningless) and produce byte-identical results; the
-    /// profile itself never reaches golden JSON or the result cache.
+    /// surfacing it as [`RunResult::profile`]. A profiled run takes the
+    /// same event loop as an unprofiled one (the timers are per-batch
+    /// hooks in it) and produces byte-identical results; the profile
+    /// itself never reaches golden JSON or the result cache.
     pub fn set_profile(&mut self) {
         self.profile = Some(ProfileStats::default());
     }
@@ -772,9 +517,6 @@ impl System {
 
     /// Runs the application to completion and returns the metrics.
     pub fn run(mut self) -> RunResult {
-        if self.parallel_admissible() {
-            return self.run_windowed();
-        }
         self.inject_initial();
         // An application with no tasks is already done; don't arm the
         // periodic machinery at all.
@@ -791,114 +533,20 @@ impl System {
         }
         self.sched(self.cfg.i_state(), Ev::HostState);
 
-        if std::env::var_os("NDPB_DEBUG").is_none() {
-            if self.profile.is_some() {
-                self.run_serial_profiled();
-            } else {
-                // Batched same-tick dispatch: one head scan + bitmap
-                // walk + overflow compare per *run* instead of per
-                // event, with pop order byte-identical to single pops
-                // by the `pop_run` contract (DESIGN.md §3c).
-                let mut batch: Vec<Ev> = Vec::with_capacity(64);
-                while self.q.pop_run(&mut batch).is_some() {
-                    assert!(
-                        self.q.popped() < MAX_EVENTS,
-                        "event watchdog tripped: likely livelock in {} on {}",
-                        self.design,
-                        self.app.name()
-                    );
-                    for ev in batch.drain(..) {
-                        self.dispatch(ev);
-                    }
-                }
-            }
-            assert!(
-                self.epochs.all_done(),
-                "simulation drained its event queue with {} tasks outstanding ({} on {})",
-                self.epochs.total_outstanding(),
-                self.design,
-                self.app.name()
-            );
-            return self.finalize();
-        }
-
-        // NDPB_DEBUG: pop-at-a-time loop so the periodic diagnostic
-        // dump observes every event boundary.
-        while let Some((_, ev)) = self.q.pop() {
-            assert!(
-                self.q.popped() < MAX_EVENTS,
-                "event watchdog tripped: likely livelock in {} on {}",
-                self.design,
-                self.app.name()
-            );
-            if self.q.popped().is_multiple_of(1_000_000) {
-                let queued: usize = self.units.iter().map(|u| u.queued_tasks()).sum();
-                let future: usize = self.units.iter().map(|u| u.future_tasks()).sum();
-                let mailed: usize = self.units.iter().map(|u| u.mailbox.len()).sum();
-                let pend: usize = self.units.iter().map(|u| u.pending_out.len()).sum();
-                let scat: u64 = self
-                    .bridges
-                    .iter()
-                    .map(|b| (0..b.children()).map(|i| b.scatter_pending(i)).sum::<u64>())
-                    .sum();
-                let bkup: u64 = self.bridges.iter().map(|b| b.backup_pending()).sum();
-                let up: usize = self.bridges.iter().map(|b| b.up_mailbox.len()).sum();
-                let host: u64 = (0..self.bridges.len())
-                    .map(|r| self.host.scatter_pending(r))
-                    .sum();
-                for (ri, b) in self.bridges.iter().enumerate() {
-                    let sc: u64 = (0..b.children()).map(|i| b.scatter_pending(i)).sum();
-                    if sc > 0 || b.backup_pending() > 0 {
-                        eprintln!(
-                            "[r{ri}: scatters={} sc={}B bk={}B sched={} pauses={}]",
-                            b.stats.scatters.get(),
-                            sc,
-                            b.backup_pending(),
-                            b.round_scheduled,
-                            b.stats.gather_pauses.get(),
-                        );
-                    }
-                }
-                eprintln!(
-                    "[ndpb {} {}] {}M events, t={}, outstanding={}, epoch={:?} | queued={} future={} mailbox={} pendout={} scatterB={} backupB={} up={} hostB={}",
-                    self.design,
-                    self.app.name(),
-                    self.q.popped() / 1_000_000,
-                    self.q.now(),
-                    self.epochs.total_outstanding(),
-                    self.epochs.current(),
-                    queued,
-                    future,
-                    mailed,
-                    pend,
-                    scat,
-                    bkup,
-                    up,
-                    host,
-                );
-            }
-            self.dispatch(ev);
-        }
-        assert!(
-            self.epochs.all_done(),
-            "simulation drained its event queue with {} tasks outstanding ({} on {})",
-            self.epochs.total_outstanding(),
-            self.design,
-            self.app.name()
-        );
-        self.finalize()
-    }
-
-    /// The batched serial loop with phase timing: `Instant` reads
-    /// bracket each queue pop and each batch dispatch, so the overhead
-    /// is two clock reads per *run*, not per event.
-    fn run_serial_profiled(&mut self) {
-        let mut prof = ProfileStats::default();
+        // Batched same-tick dispatch: one head scan + bitmap walk +
+        // overflow compare per *run* instead of per event, with pop
+        // order byte-identical to single pops by the `pop_run` contract
+        // (DESIGN.md §3c). The phase profiler and the `NDPB_DEBUG` dump
+        // are per-batch hooks, so every run takes this one loop.
+        let debug = std::env::var_os("NDPB_DEBUG").is_some();
         let mut batch: Vec<Ev> = Vec::with_capacity(64);
         loop {
-            let t0 = std::time::Instant::now();
+            let t0 = self.profile.is_some().then(Instant::now);
+            let seen = self.q.popped();
             let popped = self.q.pop_run(&mut batch).is_some();
-            prof.queue_ns += t0.elapsed().as_nanos() as u64;
+            if let (Some(p), Some(t0)) = (self.profile.as_mut(), t0) {
+                p.queue_ns += t0.elapsed().as_nanos() as u64;
+            }
             if !popped {
                 break;
             }
@@ -908,198 +556,18 @@ impl System {
                 self.design,
                 self.app.name()
             );
-            prof.note_batch(batch.len());
-            let t1 = std::time::Instant::now();
+            if debug && self.q.popped() / 1_000_000 > seen / 1_000_000 {
+                self.debug_dump();
+            }
+            let t1 = self.profile.as_mut().map(|p| {
+                p.note_batch(batch.len());
+                Instant::now()
+            });
             for ev in batch.drain(..) {
                 self.dispatch(ev);
             }
-            prof.dispatch_ns += t1.elapsed().as_nanos() as u64;
-        }
-        self.profile = Some(prof);
-    }
-
-    // ---- windowed parallel execution --------------------------------------
-
-    /// Whether this run may use the windowed parallel engine. Anything
-    /// unprovable falls back to the exact serial merge: parallelism is
-    /// strictly opt-in-fast, never silently wrong.
-    fn parallel_admissible(&self) -> bool {
-        self.q.shards() >= 2
-            // Lane handler ports assume bridge communication; C/H/R
-            // paths and DIMM-Links route through leader-only state.
-            && self.comm == CommPath::Bridges
-            && self.cfg.dimm_link.is_none()
-            // The audit scans queue internals mid-run; tracing and the
-            // debug hooks observe exact interleavings.
-            && self.cfg.audit == AuditLevel::Off
-            && self.trace.is_none()
-            && self.traced_block.is_none()
-            // Profiling attributes wall time to serial phases; lane
-            // threads would make the split meaningless.
-            && self.profile.is_none()
-            && std::env::var_os("NDPB_DEBUG").is_none()
-            // The application must declare order-independent execute().
-            && self.app.parallel_commutes()
-    }
-
-    /// The windowed main loop: global-class events (rounds, state
-    /// polls) run serially on the leader in exact `(time, seq)` order;
-    /// stretches of unit-class events between them are drained by
-    /// per-shard lanes in parallel windows. Results are byte-identical
-    /// to [`Self::run`]'s serial loop by construction (DESIGN.md §9).
-    fn run_windowed(mut self) -> RunResult {
-        self.windowed = true;
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get() >= 2)
-            .unwrap_or(false);
-        let mut stats = ParallelStats {
-            shards: self.q.shards() as u32,
-            lane_threads: threads,
-            ..ParallelStats::default()
-        };
-        self.inject_initial();
-        if self.epochs.all_done() {
-            self.done = true;
-            self.pstats = Some(stats);
-            return self.finalize();
-        }
-        for r in 0..self.bridges.len() {
-            // Admission guarantees CommPath::Bridges.
-            self.bridges[r].state_scheduled = true;
-            self.sched(self.cfg.i_state(), Ev::RankState(r as u32));
-        }
-        self.sched(self.cfg.i_state(), Ev::HostState);
-
-        let shards = self.q.shards();
-        loop {
-            assert!(
-                self.q.popped() < MAX_EVENTS,
-                "event watchdog tripped: likely livelock in {} on {}",
-                self.design,
-                self.app.name()
-            );
-            let wmin = self.q.min_head_key();
-            let gmin = self.gq.peek().map(|g| (g.at, g.seq));
-            // The staging buffers are a third queue: a staged window
-            // survivor whose causal position precedes every queued key
-            // is the globally next event (everything queued fires at a
-            // strictly later point in serial order, so nothing can
-            // still create a same-tick predecessor). Dispatch it
-            // directly, carrying its original position so its own
-            // creations stamp behind any remaining same-tick survivors.
-            // It is never re-stamped through the wheel: a fresh
-            // `[t, 0, seq]` key would compare as tick-start against
-            // survivors still holding mid-tick creation coordinates.
-            let smin_unit = match (self.staged.peek(), self.staged_g.peek()) {
-                (None, None) => None,
-                (Some(_), None) => Some(true),
-                (None, Some(_)) => Some(false),
-                (Some(u), Some(g)) => Some(u.pos <= g.pos),
-            };
-            if let Some(unit) = smin_unit {
-                let s = if unit {
-                    self.staged.peek()
-                } else {
-                    self.staged_g.peek()
-                }
-                .expect("class heap with the minimum is non-empty");
-                let next = match (wmin, gmin) {
-                    (None, None) => None,
-                    (Some(w), None) => Some(w),
-                    (None, Some(g)) => Some(g),
-                    (Some(w), Some(g)) => Some(w.min(g)),
-                };
-                let due = match next {
-                    None => true,
-                    Some(k) => s.pos < crate::parallel::key_pos(k),
-                };
-                if due {
-                    let p = if unit {
-                        self.staged.pop()
-                    } else {
-                        self.staged_g.pop()
-                    }
-                    .expect("peeked staged entry vanished");
-                    self.q.note_external_pop(p.at);
-                    stats.serial_fallback_steps += 1;
-                    self.dispatch_pos = p.pos;
-                    self.dispatch_births = 0;
-                    self.dispatch(p.ev);
-                    self.dispatch_pos.clear();
-                    continue;
-                }
-            }
-            let heap_next = match (wmin, gmin) {
-                (None, None) => break,
-                (None, Some(_)) => true,
-                (Some(_), None) => false,
-                (Some(w), Some(g)) => g < w,
-            };
-            if heap_next {
-                let g = self.gq.pop().expect("peeked heap entry vanished");
-                self.q.note_external_pop(g.at);
-                stats.serial_fallback_steps += 1;
-                self.dispatch_pos = crate::parallel::key_pos((g.at, g.seq));
-                self.dispatch_births = 0;
-                self.dispatch(g.ev);
-                self.dispatch_pos.clear();
-                continue;
-            }
-            // Next is a wheel (unit-class) event. The window may run to
-            // the earliest global-class event: the heap top, or — when
-            // no host round is staged — the earliest instant a *chained*
-            // one could land. A host round can only be chained off a
-            // rank round that gathered at least one message, which costs
-            // one rank-bus grant of `chips × g_xfer` bytes; and
-            // `consider_host_round` never schedules before
-            // `host.last_round_end`. So the earliest chained host round
-            // is `max(last_round_end, wmin + transfer_time)` (DESIGN.md
-            // §9: the cascade floor).
-            let mut stop = gmin.unwrap_or((SimTime::MAX, u64::MAX));
-            if !self.host.round_scheduled {
-                let gather_bytes = self.cfg.geometry.chips_per_rank as u64 * self.cfg.g_xfer as u64;
-                let d_min = self.rank_bus[0].transfer_time(gather_bytes);
-                let mut wstart = wmin.expect("wheel head exists").0;
-                // A staged unit survivor seeded into this window may
-                // fire before the wheel head; the chain floor must
-                // start from the earliest event the window can run.
-                if let Some(s) = self.staged.peek() {
-                    wstart = wstart.min(s.at);
-                }
-                let chain = (wstart + d_min).max(self.host.last_round_end);
-                stop = stop.min((chain, 0));
-            }
-            // A staged *global* survivor still precedes every event at
-            // later ticks, and no lane may execute one; cap the window
-            // so nothing past its tick runs first. Same-tick wheel
-            // keys `[t, 0, seq]` sort below its creation position
-            // `[t, 1, …]` and may proceed; same-tick in-window
-            // creations get excluded, re-staged, and dispatched in
-            // position order. Unit-class survivors need no cap: the
-            // window seeds them into their own shard's pending heap,
-            // where the lane interleaves them with its wheel slice in
-            // exact position order.
-            if let Some(s) = self.staged_g.peek() {
-                stop = stop.min((s.at, u64::MAX));
-            }
-            // Epoch guard: per-lane completion budgets must sum below
-            // the current epoch's outstanding count, so no window can
-            // drain the epoch (advances are leader work).
-            let guard = self.epochs.outstanding_current() > shards as u64;
-            // Seeded survivors keep a lane busy too: `[t, 1, …]` is
-            // inside the window iff `t` precedes the stop tick.
-            let seed_busy = self.staged.peek().is_some_and(|s| s.at < stop.0) as usize;
-            let multi = self.q.shards_with_head_below(stop) + seed_busy >= 2;
-            if guard && multi && wmin.expect("wheel head exists") < stop {
-                self.run_window(stop, threads, &mut stats);
-            } else {
-                let key = wmin.expect("wheel head exists");
-                let (_, ev) = self.q.pop().expect("wheel head exists");
-                stats.serial_fallback_steps += 1;
-                self.dispatch_pos = crate::parallel::key_pos(key);
-                self.dispatch_births = 0;
-                self.dispatch(ev);
-                self.dispatch_pos.clear();
+            if let (Some(p), Some(t1)) = (self.profile.as_mut(), t1) {
+                p.dispatch_ns += t1.elapsed().as_nanos() as u64;
             }
         }
         assert!(
@@ -1109,174 +577,58 @@ impl System {
             self.design,
             self.app.name()
         );
-        self.pstats = Some(stats);
         self.finalize()
     }
 
-    /// Executes one parallel window: partitions units and bridges by
-    /// shard, drains each lane concurrently up to `stop`, then merges
-    /// the lanes' deferred effects and re-schedules their surviving
-    /// creations in exact serial order.
-    fn run_window(&mut self, stop: (SimTime, u64), threads: bool, stats: &mut ParallelStats) {
-        use crate::parallel::{key_pos, Lane, LaneResult, PendingEv};
-
-        debug_assert!(!self.done);
-        let shards = self.q.shards();
-        let out = self.epochs.outstanding_current();
-        debug_assert!(out > shards as u64);
-        let budget = (out - 1) / shards as u64;
-        let stop_pos = key_pos(stop);
-
-        // Seed each lane's pending heap with its shard's staged
-        // unit-class survivors that fire inside this window. The lane
-        // interleaves them with its wheel slice by causal position —
-        // the same order the serial engine would execute them — so a
-        // survivor never strands the whole run in serial fallback.
-        // Out-of-window survivors stay staged for a later window or a
-        // direct dispatch.
-        let mut seeds: Vec<Vec<PendingEv>> = (0..shards).map(|_| Vec::new()).collect();
-        for p in std::mem::take(&mut self.staged).into_vec() {
-            if p.pos < stop_pos {
-                let sh = self.shard_of(&p.ev);
-                seeds[sh].push(p);
-            } else {
-                self.staged.push(p);
+    /// `NDPB_DEBUG` diagnostic: one progress line per million events,
+    /// with where the outstanding work sits (task queues, mailboxes,
+    /// bridge and host buffers), plus a line per rank still holding
+    /// scatter or backup bytes.
+    fn debug_dump(&self) {
+        let queued: usize = self.units.iter().map(|u| u.queued_tasks()).sum();
+        let future: usize = self.units.iter().map(|u| u.future_tasks()).sum();
+        let mailed: usize = self.units.iter().map(|u| u.mailbox.len()).sum();
+        let pend: usize = self.units.iter().map(|u| u.pending_out.len()).sum();
+        let scat: u64 = self
+            .bridges
+            .iter()
+            .map(|b| (0..b.children()).map(|i| b.scatter_pending(i)).sum::<u64>())
+            .sum();
+        let bkup: u64 = self.bridges.iter().map(|b| b.backup_pending()).sum();
+        let up: usize = self.bridges.iter().map(|b| b.up_mailbox.len()).sum();
+        let host: u64 = (0..self.bridges.len())
+            .map(|r| self.host.scatter_pending(r))
+            .sum();
+        for (ri, b) in self.bridges.iter().enumerate() {
+            let sc: u64 = (0..b.children()).map(|i| b.scatter_pending(i)).sum();
+            if sc > 0 || b.backup_pending() > 0 {
+                eprintln!(
+                    "[r{ri}: scatters={} sc={}B bk={}B sched={} pauses={}]",
+                    b.stats.scatters.get(),
+                    sc,
+                    b.backup_pending(),
+                    b.round_scheduled,
+                    b.stats.gather_pauses.get(),
+                );
             }
         }
-
-        // Block scope: every lane borrow (units, bridges, app mutex,
-        // queue views) ends here, before the merge touches `self`.
-        let (results, idle): (Vec<LaneResult>, Vec<ndpb_sim::LaneOutcome>) = {
-            let mut lane_units: Vec<Vec<&mut NdpUnit>> = (0..shards).map(|_| Vec::new()).collect();
-            for (i, u) in self.units.iter_mut().enumerate() {
-                lane_units[self.unit_shard[i] as usize].push(u);
-            }
-            let mut lane_bridges: Vec<Vec<&mut RankBridge>> =
-                (0..shards).map(|_| Vec::new()).collect();
-            for (r, b) in self.bridges.iter_mut().enumerate() {
-                lane_bridges[self.rank_shard[r] as usize].push(b);
-            }
-            let app = std::sync::Mutex::new(&mut self.app);
-            let cfg = &self.cfg;
-            let map = &self.map;
-            let lb = self.lb;
-            let epochs = &self.epochs;
-
-            let mut idle = Vec::new();
-            let mut lanes = Vec::new();
-            let views = self.q.lane_views();
-            let mut units_it = lane_units.into_iter();
-            let mut bridges_it = lane_bridges.into_iter();
-            let mut seeds_it = seeds.into_iter();
-            for view in views {
-                let lu = units_it.next().expect("one unit slice per shard");
-                let lbr = bridges_it.next().expect("one bridge slice per shard");
-                let sd = seeds_it.next().expect("one seed set per shard");
-                // A lane with nothing before the stop would do no work;
-                // skip the thread and leave its wheel untouched.
-                let busy = view.peek_key().is_some_and(|k| k < stop) || !sd.is_empty();
-                if busy {
-                    lanes.push(Lane::new(
-                        view,
-                        lu,
-                        lbr,
-                        cfg,
-                        map,
-                        lb,
-                        epochs,
-                        &app,
-                        shards,
-                        stop_pos.clone(),
-                        budget,
-                        sd,
-                    ));
-                } else {
-                    idle.push(view.finish());
-                }
-            }
-            let results = if threads {
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = lanes
-                        .into_iter()
-                        .map(|l| s.spawn(move || l.run()))
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("lane panicked"))
-                        .collect()
-                })
-            } else {
-                lanes.into_iter().map(Lane::run).collect()
-            };
-            (results, idle)
-        };
-
-        self.q.absorb_lanes(idle);
-        self.q.absorb_lanes(results.iter().map(|r| r.outcome));
-
-        let max_wall = results.iter().map(|r| r.wall_ns).max().unwrap_or(0);
-        stats.barrier_stall_ns += results.iter().map(|r| max_wall - r.wall_ns).sum::<u64>();
-
-        // Deferred deltas: every one commutes across lanes (DESIGN.md
-        // §9), so per-lane application order is immaterial.
-        for r in &results {
-            for (i, &b) in r.comm.iter().enumerate() {
-                if b > 0 {
-                    self.metrics.add(self.m.comm_dram_bytes, b);
-                    self.metrics.add(self.m.ledger_comm[i], b);
-                }
-            }
-            for (i, &b) in r.sram.iter().enumerate() {
-                if b > 0 {
-                    self.metrics.add(self.m.sram_staged_bytes, b);
-                    self.metrics.add(self.m.ledger_sram[i], b);
-                }
-            }
-            self.metrics.add(self.m.msgs_delivered, r.msgs_delivered);
-            for &(ir, il, wl) in &r.settles {
-                self.bridges[ir].to_arrive[il] = self.bridges[ir].to_arrive[il].saturating_sub(wl);
-                self.host.to_arrive[ir] = self.host.to_arrive[ir].saturating_sub(wl);
-            }
-            for block in &r.host_removed {
-                self.host.data_borrowed.remove(block);
-            }
-        }
-        // Epoch bookkeeping: all spawns before all completions, so a
-        // completion can never reference an epoch the tracker has not
-        // seen. The budgets guarantee no completion drains the epoch.
-        for r in &results {
-            for &(ts, n) in &r.spawns {
-                for _ in 0..n {
-                    self.epochs.spawned(ts);
-                }
-            }
-        }
-        for r in &results {
-            for &(ts, n) in &r.completions {
-                for _ in 0..n {
-                    let advanced = self.epochs.completed(ts);
-                    debug_assert!(
-                        advanced.is_none(),
-                        "window completion drained epoch {ts:?} despite budget"
-                    );
-                }
-            }
-        }
-        // Surviving creations are *staged*, not scheduled: a lane that
-        // stopped early at its own crossing may post a smaller-position
-        // creation at the *next* barrier, and stamping sequence numbers
-        // now would invert same-tick order against it. The loop head
-        // releases staged entries in position order once nothing queued
-        // can precede them, so sequence order equals position order —
-        // the serial schedule order — by construction.
-        for p in results.into_iter().flat_map(|r| r.leftovers) {
-            if is_global_class(&p.ev) {
-                self.staged_g.push(p);
-            } else {
-                self.staged.push(p);
-            }
-        }
-        stats.windows += 1;
+        eprintln!(
+            "[ndpb {} {}] {}M events, t={}, outstanding={}, epoch={:?} | queued={} future={} mailbox={} pendout={} scatterB={} backupB={} up={} hostB={}",
+            self.design,
+            self.app.name(),
+            self.q.popped() / 1_000_000,
+            self.q.now(),
+            self.epochs.total_outstanding(),
+            self.epochs.current(),
+            queued,
+            future,
+            mailed,
+            pend,
+            scat,
+            bkup,
+            up,
+            host,
+        );
     }
 
     /// Debug aid: prints lifecycle events of the block named by the
@@ -3317,7 +2669,7 @@ impl System {
     }
 
     fn finalize(mut self) -> RunResult {
-        let finalize_start = self.profile.is_some().then(std::time::Instant::now);
+        let finalize_start = self.profile.is_some().then(Instant::now);
         let mut finish = FinishTimes::default();
         let mut busy = FinishTimes::default();
         let mut per_unit_busy = Vec::with_capacity(self.units.len());
@@ -3412,7 +2764,6 @@ impl System {
             per_unit_busy,
             metrics: self.metrics.into_report(),
             trace,
-            parallel: self.pstats,
             profile,
         }
     }

@@ -32,10 +32,6 @@ pub struct RunRequest {
     pub scale: Scale,
     /// Audit override; `None` keeps the config default.
     pub audit: Option<AuditLevel>,
-    /// Shard-count override; `None` keeps the config default (1).
-    /// Observationally invisible: it never moves the point key, so a
-    /// sharded request deduplicates and caches against a serial one.
-    pub shards: Option<usize>,
 }
 
 fn parse_column(s: &str) -> Option<Column> {
@@ -142,22 +138,11 @@ impl RunRequest {
             }
             None => None,
         };
-        let shards = match j.get("shards") {
-            Some(v) => {
-                let n = v
-                    .as_u64()
-                    .filter(|&n| n >= 1)
-                    .ok_or("\"shards\" must be a positive integer")?;
-                Some(n as usize)
-            }
-            None => None,
-        };
         Ok(RunRequest {
             apps,
             columns,
             scale,
             audit,
-            shards,
         })
     }
 
@@ -173,9 +158,6 @@ impl RunRequest {
                     let mut cfg = SystemConfig::table1();
                     if let Some(level) = self.audit {
                         cfg.audit = level;
-                    }
-                    if let Some(shards) = self.shards {
-                        cfg.shards = shards;
                     }
                     SweepPoint::new(app.clone(), col, cfg, self.scale)
                 })
@@ -290,13 +272,10 @@ mod tests {
         assert!(matches!(r.scale, Scale::Tiny));
         assert!(r.audit.is_none());
 
-        assert!(r.shards.is_none());
-
         let r = RunRequest::parse(
-            "{\"apps\":[\"ll\",\"pr\"],\"designs\":[\"C\",\"h\",\"W+Hot\"],\"scale\":\"small\",\"audit\":\"full\",\"shards\":4}",
+            "{\"apps\":[\"ll\",\"pr\"],\"designs\":[\"C\",\"h\",\"W+Hot\"],\"scale\":\"small\",\"audit\":\"full\"}",
         )
         .unwrap();
-        assert_eq!(r.shards, Some(4));
         assert_eq!(r.apps.len(), 2);
         assert_eq!(
             r.columns,
@@ -340,8 +319,6 @@ mod tests {
             "{\"app\":\"ll\",\"audit\":\"maybe\"}",
             "{\"apps\":[]}",
             "{\"apps\":[3]}",
-            "{\"app\":\"ll\",\"shards\":0}",
-            "{\"app\":\"ll\",\"shards\":\"four\"}",
         ] {
             assert!(RunRequest::parse(bad).is_err(), "accepted {bad:?}");
         }
@@ -356,14 +333,14 @@ mod tests {
     }
 
     #[test]
-    fn sharded_points_share_keys_with_serial_ones() {
-        // Shard count must never move the point key: a sharded request
-        // has to dedup against an in-flight serial duplicate and hit
-        // results the serial run already cached.
-        let serial = RunRequest::parse("{\"app\":\"ll\"}").unwrap();
-        let sharded = RunRequest::parse("{\"app\":\"ll\",\"shards\":4}").unwrap();
-        assert_eq!(sharded.points()[0].cfg.shards, 4);
-        assert_eq!(serial.points()[0].key(), sharded.points()[0].key());
+    fn leftover_shards_key_leaves_the_point_key_unchanged() {
+        // Clients written against older servers may still send
+        // `"shards"`. Like any unknown key it is ignored, so such a
+        // request dedups against, and hits the cache entries of, the
+        // same request without it.
+        let plain = RunRequest::parse("{\"app\":\"ll\"}").unwrap();
+        let leftover = RunRequest::parse("{\"app\":\"ll\",\"shards\":4}").unwrap();
+        assert_eq!(plain.points()[0].key(), leftover.points()[0].key());
     }
 
     #[test]

@@ -211,54 +211,6 @@ fn duplicate_requests_dedup_cache_and_restart_roundtrip() {
 }
 
 #[test]
-fn sharded_run_matches_serial_and_coalesces_with_it() {
-    let dir = temp_dir("shards");
-    let _ = std::fs::remove_dir_all(&dir);
-    let (addr, _state, handle) = start(ServerConfig {
-        cache_dir: Some(dir.clone()),
-        jobs: 2,
-        ..ServerConfig::default()
-    });
-
-    // A serial request and its shards:4 twin, submitted concurrently
-    // against a cold cache. Shard count is observationally invisible,
-    // so the pair must coalesce onto one point cell: exactly one
-    // simulation runs and both jobs carry byte-identical result bytes.
-    const SHARDED_BODY: &str = "{\"app\":\"ll\",\"design\":\"C\",\"scale\":\"tiny\",\"shards\":4}";
-    let submit = |addr: SocketAddr, body: &'static str| {
-        thread::spawn(move || {
-            let (status, resp) = http(addr, "POST", "/run", body);
-            assert_eq!(status, 200, "{resp}");
-            job_id(&resp)
-        })
-    };
-    let (a, b) = (submit(addr, BODY), submit(addr, SHARDED_BODY));
-    let (a, b) = (a.join().unwrap(), b.join().unwrap());
-
-    let expected = format!("\"results\":[{}]}}", expected_result_json());
-    let doc_serial = poll_done(addr, a);
-    let doc_sharded = poll_done(addr, b);
-    assert!(
-        doc_sharded.ends_with(&expected),
-        "sharded service run != serial library run: {doc_sharded}"
-    );
-    assert_eq!(
-        doc_serial.replace(&format!("\"id\":{a},"), ""),
-        doc_sharded.replace(&format!("\"id\":{b},"), ""),
-        "shards field must not change result bytes"
-    );
-
-    let overlapped = server_counter(addr, "deduped") + server_counter(addr, "cache_hits");
-    assert_eq!(
-        overlapped, 1,
-        "sharded duplicate must dedup against (or cache-hit) the serial run"
-    );
-
-    shutdown_and_join(addr, handle);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn line_protocol_answers_one_command_per_connection() {
     let (addr, _state, handle) = start(ServerConfig {
         cache_dir: None,

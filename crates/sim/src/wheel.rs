@@ -466,70 +466,10 @@ impl<E> TimerWheel<E> {
         }
     }
 
-    /// `(timestamp, seq)` of the next pending event, without removing
-    /// it. This is the full pop key: two wheels can be merged
-    /// deterministically by comparing `peek_key` results, because
-    /// [`pop`](Self::pop) always returns exactly this pair next.
-    #[inline]
-    pub fn peek_key(&self, now: SimTime) -> Option<(SimTime, u64)> {
-        let wheel = self.front_bucket(now).map(|(at, seq, _)| (at, seq));
-        let heap = self.overflow.peek().map(|o| (o.at, o.seq));
-        match (wheel, heap) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
-    /// [`pop`](Self::pop) fused with the follow-up
-    /// [`peek_key`](Self::peek_key): returns the popped entry plus the
-    /// key of the *new* front. When the popped bucket still holds a
-    /// same-tick successor — the common case in burst-heavy schedules —
-    /// that key is read straight off the bucket's new head node,
-    /// skipping the second occupancy-bitmap scan a separate `peek_key`
-    /// call would pay.
-    /// `ShardedEventQueue` re-peeks after every pop, so it rides this.
-    #[inline]
-    #[allow(clippy::type_complexity)]
-    pub fn pop_with_key(
-        &mut self,
-        now: SimTime,
-    ) -> Option<((SimTime, u64, E), Option<(SimTime, u64)>)> {
-        let wheel_front = self.front_bucket(now);
-        let take_overflow = match (wheel_front, self.overflow.peek()) {
-            (None, None) => return None,
-            (None, Some(_)) => true,
-            (Some(_), None) => false,
-            (Some((at, seq, _)), Some(o)) => (o.at, o.seq) < (at, seq),
-        };
-        if take_overflow {
-            let o = self.overflow.pop().expect("peeked entry vanished");
-            // Overflow pops are rare; re-scanning here is fine. All
-            // remaining events are >= o.at, so o.at is a valid clock.
-            let key = self.peek_key(o.at);
-            return Some(((o.at, o.seq, o.event), key));
-        }
-        let (_, _, idx) = wheel_front.expect("non-overflow pop with empty wheel");
-        let entry = self.take_head(idx);
-        let next_near = match self.head_key(idx) {
-            Some(key) => Some(key),
-            None => {
-                self.mark_empty(idx);
-                // Every remaining event is >= the popped time, so the
-                // popped time is a valid scan origin.
-                self.front_bucket(entry.0).map(|(at, seq, _)| (at, seq))
-            }
-        };
-        let key = match (next_near, self.overflow.peek().map(|o| (o.at, o.seq))) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        Some((entry, key))
-    }
-
     /// Drains the *run* at the head of the queue — the maximal prefix of
-    /// same-tick events whose `(time, seq)` keys are strictly below
-    /// `limit` (and below this wheel's own overflow front) — appending
-    /// the events to `out` in pop order.
+    /// same-tick events whose `(time, seq)` keys are strictly below this
+    /// wheel's overflow front — appending the events to `out` in pop
+    /// order.
     ///
     /// A live bucket holds exactly one tick's events in seq order, so
     /// the run is a prefix of its node list: one occupancy-bitmap scan
@@ -538,21 +478,12 @@ impl<E> TimerWheel<E> {
     /// front is the global minimum (rare — far-future timers), the run
     /// is that single heap entry.
     ///
-    /// Returns the run's timestamp and the key of the new front (the
-    /// same pair [`pop_with_key`](Self::pop_with_key) would report after
-    /// the last pop of the run), or `None` if the wheel is empty. The
-    /// caller guarantees the current front key is below `limit`; pop
+    /// Returns the run's timestamp, or `None` if the wheel is empty. Pop
     /// order over repeated calls is byte-identical to single pops
-    /// because the run boundary only ever *stops early* at keys that
-    /// must interleave with another tier or another wheel.
+    /// because the run boundary only ever *stops early* at a key that
+    /// must interleave with the overflow tier.
     #[inline]
-    #[allow(clippy::type_complexity)]
-    pub fn pop_run(
-        &mut self,
-        now: SimTime,
-        limit: Option<(SimTime, u64)>,
-        out: &mut Vec<E>,
-    ) -> Option<(SimTime, Option<(SimTime, u64)>)> {
+    pub fn pop_run(&mut self, now: SimTime, out: &mut Vec<E>) -> Option<SimTime> {
         let wheel_front = self.front_bucket(now);
         let overflow_key = self.overflow.peek().map(|o| (o.at, o.seq));
         let take_overflow = match (wheel_front, overflow_key) {
@@ -562,51 +493,25 @@ impl<E> TimerWheel<E> {
             (Some((at, seq, _)), Some(ok)) => ok < (at, seq),
         };
         if take_overflow {
-            // Overflow pops are rare; a one-event run keeps them on the
-            // same proven path as `pop_with_key`.
             let o = self.overflow.pop().expect("peeked entry vanished");
             out.push(o.event);
-            let key = self.peek_key(o.at);
-            return Some((o.at, key));
+            return Some(o.at);
         }
         let (at, _, idx) = wheel_front.expect("non-overflow pop with empty wheel");
-        // The run must stop at the caller's limit and at this wheel's
-        // overflow front: an overflow entry can share the tick with a
-        // *smaller* seq (see `overflow_interleaves_with_wheel_by_seq`).
-        let cap = match (limit, overflow_key) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
+        // The run must stop at the overflow front: an overflow entry can
+        // share the tick with a *smaller* seq (see
+        // `overflow_interleaves_with_wheel_by_seq`).
+        let cap_seq = match overflow_key {
+            Some((ot, os)) if ot == at => os,
+            _ => u64::MAX,
         };
-        let cap_seq = match cap {
-            None => u64::MAX,
-            Some((ct, _)) if ct > at => u64::MAX,
-            Some((ct, cs)) => {
-                debug_assert!(ct == at, "pop_run limit precedes the front key");
-                cs
-            }
-        };
-        let before = out.len();
         while self.head_key(idx).is_some_and(|(_, seq)| seq < cap_seq) {
             out.push(self.take_head(idx).2);
         }
-        debug_assert!(
-            out.len() > before,
-            "pop_run front key was not below the limit"
-        );
-        let next_near = match self.head_key(idx) {
-            Some(key) => Some(key),
-            None => {
-                self.mark_empty(idx);
-                // Every remaining event is >= the drained tick, so it
-                // is a valid scan origin.
-                self.front_bucket(at).map(|(t, s, _)| (t, s))
-            }
-        };
-        let key = match (next_near, overflow_key) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        Some((at, key))
+        if self.buckets[idx].head == NIL {
+            self.mark_empty(idx);
+        }
+        Some(at)
     }
 
     /// `(at, seq, bucket_index)` of the earliest near-tier event, if any.
@@ -816,46 +721,6 @@ mod tests {
         assert_eq!((t2, s2, e2), (t, 1, "young-near"));
     }
 
-    #[test]
-    fn pop_with_key_matches_separate_pop_and_peek() {
-        // Same schedule into twin wheels: one drained with the fused
-        // pop_with_key, one with pop + peek_key. Mix same-tick bursts
-        // (bucket-front fast path), sparse near-tier times, and
-        // far-future overflow entries (rare-branch path).
-        let mut fused = TimerWheel::new();
-        let mut split = TimerWheel::new();
-        let mut seq = 0u64;
-        for (at, copies) in [
-            (3u64, 4usize),
-            (3, 1),
-            (90, 2),
-            (4_000, 1),
-            (2 * WHEEL_SLOTS as u64, 2),
-            (2 * WHEEL_SLOTS as u64, 1),
-            (5, 3),
-        ] {
-            for _ in 0..copies {
-                fused.insert(SimTime::ZERO, SimTime::from_ticks(at), seq, seq);
-                split.insert(SimTime::ZERO, SimTime::from_ticks(at), seq, seq);
-                seq += 1;
-            }
-        }
-        let mut now = SimTime::ZERO;
-        loop {
-            let got = fused.pop_with_key(now);
-            let want = split.pop(now);
-            match (got, want) {
-                (None, None) => break,
-                (Some((entry, key)), Some(w)) => {
-                    assert_eq!(entry, w);
-                    now = entry.0;
-                    assert_eq!(key, split.peek_key(now), "fused key diverged at {now:?}");
-                }
-                (g, w) => panic!("length mismatch: {g:?} vs {w:?}"),
-            }
-        }
-    }
-
     /// Length of the free list, walked through the nodes' `next` links.
     fn free_len<E>(w: &TimerWheel<E>) -> usize {
         let mut len = 0;
@@ -902,7 +767,7 @@ mod tests {
         }
         // Popped payloads leave `None` nodes on the free list behind.
         let mut run = Vec::new();
-        w.pop_run(SimTime::ZERO, None, &mut run);
+        w.pop_run(SimTime::ZERO, &mut run);
         let popped = w.pop(SimTime::ZERO).unwrap();
         assert_eq!(run.len() + 1, 4);
         assert!(w.wheel_len > 0 && !w.overflow.is_empty());
@@ -921,7 +786,7 @@ mod tests {
     #[test]
     fn slab_length_is_the_peak_near_tier_count() {
         // A long random interleaving of inserts (same-tick bursts, near,
-        // far and growth-triggering deltas) with all three pop paths.
+        // far and growth-triggering deltas) with both pop paths.
         // The slab only grows when the free list is empty, i.e. when the
         // near tier sets a new peak, so its final length *is* that peak.
         let mut rng = crate::SimRng::new(0x51AB);
@@ -944,13 +809,11 @@ mod tests {
                     seq += 1;
                 }
             } else {
-                now = match rng.next_below(3) {
-                    0 => w.pop(now).unwrap().0,
-                    1 => w.pop_with_key(now).unwrap().0 .0,
-                    _ => {
-                        run.clear();
-                        w.pop_run(now, None, &mut run).unwrap().0
-                    }
+                now = if rng.next_below(3) < 2 {
+                    w.pop(now).unwrap().0
+                } else {
+                    run.clear();
+                    w.pop_run(now, &mut run).unwrap()
                 };
             }
             peak = peak.max(w.wheel_len);

@@ -98,13 +98,6 @@ impl Application for Bfs {
             .map(|&l| l as u64 + 1)
             .sum()
     }
-
-    // Within one epoch every task for vertex `v` is identical (same ts,
-    // same args): exactly one takes the visit branch and all spawn the
-    // same children with the same costs, whichever order they run in.
-    fn parallel_commutes(&self) -> bool {
-        true
-    }
 }
 
 #[cfg(test)]

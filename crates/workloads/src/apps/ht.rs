@@ -101,12 +101,6 @@ impl Application for HashTable {
     fn checksum(&self) -> u64 {
         self.probes
     }
-
-    // Probes read immutable chain lengths and accumulate a counter —
-    // pure accumulation, order-independent.
-    fn parallel_commutes(&self) -> bool {
-        true
-    }
 }
 
 #[cfg(test)]

@@ -93,12 +93,6 @@ impl Application for LinkedList {
     fn checksum(&self) -> u64 {
         self.nodes_walked
     }
-
-    // Each query only reads immutable list metadata and adds its length
-    // to a counter — pure accumulation, order-independent.
-    fn parallel_commutes(&self) -> bool {
-        true
-    }
 }
 
 #[cfg(test)]

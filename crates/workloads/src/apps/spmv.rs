@@ -82,12 +82,6 @@ impl Application for Spmv {
     fn checksum(&self) -> u64 {
         self.macs
     }
-
-    // Row tasks read immutable CSR metadata and accumulate a MAC
-    // counter — pure accumulation, order-independent.
-    fn parallel_commutes(&self) -> bool {
-        true
-    }
 }
 
 #[cfg(test)]
