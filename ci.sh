@@ -65,6 +65,24 @@ cmp "$SMOKE_DIR/j1.txt" "$SMOKE_DIR/audited.txt"   # auditor is observational
 "$REPRO" audit --tiny --apps tree,spmv --jobs 2 --no-cache > "$SMOKE_DIR/ledger.txt" 2>/dev/null
 grep -q "auditor: zero violations" "$SMOKE_DIR/ledger.txt"
 
+echo "== repro instrumented smoke: trace and metrics-registry output =="
+# The instrumented design-O run is the one path that writes the
+# registry's epoch series. Its shape is gated: well-formed JSON, the
+# metric names the figures and the benchmark read, a final snapshot and
+# at least one epoch-barrier snapshot.
+"$REPRO" --tiny --apps pr --trace "$SMOKE_DIR/trace.json" \
+    --metrics-json "$SMOKE_DIR/metrics.json" > /dev/null 2>&1
+if command -v python3 >/dev/null 2>&1; then
+    python3 -m json.tool "$SMOKE_DIR/trace.json" > /dev/null
+    python3 -m json.tool "$SMOKE_DIR/metrics.json" > /dev/null
+fi
+for m in system/comm_dram_bytes unit/tasks_executed bridge/gathers host/lb_rounds \
+    bus/rank_bytes ledger/comm/gather; do
+    grep -q "\"$m\"" "$SMOKE_DIR/metrics.json"
+done
+grep -q '"label":"final"' "$SMOKE_DIR/metrics.json"
+grep -q '"label":"epoch-' "$SMOKE_DIR/metrics.json"
+
 echo "== repro gather smoke: gather-cost-aware stealing ablation =="
 # The fig10-analog ablation sweep behind DESIGN.md §10 (B, the W
 # ladder, O±GA) must run end-to-end and report the headline metric.

@@ -27,6 +27,7 @@
 //!   `sweep/worker-N/points`).
 
 use std::collections::VecDeque;
+use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
@@ -94,12 +95,11 @@ impl PointTicket {
     ///
     /// # Panics
     ///
-    /// Panics if the pool worker died (a simulation panicked) before
-    /// delivering the result.
+    /// Panics if the point's simulation panicked.
     pub fn wait(self) -> RunResult {
         self.rx
             .recv()
-            .expect("resident pool worker died before delivering its result")
+            .expect("the point's simulation panicked before delivering its result")
     }
 
     /// Non-blocking probe: the result if it is already available.
@@ -338,7 +338,13 @@ impl Sweeper {
                         }
                     };
                     let key = point.key();
-                    let result = point.simulate();
+                    // A panicking simulation fails only its own job:
+                    // dropping its sender tells the ticket, and the
+                    // worker goes on serving the queue.
+                    let Ok(result) = panic::catch_unwind(AssertUnwindSafe(|| point.simulate()))
+                    else {
+                        continue;
+                    };
                     if let Some(c) = &cache {
                         // Best-effort, as in `run`: an unwritable cache
                         // slows reruns down, it does not fail them.
@@ -544,6 +550,34 @@ mod tests {
         let report = sw.metrics().live_report();
         assert_eq!(report.final_value("sweep/simulated"), Some(6));
         assert_eq!(report.final_value("sweep/points_total"), Some(6));
+    }
+
+    #[test]
+    fn panicking_point_does_not_kill_its_pool_worker() {
+        use std::time::{Duration, Instant};
+        let sw = Sweeper::new(1);
+        let point =
+            |app| SweepPoint::new(app, Column::Ndp(DesignPoint::C), tiny_cfg(), Scale::Tiny);
+        let bad = sw.submit(point("no-such-app"));
+        let good = sw.submit(point("ll"));
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let result = loop {
+            if let Some(r) = good.try_wait() {
+                break r;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "the one pool worker stopped serving after a panicking point"
+            );
+            thread::sleep(Duration::from_millis(10));
+        };
+        assert_eq!(result.app, "ll");
+        // The failed job's ticket reports the panic instead of hanging.
+        let err = panic::catch_unwind(AssertUnwindSafe(|| bad.wait())).unwrap_err();
+        let msg = err
+            .downcast_ref::<String>()
+            .expect("formatted panic message");
+        assert!(msg.contains("simulation panicked"), "{msg}");
     }
 
     #[test]

@@ -15,7 +15,6 @@ use std::collections::VecDeque;
 
 use ndpb_dram::{BlockAddr, RankId, UnitId};
 use ndpb_proto::{Mailbox, Message};
-use ndpb_sim::stats::Counter;
 use ndpb_sim::{SimRng, SimTime};
 
 use crate::config::SystemConfig;
@@ -30,30 +29,6 @@ pub struct ChildState {
     pub queue_workload: u64,
     /// `W_finish`: workload finished in the last interval.
     pub finished_workload: u64,
-}
-
-/// Bridge statistics.
-#[derive(Debug, Clone, Default)]
-pub struct BridgeStats {
-    /// GATHER commands issued.
-    pub gathers: Counter,
-    /// GATHER commands that returned no messages (wasted bandwidth —
-    /// the dynamic trigger exists to avoid these).
-    pub wasted_gathers: Counter,
-    /// SCATTER commands issued.
-    pub scatters: Counter,
-    /// Message bytes gathered from children.
-    pub bytes_gathered: Counter,
-    /// Message bytes scattered to children.
-    pub bytes_scattered: Counter,
-    /// Load-balancing rounds initiated.
-    pub lb_rounds: Counter,
-    /// SCHEDULE commands sent to givers.
-    pub schedules: Counter,
-    /// Messages pushed to the backup buffer.
-    pub backups: Counter,
-    /// Gather pauses because the backup buffer filled.
-    pub gather_pauses: Counter,
 }
 
 /// On buffer exhaustion the bridge hands the message back to the
@@ -99,8 +74,6 @@ pub struct RankBridge {
     /// Whether the previous round moved nothing (used to back off
     /// instead of re-running immediately).
     pub last_round_idle: bool,
-    /// Statistics.
-    pub stats: BridgeStats,
     /// Deterministic RNG for receiver/giver matching.
     pub rng: SimRng,
 }
@@ -127,7 +100,6 @@ impl RankBridge {
             state_scheduled: false,
             gather_cursor: 0,
             last_round_idle: false,
-            stats: BridgeStats::default(),
             rng,
         }
     }
@@ -163,10 +135,8 @@ impl RankBridge {
         if self.backup_bytes + sz <= self.backup_cap {
             self.backup_bytes += sz;
             self.backup.push_back((idx, msg));
-            self.stats.backups.inc();
             return Ok(());
         }
-        self.stats.gather_pauses.inc();
         Err(msg)
     }
 
@@ -302,8 +272,6 @@ pub struct HostBridge {
     pub last_round_start: SimTime,
     /// When the last host round ended.
     pub last_round_end: SimTime,
-    /// Statistics.
-    pub stats: BridgeStats,
     /// Deterministic RNG for cross-rank matching.
     pub rng: SimRng,
 }
@@ -320,7 +288,6 @@ impl HostBridge {
             round_scheduled: false,
             last_round_start: SimTime::ZERO,
             last_round_end: SimTime::ZERO,
-            stats: BridgeStats::default(),
             rng,
         }
     }
@@ -395,14 +362,12 @@ mod tests {
         let mut b = RankBridge::new(RankId(0), 2, &c, SimRng::new(1));
         b.enqueue_scatter(0, msg()).unwrap();
         b.enqueue_scatter(0, msg()).unwrap(); // spills (20+20 > 32)
-        assert_eq!(b.stats.backups.get(), 1);
         assert!(b.backup_pending() > 0);
         // Backup (32 B) already holds 20 B; another 20 B message cannot
         // fit anywhere: the bridge pauses gathering and returns the
         // message to the caller.
         let r = b.enqueue_scatter(0, msg());
         assert_eq!(r, Err(msg()));
-        assert_eq!(b.stats.gather_pauses.get(), 1);
     }
 
     #[test]
@@ -481,7 +446,7 @@ mod tests {
         assert!(b.has_pending_output());
         b.drain_scatter(0, u32::MAX);
         assert!(!b.has_pending_output());
-        b.up_mailbox.push(msg()).unwrap();
+        assert!(b.up_mailbox.try_push(msg()).is_none());
         assert!(b.has_pending_output());
     }
 }

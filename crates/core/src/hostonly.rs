@@ -11,7 +11,6 @@ use std::collections::{BTreeMap, VecDeque};
 use std::time::Instant;
 
 use ndpb_dram::{Bus, EnergyBreakdown};
-use ndpb_sim::stats::BusyTime;
 use ndpb_sim::{EventQueue, SimTime, TICKS_PER_CORE_CYCLE};
 use ndpb_tasks::{Application, ExecCtx, Task};
 
@@ -74,7 +73,7 @@ pub struct HostOnly {
     ready: VecDeque<Task>,
     future: BTreeMap<u32, Vec<Task>>,
     worker_free: Vec<SimTime>,
-    worker_busy: Vec<BusyTime>,
+    worker_busy: Vec<SimTime>,
     worker_last: Vec<SimTime>,
     idle: Vec<usize>,
     channels: Vec<Bus>,
@@ -114,7 +113,7 @@ impl HostOnly {
             ready: VecDeque::new(),
             future: BTreeMap::new(),
             worker_free: vec![SimTime::ZERO; w],
-            worker_busy: vec![BusyTime::default(); w],
+            worker_busy: vec![SimTime::ZERO; w],
             worker_last: vec![SimTime::ZERO; w],
             idle: (0..w).rev().collect(),
             channels,
@@ -171,7 +170,7 @@ impl HostOnly {
         }
         self.dram_bytes += total_bytes;
         self.worker_free[w] = t;
-        self.worker_busy[w].record(begin, t);
+        self.worker_busy[w] += t - begin;
         self.worker_last[w] = t;
         for c in ctx.spawned() {
             self.epochs.spawned(c.ts);
@@ -255,14 +254,11 @@ impl HostOnly {
             .iter()
             .copied()
             .fold(SimTime::ZERO, SimTime::max);
-        let busy_total: SimTime = self
-            .worker_busy
-            .iter()
-            .fold(SimTime::ZERO, |a, b| a + b.total());
+        let busy_total: SimTime = self.worker_busy.iter().fold(SimTime::ZERO, |a, &b| a + b);
         let max_busy = self
             .worker_busy
             .iter()
-            .map(|b| b.total())
+            .copied()
             .fold(SimTime::ZERO, SimTime::max);
         let avg_busy = if self.worker_busy.is_empty() {
             SimTime::ZERO
@@ -276,7 +272,7 @@ impl HostOnly {
             dram_comm_pj: 0.0,
             static_pj: self.host.static_w * makespan.as_secs() * 1e12,
         };
-        let channel_bytes = self.channels.iter().map(|c| c.bytes.get()).sum();
+        let channel_bytes = self.channels.iter().map(|c| c.bytes).sum();
         RunResult {
             app: self.app.name().to_string(),
             design: "H".to_string(),
@@ -305,7 +301,7 @@ impl HostOnly {
             energy,
             checksum: self.app.checksum(),
             events: self.q.popped(),
-            per_unit_busy: self.worker_busy.iter().map(|b| b.total().ticks()).collect(),
+            per_unit_busy: self.worker_busy.iter().map(|b| b.ticks()).collect(),
             metrics: ndpb_trace::MetricsReport::default(),
             trace: Vec::new(),
             profile: self.profile.take().map(|mut p| {

@@ -14,7 +14,6 @@ use crate::fasthash::FastMap;
 use ndpb_dram::{AddressMap, BlockAddr, Bus, EnergyBreakdown, UnitId};
 use ndpb_proto::message::DataMessage;
 use ndpb_proto::Message;
-use ndpb_sim::stats::FinishTimes;
 use ndpb_sim::{EventQueue, SimRng, SimTime, TICKS_PER_CORE_CYCLE};
 use ndpb_tasks::{Application, ExecCtx, Task, Timestamp};
 use ndpb_trace::{ComponentId, MetricId, MetricsRegistry, TraceEvent, TraceRecord, TraceSink};
@@ -82,17 +81,20 @@ pub struct System {
     link_scheduled: Vec<bool>,
     epochs: EpochTracker,
     done: bool,
-    /// Block id traced via `NDPB_TRACE_BLOCK` (debug aid), cached at
-    /// construction so hot paths never touch the environment.
-    traced_block: Option<u64>,
     /// Optional event trace sink (`None` = tracing off: hooks cost one
     /// branch). Attached via [`System::set_trace`], drained into
     /// [`RunResult::trace`] by `finalize`.
     trace: Option<Box<dyn TraceSink>>,
     /// Hierarchical run metrics, snapshotted at every epoch barrier.
-    /// Supersedes the loose aggregate fields this struct used to carry.
+    /// A counter registered here has no other copy.
     metrics: MetricsRegistry,
     m: SysMetrics,
+    /// Task-data DRAM bytes read and written by the cores
+    /// ([`RunResult::local_dram_bytes`]).
+    local_dram_bytes: u64,
+    /// Messages ever put into a unit mailbox, the message-conservation
+    /// law's left-hand side.
+    msgs_emitted: u64,
     /// Conservation-audit bookkeeping (see [`crate::audit`]); inert
     /// when `cfg.audit` is [`AuditLevel::Off`].
     audit: AuditState,
@@ -266,18 +268,15 @@ struct InFlight {
 /// Pre-registered [`MetricId`]s for the system's counters, so hot paths
 /// update by index instead of by name.
 struct SysMetrics {
-    // Hot counters, updated inline.
+    // Updated inline, at the site of the simulated event.
     comm_dram_bytes: MetricId,
     msgs_delivered: MetricId,
     blocks_migrated: MetricId,
     sram_staged_bytes: MetricId,
     epoch: MetricId,
-    // Gauges harvested from component stats at snapshot time.
     unit_tasks_executed: MetricId,
     unit_tasks_rerouted: MetricId,
     unit_mailbox_stalls: MetricId,
-    sketch_reserved_hits: MetricId,
-    sketch_reserved_overflows: MetricId,
     bridge_gathers: MetricId,
     bridge_wasted_gathers: MetricId,
     bridge_scatters: MetricId,
@@ -288,10 +287,14 @@ struct SysMetrics {
     host_bytes_gathered: MetricId,
     host_bytes_scattered: MetricId,
     host_lb_rounds: MetricId,
-    bus_rank_bytes: MetricId,
-    bus_channel_bytes: MetricId,
+    // Gauges `harvest_metrics` reads at snapshot time from state other
+    // crates own: the units' reserved queues and the buses.
+    sketch_reserved_hits: MetricId,
+    sketch_reserved_overflows: MetricId,
     sketch_reserved_peak_chunks: MetricId,
     sketch_reserved_peak_tasks: MetricId,
+    bus_rank_bytes: MetricId,
+    bus_channel_bytes: MetricId,
     /// Per-cause traffic ledger rows, indexed by [`CommCause`].
     ledger_comm: [MetricId; 10],
     /// Per-cause SRAM staging rows, indexed by [`SramCause`].
@@ -401,8 +404,6 @@ impl System {
             None => Vec::new(),
         };
         let link_scheduled = vec![false; cfg.geometry.total_ranks() as usize];
-        let traced_block = std::env::var_os("NDPB_TRACE_BLOCK")
-            .and_then(|v| v.to_string_lossy().parse::<u64>().ok());
         let mut metrics = MetricsRegistry::new();
         let m = SysMetrics::register(&mut metrics);
         let audit = AuditState {
@@ -425,10 +426,11 @@ impl System {
             link_scheduled,
             epochs: EpochTracker::new(),
             done: false,
-            traced_block,
             trace: None,
             metrics,
             m,
+            local_dram_bytes: 0,
+            msgs_emitted: 0,
             audit,
             cfg,
             msg_scratch: Vec::new(),
@@ -536,13 +538,11 @@ impl System {
         // Batched same-tick dispatch: one head scan + bitmap walk +
         // overflow compare per *run* instead of per event, with pop
         // order byte-identical to single pops by the `pop_run` contract
-        // (DESIGN.md §3c). The phase profiler and the `NDPB_DEBUG` dump
-        // are per-batch hooks, so every run takes this one loop.
-        let debug = std::env::var_os("NDPB_DEBUG").is_some();
+        // (DESIGN.md §3c). The phase profiler is a per-batch hook, so
+        // every run takes this one loop.
         let mut batch: Vec<Ev> = Vec::with_capacity(64);
         loop {
             let t0 = self.profile.is_some().then(Instant::now);
-            let seen = self.q.popped();
             let popped = self.q.pop_run(&mut batch).is_some();
             if let (Some(p), Some(t0)) = (self.profile.as_mut(), t0) {
                 p.queue_ns += t0.elapsed().as_nanos() as u64;
@@ -556,9 +556,6 @@ impl System {
                 self.design,
                 self.app.name()
             );
-            if debug && self.q.popped() / 1_000_000 > seen / 1_000_000 {
-                self.debug_dump();
-            }
             let t1 = self.profile.as_mut().map(|p| {
                 p.note_batch(batch.len());
                 Instant::now()
@@ -578,73 +575,6 @@ impl System {
             self.app.name()
         );
         self.finalize()
-    }
-
-    /// `NDPB_DEBUG` diagnostic: one progress line per million events,
-    /// with where the outstanding work sits (task queues, mailboxes,
-    /// bridge and host buffers), plus a line per rank still holding
-    /// scatter or backup bytes.
-    fn debug_dump(&self) {
-        let queued: usize = self.units.iter().map(|u| u.queued_tasks()).sum();
-        let future: usize = self.units.iter().map(|u| u.future_tasks()).sum();
-        let mailed: usize = self.units.iter().map(|u| u.mailbox.len()).sum();
-        let pend: usize = self.units.iter().map(|u| u.pending_out.len()).sum();
-        let scat: u64 = self
-            .bridges
-            .iter()
-            .map(|b| (0..b.children()).map(|i| b.scatter_pending(i)).sum::<u64>())
-            .sum();
-        let bkup: u64 = self.bridges.iter().map(|b| b.backup_pending()).sum();
-        let up: usize = self.bridges.iter().map(|b| b.up_mailbox.len()).sum();
-        let host: u64 = (0..self.bridges.len())
-            .map(|r| self.host.scatter_pending(r))
-            .sum();
-        for (ri, b) in self.bridges.iter().enumerate() {
-            let sc: u64 = (0..b.children()).map(|i| b.scatter_pending(i)).sum();
-            if sc > 0 || b.backup_pending() > 0 {
-                eprintln!(
-                    "[r{ri}: scatters={} sc={}B bk={}B sched={} pauses={}]",
-                    b.stats.scatters.get(),
-                    sc,
-                    b.backup_pending(),
-                    b.round_scheduled,
-                    b.stats.gather_pauses.get(),
-                );
-            }
-        }
-        eprintln!(
-            "[ndpb {} {}] {}M events, t={}, outstanding={}, epoch={:?} | queued={} future={} mailbox={} pendout={} scatterB={} backupB={} up={} hostB={}",
-            self.design,
-            self.app.name(),
-            self.q.popped() / 1_000_000,
-            self.q.now(),
-            self.epochs.total_outstanding(),
-            self.epochs.current(),
-            queued,
-            future,
-            mailed,
-            pend,
-            scat,
-            bkup,
-            up,
-            host,
-        );
-    }
-
-    /// Debug aid: prints lifecycle events of the block named by the
-    /// `NDPB_TRACE_BLOCK` environment variable.
-    /// Takes the annotation lazily so untraced runs (the normal case)
-    /// never pay for formatting it.
-    fn trace_block(&self, block: BlockAddr, what: impl FnOnce() -> String) {
-        if self.traced_block == Some(block.0) {
-            eprintln!(
-                "[block {} @{} {}] {}",
-                block.0,
-                self.q.now(),
-                self.design,
-                what()
-            );
-        }
     }
 
     // ---- setup ------------------------------------------------------------
@@ -695,7 +625,7 @@ impl System {
         if !self.units[u].pending_out.is_empty() {
             self.flush_pending_out(u);
             if !self.units[u].pending_out.is_empty() {
-                self.units[u].stats.mailbox_stalls.inc();
+                self.metrics.inc(self.m.unit_mailbox_stalls);
                 return;
             }
         }
@@ -708,7 +638,7 @@ impl System {
         let block = self.map.block_of(task.data);
         if !self.units[u].holds_block(block, &self.map) {
             // The block migrated while this task waited: re-route it.
-            self.units[u].stats.tasks_rerouted.inc();
+            self.metrics.inc(self.m.unit_tasks_rerouted);
             let msg = Message::Task(task, None);
             self.emit_message(u, msg, now);
             self.wake_unit(u, now);
@@ -734,7 +664,7 @@ impl System {
                     .bank
                     .access_traced(t, row, bytes, false, timing, comp, sink(&mut self.trace))
                     .end;
-                unit.stats.dram_local_bytes.add(bytes as u64);
+                self.local_dram_bytes += bytes as u64;
             }
             for &(addr, bytes) in ctx.writes() {
                 let row = self.map.row_of(addr);
@@ -742,12 +672,12 @@ impl System {
                     .bank
                     .access_traced(t, row, bytes, true, timing, comp, sink(&mut self.trace))
                     .end;
-                unit.stats.dram_local_bytes.add(bytes as u64);
+                self.local_dram_bytes += bytes as u64;
             }
             unit.core_free_at = t;
-            unit.stats.busy.record(now, t);
-            unit.stats.last_finish = t;
-            unit.stats.tasks_executed.inc();
+            unit.busy += t - now;
+            unit.last_finish = t;
+            self.metrics.inc(self.m.unit_tasks_executed);
             unit.add_finished(task.workload_or_default());
         }
         if let Some(tr) = sink(&mut self.trace) {
@@ -857,7 +787,7 @@ impl System {
             sink(&mut self.trace),
         );
         self.charge_comm(CommCause::RowClone, 128);
-        self.units[src].stats.msgs_emitted.inc();
+        self.msgs_emitted += 1;
         self.schedule_delivery(end, dst, Message::Task(task, None));
     }
 
@@ -890,7 +820,7 @@ impl System {
             comp,
             sink(&mut self.trace),
         );
-        unit.stats.msgs_emitted.inc();
+        self.msgs_emitted += 1;
         if !unit.pending_out.is_empty() {
             unit.pending_out.push_back(msg);
         } else if let Some(back) =
@@ -900,7 +830,7 @@ impl System {
             // Mailbox full: park the message and stall the core until a
             // gather frees space (Section V-A).
             unit.pending_out.push_back(back);
-            unit.stats.mailbox_stalls.inc();
+            self.metrics.inc(self.m.unit_mailbox_stalls);
         }
         self.consider_comm(u, now);
     }
@@ -945,7 +875,6 @@ impl System {
             self.audit.note_delivered(&msg);
         }
         self.metrics.inc(self.m.msgs_delivered);
-        self.units[u].stats.msgs_received.inc();
         match msg {
             Message::Task(task, scheduled) => {
                 // First delivery of an LB-scheduled task settles the
@@ -977,27 +906,7 @@ impl System {
                 let block = self.map.block_of(task.data);
                 if !self.units[u].holds_block(block, &self.map) {
                     // Stale routing: forward to the current holder.
-                    self.units[u].stats.tasks_rerouted.inc();
-                    if self.units[u]
-                        .stats
-                        .tasks_rerouted
-                        .get()
-                        .is_multiple_of(10_000)
-                        && std::env::var_os("NDPB_DEBUG").is_some()
-                    {
-                        let home = self.map.block_home(block);
-                        let hr = self.cfg.geometry.rank_of(home).index();
-                        eprintln!(
-                            "[reroute] at u{} block={:?} home={} lent={} bridge_entry={:?} host_entry={:?} borrowed_here={}",
-                            u,
-                            block,
-                            home,
-                            self.units[home.index()].is_lent.is_lent(block),
-                            self.bridges[hr].data_borrowed.peek(&block),
-                            self.host.data_borrowed.peek(&block),
-                            self.units[u].is_borrowed(block),
-                        );
-                    }
+                    self.metrics.inc(self.m.unit_tasks_rerouted);
                     self.emit_message(u, Message::Task(task, None), now);
                     return;
                 }
@@ -1014,7 +923,6 @@ impl System {
                 let home = self.map.block_home(dm.block);
                 if home.index() == u {
                     // The block returned home.
-                    self.trace_block(dm.block, || format!("returned home to u{u}"));
                     self.units[u].is_lent.clear(dm.block);
                     self.wake_unit(u, now);
                 } else {
@@ -1028,10 +936,8 @@ impl System {
                     let stale = self.comm == CommPath::Bridges
                         && self.bridges[r].data_borrowed.peek(&dm.block) != Some(&uid);
                     if stale {
-                        self.trace_block(dm.block, || format!("stale at u{u}; bouncing home"));
                         self.return_block_home(u, dm.block, now);
                     } else {
-                        self.trace_block(dm.block, || format!("admitted at u{u}"));
                         self.admit_borrowed_block(u, dm, now);
                     }
                 }
@@ -1055,7 +961,6 @@ impl System {
     /// Sends an evicted borrowed block back to its home unit, cleaning
     /// bridge metadata along the way.
     fn return_block_home(&mut self, u: usize, block: BlockAddr, now: SimTime) {
-        self.trace_block(block, || format!("return_block_home from u{u}"));
         let home = self.map.block_home(block);
         let my_rank = self.cfg.geometry.rank_of(self.units[u].id);
         self.bridges[my_rank.index()].data_borrowed.remove(&block);
@@ -1219,7 +1124,7 @@ impl System {
             );
             t = grant.end;
             for u in (0..chips).map(unit_at) {
-                self.bridges[r].stats.gathers.inc();
+                self.metrics.inc(self.m.bridge_gathers);
                 // The bank read of the mailbox region (access arbiter).
                 self.units[u].bank.access_traced(
                     grant.start,
@@ -1235,7 +1140,7 @@ impl System {
                 self.units[u].mailbox.drain_up_to_into(gxfer, &mut msgs);
                 let msg_count = msgs.len() as u32;
                 if msgs.is_empty() {
-                    self.bridges[r].stats.wasted_gathers.inc();
+                    self.metrics.inc(self.m.bridge_wasted_gathers);
                 } else {
                     moved += msgs.len() as u64;
                 }
@@ -1259,7 +1164,7 @@ impl System {
                     }
                 }
                 self.msg_scratch = msgs;
-                self.bridges[r].stats.bytes_gathered.add(gathered);
+                self.metrics.add(self.m.bridge_bytes_gathered, gathered);
                 self.charge_sram(SramCause::BridgeGather, gathered);
                 if let Some(tr) = sink(&mut self.trace) {
                     tr.record(TraceRecord::span(
@@ -1312,10 +1217,10 @@ impl System {
                     self.msg_scratch = msgs;
                     continue;
                 }
-                self.bridges[r].stats.scatters.inc();
+                self.metrics.inc(self.m.bridge_scatters);
                 moved += msgs.len() as u64;
                 let bytes: u64 = msgs.iter().map(|m| m.wire_bytes() as u64).sum();
-                self.bridges[r].stats.bytes_scattered.add(bytes);
+                self.metrics.add(self.m.bridge_bytes_scattered, bytes);
                 self.charge_sram(SramCause::BridgeScatter, bytes);
                 // Bank write of the delivered messages.
                 self.units[u].bank.access_traced(
@@ -1340,9 +1245,6 @@ impl System {
                     ));
                 }
                 for msg in msgs.drain(..) {
-                    if let Message::Data(dm, _) = &msg {
-                        self.trace_block(dm.block, || format!("scatter-deliver to u{u}"));
-                    }
                     self.schedule_delivery(grant.end, u, msg);
                 }
                 self.msg_scratch = msgs;
@@ -1572,7 +1474,7 @@ impl System {
         if givers.is_empty() {
             return;
         }
-        self.bridges[r].stats.lb_rounds.inc();
+        self.metrics.inc(self.m.bridge_lb_rounds);
         let base = r * self.cfg.geometry.units_per_rank() as usize;
         // Random matching: receiver → giver; budgets accumulate per giver.
         let mut budgets: Vec<(usize, u64, Vec<usize>)> = Vec::new(); // (giver, budget, receivers)
@@ -1618,7 +1520,7 @@ impl System {
         now: SimTime,
         cross_rank: bool,
     ) {
-        self.bridges[r].stats.schedules.inc();
+        self.metrics.inc(self.m.bridge_schedules);
         if let Some(tr) = sink(&mut self.trace) {
             tr.record(TraceRecord::instant(
                 now,
@@ -1790,21 +1692,6 @@ impl System {
         now: SimTime,
     ) {
         let recv_id = UnitId(recv_global as u32);
-        if task_only {
-            self.trace_block(sb.block, || {
-                format!(
-                    "task-only forward giver=u{giver} holder=u{recv_global} tasks={}",
-                    sb.tasks.len()
-                )
-            });
-        } else {
-            self.trace_block(sb.block, || {
-                format!(
-                    "scheduled giver=u{giver} recv=u{recv_global} tasks={}",
-                    sb.tasks.len()
-                )
-            });
-        }
         if !task_only {
             self.metrics.inc(self.m.blocks_migrated);
             if let Some(tr) = sink(&mut self.trace) {
@@ -1922,7 +1809,7 @@ impl System {
         if busy_ranks.is_empty() {
             return;
         }
-        self.host.stats.lb_rounds.inc();
+        self.metrics.inc(self.m.host_lb_rounds);
         for &recv_rank in &idle_ranks {
             let gi = self.host.rng.next_index(busy_ranks.len());
             let giver_rank = busy_ranks[gi];
@@ -2029,7 +1916,7 @@ impl System {
             self.bridges[r]
                 .up_mailbox
                 .drain_up_to_into(u32::MAX, &mut msgs);
-            self.host.stats.bytes_gathered.add(bytes);
+            self.metrics.add(self.m.host_bytes_gathered, bytes);
             self.charge_sram(SramCause::HostGather, bytes);
             if let Some(tr) = sink(&mut self.trace) {
                 tr.record(TraceRecord::span(
@@ -2071,7 +1958,7 @@ impl System {
             final_end = final_end.max(grant.end);
             let mut msgs = std::mem::take(&mut self.msg_scratch);
             self.host.drain_scatter_into(r, &mut msgs);
-            self.host.stats.bytes_scattered.add(bytes);
+            self.metrics.add(self.m.host_bytes_scattered, bytes);
             if let Some(tr) = sink(&mut self.trace) {
                 tr.record(TraceRecord::span(
                     grant.start,
@@ -2141,7 +2028,6 @@ impl System {
                 );
                 t_end = t_end.max(cg.end);
                 for u in (0..chips).map(unit_at) {
-                    self.host.stats.gathers.inc();
                     self.units[u].bank.access_traced(
                         cg.start,
                         MAILBOX_ROW,
@@ -2154,18 +2040,15 @@ impl System {
                     self.charge_comm(CommCause::HostGather, gxfer as u64);
                     let mut msgs = std::mem::take(&mut self.msg_scratch);
                     self.units[u].mailbox.drain_up_to_into(gxfer, &mut msgs);
-                    if msgs.is_empty() {
-                        self.host.stats.wasted_gathers.inc();
-                    }
                     let mut gathered = 0u64;
                     let msg_count = msgs.len() as u32;
                     for msg in msgs.drain(..) {
                         gathered += msg.wire_bytes() as u64;
-                        self.host.stats.bytes_gathered.add(msg.wire_bytes() as u64);
                         let dest_rank = self.route_at_host(&msg);
                         self.host.enqueue_scatter(dest_rank, msg);
                     }
                     self.msg_scratch = msgs;
+                    self.metrics.add(self.m.host_bytes_gathered, gathered);
                     if let Some(tr) = sink(&mut self.trace) {
                         tr.record(TraceRecord::span(
                             cg.start,
@@ -2232,8 +2115,7 @@ impl System {
                     sink(&mut self.trace),
                 );
                 final_end = final_end.max(cg.end);
-                self.host.stats.scatters.inc();
-                self.host.stats.bytes_scattered.add(bytes);
+                self.metrics.add(self.m.host_bytes_scattered, bytes);
                 self.units[u].bank.access_traced(
                     cg.start,
                     BORROW_ROW,
@@ -2337,7 +2219,7 @@ impl System {
 
         // Message conservation: every message ever emitted was either
         // delivered or sits in exactly one queue, buffer, or event.
-        let emitted: u64 = self.units.iter().map(|u| u.stats.msgs_emitted.get()).sum();
+        let emitted = self.msgs_emitted;
         let delivered = self.metrics.get(self.m.msgs_delivered);
         if emitted != delivered + f.msgs {
             v.push(Violation {
@@ -2533,12 +2415,12 @@ impl System {
         // Bus sanity: accumulated busy time never exceeds the horizon a
         // bus has been driven to.
         let mut check_bus = |name: &str, i: usize, b: &Bus| {
-            if b.busy.total() > b.free_at() {
+            if b.busy > b.free_at() {
                 v.push(Violation {
                     law: "bus-sanity",
                     detail: format!(
                         "{name} {i}: busy {:?} exceeds horizon {:?}",
-                        b.busy.total(),
+                        b.busy,
                         b.free_at()
                     ),
                 });
@@ -2578,20 +2460,14 @@ impl System {
 
     // ---- metrics + finalize ---------------------------------------------------
 
-    /// Refreshes the harvested gauges (component-owned counters) in the
-    /// registry so a snapshot sees a consistent picture.
+    /// Refreshes the gauges read from reserved-queue and bus state, so a
+    /// snapshot sees a consistent picture.
     fn harvest_metrics(&mut self) {
-        let mut tasks = 0u64;
-        let mut rerouted = 0u64;
-        let mut stalls = 0u64;
         let mut hits = 0u64;
         let mut overflows = 0u64;
         let mut peak_chunks = 0u64;
         let mut peak_tasks = 0u64;
         for u in &self.units {
-            tasks += u.stats.tasks_executed.get();
-            rerouted += u.stats.tasks_rerouted.get();
-            stalls += u.stats.mailbox_stalls.get();
             let (h, o) = u.reserved_stats();
             hits += h;
             overflows += o;
@@ -2599,9 +2475,6 @@ impl System {
             peak_chunks = peak_chunks.max(pc as u64);
             peak_tasks = peak_tasks.max(pt as u64);
         }
-        self.metrics.set(self.m.unit_tasks_executed, tasks);
-        self.metrics.set(self.m.unit_tasks_rerouted, rerouted);
-        self.metrics.set(self.m.unit_mailbox_stalls, stalls);
         self.metrics.set(self.m.sketch_reserved_hits, hits);
         self.metrics
             .set(self.m.sketch_reserved_overflows, overflows);
@@ -2609,44 +2482,13 @@ impl System {
             .set(self.m.sketch_reserved_peak_chunks, peak_chunks);
         self.metrics
             .set(self.m.sketch_reserved_peak_tasks, peak_tasks);
-        let sum = |f: &dyn Fn(&RankBridge) -> u64| self.bridges.iter().map(f).sum::<u64>();
-        self.metrics
-            .set(self.m.bridge_gathers, sum(&|b| b.stats.gathers.get()));
-        self.metrics.set(
-            self.m.bridge_wasted_gathers,
-            sum(&|b| b.stats.wasted_gathers.get()),
-        );
-        self.metrics
-            .set(self.m.bridge_scatters, sum(&|b| b.stats.scatters.get()));
-        self.metrics.set(
-            self.m.bridge_bytes_gathered,
-            sum(&|b| b.stats.bytes_gathered.get()),
-        );
-        self.metrics.set(
-            self.m.bridge_bytes_scattered,
-            sum(&|b| b.stats.bytes_scattered.get()),
-        );
-        self.metrics
-            .set(self.m.bridge_lb_rounds, sum(&|b| b.stats.lb_rounds.get()));
-        self.metrics
-            .set(self.m.bridge_schedules, sum(&|b| b.stats.schedules.get()));
-        self.metrics.set(
-            self.m.host_bytes_gathered,
-            self.host.stats.bytes_gathered.get(),
-        );
-        self.metrics.set(
-            self.m.host_bytes_scattered,
-            self.host.stats.bytes_scattered.get(),
-        );
-        self.metrics
-            .set(self.m.host_lb_rounds, self.host.stats.lb_rounds.get());
         self.metrics.set(
             self.m.bus_rank_bytes,
-            self.rank_bus.iter().map(|b| b.bytes.get()).sum(),
+            self.rank_bus.iter().map(|b| b.bytes).sum(),
         );
         self.metrics.set(
             self.m.bus_channel_bytes,
-            self.channel.iter().map(|b| b.bytes.get()).sum(),
+            self.channel.iter().map(|b| b.bytes).sum(),
         );
     }
 
@@ -2670,22 +2512,18 @@ impl System {
 
     fn finalize(mut self) -> RunResult {
         let finalize_start = self.profile.is_some().then(Instant::now);
-        let mut finish = FinishTimes::default();
-        let mut busy = FinishTimes::default();
         let mut per_unit_busy = Vec::with_capacity(self.units.len());
         let mut makespan = SimTime::ZERO;
-        let mut tasks = 0u64;
-        let mut rerouted = 0u64;
-        let mut local_bytes = 0u64;
+        let mut max_busy = SimTime::ZERO;
+        let mut core_busy_total = SimTime::ZERO;
         for u in &self.units {
-            finish.push(u.stats.last_finish);
-            busy.push(u.stats.busy.total());
-            per_unit_busy.push(u.stats.busy.total().ticks());
-            makespan = makespan.max(u.stats.last_finish);
-            tasks += u.stats.tasks_executed.get();
-            rerouted += u.stats.tasks_rerouted.get();
-            local_bytes += u.stats.dram_local_bytes.get();
+            per_unit_busy.push(u.busy.ticks());
+            makespan = makespan.max(u.last_finish);
+            max_busy = max_busy.max(u.busy);
+            core_busy_total += u.busy;
         }
+        let avg_busy =
+            SimTime::from_ticks(core_busy_total.ticks() / self.units.len().max(1) as u64);
         self.harvest_metrics();
         self.metrics.snapshot("final", makespan);
         if self.cfg.audit.at_end() {
@@ -2698,30 +2536,20 @@ impl System {
             .unwrap_or_default();
         let comm_dram_bytes = self.metrics.get(self.m.comm_dram_bytes);
         let sram_staged_bytes = self.metrics.get(self.m.sram_staged_bytes);
-        let max_busy = busy.max();
-        let avg_busy = busy.mean();
         let wait_fraction = if makespan == SimTime::ZERO {
             0.0
         } else {
             1.0 - max_busy.ticks() as f64 / makespan.ticks() as f64
         };
-        let rank_bus_bytes: u64 = self.rank_bus.iter().map(|b| b.bytes.get()).sum();
-        let channel_bytes: u64 = self.channel.iter().map(|b| b.bytes.get()).sum();
-        let lb_rounds = self
-            .bridges
-            .iter()
-            .map(|b| b.stats.lb_rounds.get())
-            .sum::<u64>()
-            + self.host.stats.lb_rounds.get();
+        let rank_bus_bytes = self.metrics.get(self.m.bus_rank_bytes);
+        let channel_bytes = self.metrics.get(self.m.bus_channel_bytes);
+        let lb_rounds =
+            self.metrics.get(self.m.bridge_lb_rounds) + self.metrics.get(self.m.host_lb_rounds);
 
         let e = &self.cfg.energy;
-        let core_busy_total: SimTime = self
-            .units
-            .iter()
-            .fold(SimTime::ZERO, |acc, u| acc + u.stats.busy.total());
         let energy = EnergyBreakdown {
             core_sram_pj: e.core_pj(core_busy_total) + e.sram_pj(sram_staged_bytes),
-            dram_local_pj: e.dram_pj(local_bytes),
+            dram_local_pj: e.dram_pj(self.local_dram_bytes),
             dram_comm_pj: e.dram_pj(comm_dram_bytes)
                 + e.channel_pj(channel_bytes)
                 + e.rank_pj(rank_bus_bytes),
@@ -2749,13 +2577,13 @@ impl System {
             } else {
                 avg_busy.ticks() as f64 / makespan.ticks() as f64
             },
-            tasks_executed: tasks,
-            tasks_rerouted: rerouted,
+            tasks_executed: self.metrics.get(self.m.unit_tasks_executed),
+            tasks_rerouted: self.metrics.get(self.m.unit_tasks_rerouted),
             messages_delivered: self.metrics.get(self.m.msgs_delivered),
             rank_bus_bytes,
             channel_bytes,
             comm_dram_bytes,
-            local_dram_bytes: local_bytes,
+            local_dram_bytes: self.local_dram_bytes,
             lb_rounds,
             blocks_migrated: self.metrics.get(self.m.blocks_migrated),
             energy,
@@ -2883,7 +2711,7 @@ mod tests {
         assert!(s.units[0].pending_out.is_empty());
         s.emit_message(0, m2, SimTime::ZERO);
         assert_eq!(s.units[0].pending_out.len(), 1);
-        assert_eq!(s.units[0].stats.mailbox_stalls.get(), 1);
+        assert_eq!(s.metrics.get(s.m.unit_mailbox_stalls), 1);
     }
 
     #[test]
@@ -3043,6 +2871,62 @@ mod tests {
         );
     }
 
+    fn audited(design: DesignPoint) -> System {
+        let mut s = sys(design);
+        s.audit.enabled = true;
+        assert!(s.collect_violations().is_empty());
+        s
+    }
+
+    #[test]
+    fn audit_trips_on_corrupted_emitted_count() {
+        let mut s = audited(DesignPoint::O);
+        // An emitted message that was neither delivered nor queued.
+        s.msgs_emitted += 1;
+        let v = s.collect_violations();
+        assert!(
+            v.iter().any(|x| x.law == "message-conservation"
+                && x.detail == "emitted 1 != delivered 0 + in-flight 0"),
+            "{v:?}"
+        );
+        s.msgs_emitted -= 1;
+        assert!(s.collect_violations().is_empty());
+    }
+
+    #[test]
+    fn audit_trips_on_bus_busy_past_its_horizon() {
+        let mut s = audited(DesignPoint::O);
+        s.rank_bus[0].reserve(SimTime::ZERO, 64);
+        assert!(s.collect_violations().is_empty());
+        s.rank_bus[0].busy = s.rank_bus[0].free_at() + SimTime::from_ticks(1);
+        let v = s.collect_violations();
+        assert!(
+            v.iter().any(|x| x.law == "bus-sanity"
+                && x.detail.starts_with("rank bus 0: busy")
+                && x.detail.contains("exceeds horizon")),
+            "{v:?}"
+        );
+        s.rank_bus[0].busy = s.rank_bus[0].free_at();
+        assert!(s.collect_violations().is_empty());
+    }
+
+    #[test]
+    fn audit_trips_on_ledger_row_without_its_total() {
+        let mut s = audited(DesignPoint::O);
+        s.metrics
+            .add(s.m.ledger_comm[CommCause::Gather as usize], 1);
+        let v = s.collect_violations();
+        assert!(
+            v.iter()
+                .any(|x| x.law == "ledger-totals"
+                    && x.detail == "comm ledger rows sum to 1, total is 0"),
+            "{v:?}"
+        );
+        // Charging the matching system total balances the ledger again.
+        s.metrics.add(s.m.comm_dram_bytes, 1);
+        assert!(s.collect_violations().is_empty());
+    }
+
     #[test]
     fn audited_run_is_bit_identical_to_unaudited() {
         let run = |audit| {
@@ -3079,7 +2963,7 @@ mod tests {
         s.on_deliver(9, msg);
         assert_eq!(s.bridges[0].to_arrive[9], 0);
         assert_eq!(s.host.to_arrive[0], 0);
-        assert_eq!(s.units[9].stats.tasks_rerouted.get(), 1);
+        assert_eq!(s.metrics.get(s.m.unit_tasks_rerouted), 1);
         // The re-emitted copy carries no marker.
         let mut fwd = s.units[9].mailbox.iter();
         assert!(matches!(fwd.next(), Some(Message::Task(_, None))));

@@ -8,7 +8,6 @@
 //! starts at `max(now, busy_until)` and the bank tracks its open row to
 //! price hits, closed-bank activations and row conflicts.
 
-use ndpb_sim::stats::{BusyTime, Counter};
 use ndpb_sim::SimTime;
 use ndpb_trace::{ComponentId, TraceEvent, TraceRecord, TraceSink};
 
@@ -25,7 +24,7 @@ pub struct BankAccess {
     pub activated: bool,
 }
 
-/// One DRAM bank: open-row state, serialization point, and access stats.
+/// One DRAM bank: open-row state and serialization point.
 ///
 /// # Example
 ///
@@ -44,14 +43,6 @@ pub struct BankModel {
     open_row: Option<u64>,
     busy_until: SimTime,
     last_was_write: bool,
-    /// Row activations performed.
-    pub activations: Counter,
-    /// Bytes read from the array.
-    pub bytes_read: Counter,
-    /// Bytes written to the array.
-    pub bytes_written: Counter,
-    /// Total time the bank spent servicing requests.
-    pub busy: BusyTime,
 }
 
 impl BankModel {
@@ -96,15 +87,6 @@ impl BankModel {
         self.open_row = Some(row);
         self.busy_until = end;
         self.last_was_write = write;
-        if activated {
-            self.activations.inc();
-        }
-        if write {
-            self.bytes_written.add(bytes as u64);
-        } else {
-            self.bytes_read.add(bytes as u64);
-        }
-        self.busy.record(start, end);
         BankAccess {
             start,
             end,
@@ -143,31 +125,6 @@ impl BankModel {
         a
     }
 
-    /// Issues a streaming access spanning `bytes` starting at byte
-    /// `offset` in the bank, splitting it into per-row accesses. Returns
-    /// the completion time of the last piece.
-    pub fn access_span(
-        &mut self,
-        now: SimTime,
-        offset: u64,
-        bytes: u32,
-        write: bool,
-        timing: &DramTiming,
-    ) -> SimTime {
-        let row_bytes = timing.row_bytes as u64;
-        let mut remaining = bytes as u64;
-        let mut cursor = offset;
-        let mut end = now;
-        while remaining > 0 {
-            let row = cursor / row_bytes;
-            let in_row = (row_bytes - cursor % row_bytes).min(remaining);
-            end = self.access(end, row, in_row as u32, write, timing).end;
-            cursor += in_row;
-            remaining -= in_row;
-        }
-        end
-    }
-
     /// Precharges the bank (closes the open row); used when RowClone
     /// transfers reset row state.
     pub fn precharge(&mut self) {
@@ -203,7 +160,6 @@ mod tests {
         assert!(a.activated);
         assert_eq!(a.start, SimTime::ZERO);
         assert_eq!(a.end, t().row_closed(64));
-        assert_eq!(b.activations.get(), 1);
     }
 
     #[test]
@@ -243,26 +199,6 @@ mod tests {
         // Read then read: no penalty.
         let r2 = b.access(r.end, 1, 64, false, &t());
         assert_eq!(r2.start, r.end);
-    }
-
-    #[test]
-    fn span_crosses_rows() {
-        let mut b = BankModel::new();
-        // 1 KB rows: bytes 512..2560 touch rows 0, 1 and 2.
-        let end = b.access_span(SimTime::ZERO, 512, 2048, false, &t());
-        assert_eq!(b.activations.get(), 3);
-        assert!(end > SimTime::ZERO);
-        assert_eq!(b.bytes_read.get(), 2048);
-    }
-
-    #[test]
-    fn stats_accumulate() {
-        let mut b = BankModel::new();
-        b.access(SimTime::ZERO, 0, 64, false, &t());
-        b.access(SimTime::ZERO, 0, 32, true, &t());
-        assert_eq!(b.bytes_read.get(), 64);
-        assert_eq!(b.bytes_written.get(), 32);
-        assert!(b.busy.total() > SimTime::ZERO);
     }
 
     #[test]

@@ -14,7 +14,6 @@
 //! of N bytes; callers chain the returned completion times into their own
 //! event schedules.
 
-use ndpb_sim::stats::{BusyTime, Counter};
 use ndpb_sim::SimTime;
 use ndpb_trace::{ComponentId, TraceEvent, TraceRecord, TraceSink};
 
@@ -35,10 +34,10 @@ use ndpb_trace::{ComponentId, TraceEvent, TraceRecord, TraceSink};
 pub struct Bus {
     bits_per_tick: u32,
     free_at: SimTime,
-    /// Total busy time (for utilization reporting).
-    pub busy: BusyTime,
+    /// Total time the link spent transferring.
+    pub busy: SimTime,
     /// Total bytes transferred.
-    pub bytes: Counter,
+    pub bytes: u64,
 }
 
 /// The time window granted for one transfer.
@@ -61,8 +60,8 @@ impl Bus {
         Bus {
             bits_per_tick,
             free_at: SimTime::ZERO,
-            busy: BusyTime::default(),
-            bytes: Counter::default(),
+            busy: SimTime::ZERO,
+            bytes: 0,
         }
     }
 
@@ -91,8 +90,8 @@ impl Bus {
         let start = now.max(self.free_at);
         let end = start + self.transfer_time(bytes);
         self.free_at = end;
-        self.busy.record(start, end);
-        self.bytes.add(bytes);
+        self.busy += end - start;
+        self.bytes += bytes;
         BusGrant { start, end }
     }
 
@@ -116,16 +115,6 @@ impl Bus {
             ));
         }
         g
-    }
-
-    /// Reserves a window of fixed duration (e.g. a command slot that
-    /// occupies C/A but moves no data).
-    pub fn reserve_duration(&mut self, now: SimTime, duration: SimTime) -> BusGrant {
-        let start = now.max(self.free_at);
-        let end = start + duration;
-        self.free_at = end;
-        self.busy.record(start, end);
-        BusGrant { start, end }
     }
 
     /// When the link next becomes idle.
@@ -154,7 +143,8 @@ mod tests {
         assert_eq!(a.end.ticks(), 10);
         assert_eq!(b.start, a.end);
         assert_eq!(b.end.ticks(), 20);
-        assert_eq!(bus.bytes.get(), 20);
+        assert_eq!(bus.bytes, 20);
+        assert_eq!(bus.busy.ticks(), 20);
     }
 
     #[test]
@@ -163,15 +153,6 @@ mod tests {
         bus.reserve(SimTime::ZERO, 4);
         let late = bus.reserve(SimTime::from_ticks(100), 4);
         assert_eq!(late.start.ticks(), 100);
-    }
-
-    #[test]
-    fn duration_reservation() {
-        let mut bus = Bus::new(64);
-        let g = bus.reserve_duration(SimTime::ZERO, SimTime::from_ticks(7));
-        assert_eq!(g.end.ticks(), 7);
-        assert_eq!(bus.free_at().ticks(), 7);
-        assert_eq!(bus.bytes.get(), 0);
     }
 
     #[test]
@@ -202,12 +183,5 @@ mod tests {
             out[0].event,
             TraceEvent::BusTransfer { bytes: 10 }
         ));
-    }
-
-    #[test]
-    fn busy_time_tracks_utilization() {
-        let mut bus = Bus::new(8);
-        bus.reserve(SimTime::ZERO, 50);
-        assert!((bus.busy.utilization(SimTime::from_ticks(100)) - 0.5).abs() < 1e-12);
     }
 }

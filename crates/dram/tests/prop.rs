@@ -60,7 +60,7 @@ fn bus_grants_are_disjoint() {
             expected_busy += g.end - g.start;
             prev_end = g.end;
         }
-        assert_eq!(bus.busy.total(), expected_busy);
+        assert_eq!(bus.busy, expected_busy);
     }
 }
 

@@ -24,5 +24,5 @@ pub mod mailbox;
 pub mod message;
 
 pub use commands::BridgeCommand;
-pub use mailbox::{Mailbox, MailboxFull};
+pub use mailbox::Mailbox;
 pub use message::{DataMessage, Message, StateMessage, MAX_MESSAGE_BYTES};

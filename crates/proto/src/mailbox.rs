@@ -13,28 +13,6 @@ use ndpb_trace::{ComponentId, TraceEvent, TraceRecord, TraceSink};
 
 use crate::message::Message;
 
-/// Error returned when a mailbox has no room for a message; the caller
-/// (core or bridge) must stall and retry after the next gather.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MailboxFull {
-    /// Bytes the rejected message needed.
-    pub needed: u32,
-    /// Bytes currently free.
-    pub free: u64,
-}
-
-impl std::fmt::Display for MailboxFull {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "mailbox full: message needs {} bytes, {} free",
-            self.needed, self.free
-        )
-    }
-}
-
-impl std::error::Error for MailboxFull {}
-
 /// A bounded FIFO of outgoing messages, accounted in wire bytes.
 ///
 /// # Example
@@ -46,9 +24,8 @@ impl std::error::Error for MailboxFull {}
 ///
 /// let mut mb = Mailbox::new(1 << 20);
 /// let task = Task::new(TaskFnId(0), Timestamp(0), DataAddr(0), 1, TaskArgs::EMPTY);
-/// mb.push(Message::Task(task, None))?;
+/// assert!(mb.try_push(Message::Task(task, None)).is_none());
 /// assert!(mb.bytes_used() > 0);
-/// # Ok::<(), ndpb_proto::MailboxFull>(())
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Mailbox {
@@ -78,68 +55,9 @@ impl Mailbox {
         }
     }
 
-    /// Appends a message to the tail.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MailboxFull`] (and records a stall) if the message does
-    /// not fit; the mailbox is unchanged.
-    pub fn push(&mut self, msg: Message) -> Result<(), MailboxFull> {
-        let needed = msg.wire_bytes();
-        let free = self.capacity_bytes - self.used_bytes;
-        if (needed as u64) > free {
-            self.stalls += 1;
-            self.full_latched = true;
-            return Err(MailboxFull { needed, free });
-        }
-        self.used_bytes += needed as u64;
-        self.peak_bytes = self.peak_bytes.max(self.used_bytes);
-        self.queue.push_back(msg);
-        self.full_latched = false;
-        Ok(())
-    }
-
-    /// [`push`](Self::push) with a trace hook: emits
-    /// [`TraceEvent::MailboxEnqueue`] on success, and on failure a
-    /// [`TraceEvent::MailboxFull`] — but only for the *first* rejection
-    /// of a full episode (latched until space frees), so one stall
-    /// produces exactly one event no matter how often it is retried.
-    pub fn push_traced(
-        &mut self,
-        msg: Message,
-        now: SimTime,
-        comp: ComponentId,
-        trace: Option<&mut dyn TraceSink>,
-    ) -> Result<(), MailboxFull> {
-        let was_latched = self.full_latched;
-        let needed = msg.wire_bytes();
-        let res = self.push(msg);
-        if let Some(t) = trace {
-            match &res {
-                Ok(()) => t.record(TraceRecord::instant(
-                    now,
-                    comp,
-                    TraceEvent::MailboxEnqueue {
-                        bytes: needed,
-                        used: self.used_bytes,
-                    },
-                )),
-                Err(_) if !was_latched => t.record(TraceRecord::instant(
-                    now,
-                    comp,
-                    TraceEvent::MailboxFull {
-                        needed,
-                        used: self.used_bytes,
-                    },
-                )),
-                Err(_) => {}
-            }
-        }
-        res
-    }
-
-    /// Like [`Mailbox::push`], but hands the message back on failure
-    /// instead of an error (for callers that park it elsewhere).
+    /// Appends a message to the tail. If it does not fit, records a
+    /// stall and hands the message back unchanged (the caller parks it
+    /// and retries after the next gather); the mailbox is unchanged.
     pub fn try_push(&mut self, msg: Message) -> Option<Message> {
         let needed = msg.wire_bytes();
         if (needed as u64) > self.capacity_bytes - self.used_bytes {
@@ -154,8 +72,11 @@ impl Mailbox {
         None
     }
 
-    /// [`try_push`](Self::try_push) with a trace hook; same once-per-stall
-    /// latching as [`push_traced`](Self::push_traced).
+    /// [`try_push`](Self::try_push) with a trace hook: emits
+    /// [`TraceEvent::MailboxEnqueue`] on success, and on failure a
+    /// [`TraceEvent::MailboxFull`] — but only for the *first* rejection
+    /// of a full episode (latched until space frees), so one stall
+    /// produces exactly one event no matter how often it is retried.
     pub fn try_push_traced(
         &mut self,
         msg: Message,
@@ -287,8 +208,8 @@ mod tests {
     #[test]
     fn push_and_drain_fifo() {
         let mut mb = Mailbox::new(4096);
-        mb.push(task_msg()).unwrap();
-        mb.push(data_msg(64)).unwrap();
+        assert!(mb.try_push(task_msg()).is_none());
+        assert!(mb.try_push(data_msg(64)).is_none());
         let all = mb.drain_up_to(4096);
         assert_eq!(all.len(), 2);
         assert!(all[0].is_task());
@@ -301,9 +222,9 @@ mod tests {
     fn full_mailbox_rejects_and_counts_stall() {
         let sz = task_msg().wire_bytes() as u64;
         let mut mb = Mailbox::new(sz);
-        mb.push(task_msg()).unwrap();
-        let err = mb.push(task_msg()).unwrap_err();
-        assert_eq!(err.free, 0);
+        assert!(mb.try_push(task_msg()).is_none());
+        assert_eq!(mb.try_push(task_msg()), Some(task_msg()));
+        assert_eq!(mb.capacity() - mb.bytes_used(), 0);
         assert_eq!(mb.stalls(), 1);
         assert_eq!(mb.len(), 1);
     }
@@ -312,7 +233,7 @@ mod tests {
     fn drain_respects_budget_but_moves_at_least_one() {
         let mut mb = Mailbox::new(1 << 20);
         for _ in 0..10 {
-            mb.push(task_msg()).unwrap();
+            assert!(mb.try_push(task_msg()).is_none());
         }
         let one_size = task_msg().wire_bytes();
         // A budget smaller than one message still drains one (the gather
@@ -328,7 +249,7 @@ mod tests {
     #[test]
     fn peak_tracks_high_water() {
         let mut mb = Mailbox::new(1 << 20);
-        mb.push(data_msg(256)).unwrap();
+        assert!(mb.try_push(data_msg(256)).is_none());
         let peak = mb.bytes_used();
         mb.drain_up_to(u32::MAX);
         assert_eq!(mb.peak_bytes(), peak);
@@ -336,18 +257,10 @@ mod tests {
     }
 
     #[test]
-    fn display_of_full_error() {
-        let mut mb = Mailbox::new(1);
-        let err = mb.push(task_msg()).unwrap_err();
-        let s = err.to_string();
-        assert!(s.contains("mailbox full"), "{s}");
-    }
-
-    #[test]
     fn iter_sees_queue_order() {
         let mut mb = Mailbox::new(1 << 20);
-        mb.push(task_msg()).unwrap();
-        mb.push(data_msg(8)).unwrap();
+        assert!(mb.try_push(task_msg()).is_none());
+        assert!(mb.try_push(data_msg(8)).is_none());
         let kinds: Vec<bool> = mb.iter().map(|m| m.is_task()).collect();
         assert_eq!(kinds, vec![true, false]);
     }

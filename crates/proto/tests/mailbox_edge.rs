@@ -41,7 +41,7 @@ fn wraparound_keeps_accounting_and_fifo_order() {
     let data_payload = task_msg().wire_bytes() - (data_msg(0, 0).wire_bytes());
     for _round in 0..300 {
         while mb.bytes_used() + msg_sz <= mb.capacity() {
-            mb.push(data_msg(data_payload, next_block)).unwrap();
+            assert!(mb.try_push(data_msg(data_payload, next_block)).is_none());
             next_block += 1;
         }
         assert_eq!(mb.bytes_used(), mb.len() as u64 * msg_sz);
@@ -70,8 +70,8 @@ fn enqueue_on_full_backpressure_preserves_state() {
     let msg_sz = task_msg().wire_bytes() as u64;
     // Capacity sized so the two seed messages fill the region exactly.
     let mut mb = Mailbox::new(data_msg(0, 10).wire_bytes() as u64 + msg_sz);
-    mb.push(data_msg(0, 10)).unwrap();
-    mb.push(task_msg()).unwrap();
+    assert!(mb.try_push(data_msg(0, 10)).is_none());
+    assert!(mb.try_push(task_msg()).is_none());
     let used_before = mb.bytes_used();
     assert_eq!(used_before, mb.capacity());
 
@@ -88,14 +88,14 @@ fn enqueue_on_full_backpressure_preserves_state() {
     assert_eq!(mb.len(), 2);
     assert_eq!(mb.stalls(), 1);
 
-    // `push` reports the same condition as an error with the free bytes.
-    let err = mb.push(task_msg()).unwrap_err();
-    assert_eq!(err.free, 0);
+    // A retry while still full bounces again and counts another stall.
+    assert_eq!(mb.try_push(task_msg()), Some(task_msg()));
+    assert_eq!(mb.capacity() - mb.bytes_used(), 0);
     assert_eq!(mb.stalls(), 2);
 
     // After a drain frees space the retry goes through.
     assert_eq!(mb.drain_up_to(u32::MAX).len(), 2);
-    mb.push(task_msg()).expect("space was freed");
+    assert!(mb.try_push(task_msg()).is_none(), "space was freed");
     assert_eq!(mb.len(), 1);
 }
 
@@ -103,7 +103,7 @@ fn count_events(recs: &[ndpb_trace::TraceRecord], name: &str) -> usize {
     recs.iter().filter(|r| r.event.name() == name).count()
 }
 
-/// The traced push paths must emit `mailbox-full` exactly once per
+/// The traced enqueue path must emit `mailbox-full` exactly once per
 /// contiguous full episode — retries while still full stay silent, and
 /// only a drain re-arms the latch for the next episode.
 #[test]
@@ -114,14 +114,17 @@ fn full_event_emitted_once_per_stall_episode() {
     let comp = ComponentId::Unit(7);
     let t = |ticks| SimTime::from_ticks(ticks);
 
-    mb.push_traced(task_msg(), t(0), comp, Some(&mut rec))
-        .unwrap();
+    assert!(mb
+        .try_push_traced(task_msg(), t(0), comp, Some(&mut rec))
+        .is_none());
     // First rejection of the episode: one mailbox-full event...
-    mb.push_traced(task_msg(), t(1), comp, Some(&mut rec))
-        .unwrap_err();
-    // ...retries while still full (either push flavour) add nothing.
-    mb.push_traced(task_msg(), t(2), comp, Some(&mut rec))
-        .unwrap_err();
+    assert!(mb
+        .try_push_traced(task_msg(), t(1), comp, Some(&mut rec))
+        .is_some());
+    // ...retries while still full add nothing.
+    assert!(mb
+        .try_push_traced(task_msg(), t(2), comp, Some(&mut rec))
+        .is_some());
     assert!(mb
         .try_push_traced(task_msg(), t(3), comp, Some(&mut rec))
         .is_some());
@@ -133,12 +136,15 @@ fn full_event_emitted_once_per_stall_episode() {
     // Draining ends the episode; the next full period emits exactly one
     // more event.
     assert_eq!(mb.drain_up_to(u32::MAX).len(), 1);
-    mb.push_traced(task_msg(), t(4), comp, Some(&mut rec))
-        .unwrap();
-    mb.push_traced(task_msg(), t(5), comp, Some(&mut rec))
-        .unwrap_err();
-    mb.push_traced(task_msg(), t(6), comp, Some(&mut rec))
-        .unwrap_err();
+    assert!(mb
+        .try_push_traced(task_msg(), t(4), comp, Some(&mut rec))
+        .is_none());
+    assert!(mb
+        .try_push_traced(task_msg(), t(5), comp, Some(&mut rec))
+        .is_some());
+    assert!(mb
+        .try_push_traced(task_msg(), t(6), comp, Some(&mut rec))
+        .is_some());
     let recs = rec.take_records();
     assert_eq!(count_events(&recs, "mailbox-full"), 1);
     let full = recs
@@ -166,16 +172,20 @@ fn successful_push_rearms_full_latch() {
     let comp = ComponentId::Bridge(0);
     let t = |ticks| SimTime::from_ticks(ticks);
 
-    mb.push_traced(task_msg(), t(0), comp, Some(&mut rec))
-        .unwrap();
-    mb.push_traced(task_msg(), t(1), comp, Some(&mut rec))
-        .unwrap_err();
+    assert!(mb
+        .try_push_traced(task_msg(), t(0), comp, Some(&mut rec))
+        .is_none());
+    assert!(mb
+        .try_push_traced(task_msg(), t(1), comp, Some(&mut rec))
+        .is_some());
     mb.drain_up_to(u32::MAX);
     // Episode 2: fill, reject.
-    mb.push_traced(task_msg(), t(2), comp, Some(&mut rec))
-        .unwrap();
-    mb.push_traced(task_msg(), t(3), comp, Some(&mut rec))
-        .unwrap_err();
+    assert!(mb
+        .try_push_traced(task_msg(), t(2), comp, Some(&mut rec))
+        .is_none());
+    assert!(mb
+        .try_push_traced(task_msg(), t(3), comp, Some(&mut rec))
+        .is_some());
     let recs = rec.take_records();
     assert_eq!(count_events(&recs, "mailbox-full"), 2);
     assert_eq!(count_events(&recs, "mailbox-enqueue"), 2);

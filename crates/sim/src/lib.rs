@@ -17,8 +17,6 @@
 //! * [`fingerprint`] — a stable 64-bit FNV-1a hasher used to
 //!   content-address sweep results (std's `DefaultHasher` is not stable
 //!   across toolchains).
-//! * [`stats`] — counters, time-weighted averages and histograms used for
-//!   the per-unit and system-wide statistics the paper reports.
 //!
 //! # Example
 //!
@@ -38,7 +36,6 @@
 pub mod events;
 pub mod fingerprint;
 pub mod rng;
-pub mod stats;
 pub mod time;
 pub mod wheel;
 

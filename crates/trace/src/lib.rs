@@ -1,10 +1,11 @@
 //! Structured event tracing and metrics for the NDPBridge simulator.
 //!
-//! The simulator's original observability was a handful of ad-hoc
-//! `Counter`s scattered across components, aggregated once at the end of
-//! a run. That answers *how much* but never *when*: you cannot see a
-//! mailbox stall ride out a GATHER round, or a SCHEDULE migration land
-//! just before an epoch barrier. This crate adds the missing timeline:
+//! A simulation run is observed through two lenses. The metrics
+//! registry counts every simulated event once, at its site, and
+//! snapshots the whole table at each epoch barrier: it answers *how
+//! much*, epoch by epoch. The event trace answers *when*: a mailbox
+//! stall riding out a GATHER round, or a SCHEDULE migration landing just
+//! before an epoch barrier.
 //!
 //! * [`event`] — typed [`TraceEvent`]s (bank activates, bus transfers,
 //!   bridge GATHER/SCATTER/STATE-GATHER/SCHEDULE rounds, mailbox
@@ -16,9 +17,9 @@
 //! * [`chrome`] — a hand-rolled (serde-free) Chrome `trace_event` JSON
 //!   writer; the output opens directly in `chrome://tracing` or
 //!   [Perfetto](https://ui.perfetto.dev).
-//! * [`metrics`] — a hierarchical [`MetricsRegistry`] that supersedes the
-//!   loose per-`System` aggregate fields, with per-epoch snapshotting for
-//!   time-series output.
+//! * [`metrics`] — a hierarchical [`MetricsRegistry`], the single home
+//!   of a run's counters, with per-epoch snapshotting for time-series
+//!   output.
 //!
 //! The crate depends only on `ndpb-sim` (for `SimTime`); no external
 //! dependencies, so the workspace builds fully offline.

@@ -1,7 +1,6 @@
 //! Hierarchical metrics registry with per-epoch snapshotting.
 //!
-//! Replaces the loose aggregate fields (`comm_dram_bytes`,
-//! `msgs_delivered`, …) that used to live directly on `System`.
+//! A counter a run reports through its metrics lives here only.
 //! Components register named counters once (names are `/`-separated
 //! paths like `bridge/bytes_gathered`), update them by [`MetricId`]
 //! (an index — no hashing on the hot path), and the system snapshots

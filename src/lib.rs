@@ -13,7 +13,7 @@
 //!
 //! This facade crate re-exports the whole workspace:
 //!
-//! * [`sim`] — discrete-event kernel (time, events, RNG, stats);
+//! * [`sim`] — discrete-event kernel (time, events, RNG, fingerprints);
 //! * [`dram`] — DRAM geometry/timing/bank/bus/energy substrates;
 //! * [`proto`] — message formats, mailboxes, bridge DDR commands;
 //! * [`sketch`] — hot-data sketch + reserved queue;
