@@ -82,6 +82,13 @@ for m in system/comm_dram_bytes unit/tasks_executed bridge/gathers host/lb_round
 done
 grep -q '"label":"final"' "$SMOKE_DIR/metrics.json"
 grep -q '"label":"epoch-' "$SMOKE_DIR/metrics.json"
+# Every record site the run reaches must still fire: a trace missing one
+# of these event kinds means a site stopped recording. (The rarest,
+# `epoch`, appears 4 times in this run.)
+for e in bank-activate bus-transfer mailbox-enqueue gather scatter state-gather \
+    schedule migrate task epoch; do
+    grep -q "\"name\":\"$e\"" "$SMOKE_DIR/trace.json"
+done
 
 echo "== repro gather smoke: gather-cost-aware stealing ablation =="
 # The fig10-analog ablation sweep behind DESIGN.md §10 (B, the W

@@ -276,6 +276,10 @@ fn app_refs(o: &Opts) -> Vec<&str> {
     o.apps.iter().map(String::as_str).collect()
 }
 
+/// Trace ring capacity of the instrumented run: the most recent records
+/// win, and the run reports how many earlier ones the ring dropped.
+const TRACE_RING: usize = 1 << 20;
+
 /// One instrumented run of design O (`--trace` / `--metrics-json`):
 /// records events into a bounded ring, writes a Chrome `trace_event`
 /// JSON (open in chrome://tracing or https://ui.perfetto.dev) and the
@@ -294,8 +298,14 @@ fn traced_run(o: &Opts) {
     if o.audit {
         cfg.audit = AuditLevel::Full;
     }
-    let r = ndpb_bench::run_traced(app, design, cfg, o.scale, 1 << 20);
+    let r = ndpb_bench::run_traced(app, design, cfg, o.scale, TRACE_RING);
     println!("{}", r.row());
+    println!(
+        "trace: kept the last {} of {} records; the {TRACE_RING}-record ring dropped {}",
+        r.trace.len(),
+        r.trace.len() as u64 + r.trace_dropped,
+        r.trace_dropped
+    );
     if let Some(path) = &o.trace {
         let write = || -> std::io::Result<()> {
             let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);

@@ -157,6 +157,7 @@ pub fn decode_result(text: &str) -> Option<RunResult> {
             .collect::<Option<Vec<u64>>>()?,
         metrics,
         trace: Vec::new(),
+        trace_dropped: 0,
         // Cache hits replay a past run; a wall-clock profile describes
         // only the run that produced it.
         profile: None,

@@ -35,8 +35,9 @@ pub fn run_one(app_name: &str, design: DesignPoint, cfg: SystemConfig, scale: Sc
 }
 
 /// [`run_one`] with tracing: attaches a [`ndpb_trace::RingRecorder`] of
-/// `capacity` records, so `RunResult::trace` comes back populated (most
-/// recent events win if the ring overflows).
+/// `capacity` records, so `RunResult::trace` comes back populated. If
+/// the ring overflows the most recent records win, and
+/// `RunResult::trace_dropped` counts the evicted ones.
 pub fn run_traced(
     app_name: &str,
     design: DesignPoint,
@@ -46,7 +47,7 @@ pub fn run_traced(
 ) -> RunResult {
     let app = build_app(app_name, &cfg.geometry, scale, cfg.seed);
     let mut sys = System::new(cfg, design, app);
-    sys.set_trace(Box::new(ndpb_trace::RingRecorder::new(capacity)));
+    sys.set_trace(ndpb_trace::RingRecorder::new(capacity));
     sys.run()
 }
 
@@ -179,6 +180,22 @@ mod tests {
         assert!(r.tasks_executed > 0);
         assert_eq!(r.design, "B");
         assert_eq!(r.app, "ll");
+    }
+
+    #[test]
+    fn capped_trace_counts_the_records_it_dropped() {
+        let run = |cap| run_traced("ll", DesignPoint::O, tiny_cfg(), Scale::Tiny, cap);
+        let full = run(1 << 22);
+        assert_eq!(full.trace_dropped, 0);
+        let cap = full.trace.len() / 3;
+        let capped = run(cap);
+        assert_eq!(capped.trace.len(), cap);
+        assert_eq!(
+            capped.trace.len() as u64 + capped.trace_dropped,
+            full.trace.len() as u64
+        );
+        // The ring keeps the run's most recent records.
+        assert_eq!(capped.trace[..], full.trace[full.trace.len() - cap..]);
     }
 
     #[test]

@@ -81,29 +81,30 @@ impl SweepPoint {
     }
 }
 
-/// A claim on the result of one point handed to [`Sweeper::submit`].
+/// What a submitted point yields: its result, or the message its
+/// simulation panicked with (the `MAX_EVENTS` watchdog, the
+/// drained-queue assert, an audit violation, an unknown app).
+pub type PointOutcome = Result<RunResult, String>;
+
+/// A claim on the outcome of one point handed to [`Sweeper::submit`].
 ///
 /// Dropping the ticket abandons the result; the simulation still runs
 /// to completion (and still populates the cache).
 #[derive(Debug)]
 pub struct PointTicket {
-    rx: mpsc::Receiver<RunResult>,
+    rx: mpsc::Receiver<PointOutcome>,
 }
 
 impl PointTicket {
-    /// Blocks until the point's simulation finishes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the point's simulation panicked.
-    pub fn wait(self) -> RunResult {
+    /// Blocks until the point's simulation finishes or fails.
+    pub fn wait(self) -> PointOutcome {
         self.rx
             .recv()
-            .expect("the point's simulation panicked before delivering its result")
+            .unwrap_or_else(|_| Err("the pool dropped the point without an outcome".into()))
     }
 
-    /// Non-blocking probe: the result if it is already available.
-    pub fn try_wait(&self) -> Option<RunResult> {
+    /// Non-blocking probe: the outcome if it is already available.
+    pub fn try_wait(&self) -> Option<PointOutcome> {
         self.rx.try_recv().ok()
     }
 }
@@ -112,7 +113,7 @@ impl PointTicket {
 /// workers park on while it is empty.
 #[derive(Debug, Default)]
 struct ResidentPool {
-    queue: Mutex<VecDeque<(SweepPoint, mpsc::Sender<RunResult>)>>,
+    queue: Mutex<VecDeque<(SweepPoint, mpsc::Sender<PointOutcome>)>>,
     ready: Condvar,
 }
 
@@ -338,21 +339,21 @@ impl Sweeper {
                         }
                     };
                     let key = point.key();
-                    // A panicking simulation fails only its own job:
-                    // dropping its sender tells the ticket, and the
-                    // worker goes on serving the queue.
-                    let Ok(result) = panic::catch_unwind(AssertUnwindSafe(|| point.simulate()))
-                    else {
-                        continue;
-                    };
-                    if let Some(c) = &cache {
-                        // Best-effort, as in `run`: an unwritable cache
-                        // slows reruns down, it does not fail them.
-                        let _ = c.store(key, &result);
+                    // A panicking simulation fails only its own job: the
+                    // ticket gets the panic message, and the worker goes
+                    // on serving the queue.
+                    let outcome = panic::catch_unwind(AssertUnwindSafe(|| point.simulate()))
+                        .map_err(|payload| panic_message(payload.as_ref()));
+                    if let Ok(result) = &outcome {
+                        if let Some(c) = &cache {
+                            // Best-effort, as in `run`: an unwritable cache
+                            // slows reruns down, it does not fail them.
+                            let _ = c.store(key, result);
+                        }
+                        metrics.inc(sim_id);
+                        metrics.inc(worker_id);
                     }
-                    metrics.inc(sim_id);
-                    metrics.inc(worker_id);
-                    let _ = tx.send(result);
+                    let _ = tx.send(outcome);
                 })
                 .expect("spawn resident pool worker");
         }
@@ -381,6 +382,17 @@ impl Sweeper {
             self.jobs
         ))
     }
+}
+
+/// The text of a caught panic: `panic!` payloads are a `&str` or a
+/// formatted `String`.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    let text = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload");
+    format!("simulation panicked: {text}")
 }
 
 /// The default worker count: one per available hardware thread.
@@ -545,7 +557,10 @@ mod tests {
         let sw = Sweeper::new(3);
         let batch = fingerprint(&Sweeper::new(1).run(points()));
         let tickets: Vec<_> = points().into_iter().map(|p| sw.submit(p)).collect();
-        let got: Vec<String> = tickets.into_iter().map(|t| t.wait().to_json()).collect();
+        let got: Vec<String> = tickets
+            .into_iter()
+            .map(|t| t.wait().expect("valid point").to_json())
+            .collect();
         assert_eq!(got, batch, "resident pool must reproduce batch output");
         let report = sw.metrics().live_report();
         assert_eq!(report.final_value("sweep/simulated"), Some(6));
@@ -563,7 +578,7 @@ mod tests {
         let deadline = Instant::now() + Duration::from_secs(30);
         let result = loop {
             if let Some(r) = good.try_wait() {
-                break r;
+                break r.expect("the valid point succeeds");
             }
             assert!(
                 Instant::now() < deadline,
@@ -572,12 +587,10 @@ mod tests {
             thread::sleep(Duration::from_millis(10));
         };
         assert_eq!(result.app, "ll");
-        // The failed job's ticket reports the panic instead of hanging.
-        let err = panic::catch_unwind(AssertUnwindSafe(|| bad.wait())).unwrap_err();
-        let msg = err
-            .downcast_ref::<String>()
-            .expect("formatted panic message");
-        assert!(msg.contains("simulation panicked"), "{msg}");
+        // The failed job's ticket carries the panic message.
+        let msg = bad.wait().expect_err("an unknown app cannot simulate");
+        assert!(msg.starts_with("simulation panicked: "), "{msg}");
+        assert!(msg.contains("unknown application"), "{msg}");
     }
 
     #[test]
@@ -588,7 +601,7 @@ mod tests {
         let sw = Sweeper::new(2).with_cache(&dir).with_audit(AuditLevel::Off);
         let p = SweepPoint::new("ll", Column::Ndp(DesignPoint::C), tiny_cfg(), Scale::Tiny);
         assert!(sw.cached(&p).is_none(), "cold cache misses");
-        let live = sw.submit(p.clone()).wait();
+        let live = sw.submit(p.clone()).wait().expect("valid point");
         let hit = sw.cached(&p).expect("submit populated the cache");
         assert_eq!(hit.to_json(), live.to_json());
 

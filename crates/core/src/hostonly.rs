@@ -304,6 +304,7 @@ impl HostOnly {
             per_unit_busy: self.worker_busy.iter().map(|b| b.ticks()).collect(),
             metrics: ndpb_trace::MetricsReport::default(),
             trace: Vec::new(),
+            trace_dropped: 0,
             profile: self.profile.take().map(|mut p| {
                 p.finalize_ns = finalize_start
                     .map(|t| t.elapsed().as_nanos() as u64)

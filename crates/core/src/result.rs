@@ -55,10 +55,15 @@ pub struct RunResult {
     /// Hierarchical metrics with per-epoch snapshots (serialize with
     /// [`MetricsReport::to_json`]).
     pub metrics: MetricsReport,
-    /// Trace events captured during the run; empty unless a sink was
-    /// attached (see `System::set_trace`). Serialize with
+    /// Trace events captured during the run; empty unless a recorder
+    /// was attached (see `System::set_trace`). Serialize with
     /// `ndpb_trace::write_chrome_trace`.
     pub trace: Vec<TraceRecord>,
+    /// Records the bounded trace ring evicted to keep `trace` within its
+    /// capacity: `trace` starts this many records into the run. Like
+    /// `profile`, never serialized by [`to_json`](Self::to_json) or the
+    /// result cache.
+    pub trace_dropped: u64,
     /// Event-loop phase profile; `None` unless the run was started with
     /// profiling enabled (`System::set_profile` / `HostOnly::set_profile`,
     /// surfaced as `repro bench --profile`). *Not* serialized by
@@ -316,6 +321,7 @@ mod tests {
             per_unit_busy: vec![makespan_ticks, makespan_ticks / 2],
             metrics: MetricsReport::default(),
             trace: Vec::new(),
+            trace_dropped: 0,
             profile: None,
         }
     }
@@ -397,11 +403,16 @@ mod tests {
     }
 
     #[test]
-    fn profile_stays_out_of_result_json() {
+    fn profile_and_trace_drops_stay_out_of_result_json() {
         let mut r = result(240, 5.0);
         let plain = r.to_json();
         r.profile = Some(ProfileStats::default());
-        assert_eq!(r.to_json(), plain, "profile must be invisible to goldens");
+        r.trace_dropped = 7;
+        assert_eq!(
+            r.to_json(),
+            plain,
+            "profile and trace_dropped must be invisible to goldens"
+        );
     }
 
     #[test]

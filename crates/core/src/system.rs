@@ -11,12 +11,14 @@ use std::time::Instant;
 
 use crate::fasthash::FastMap;
 
+use ndpb_dram::bank::BankAccess;
+use ndpb_dram::bus::BusGrant;
 use ndpb_dram::{AddressMap, BlockAddr, Bus, EnergyBreakdown, UnitId};
 use ndpb_proto::message::DataMessage;
 use ndpb_proto::Message;
 use ndpb_sim::{EventQueue, SimRng, SimTime, TICKS_PER_CORE_CYCLE};
 use ndpb_tasks::{Application, ExecCtx, Task, Timestamp};
-use ndpb_trace::{ComponentId, MetricId, MetricsRegistry, TraceEvent, TraceRecord, TraceSink};
+use ndpb_trace::{ComponentId, MetricId, MetricsRegistry, RingRecorder, TraceEvent, TraceRecord};
 
 use crate::audit::{AuditLevel, Violation};
 use crate::bridge::{HostBridge, RankBridge};
@@ -81,10 +83,10 @@ pub struct System {
     link_scheduled: Vec<bool>,
     epochs: EpochTracker,
     done: bool,
-    /// Optional event trace sink (`None` = tracing off: hooks cost one
-    /// branch). Attached via [`System::set_trace`], drained into
-    /// [`RunResult::trace`] by `finalize`.
-    trace: Option<Box<dyn TraceSink>>,
+    /// Optional event trace (`None` = tracing off: each record site
+    /// costs one branch), written only through [`Self::record`].
+    /// Attached via [`System::set_trace`], drained by `finalize`.
+    trace: Option<RingRecorder>,
     /// Hierarchical run metrics, snapshotted at every epoch barrier.
     /// A counter registered here has no other copy.
     metrics: MetricsRegistry,
@@ -336,25 +338,14 @@ impl SysMetrics {
 
 // The sweep engine builds a `System` on one thread and may run it on
 // another, and ships `RunResult`s back over channels. Every field is
-// owned data; the two boxed trait objects (`Application`, `TraceSink`)
-// carry `Send` as a supertrait. This assertion turns any future
-// `Rc`/non-`Send` regression into a compile error at the source.
+// owned data; the boxed `Application` carries `Send` as a supertrait.
+// This assertion turns any future `Rc`/non-`Send` regression into a
+// compile error at the source.
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<System>();
     assert_send::<RunResult>();
 };
-
-/// Reborrows the optional sink as the `Option<&mut dyn TraceSink>` the
-/// component hooks take. (`Option::as_deref_mut` alone cannot shorten
-/// the trait object's `'static` bound inside the `Option`, so every
-/// hook site goes through this.)
-fn sink(trace: &mut Option<Box<dyn TraceSink>>) -> Option<&mut dyn TraceSink> {
-    match trace {
-        Some(b) => Some(b.as_mut()),
-        None => None,
-    }
-}
 
 impl System {
     /// Builds a system running `app` under `design` with `cfg`.
@@ -479,11 +470,100 @@ impl System {
         self.sched(at, Ev::LinkDeliver(r as u32, msg));
     }
 
-    /// Attaches a trace sink; events recorded during [`run`](Self::run)
-    /// are drained into [`RunResult::trace`](crate::result::RunResult).
-    /// Without a sink every hook costs a single branch.
-    pub fn set_trace(&mut self, sink: Box<dyn TraceSink>) {
-        self.trace = Some(sink);
+    // ---- traced hardware actions ------------------------------------------
+    // `System` alone records trace events (only it knows component ids);
+    // the bank, bus and mailbox models are trace-free. Untraced calls
+    // (RowClone's bank accesses, gather put-backs, the upward mailbox) go
+    // to the models directly.
+
+    /// Records `rec` if a trace is attached.
+    #[inline]
+    fn record(&mut self, rec: TraceRecord) {
+        if let Some(t) = &mut self.trace {
+            t.record(rec);
+        }
+    }
+
+    /// Unit `u`'s bank serves an access (the access arbiter). An access
+    /// that opens a row is recorded as a `BankActivate` span over its
+    /// service window; row hits, the common case, are not recorded.
+    fn bank_access(
+        &mut self,
+        u: usize,
+        at: SimTime,
+        row: u64,
+        bytes: u32,
+        write: bool,
+    ) -> BankAccess {
+        let a = self.units[u]
+            .bank
+            .access(at, row, bytes, write, &self.cfg.timing);
+        if a.activated {
+            self.record(TraceRecord::span(
+                a.start,
+                a.end - a.start,
+                ComponentId::Unit(u as u32),
+                TraceEvent::BankActivate { row, write },
+            ));
+        }
+        a
+    }
+
+    /// Closes unit `u`'s open row, recording a `BankPrecharge` at `at`.
+    fn bank_precharge(&mut self, u: usize, at: SimTime) {
+        self.units[u].bank.precharge();
+        self.record(TraceRecord::instant(
+            at,
+            ComponentId::Unit(u as u32),
+            TraceEvent::BankPrecharge,
+        ));
+    }
+
+    /// Reserves `bytes` on the link `comp` names (a rank bus, channel or
+    /// DIMM-Link) no sooner than `at`, recording a `BusTransfer` span
+    /// over the granted window.
+    fn reserve(&mut self, comp: ComponentId, at: SimTime, bytes: u64) -> BusGrant {
+        let bus = match comp {
+            ComponentId::RankBus(r) => &mut self.rank_bus[r as usize],
+            ComponentId::Channel(ch) => &mut self.channel[ch as usize],
+            ComponentId::Link(r) => &mut self.link_bus[r as usize],
+            other => unreachable!("{other:?} is not a link"),
+        };
+        let g = bus.reserve(at, bytes);
+        self.record(TraceRecord::span(
+            g.start,
+            g.end - g.start,
+            comp,
+            TraceEvent::BusTransfer { bytes },
+        ));
+        g
+    }
+
+    /// Offers `msg` to unit `u`'s mailbox and hands it back if the
+    /// mailbox is full. Records a `MailboxEnqueue`, or a `MailboxFull`
+    /// only on the rejection that opens a full episode, so a stalled
+    /// core emits one event per stall however often it retries.
+    fn mailbox_push(&mut self, u: usize, msg: Message, now: SimTime) -> Option<Message> {
+        let mb = &mut self.units[u].mailbox;
+        let (opens_episode, size) = (!mb.full_latched(), msg.wire_bytes());
+        let back = mb.try_push(msg);
+        let used = mb.bytes_used();
+        let event = match back {
+            None => TraceEvent::MailboxEnqueue { bytes: size, used },
+            Some(_) if opens_episode => TraceEvent::MailboxFull { needed: size, used },
+            Some(_) => return back,
+        };
+        let comp = ComponentId::Unit(u as u32);
+        self.record(TraceRecord::instant(now, comp, event));
+        back
+    }
+
+    /// Attaches a trace recorder; events recorded during
+    /// [`run`](Self::run) are drained into [`RunResult::trace`], and the
+    /// count the ring evicted into [`RunResult::trace_dropped`]. Without
+    /// a recorder every record site costs a single branch.
+    pub fn set_trace(&mut self, recorder: RingRecorder) {
+        self.trace = Some(recorder);
     }
 
     /// Arms the event-loop phase profiler: [`run`](Self::run) will
@@ -652,45 +732,35 @@ impl System {
         let spawn_buf = self.spawn_pool.get();
         self.exec_ctx.reset(self.units[u].id, spawn_buf);
         self.app.execute(&task, &mut self.exec_ctx);
-        let ctx = &self.exec_ctx;
-        let mut t = now + SimTime::from_ticks(ctx.compute_cycles() * TICKS_PER_CORE_CYCLE);
-        let timing = &self.cfg.timing;
-        let comp = ComponentId::Unit(u as u32);
-        {
-            let unit = &mut self.units[u];
-            for &(addr, bytes) in ctx.reads() {
-                let row = self.map.row_of(addr);
-                t = unit
-                    .bank
-                    .access_traced(t, row, bytes, false, timing, comp, sink(&mut self.trace))
-                    .end;
-                self.local_dram_bytes += bytes as u64;
-            }
-            for &(addr, bytes) in ctx.writes() {
-                let row = self.map.row_of(addr);
-                t = unit
-                    .bank
-                    .access_traced(t, row, bytes, true, timing, comp, sink(&mut self.trace))
-                    .end;
-                self.local_dram_bytes += bytes as u64;
-            }
-            unit.core_free_at = t;
-            unit.busy += t - now;
-            unit.last_finish = t;
-            self.metrics.inc(self.m.unit_tasks_executed);
-            unit.add_finished(task.workload_or_default());
+        let cycles = self.exec_ctx.compute_cycles();
+        let mut t = now + SimTime::from_ticks(cycles * TICKS_PER_CORE_CYCLE);
+        for i in 0..self.exec_ctx.reads().len() {
+            let (addr, bytes) = self.exec_ctx.reads()[i];
+            let row = self.map.row_of(addr);
+            t = self.bank_access(u, t, row, bytes, false).end;
+            self.local_dram_bytes += bytes as u64;
         }
-        if let Some(tr) = sink(&mut self.trace) {
-            tr.record(TraceRecord::span(
-                now,
-                t - now,
-                comp,
-                TraceEvent::TaskExec {
-                    func: task.func.0,
-                    workload: task.workload_or_default(),
-                },
-            ));
+        for i in 0..self.exec_ctx.writes().len() {
+            let (addr, bytes) = self.exec_ctx.writes()[i];
+            let row = self.map.row_of(addr);
+            t = self.bank_access(u, t, row, bytes, true).end;
+            self.local_dram_bytes += bytes as u64;
         }
+        let unit = &mut self.units[u];
+        unit.core_free_at = t;
+        unit.busy += t - now;
+        unit.last_finish = t;
+        unit.add_finished(task.workload_or_default());
+        self.metrics.inc(self.m.unit_tasks_executed);
+        self.record(TraceRecord::span(
+            now,
+            t - now,
+            ComponentId::Unit(u as u32),
+            TraceEvent::TaskExec {
+                func: task.func.0,
+                workload: task.workload_or_default(),
+            },
+        ));
         let children = self.exec_ctx.take_spawned();
         for c in &children {
             self.epochs.spawned(c.ts);
@@ -729,17 +799,8 @@ impl System {
         if self.units[u].holds_block(block, &self.map) {
             // Local: enqueue directly (a cheap in-DRAM task-queue append).
             self.charge_comm(CommCause::Taskq, task.wire_bytes() as u64);
-            let timing = &self.cfg.timing;
+            self.bank_access(u, now, TASKQ_ROW, task.wire_bytes(), true);
             let unit = &mut self.units[u];
-            unit.bank.access_traced(
-                now,
-                TASKQ_ROW,
-                task.wire_bytes(),
-                true,
-                timing,
-                ComponentId::Unit(u as u32),
-                sink(&mut self.trace),
-            );
             let hot = self.lb.hot_data;
             if self.epochs.is_ready(task.ts) {
                 let map = &self.map;
@@ -776,16 +837,8 @@ impl System {
         self.units[dst]
             .bank
             .access(start, BORROW_ROW, 64, true, timing);
-        self.units[src].bank.precharge_traced(
-            s,
-            ComponentId::Unit(src as u32),
-            sink(&mut self.trace),
-        );
-        self.units[dst].bank.precharge_traced(
-            end,
-            ComponentId::Unit(dst as u32),
-            sink(&mut self.trace),
-        );
+        self.bank_precharge(src, s);
+        self.bank_precharge(dst, end);
         self.charge_comm(CommCause::RowClone, 128);
         self.msgs_emitted += 1;
         self.schedule_delivery(end, dst, Message::Task(task, None));
@@ -808,28 +861,14 @@ impl System {
             Message::State(_) => CommCause::MailTask,
         };
         self.charge_comm(cause, bytes as u64);
-        let timing = &self.cfg.timing;
-        let comp = ComponentId::Unit(u as u32);
-        let unit = &mut self.units[u];
-        unit.bank.access_traced(
-            now,
-            MAILBOX_ROW,
-            bytes,
-            true,
-            timing,
-            comp,
-            sink(&mut self.trace),
-        );
+        self.bank_access(u, now, MAILBOX_ROW, bytes, true);
         self.msgs_emitted += 1;
-        if !unit.pending_out.is_empty() {
-            unit.pending_out.push_back(msg);
-        } else if let Some(back) =
-            unit.mailbox
-                .try_push_traced(msg, now, comp, sink(&mut self.trace))
-        {
+        if !self.units[u].pending_out.is_empty() {
+            self.units[u].pending_out.push_back(msg);
+        } else if let Some(back) = self.mailbox_push(u, msg, now) {
             // Mailbox full: park the message and stall the core until a
             // gather frees space (Section V-A).
-            unit.pending_out.push_back(back);
+            self.units[u].pending_out.push_back(back);
             self.metrics.inc(self.m.unit_mailbox_stalls);
         }
         self.consider_comm(u, now);
@@ -851,18 +890,13 @@ impl System {
     /// allows; wakes the core when fully drained.
     fn flush_pending_out(&mut self, u: usize) {
         let now = self.q.now();
-        let comp = ComponentId::Unit(u as u32);
-        let unit = &mut self.units[u];
-        while let Some(front) = unit.pending_out.pop_front() {
-            if let Some(back) =
-                unit.mailbox
-                    .try_push_traced(front, now, comp, sink(&mut self.trace))
-            {
-                unit.pending_out.push_front(back);
+        while let Some(front) = self.units[u].pending_out.pop_front() {
+            if let Some(back) = self.mailbox_push(u, front, now) {
+                self.units[u].pending_out.push_front(back);
                 break;
             }
         }
-        if unit.pending_out.is_empty() {
+        if self.units[u].pending_out.is_empty() {
             self.wake_unit(u, now);
         }
     }
@@ -1096,6 +1130,8 @@ impl System {
         let base = r * self.cfg.geometry.units_per_rank() as usize;
         let chips = self.cfg.geometry.chips_per_rank as usize;
         let banks = self.cfg.geometry.banks_per_chip as usize;
+        // One GATHER/SCATTER command moves `G_xfer` from every chip.
+        let burst = chips as u64 * gxfer as u64;
         let fixed_trigger = self.cfg.trigger != TriggerPolicy::Dynamic;
         self.bridges[r].last_round_start = now;
         let mut t = now;
@@ -1116,25 +1152,12 @@ impl System {
             if !wanted {
                 continue;
             }
-            let grant = self.rank_bus[r].reserve_traced(
-                t,
-                (chips as u64) * gxfer as u64,
-                ComponentId::RankBus(r as u32),
-                sink(&mut self.trace),
-            );
+            let grant = self.reserve(ComponentId::RankBus(r as u32), t, burst);
             t = grant.end;
             for u in (0..chips).map(unit_at) {
                 self.metrics.inc(self.m.bridge_gathers);
                 // The bank read of the mailbox region (access arbiter).
-                self.units[u].bank.access_traced(
-                    grant.start,
-                    MAILBOX_ROW,
-                    gxfer,
-                    false,
-                    &self.cfg.timing,
-                    ComponentId::Unit(u as u32),
-                    sink(&mut self.trace),
-                );
+                self.bank_access(u, grant.start, MAILBOX_ROW, gxfer, false);
                 self.charge_comm(CommCause::Gather, gxfer as u64);
                 let mut msgs = std::mem::take(&mut self.msg_scratch);
                 self.units[u].mailbox.drain_up_to_into(gxfer, &mut msgs);
@@ -1166,18 +1189,16 @@ impl System {
                 self.msg_scratch = msgs;
                 self.metrics.add(self.m.bridge_bytes_gathered, gathered);
                 self.charge_sram(SramCause::BridgeGather, gathered);
-                if let Some(tr) = sink(&mut self.trace) {
-                    tr.record(TraceRecord::span(
-                        grant.start,
-                        grant.end - grant.start,
-                        ComponentId::Bridge(r as u32),
-                        TraceEvent::Gather {
-                            bytes: gathered,
-                            msgs: msg_count,
-                            wasted: msg_count == 0,
-                        },
-                    ));
-                }
+                self.record(TraceRecord::span(
+                    grant.start,
+                    grant.end - grant.start,
+                    ComponentId::Bridge(r as u32),
+                    TraceEvent::Gather {
+                        bytes: gathered,
+                        msgs: msg_count,
+                        wasted: msg_count == 0,
+                    },
+                ));
                 // Space freed: unblock a stalled core.
                 if !self.units[u].pending_out.is_empty() {
                     self.flush_pending_out(u);
@@ -1202,12 +1223,7 @@ impl System {
             if !wanted {
                 continue;
             }
-            let grant = self.rank_bus[r].reserve_traced(
-                t,
-                (chips as u64) * gxfer as u64,
-                ComponentId::RankBus(r as u32),
-                sink(&mut self.trace),
-            );
+            let grant = self.reserve(ComponentId::RankBus(r as u32), t, burst);
             t = grant.end;
             for u in (0..chips).map(unit_at) {
                 let local = self.local_index(u);
@@ -1223,27 +1239,17 @@ impl System {
                 self.metrics.add(self.m.bridge_bytes_scattered, bytes);
                 self.charge_sram(SramCause::BridgeScatter, bytes);
                 // Bank write of the delivered messages.
-                self.units[u].bank.access_traced(
-                    grant.start,
-                    BORROW_ROW,
-                    bytes as u32,
-                    true,
-                    &self.cfg.timing,
-                    ComponentId::Unit(u as u32),
-                    sink(&mut self.trace),
-                );
+                self.bank_access(u, grant.start, BORROW_ROW, bytes as u32, true);
                 self.charge_comm(CommCause::Scatter, bytes);
-                if let Some(tr) = sink(&mut self.trace) {
-                    tr.record(TraceRecord::span(
-                        grant.start,
-                        grant.end - grant.start,
-                        ComponentId::Bridge(r as u32),
-                        TraceEvent::Scatter {
-                            bytes,
-                            msgs: msgs.len() as u32,
-                        },
-                    ));
-                }
+                self.record(TraceRecord::span(
+                    grant.start,
+                    grant.end - grant.start,
+                    ComponentId::Bridge(r as u32),
+                    TraceEvent::Scatter {
+                        bytes,
+                        msgs: msgs.len() as u32,
+                    },
+                ));
                 for msg in msgs.drain(..) {
                     self.schedule_delivery(grant.end, u, msg);
                 }
@@ -1289,12 +1295,7 @@ impl System {
         for msg in msgs.drain(..) {
             let dest_rank = self.route_at_host(&msg);
             let bytes = msg.wire_bytes() as u64;
-            let grant = self.link_bus[r].reserve_traced(
-                now,
-                bytes,
-                ComponentId::Link(r as u32),
-                sink(&mut self.trace),
-            );
+            let grant = self.reserve(ComponentId::Link(r as u32), now, bytes);
             self.charge_sram(SramCause::Link, bytes);
             self.schedule_link_delivery(grant.end, dest_rank, msg);
         }
@@ -1392,20 +1393,13 @@ impl System {
         // STATE-GATHER: one 64 B state message per child, all chips in
         // parallel per bank position.
         let state_bytes = 64u64 * n as u64;
-        let grant = self.rank_bus[r].reserve_traced(
-            now,
-            state_bytes,
-            ComponentId::RankBus(r as u32),
-            sink(&mut self.trace),
-        );
-        if let Some(tr) = sink(&mut self.trace) {
-            tr.record(TraceRecord::span(
-                grant.start,
-                grant.end - grant.start,
-                ComponentId::Bridge(r as u32),
-                TraceEvent::StateGather { bytes: state_bytes },
-            ));
-        }
+        let grant = self.reserve(ComponentId::RankBus(r as u32), now, state_bytes);
+        self.record(TraceRecord::span(
+            grant.start,
+            grant.end - grant.start,
+            ComponentId::Bridge(r as u32),
+            TraceEvent::StateGather { bytes: state_bytes },
+        ));
         let mut finished_total = 0u64;
         for i in 0..n {
             let u = base + i;
@@ -1521,16 +1515,14 @@ impl System {
         cross_rank: bool,
     ) {
         self.metrics.inc(self.m.bridge_schedules);
-        if let Some(tr) = sink(&mut self.trace) {
-            tr.record(TraceRecord::instant(
-                now,
-                ComponentId::Bridge(r as u32),
-                TraceEvent::Schedule {
-                    budget,
-                    receivers: receivers.len() as u32,
-                },
-            ));
-        }
+        self.record(TraceRecord::instant(
+            now,
+            ComponentId::Bridge(r as u32),
+            TraceEvent::Schedule {
+                budget,
+                receivers: receivers.len() as u32,
+            },
+        ));
         if self.lb.byte_budget || self.lb.prefer_lent {
             return self.schedule_giver_aware(r, giver, budget, receivers, now, cross_rank);
         }
@@ -1694,18 +1686,16 @@ impl System {
         let recv_id = UnitId(recv_global as u32);
         if !task_only {
             self.metrics.inc(self.m.blocks_migrated);
-            if let Some(tr) = sink(&mut self.trace) {
-                tr.record(TraceRecord::instant(
-                    now,
-                    ComponentId::Bridge(r as u32),
-                    TraceEvent::Migrate {
-                        block: sb.block.0,
-                        from: giver as u32,
-                        to: recv_global as u32,
-                        tasks: sb.tasks.len() as u32,
-                    },
-                ));
-            }
+            self.record(TraceRecord::instant(
+                now,
+                ComponentId::Bridge(r as u32),
+                TraceEvent::Migrate {
+                    block: sb.block.0,
+                    from: giver as u32,
+                    to: recv_global as u32,
+                    tasks: sb.tasks.len() as u32,
+                },
+            ));
             // Metadata at assignment time (step ④).
             if cross_rank {
                 let recv_rank = self.cfg.geometry.rank_of(recv_id);
@@ -1905,12 +1895,7 @@ impl System {
                 .channel_of_rank(ndpb_dram::RankId(r as u32))
                 .index();
             let bytes = self.bridges[r].up_mailbox.bytes_used();
-            let grant = self.channel[ch].reserve_traced(
-                now,
-                bytes,
-                ComponentId::Channel(ch as u32),
-                sink(&mut self.trace),
-            );
+            let grant = self.reserve(ComponentId::Channel(ch as u32), now, bytes);
             t_end = t_end.max(grant.end);
             let mut msgs = std::mem::take(&mut self.msg_scratch);
             self.bridges[r]
@@ -1918,18 +1903,16 @@ impl System {
                 .drain_up_to_into(u32::MAX, &mut msgs);
             self.metrics.add(self.m.host_bytes_gathered, bytes);
             self.charge_sram(SramCause::HostGather, bytes);
-            if let Some(tr) = sink(&mut self.trace) {
-                tr.record(TraceRecord::span(
-                    grant.start,
-                    grant.end - grant.start,
-                    ComponentId::Host,
-                    TraceEvent::Gather {
-                        bytes,
-                        msgs: msgs.len() as u32,
-                        wasted: msgs.is_empty(),
-                    },
-                ));
-            }
+            self.record(TraceRecord::span(
+                grant.start,
+                grant.end - grant.start,
+                ComponentId::Host,
+                TraceEvent::Gather {
+                    bytes,
+                    msgs: msgs.len() as u32,
+                    wasted: msgs.is_empty(),
+                },
+            ));
             for msg in msgs.drain(..) {
                 let dest_rank = self.route_at_host(&msg);
                 self.host.enqueue_scatter(dest_rank, msg);
@@ -1949,27 +1932,20 @@ impl System {
                 .channel_of_rank(ndpb_dram::RankId(r as u32))
                 .index();
             let bytes = self.host.scatter_pending(r);
-            let grant = self.channel[ch].reserve_traced(
-                t,
-                bytes,
-                ComponentId::Channel(ch as u32),
-                sink(&mut self.trace),
-            );
+            let grant = self.reserve(ComponentId::Channel(ch as u32), t, bytes);
             final_end = final_end.max(grant.end);
             let mut msgs = std::mem::take(&mut self.msg_scratch);
             self.host.drain_scatter_into(r, &mut msgs);
             self.metrics.add(self.m.host_bytes_scattered, bytes);
-            if let Some(tr) = sink(&mut self.trace) {
-                tr.record(TraceRecord::span(
-                    grant.start,
-                    grant.end - grant.start,
-                    ComponentId::Host,
-                    TraceEvent::Scatter {
-                        bytes,
-                        msgs: msgs.len() as u32,
-                    },
-                ));
-            }
+            self.record(TraceRecord::span(
+                grant.start,
+                grant.end - grant.start,
+                ComponentId::Host,
+                TraceEvent::Scatter {
+                    bytes,
+                    msgs: msgs.len() as u32,
+                },
+            ));
             // `absorb_at_rank` never touches the host scatter queues, so
             // rejected messages re-enqueue directly in encounter order —
             // same final order the old leftover buffer produced.
@@ -2014,29 +1990,11 @@ impl System {
                     .free_at()
                     .max(self.channel[ch].free_at())
                     .max(now);
-                let cg = self.channel[ch].reserve_traced(
-                    start,
-                    bytes,
-                    ComponentId::Channel(ch as u32),
-                    sink(&mut self.trace),
-                );
-                self.rank_bus[r].reserve_traced(
-                    start,
-                    bytes,
-                    ComponentId::RankBus(r as u32),
-                    sink(&mut self.trace),
-                );
+                let cg = self.reserve(ComponentId::Channel(ch as u32), start, bytes);
+                self.reserve(ComponentId::RankBus(r as u32), start, bytes);
                 t_end = t_end.max(cg.end);
                 for u in (0..chips).map(unit_at) {
-                    self.units[u].bank.access_traced(
-                        cg.start,
-                        MAILBOX_ROW,
-                        gxfer,
-                        false,
-                        &self.cfg.timing,
-                        ComponentId::Unit(u as u32),
-                        sink(&mut self.trace),
-                    );
+                    self.bank_access(u, cg.start, MAILBOX_ROW, gxfer, false);
                     self.charge_comm(CommCause::HostGather, gxfer as u64);
                     let mut msgs = std::mem::take(&mut self.msg_scratch);
                     self.units[u].mailbox.drain_up_to_into(gxfer, &mut msgs);
@@ -2049,18 +2007,16 @@ impl System {
                     }
                     self.msg_scratch = msgs;
                     self.metrics.add(self.m.host_bytes_gathered, gathered);
-                    if let Some(tr) = sink(&mut self.trace) {
-                        tr.record(TraceRecord::span(
-                            cg.start,
-                            cg.end - cg.start,
-                            ComponentId::Host,
-                            TraceEvent::Gather {
-                                bytes: gathered,
-                                msgs: msg_count,
-                                wasted: msg_count == 0,
-                            },
-                        ));
-                    }
+                    self.record(TraceRecord::span(
+                        cg.start,
+                        cg.end - cg.start,
+                        ComponentId::Host,
+                        TraceEvent::Gather {
+                            bytes: gathered,
+                            msgs: msg_count,
+                            wasted: msg_count == 0,
+                        },
+                    ));
                     if !self.units[u].pending_out.is_empty() {
                         self.flush_pending_out(u);
                     }
@@ -2102,41 +2058,21 @@ impl System {
                     .free_at()
                     .max(self.channel[ch].free_at())
                     .max(t);
-                let cg = self.channel[ch].reserve_traced(
-                    start,
-                    bytes,
-                    ComponentId::Channel(ch as u32),
-                    sink(&mut self.trace),
-                );
-                self.rank_bus[r].reserve_traced(
-                    start,
-                    bytes,
-                    ComponentId::RankBus(r as u32),
-                    sink(&mut self.trace),
-                );
+                let cg = self.reserve(ComponentId::Channel(ch as u32), start, bytes);
+                self.reserve(ComponentId::RankBus(r as u32), start, bytes);
                 final_end = final_end.max(cg.end);
                 self.metrics.add(self.m.host_bytes_scattered, bytes);
-                self.units[u].bank.access_traced(
-                    cg.start,
-                    BORROW_ROW,
-                    bytes as u32,
-                    true,
-                    &self.cfg.timing,
-                    ComponentId::Unit(u as u32),
-                    sink(&mut self.trace),
-                );
+                self.bank_access(u, cg.start, BORROW_ROW, bytes as u32, true);
                 self.charge_comm(CommCause::HostScatter, bytes);
-                if let Some(tr) = sink(&mut self.trace) {
-                    tr.record(TraceRecord::span(
-                        cg.start,
-                        cg.end - cg.start,
-                        ComponentId::Host,
-                        TraceEvent::Scatter {
-                            bytes,
-                            msgs: msgs.len() as u32,
-                        },
-                    ));
-                }
+                self.record(TraceRecord::span(
+                    cg.start,
+                    cg.end - cg.start,
+                    ComponentId::Host,
+                    TraceEvent::Scatter {
+                        bytes,
+                        msgs: msgs.len() as u32,
+                    },
+                ));
                 for msg in msgs.drain(..) {
                     self.schedule_delivery(cg.end, u, msg);
                 }
@@ -2498,13 +2434,11 @@ impl System {
         self.harvest_metrics();
         self.metrics.set(self.m.epoch, new_epoch.0 as u64);
         self.metrics.snapshot(format!("epoch-{}", new_epoch.0), now);
-        if let Some(tr) = sink(&mut self.trace) {
-            tr.record(TraceRecord::instant(
-                now,
-                ComponentId::Host,
-                TraceEvent::EpochAdvance { epoch: new_epoch.0 },
-            ));
-        }
+        self.record(TraceRecord::instant(
+            now,
+            ComponentId::Host,
+            TraceEvent::EpochAdvance { epoch: new_epoch.0 },
+        ));
         if self.cfg.audit.at_epochs() {
             self.run_audit(&format!("epoch-{}", new_epoch.0));
         }
@@ -2529,11 +2463,10 @@ impl System {
         if self.cfg.audit.at_end() {
             self.run_audit("final");
         }
-        let trace = self
-            .trace
-            .take()
-            .map(|mut s| s.take_records())
-            .unwrap_or_default();
+        let (trace, trace_dropped) = match self.trace.take() {
+            Some(mut ring) => (ring.take_records(), ring.dropped()),
+            None => (Vec::new(), 0),
+        };
         let comm_dram_bytes = self.metrics.get(self.m.comm_dram_bytes);
         let sram_staged_bytes = self.metrics.get(self.m.sram_staged_bytes);
         let wait_fraction = if makespan == SimTime::ZERO {
@@ -2592,6 +2525,7 @@ impl System {
             per_unit_busy,
             metrics: self.metrics.into_report(),
             trace,
+            trace_dropped,
             profile,
         }
     }
@@ -2787,7 +2721,7 @@ mod tests {
         cfg.seed = 5;
         let map = AddressMap::new(&cfg.geometry, cfg.g_xfer, cfg.timing.row_bytes);
         let mut s = System::new(cfg, DesignPoint::O, Box::new(Fan { map }));
-        s.set_trace(Box::new(ndpb_trace::RingRecorder::new(1 << 16)));
+        s.set_trace(RingRecorder::new(1 << 16));
         let r = s.run();
         assert_eq!(r.tasks_executed, 16);
         let names: std::collections::HashSet<&str> =
@@ -2824,6 +2758,98 @@ mod tests {
         let json = ndpb_trace::chrome_trace_string(&r.trace);
         assert!(json.starts_with("{\"displayTimeUnit\""));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
+    }
+
+    // ---- traced hardware actions -------------------------------------------
+
+    /// A system with a trace ring attached, for the record-site tests.
+    fn traced(design: DesignPoint) -> System {
+        let mut s = sys(design);
+        s.set_trace(RingRecorder::new(64));
+        s
+    }
+
+    fn records(s: &mut System) -> Vec<TraceRecord> {
+        s.trace.as_mut().expect("trace attached").take_records()
+    }
+
+    #[test]
+    fn bank_spans_record_activations_only_over_the_access_window() {
+        let mut s = traced(DesignPoint::B);
+        let t = SimTime::ZERO;
+        let cold = s.bank_access(4, t, 3, 64, false);
+        let hit = s.bank_access(4, cold.end, 3, 64, false);
+        let conflict = s.bank_access(4, hit.end, 9, 64, true);
+        assert!(cold.activated && !hit.activated && conflict.activated);
+        let out = records(&mut s);
+        assert_eq!(out.len(), 2, "the row hit is not recorded: {out:?}");
+        for (rec, (a, row, write)) in out.iter().zip([(cold, 3, false), (conflict, 9, true)]) {
+            assert_eq!(rec.comp, ComponentId::Unit(4));
+            assert_eq!(rec.event, TraceEvent::BankActivate { row, write });
+            assert_eq!((rec.at, rec.dur), (a.start, a.end - a.start));
+        }
+        // Untraced, the same access records nothing and times the same.
+        let mut plain = sys(DesignPoint::B);
+        assert_eq!(plain.bank_access(4, t, 3, 64, false), cold);
+        assert!(plain.trace.is_none());
+    }
+
+    #[test]
+    fn bus_spans_cover_exactly_the_granted_window() {
+        let mut s = traced(DesignPoint::B);
+        let first = s.reserve(ComponentId::RankBus(1), SimTime::ZERO, 100);
+        let queued = s.reserve(ComponentId::RankBus(1), SimTime::ZERO, 100);
+        let channel = s.reserve(ComponentId::Channel(0), SimTime::from_ticks(5), 8);
+        assert_eq!(queued.start, first.end, "the second transfer waits");
+        assert_eq!(s.rank_bus[1].bytes, 200);
+        assert_eq!(s.rank_bus[0].bytes, 0, "only the named bus is reserved");
+        assert_eq!(s.channel[0].bytes, 8);
+        let out = records(&mut s);
+        assert_eq!(out.len(), 3);
+        for (rec, (comp, g, bytes)) in out.iter().zip([
+            (ComponentId::RankBus(1), first, 100),
+            (ComponentId::RankBus(1), queued, 100),
+            (ComponentId::Channel(0), channel, 8),
+        ]) {
+            assert_eq!(rec.comp, comp);
+            assert_eq!(rec.event, TraceEvent::BusTransfer { bytes });
+            assert_eq!((rec.at, rec.dur), (g.start, g.end - g.start));
+        }
+    }
+
+    #[test]
+    fn mailbox_full_is_recorded_once_per_stall_episode() {
+        let mut s = traced(DesignPoint::B);
+        // Unit 0's mailbox holds exactly one task message.
+        s.units[0].mailbox = ndpb_proto::Mailbox::new(24);
+        let msg = |s: &System, i: u64| Message::Task(task_on(s, 7, 64 * i), None);
+        let full_events = |s: &mut System| {
+            records(s)
+                .iter()
+                .filter(|r| r.event.name() == "mailbox-full")
+                .count()
+        };
+        for episode in 0..2 {
+            let m = msg(&s, 2 * episode);
+            s.emit_message(0, m, SimTime::ZERO);
+            let m = msg(&s, 2 * episode + 1);
+            s.emit_message(0, m, SimTime::ZERO);
+            assert_eq!(s.units[0].pending_out.len(), 1, "the core stalls");
+            // The stalled core retries on every wake; none of the
+            // retries is a new episode.
+            for _ in 0..5 {
+                s.on_core_wake(0);
+            }
+            assert_eq!(s.units[0].pending_out.len(), 1);
+            assert_eq!(full_events(&mut s), 1, "episode {episode}");
+            // A gather frees space: the parked message goes through and
+            // the next rejection opens a new episode.
+            s.units[0].mailbox.drain_up_to(u32::MAX);
+            s.flush_pending_out(0);
+            assert!(s.units[0].pending_out.is_empty());
+            s.units[0].mailbox.drain_up_to(u32::MAX);
+        }
+        assert_eq!(s.metrics.get(s.m.unit_mailbox_stalls), 2 + 2 * 5);
     }
 
     // ---- conservation audit ----------------------------------------------

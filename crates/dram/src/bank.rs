@@ -9,7 +9,6 @@
 //! price hits, closed-bank activations and row conflicts.
 
 use ndpb_sim::SimTime;
-use ndpb_trace::{ComponentId, TraceEvent, TraceRecord, TraceSink};
 
 use crate::timing::DramTiming;
 
@@ -94,54 +93,10 @@ impl BankModel {
         }
     }
 
-    /// [`access`](Self::access) with a trace hook: when `trace` is
-    /// `Some` and the access opened a row, emits a
-    /// [`TraceEvent::BankActivate`] span covering the service window.
-    /// Only activations are recorded (row hits are the common case and
-    /// would dominate the ring buffer); with tracing off the extra cost
-    /// is the single `Option` branch.
-    #[allow(clippy::too_many_arguments)]
-    pub fn access_traced(
-        &mut self,
-        now: SimTime,
-        row: u64,
-        bytes: u32,
-        write: bool,
-        timing: &DramTiming,
-        comp: ComponentId,
-        trace: Option<&mut dyn TraceSink>,
-    ) -> BankAccess {
-        let a = self.access(now, row, bytes, write, timing);
-        if let Some(t) = trace {
-            if a.activated {
-                t.record(TraceRecord::span(
-                    a.start,
-                    a.end - a.start,
-                    comp,
-                    TraceEvent::BankActivate { row, write },
-                ));
-            }
-        }
-        a
-    }
-
     /// Precharges the bank (closes the open row); used when RowClone
     /// transfers reset row state.
     pub fn precharge(&mut self) {
         self.open_row = None;
-    }
-
-    /// [`precharge`](Self::precharge) with a trace hook.
-    pub fn precharge_traced(
-        &mut self,
-        now: SimTime,
-        comp: ComponentId,
-        trace: Option<&mut dyn TraceSink>,
-    ) {
-        self.precharge();
-        if let Some(t) = trace {
-            t.record(TraceRecord::instant(now, comp, TraceEvent::BankPrecharge));
-        }
     }
 }
 
@@ -199,32 +154,6 @@ mod tests {
         // Read then read: no penalty.
         let r2 = b.access(r.end, 1, 64, false, &t());
         assert_eq!(r2.start, r.end);
-    }
-
-    #[test]
-    fn traced_access_records_activations_only() {
-        use ndpb_trace::RingRecorder;
-        let mut b = BankModel::new();
-        let mut rec = RingRecorder::new(16);
-        let comp = ComponentId::Unit(4);
-        // Cold row: activation recorded.
-        let a = b.access_traced(SimTime::ZERO, 3, 64, false, &t(), comp, Some(&mut rec));
-        // Row hit: nothing recorded.
-        b.access_traced(a.end, 3, 64, false, &t(), comp, Some(&mut rec));
-        // Tracing off: one branch, no record even on conflict.
-        b.access_traced(a.end, 9, 64, false, &t(), comp, None);
-        let out = rec.take_records();
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].comp, comp);
-        assert!(matches!(
-            out[0].event,
-            TraceEvent::BankActivate {
-                row: 3,
-                write: false
-            }
-        ));
-        assert_eq!(out[0].at, a.start);
-        assert_eq!(out[0].dur, a.end - a.start);
     }
 
     #[test]

@@ -15,7 +15,6 @@
 //! event schedules.
 
 use ndpb_sim::SimTime;
-use ndpb_trace::{ComponentId, TraceEvent, TraceRecord, TraceSink};
 
 /// A shared, serializing link with a fixed data rate.
 ///
@@ -95,28 +94,6 @@ impl Bus {
         BusGrant { start, end }
     }
 
-    /// [`reserve`](Self::reserve) with a trace hook: when `trace` is
-    /// `Some`, emits a [`TraceEvent::BusTransfer`] span over the granted
-    /// window. With tracing off the extra cost is one `Option` branch.
-    pub fn reserve_traced(
-        &mut self,
-        now: SimTime,
-        bytes: u64,
-        comp: ComponentId,
-        trace: Option<&mut dyn TraceSink>,
-    ) -> BusGrant {
-        let g = self.reserve(now, bytes);
-        if let Some(t) = trace {
-            t.record(TraceRecord::span(
-                g.start,
-                g.end - g.start,
-                comp,
-                TraceEvent::BusTransfer { bytes },
-            ));
-        }
-        g
-    }
-
     /// When the link next becomes idle.
     pub fn free_at(&self) -> SimTime {
         self.free_at
@@ -166,22 +143,5 @@ mod tests {
     #[should_panic(expected = "positive bandwidth")]
     fn zero_bandwidth_panics() {
         Bus::new(0);
-    }
-
-    #[test]
-    fn traced_reserve_records_window() {
-        use ndpb_trace::RingRecorder;
-        let mut bus = Bus::new(8);
-        let mut rec = RingRecorder::new(4);
-        let g = bus.reserve_traced(SimTime::ZERO, 10, ComponentId::RankBus(2), Some(&mut rec));
-        bus.reserve_traced(g.end, 10, ComponentId::RankBus(2), None);
-        let out = rec.take_records();
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].at, g.start);
-        assert_eq!(out[0].dur, g.end - g.start);
-        assert!(matches!(
-            out[0].event,
-            TraceEvent::BusTransfer { bytes: 10 }
-        ));
     }
 }

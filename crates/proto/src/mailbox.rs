@@ -8,9 +8,6 @@
 
 use std::collections::VecDeque;
 
-use ndpb_sim::SimTime;
-use ndpb_trace::{ComponentId, TraceEvent, TraceRecord, TraceSink};
-
 use crate::message::Message;
 
 /// A bounded FIFO of outgoing messages, accounted in wire bytes.
@@ -36,9 +33,8 @@ pub struct Mailbox {
     peak_bytes: u64,
     /// Count of enqueues rejected because the region was full.
     stalls: u64,
-    /// Latch for the full-mailbox trace event: set on the first rejected
-    /// enqueue of a full episode, cleared when space frees. Keeps the
-    /// traced paths from emitting one event per retry.
+    /// Set by the first rejected enqueue of a full episode, cleared when
+    /// space frees (see [`full_latched`](Self::full_latched)).
     full_latched: bool,
 }
 
@@ -70,45 +66,6 @@ impl Mailbox {
         self.queue.push_back(msg);
         self.full_latched = false;
         None
-    }
-
-    /// [`try_push`](Self::try_push) with a trace hook: emits
-    /// [`TraceEvent::MailboxEnqueue`] on success, and on failure a
-    /// [`TraceEvent::MailboxFull`] — but only for the *first* rejection
-    /// of a full episode (latched until space frees), so one stall
-    /// produces exactly one event no matter how often it is retried.
-    pub fn try_push_traced(
-        &mut self,
-        msg: Message,
-        now: SimTime,
-        comp: ComponentId,
-        trace: Option<&mut dyn TraceSink>,
-    ) -> Option<Message> {
-        let was_latched = self.full_latched;
-        let needed = msg.wire_bytes();
-        let res = self.try_push(msg);
-        if let Some(t) = trace {
-            match &res {
-                None => t.record(TraceRecord::instant(
-                    now,
-                    comp,
-                    TraceEvent::MailboxEnqueue {
-                        bytes: needed,
-                        used: self.used_bytes,
-                    },
-                )),
-                Some(_) if !was_latched => t.record(TraceRecord::instant(
-                    now,
-                    comp,
-                    TraceEvent::MailboxFull {
-                        needed,
-                        used: self.used_bytes,
-                    },
-                )),
-                Some(_) => {}
-            }
-        }
-        res
     }
 
     /// Pops messages from the head until up to `budget_bytes` have been
@@ -162,6 +119,13 @@ impl Mailbox {
     /// Number of rejected enqueues.
     pub fn stalls(&self) -> u64 {
         self.stalls
+    }
+
+    /// Whether a full episode is open: an enqueue was rejected and no
+    /// enqueue has succeeded, nor a drain freed space, since. A caller
+    /// that notes stalls once per episode reads this *before* pushing.
+    pub fn full_latched(&self) -> bool {
+        self.full_latched
     }
 
     /// Number of queued messages.

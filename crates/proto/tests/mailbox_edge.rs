@@ -1,11 +1,10 @@
 //! Mailbox edge cases: ring wrap-around accounting, enqueue-on-full
-//! backpressure, and the once-per-stall `mailbox-full` trace latch.
+//! backpressure, and the full-episode latch behind the once-per-stall
+//! `mailbox-full` trace event.
 
 use ndpb_dram::{BlockAddr, DataAddr};
 use ndpb_proto::{DataMessage, Mailbox, Message};
-use ndpb_sim::SimTime;
 use ndpb_tasks::{Task, TaskArgs, TaskFnId, Timestamp};
-use ndpb_trace::{ComponentId, RingRecorder, TraceEvent, TraceSink};
 
 fn task_msg() -> Message {
     Message::Task(
@@ -99,94 +98,46 @@ fn enqueue_on_full_backpressure_preserves_state() {
     assert_eq!(mb.len(), 1);
 }
 
-fn count_events(recs: &[ndpb_trace::TraceRecord], name: &str) -> usize {
-    recs.iter().filter(|r| r.event.name() == name).count()
-}
-
-/// The traced enqueue path must emit `mailbox-full` exactly once per
-/// contiguous full episode — retries while still full stay silent, and
-/// only a drain re-arms the latch for the next episode.
+/// The latch opens on the first rejection of a full episode and stays
+/// open across retries while still full; only freed space closes it, so
+/// a caller that reads it before pushing sees each episode's first
+/// rejection exactly once.
 #[test]
-fn full_event_emitted_once_per_stall_episode() {
+fn full_latch_holds_for_one_stall_episode() {
     let msg_sz = task_msg().wire_bytes() as u64;
     let mut mb = Mailbox::new(msg_sz);
-    let mut rec = RingRecorder::new(64);
-    let comp = ComponentId::Unit(7);
-    let t = |ticks| SimTime::from_ticks(ticks);
+    assert!(!mb.full_latched());
+    assert!(mb.try_push(task_msg()).is_none());
+    assert!(!mb.full_latched(), "a successful push leaves it closed");
 
-    assert!(mb
-        .try_push_traced(task_msg(), t(0), comp, Some(&mut rec))
-        .is_none());
-    // First rejection of the episode: one mailbox-full event...
-    assert!(mb
-        .try_push_traced(task_msg(), t(1), comp, Some(&mut rec))
-        .is_some());
-    // ...retries while still full add nothing.
-    assert!(mb
-        .try_push_traced(task_msg(), t(2), comp, Some(&mut rec))
-        .is_some());
-    assert!(mb
-        .try_push_traced(task_msg(), t(3), comp, Some(&mut rec))
-        .is_some());
-    let recs = rec.take_records();
-    assert_eq!(count_events(&recs, "mailbox-enqueue"), 1);
-    assert_eq!(count_events(&recs, "mailbox-full"), 1, "{recs:?}");
+    assert!(mb.try_push(task_msg()).is_some());
+    assert!(mb.full_latched(), "the first rejection opens the episode");
+    for _ in 0..2 {
+        assert!(mb.try_push(task_msg()).is_some());
+        assert!(mb.full_latched(), "a retry while full stays in the episode");
+    }
     assert_eq!(mb.stalls(), 3, "every retry still counts as a stall");
 
-    // Draining ends the episode; the next full period emits exactly one
-    // more event.
+    // Draining ends the episode; the next rejection opens a new one.
     assert_eq!(mb.drain_up_to(u32::MAX).len(), 1);
-    assert!(mb
-        .try_push_traced(task_msg(), t(4), comp, Some(&mut rec))
-        .is_none());
-    assert!(mb
-        .try_push_traced(task_msg(), t(5), comp, Some(&mut rec))
-        .is_some());
-    assert!(mb
-        .try_push_traced(task_msg(), t(6), comp, Some(&mut rec))
-        .is_some());
-    let recs = rec.take_records();
-    assert_eq!(count_events(&recs, "mailbox-full"), 1);
-    let full = recs
-        .iter()
-        .find(|r| r.event.name() == "mailbox-full")
-        .unwrap();
-    assert_eq!(full.at.ticks(), 5, "event stamps the first rejection");
-    match full.event {
-        TraceEvent::MailboxFull { needed, used } => {
-            assert_eq!(needed, task_msg().wire_bytes());
-            assert_eq!(used, msg_sz);
-        }
-        other => panic!("wrong payload {other:?}"),
-    }
+    assert!(!mb.full_latched());
+    assert!(mb.try_push(task_msg()).is_none());
+    assert!(mb.try_push(task_msg()).is_some());
+    assert!(mb.full_latched());
 }
 
-/// A successful enqueue also clears the latch (space may be freed by the
-/// consumer side between retries), so the next full period is a new
-/// episode even without an intervening drain call.
+/// A successful enqueue also closes the latch, even without a drain in
+/// between: a rejected large message followed by a small one that fits
+/// ends the episode, so the next rejection opens a new one.
 #[test]
 fn successful_push_rearms_full_latch() {
     let msg_sz = task_msg().wire_bytes() as u64;
-    let mut mb = Mailbox::new(msg_sz);
-    let mut rec = RingRecorder::new(64);
-    let comp = ComponentId::Bridge(0);
-    let t = |ticks| SimTime::from_ticks(ticks);
-
-    assert!(mb
-        .try_push_traced(task_msg(), t(0), comp, Some(&mut rec))
-        .is_none());
-    assert!(mb
-        .try_push_traced(task_msg(), t(1), comp, Some(&mut rec))
-        .is_some());
-    mb.drain_up_to(u32::MAX);
-    // Episode 2: fill, reject.
-    assert!(mb
-        .try_push_traced(task_msg(), t(2), comp, Some(&mut rec))
-        .is_none());
-    assert!(mb
-        .try_push_traced(task_msg(), t(3), comp, Some(&mut rec))
-        .is_some());
-    let recs = rec.take_records();
-    assert_eq!(count_events(&recs, "mailbox-full"), 2);
-    assert_eq!(count_events(&recs, "mailbox-enqueue"), 2);
+    let mut mb = Mailbox::new(2 * msg_sz);
+    assert!(mb.try_push(task_msg()).is_none());
+    assert!(mb.try_push(data_msg(4 * msg_sz as u32, 1)).is_some());
+    assert!(mb.full_latched());
+    assert!(mb.try_push(task_msg()).is_none(), "the small message fits");
+    assert!(!mb.full_latched(), "a successful push ends the episode");
+    assert!(mb.try_push(task_msg()).is_some());
+    assert!(mb.full_latched(), "a new episode opens");
 }

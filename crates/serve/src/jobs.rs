@@ -167,11 +167,11 @@ impl RunRequest {
 }
 
 /// The rendezvous for one in-flight (or already-served) point: filled
-/// with the result's JSON exactly once, then read by every job that
-/// attached to it.
+/// exactly once with the result's JSON, or the message its simulation
+/// failed with, then read by every job that attached to it.
 #[derive(Debug, Default)]
 pub struct PointCell {
-    result: Mutex<Option<String>>,
+    outcome: Mutex<Option<Result<String, String>>>,
     done: Condvar,
 }
 
@@ -179,33 +179,39 @@ impl PointCell {
     /// A cell already holding `json` (cache fast path).
     pub fn ready(json: String) -> Arc<Self> {
         let cell = PointCell::default();
-        *cell.result.lock().unwrap_or_else(|e| e.into_inner()) = Some(json);
+        cell.fill(Ok(json));
         Arc::new(cell)
     }
 
     /// Fills the cell and wakes blocked waiters. Filling twice is a
     /// logic error upstream (each key has one owner).
-    pub fn fill(&self, json: String) {
-        let mut g = self.result.lock().unwrap_or_else(|e| e.into_inner());
+    pub fn fill(&self, outcome: Result<String, String>) {
+        let mut g = self.outcome.lock().unwrap_or_else(|e| e.into_inner());
         debug_assert!(g.is_none(), "point cell filled twice");
-        *g = Some(json);
+        *g = Some(outcome);
         self.done.notify_all();
     }
 
-    /// The result, if the point has completed.
-    pub fn peek(&self) -> Option<String> {
-        self.result
+    /// The outcome, if the point has finished.
+    pub fn peek(&self) -> Option<Result<String, String>> {
+        self.outcome
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .clone()
     }
 
-    /// Blocks until the cell is filled and returns the result.
-    pub fn wait(&self) -> String {
-        let mut g = self.result.lock().unwrap_or_else(|e| e.into_inner());
+    /// `None` while the point is pending, else whether it succeeded.
+    fn succeeded(&self) -> Option<bool> {
+        let g = self.outcome.lock().unwrap_or_else(|e| e.into_inner());
+        g.as_ref().map(Result::is_ok)
+    }
+
+    /// Blocks until the cell is filled and returns the outcome.
+    pub fn wait(&self) -> Result<String, String> {
+        let mut g = self.outcome.lock().unwrap_or_else(|e| e.into_inner());
         loop {
-            if let Some(json) = g.as_ref() {
-                return json.clone();
+            if let Some(outcome) = g.as_ref() {
+                return outcome.clone();
             }
             g = self.done.wait(g).unwrap_or_else(|e| e.into_inner());
         }
@@ -221,14 +227,17 @@ pub struct Job {
 }
 
 impl Job {
-    /// `queued` / `running` / `done` for `GET /job/{id}`: `done` once
-    /// every cell is filled, `running` once any is (progress exists),
-    /// `queued` before that.
+    /// `queued` / `running` / `done` / `failed` for `GET /job/{id}`:
+    /// `failed` as soon as any point failed (the job can no longer
+    /// finish), else `done` once every cell is filled, `running` once
+    /// any is (progress exists), `queued` before that.
     pub fn status(&self) -> &'static str {
-        let filled = self.cells.iter().filter(|c| c.peek().is_some()).count();
-        if filled == self.cells.len() {
+        let states: Vec<Option<bool>> = self.cells.iter().map(|c| c.succeeded()).collect();
+        if states.contains(&Some(false)) {
+            "failed"
+        } else if states.iter().all(Option::is_some) {
             "done"
-        } else if filled > 0 {
+        } else if states.iter().any(Option::is_some) {
             "running"
         } else {
             "queued"
@@ -236,22 +245,52 @@ impl Job {
     }
 
     /// Renders the job document. `results` appears only when done, as
-    /// an array of `RunResult` JSON documents in point order.
+    /// an array of `RunResult` JSON documents in point order; a failed
+    /// job carries its first failed point's message as `error`.
     pub fn to_json(&self, id: u64) -> String {
-        let status = self.status();
-        if status != "done" {
-            return format!(
-                "{{\"id\":{id},\"status\":\"{status}\",\"points\":{}}}",
-                self.cells.len()
-            );
+        let points = self.cells.len();
+        match self.status() {
+            "done" => {
+                let results: Vec<String> =
+                    self.cells.iter().filter_map(|c| c.wait().ok()).collect();
+                format!(
+                    "{{\"id\":{id},\"status\":\"done\",\"points\":{points},\"results\":[{}]}}",
+                    results.join(",")
+                )
+            }
+            "failed" => {
+                let error = self
+                    .cells
+                    .iter()
+                    .find_map(|c| c.peek()?.err())
+                    .unwrap_or_default();
+                format!(
+                    "{{\"id\":{id},\"status\":\"failed\",\"points\":{points},\"error\":\"{}\"}}",
+                    escape_json(&error)
+                )
+            }
+            status => format!("{{\"id\":{id},\"status\":\"{status}\",\"points\":{points}}}"),
         }
-        let results: Vec<String> = self.cells.iter().map(|c| c.wait()).collect();
-        format!(
-            "{{\"id\":{id},\"status\":\"done\",\"points\":{},\"results\":[{}]}}",
-            self.cells.len(),
-            results.join(",")
-        )
     }
+}
+
+/// Escapes `s` for use inside a JSON string literal. Panic messages
+/// can span lines (an audit failure lists its violations), and a raw
+/// newline would also split a line-protocol reply.
+pub(crate) fn escape_json(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if c.is_control() => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 /// The in-flight dedup table: point key → the cell its simulation will
@@ -351,13 +390,37 @@ mod tests {
             cells: vec![a.clone(), b.clone()],
         };
         assert_eq!(job.status(), "queued");
-        a.fill("{\"x\":1}".to_string());
+        a.fill(Ok("{\"x\":1}".to_string()));
         assert_eq!(job.status(), "running");
-        b.fill("{\"y\":2}".to_string());
+        b.fill(Ok("{\"y\":2}".to_string()));
         assert_eq!(job.status(), "done");
         assert_eq!(
             job.to_json(7),
             "{\"id\":7,\"status\":\"done\",\"points\":2,\"results\":[{\"x\":1},{\"y\":2}]}"
+        );
+    }
+
+    #[test]
+    fn a_failed_point_fails_the_job_with_its_message() {
+        let a = Arc::new(PointCell::default());
+        let b = Arc::new(PointCell::default());
+        let job = Job {
+            cells: vec![a.clone(), b.clone()],
+        };
+        b.fill(Err(
+            "simulation panicked: audit\n  \"law\" broke".to_string()
+        ));
+        assert_eq!(job.status(), "failed", "a failed point fails the job early");
+        a.fill(Ok("{\"x\":1}".to_string()));
+        let doc = job.to_json(3);
+        assert_eq!(
+            doc,
+            "{\"id\":3,\"status\":\"failed\",\"points\":2,\"error\":\"simulation panicked: audit\\n  \\\"law\\\" broke\"}"
+        );
+        let j = Json::parse(&doc).expect("valid JSON");
+        assert_eq!(
+            j.str_field("error"),
+            Some("simulation panicked: audit\n  \"law\" broke")
         );
     }
 
@@ -369,8 +432,8 @@ mod tests {
             std::thread::spawn(move || cell.wait())
         };
         std::thread::sleep(std::time::Duration::from_millis(10));
-        cell.fill("{}".to_string());
-        assert_eq!(waiter.join().unwrap(), "{}");
-        assert_eq!(cell.peek(), Some("{}".to_string()));
+        cell.fill(Ok("{}".to_string()));
+        assert_eq!(waiter.join().unwrap(), Ok("{}".to_string()));
+        assert_eq!(cell.peek(), Some(Ok("{}".to_string())));
     }
 }

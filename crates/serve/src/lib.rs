@@ -21,6 +21,9 @@
 //!   pool workers store results on disk *before* completing a point, so
 //!   every submitted key is obtainable from exactly one of
 //!   {in-flight table, cache}.
+//! * A **failed** point (its simulation panicked) leaves the in-flight
+//!   table without a cache entry, so a later request re-runs it; every
+//!   job attached to it reports `"status":"failed"` with the message.
 //!
 //! Endpoints: `POST /run`, `GET /job/{id}`, `GET /metrics`,
 //! `GET /healthz`, `POST /shutdown`. The same port speaks a one-line
@@ -42,7 +45,7 @@ use std::time::Duration;
 use ndpb_bench::{SweepPoint, Sweeper};
 
 use http::Request;
-use jobs::{Job, PointCell, RunRequest};
+use jobs::{escape_json, Job, PointCell, RunRequest};
 
 /// Tunables for [`Server::bind`].
 #[derive(Debug, Clone)]
@@ -106,6 +109,8 @@ pub struct State {
     last_events: AtomicU64,
     last_wall_ns: AtomicU64,
     completed: AtomicU64,
+    /// Points whose simulation panicked.
+    failed: AtomicU64,
     shutdown: AtomicBool,
 }
 
@@ -130,6 +135,7 @@ impl State {
             last_events: AtomicU64::new(0),
             last_wall_ns: AtomicU64::new(0),
             completed: AtomicU64::new(0),
+            failed: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
         })
     }
@@ -176,14 +182,19 @@ impl State {
             self.rejected.fetch_add(1, Ordering::SeqCst);
             return (503, err_body("shutting down"));
         }
-        let req = match RunRequest::parse(body) {
-            Ok(r) => r,
+        match RunRequest::parse(body) {
+            Ok(req) => self.admit(req.points()),
             Err(e) => {
                 self.rejected.fetch_add(1, Ordering::SeqCst);
-                return (400, err_body(&e));
+                (400, err_body(&e))
             }
-        };
-        let points = req.points();
+        }
+    }
+
+    /// The post-parse half of `POST /run`: point budget, then per point
+    /// the dedup table, the cache, or a fresh pool submission, and the
+    /// queue bound over the fresh ones.
+    fn admit(self: &Arc<Self>, points: Vec<SweepPoint>) -> (u16, String) {
         if points.len() > self.max_points {
             self.rejected.fetch_add(1, Ordering::SeqCst);
             return (
@@ -240,19 +251,28 @@ impl State {
                 let state = Arc::clone(self);
                 let submitted = std::time::Instant::now();
                 // One lightweight waiter per unique point bridges the
-                // pool's ticket to every job attached to the cell.
+                // pool's ticket to every job attached to the cell, and
+                // releases the key whether the simulation succeeded or
+                // panicked.
                 thread::spawn(move || {
-                    let result = ticket.wait();
-                    let wall = submitted.elapsed();
-                    state.last_events.store(result.events, Ordering::SeqCst);
-                    state
-                        .last_wall_ns
-                        .store(wall.as_nanos() as u64, Ordering::SeqCst);
-                    state.completed.fetch_add(1, Ordering::SeqCst);
-                    let json = result.to_json();
+                    let outcome = match ticket.wait() {
+                        Ok(result) => {
+                            let wall = submitted.elapsed();
+                            state.last_events.store(result.events, Ordering::SeqCst);
+                            state
+                                .last_wall_ns
+                                .store(wall.as_nanos() as u64, Ordering::SeqCst);
+                            state.completed.fetch_add(1, Ordering::SeqCst);
+                            Ok(result.to_json())
+                        }
+                        Err(msg) => {
+                            state.failed.fetch_add(1, Ordering::SeqCst);
+                            Err(msg)
+                        }
+                    };
                     {
                         let mut inflight = state.inflight.lock().unwrap_or_else(|e| e.into_inner());
-                        cell.fill(json);
+                        cell.fill(outcome);
                         inflight.remove(&key);
                     }
                     state.in_flight.fetch_sub(1, Ordering::SeqCst);
@@ -297,13 +317,14 @@ impl State {
             0.0
         };
         format!(
-            "{{\"server\":{{\"accepted\":{},\"rejected\":{},\"deduped\":{},\"cache_hits\":{},\"in_flight\":{},\"completed\":{}}},\"last_run\":{{\"events\":{},\"wall_ns\":{},\"events_per_sec\":{:.1}}},\"sweep\":{}}}",
+            "{{\"server\":{{\"accepted\":{},\"rejected\":{},\"deduped\":{},\"cache_hits\":{},\"in_flight\":{},\"completed\":{},\"failed\":{}}},\"last_run\":{{\"events\":{},\"wall_ns\":{},\"events_per_sec\":{:.1}}},\"sweep\":{}}}",
             self.accepted.load(Ordering::SeqCst),
             self.rejected.load(Ordering::SeqCst),
             self.deduped.load(Ordering::SeqCst),
             self.cache_hits.load(Ordering::SeqCst),
             self.in_flight.load(Ordering::SeqCst),
             self.completed.load(Ordering::SeqCst),
+            self.failed.load(Ordering::SeqCst),
             last_events,
             last_wall_ns,
             eps,
@@ -323,10 +344,7 @@ impl State {
 }
 
 fn err_body(msg: &str) -> String {
-    format!(
-        "{{\"error\":\"{}\"}}",
-        msg.replace('\\', "\\\\").replace('"', "\\\"")
-    )
+    format!("{{\"error\":\"{}\"}}", escape_json(msg))
 }
 
 /// A bound, not-yet-running server.
@@ -532,7 +550,7 @@ mod tests {
         );
 
         // Filling the shared cell completes the attached job.
-        cell.fill("{\"fake\":true}".to_string());
+        cell.fill(Ok("{\"fake\":true}".to_string()));
         let (status, body) = state.dispatch("GET", "/job/1", "");
         assert_eq!(status, 200);
         assert_eq!(
@@ -606,6 +624,7 @@ mod tests {
             "cache_hits",
             "in_flight",
             "completed",
+            "failed",
         ] {
             assert_eq!(server.u64_field(k), Some(0), "{k}");
         }
@@ -643,5 +662,71 @@ mod tests {
             Some(1),
             "{doc}"
         );
+    }
+
+    /// Polls `GET /job/{id}` until its status leaves queued/running.
+    fn settled_job(state: &Arc<State>, id: u64) -> String {
+        let deadline = std::time::Instant::now() + Duration::from_secs(120);
+        loop {
+            let (status, body) = state.dispatch("GET", &format!("/job/{id}"), "");
+            assert_eq!(status, 200, "{body}");
+            if !body.contains("\"status\":\"queued\"") && !body.contains("\"status\":\"running\"") {
+                return body;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "job {id} never settled: {body}"
+            );
+            thread::sleep(Duration::from_millis(10));
+        }
+    }
+
+    #[test]
+    fn a_panicking_simulation_fails_its_job_and_releases_its_slot() {
+        // One worker and one queue slot: the valid point can only be
+        // admitted, and run, once the failed one has let go of both.
+        let state = State::new(&ServerConfig {
+            port: 0,
+            jobs: 1,
+            cache_dir: None,
+            max_queue: 1,
+            max_points: 8,
+        });
+        let point = |app: &str| {
+            SweepPoint::new(
+                app,
+                Column::Ndp(DesignPoint::C),
+                ndpb_core::config::SystemConfig::table1(),
+                Scale::Tiny,
+            )
+        };
+        let (status, body) = state.admit(vec![point("no-such-app")]);
+        assert_eq!(status, 200, "{body}");
+        let doc = settled_job(&state, 1);
+        let j = ndpb_bench::json::Json::parse(&doc).expect("valid JSON");
+        assert_eq!(j.str_field("status"), Some("failed"), "{doc}");
+        let error = j.str_field("error").expect("error message");
+        assert!(
+            error.contains("simulation panicked") && error.contains("unknown application"),
+            "{error}"
+        );
+
+        let (status, body) = state.admit(vec![point("ll")]);
+        assert_eq!(
+            status, 200,
+            "the failed point must free its queue slot: {body}"
+        );
+        let doc = settled_job(&state, 2);
+        assert!(doc.contains("\"status\":\"done\""), "{doc}");
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        while state.in_flight() > 0 {
+            assert!(std::time::Instant::now() < deadline, "in_flight stuck");
+            thread::sleep(Duration::from_millis(10));
+        }
+        let m = ndpb_bench::json::Json::parse(&state.metrics_json()).expect("valid JSON");
+        let server = m.get("server").expect("server block");
+        assert_eq!(server.u64_field("failed"), Some(1));
+        assert_eq!(server.u64_field("completed"), Some(1));
+        assert_eq!(server.u64_field("in_flight"), Some(0));
     }
 }

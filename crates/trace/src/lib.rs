@@ -11,9 +11,10 @@
 //!   bridge GATHER/SCATTER/STATE-GATHER/SCHEDULE rounds, mailbox
 //!   enqueue/full, task execution, migrations, epoch barriers), each
 //!   stamped with a [`SimTime`](ndpb_sim::SimTime) and a [`ComponentId`].
-//! * [`sink`] — the [`TraceSink`] trait with a bounded [`RingRecorder`]
-//!   and a [`NullSink`]. Hot paths take `Option<&mut dyn TraceSink>`, so
-//!   a disabled trace costs exactly one branch per hook.
+//! * [`sink`] — the bounded [`RingRecorder`]. `ndpb-core`'s `System`
+//!   is the only component that records: it knows every component's
+//!   id, and with no recorder attached each record site costs one
+//!   branch. The DRAM, bus and mailbox models stay trace-free.
 //! * [`chrome`] — a hand-rolled (serde-free) Chrome `trace_event` JSON
 //!   writer; the output opens directly in `chrome://tracing` or
 //!   [Perfetto](https://ui.perfetto.dev).
@@ -35,4 +36,4 @@ pub mod sink;
 pub use chrome::{chrome_trace_string, write_chrome_trace};
 pub use event::{ComponentId, TraceEvent, TraceRecord};
 pub use metrics::{MetricId, MetricsRegistry, MetricsReport, MetricsSnapshot, SharedMetrics};
-pub use sink::{NullSink, RingRecorder, TraceSink};
+pub use sink::RingRecorder;

@@ -1,57 +1,12 @@
-//! Trace sinks: where hot-path hooks deposit [`TraceRecord`]s.
+//! The bounded trace recorder the simulator deposits
+//! [`TraceRecord`]s into.
 //!
-//! Hook sites throughout the simulator take `Option<&mut dyn TraceSink>`
-//! and pass `None` when tracing is off, so the disabled cost is a single
-//! discriminant branch — no virtual call, no allocation.
+//! `ndpb-core`'s `System` holds an `Option<RingRecorder>` and is the
+//! only caller of [`RingRecorder::record`]: with no recorder attached a
+//! record site costs one `Option` branch.
 
 use crate::event::TraceRecord;
 use std::collections::VecDeque;
-
-/// A destination for trace records.
-///
-/// Implementations must be cheap per [`record`](TraceSink::record) call:
-/// the simulator can emit millions of events per run.
-///
-/// `Send` is a supertrait so a `System` holding a boxed sink stays
-/// `Send`: the sweep engine moves whole simulations onto worker
-/// threads. Sinks are still driven by exactly one simulation at a time,
-/// so `Sync` is not required.
-pub trait TraceSink: Send {
-    /// Whether this sink actually stores anything. Callers holding a
-    /// sink by `&mut dyn` may skip building expensive payloads when this
-    /// returns `false`.
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    /// Deposit one record.
-    fn record(&mut self, rec: TraceRecord);
-
-    /// Drain everything recorded so far, in arrival order.
-    fn take_records(&mut self) -> Vec<TraceRecord>;
-
-    /// How many records were offered but not kept (bounded sinks).
-    fn dropped(&self) -> u64 {
-        0
-    }
-}
-
-/// A sink that discards everything. Exists so APIs that *require* a sink
-/// can still run untraced.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    fn record(&mut self, _rec: TraceRecord) {}
-
-    fn take_records(&mut self) -> Vec<TraceRecord> {
-        Vec::new()
-    }
-}
 
 /// A bounded ring-buffer recorder: keeps the **most recent** `capacity`
 /// records, counting (not storing) older overflow. Bounded so a traced
@@ -74,24 +29,8 @@ impl RingRecorder {
         }
     }
 
-    /// Records currently held.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True if nothing has been recorded (or everything drained).
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// The configured bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-}
-
-impl TraceSink for RingRecorder {
-    fn record(&mut self, rec: TraceRecord) {
+    /// Deposits one record, evicting the oldest when full.
+    pub fn record(&mut self, rec: TraceRecord) {
         if self.buf.len() == self.capacity {
             self.buf.pop_front();
             self.dropped += 1;
@@ -99,11 +38,13 @@ impl TraceSink for RingRecorder {
         self.buf.push_back(rec);
     }
 
-    fn take_records(&mut self) -> Vec<TraceRecord> {
+    /// Drains everything held, oldest first.
+    pub fn take_records(&mut self) -> Vec<TraceRecord> {
         self.buf.drain(..).collect()
     }
 
-    fn dropped(&self) -> u64 {
+    /// How many records were evicted to stay within the bound.
+    pub fn dropped(&self) -> u64 {
         self.dropped
     }
 }
@@ -123,35 +64,24 @@ mod tests {
     }
 
     #[test]
-    fn null_sink_is_disabled_and_empty() {
-        let mut s = NullSink;
-        assert!(!s.enabled());
-        s.record(rec(1));
-        assert!(s.take_records().is_empty());
-        assert_eq!(s.dropped(), 0);
-    }
-
-    #[test]
     fn ring_keeps_most_recent_and_counts_drops() {
         let mut r = RingRecorder::new(3);
-        assert!(r.enabled());
         for t in 0..10 {
             r.record(rec(t));
         }
-        assert_eq!(r.len(), 3);
         assert_eq!(r.dropped(), 7);
         let out = r.take_records();
         let ticks: Vec<u64> = out.iter().map(|x| x.at.ticks()).collect();
         assert_eq!(ticks, vec![7, 8, 9]);
-        assert!(r.is_empty());
+        assert!(r.take_records().is_empty(), "taking drains the ring");
     }
 
     #[test]
     fn zero_capacity_clamps_to_one() {
         let mut r = RingRecorder::new(0);
-        assert_eq!(r.capacity(), 1);
         r.record(rec(1));
         r.record(rec(2));
         assert_eq!(r.take_records().len(), 1);
+        assert_eq!(r.dropped(), 1);
     }
 }

@@ -15,16 +15,21 @@
 //!
 //! The reference documents live in `tests/golden/*.json` in the result
 //! cache's codec (floats stored by bit pattern, so the comparison is
-//! exact, not epsilon-based).
+//! exact, not epsilon-based). `tests/golden/traces_tiny.txt` pins the
+//! event trace of four instrumented runs the same way.
 
+use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use ndpbridge::bench::cache::{decode_result, encode_result};
-use ndpbridge::bench::{Column, SweepPoint, Sweeper};
+use ndpbridge::bench::{run_traced, Column, SweepPoint, Sweeper};
 use ndpbridge::core::config::SystemConfig;
 use ndpbridge::core::design::DesignPoint;
 use ndpbridge::core::RunResult;
 use ndpbridge::dram::Geometry;
+use ndpbridge::sim::Fnv1a64;
+use ndpbridge::trace::chrome_trace_string;
 use ndpbridge::workloads::Scale;
 
 /// The reference configuration: 2 ranks (128 units), fixed seed — big
@@ -232,4 +237,75 @@ fn golden_references_are_exact_roundtrips() {
             path.display()
         );
     }
+}
+
+/// The instrumented runs whose traces are pinned, at Tiny on Table I.
+/// Together they reach every record site: the bridge designs' rounds,
+/// load balancing and epochs (`pr`/O), RowClone precharges and the
+/// host's direct rounds (`tree`/R), mailbox-full stalls under a 1 kB
+/// mailbox (`wcc`/O), and DIMM-Link transfers (`pr`/O).
+fn trace_runs() -> [(&'static str, DesignPoint, &'static str, SystemConfig); 4] {
+    let mut small_mailbox = SystemConfig::table1();
+    small_mailbox.mailbox_bytes = 1024;
+    [
+        ("pr", DesignPoint::O, "table1", SystemConfig::table1()),
+        ("tree", DesignPoint::R, "table1", SystemConfig::table1()),
+        ("wcc", DesignPoint::O, "mailbox_bytes=1024", small_mailbox),
+        (
+            "pr",
+            DesignPoint::O,
+            "dimm_link",
+            SystemConfig::table1().with_dimm_link(),
+        ),
+    ]
+}
+
+/// One run's block of the trace reference: the record count, the
+/// FNV-1a of its Chrome export, and the record count per (event,
+/// component kind).
+fn trace_block(app: &str, design: DesignPoint, label: &str, cfg: SystemConfig) -> String {
+    let r = run_traced(app, design, cfg, Scale::Tiny, 1 << 22);
+    let mut h = Fnv1a64::new();
+    h.write_str(&chrome_trace_string(&r.trace));
+    let mut counts: BTreeMap<(&str, &str), u64> = BTreeMap::new();
+    for rec in &r.trace {
+        *counts
+            .entry((rec.event.name(), rec.comp.kind_name()))
+            .or_insert(0) += 1;
+    }
+    let mut out = format!(
+        "run {app} {design} {label}: {} records, chrome fnv1a {:016x}\n",
+        r.trace.len(),
+        h.finish()
+    );
+    for ((event, kind), n) in counts {
+        writeln!(out, "  {event} {kind} {n}").unwrap();
+    }
+    out
+}
+
+#[test]
+fn traces_match_golden_reference() {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/traces_tiny.txt");
+    let fresh: String = trace_runs()
+        .into_iter()
+        .map(|(app, design, label, cfg)| trace_block(app, design, label, cfg))
+        .collect();
+    if std::env::var_os("UPDATE_GOLDEN").is_some_and(|v| v == "1") {
+        std::fs::write(&path, &fresh).unwrap();
+        eprintln!("updated {}", path.display());
+        return;
+    }
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing trace reference {} ({e}); regenerate with UPDATE_GOLDEN=1 cargo test --test golden_runs",
+            path.display()
+        )
+    });
+    assert!(
+        fresh == golden,
+        "trace drift vs {} (if intentional, regenerate with UPDATE_GOLDEN=1 \
+         cargo test --test golden_runs and commit):\n--- golden\n{golden}--- fresh\n{fresh}",
+        path.display()
+    );
 }
