@@ -51,6 +51,25 @@ cmp "$SMOKE_DIR/j1.txt" "$SMOKE_DIR/j2.txt"
 cmp "$SMOKE_DIR/j1.txt" "$SMOKE_DIR/warm.txt"
 grep -q "8 cache hits, 0 simulated" "$SMOKE_DIR/warm.err"
 
+echo "== repro all smoke: every figure through the one pool, --jobs invisible =="
+# Every table and figure of the FIGURES table runs through the resident
+# pool; two worker counts must print byte-identical output.
+ALL_ARGS=(all --tiny --apps tree,spmv --no-cache)
+"$REPRO" "${ALL_ARGS[@]}" --jobs 1 > "$SMOKE_DIR/all1.txt" 2>/dev/null
+"$REPRO" "${ALL_ARGS[@]}" --jobs 2 > "$SMOKE_DIR/all2.txt" 2>/dev/null
+cmp "$SMOKE_DIR/all1.txt" "$SMOKE_DIR/all2.txt"
+
+echo "== repro usage smoke: a bad argument exits 2 before simulating =="
+# An unknown app must be rejected by the parser (exit 2, naming it), not
+# panic inside a sweep worker.
+if "$REPRO" fig10 --tiny --apps nope > /dev/null 2> "$SMOKE_DIR/usage.err"; then
+    echo "repro accepted an unknown app"; exit 1
+else
+    RC=$?
+fi
+[ "$RC" -eq 2 ] || { echo "unknown app exited $RC, expected 2"; exit 1; }
+grep -q '"nope"' "$SMOKE_DIR/usage.err"
+
 echo "== repro audit smoke: conservation laws under --audit =="
 # A fully-audited sweep (every epoch checks message conservation,
 # toArrive balance, dataBorrowed inclusivity, ledger totals, bus

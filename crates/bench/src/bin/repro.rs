@@ -26,9 +26,11 @@
 //! subcommand additionally prints the per-cause traffic-ledger
 //! breakdown for designs B and W.
 //!
-//! Simulations fan out over the sweep engine: `--jobs N` bounds the
-//! worker pool (default: all hardware threads) and results are merged
-//! deterministically, so any `--jobs` value prints identical output.
+//! Simulations fan out over the sweep engine: `--jobs N` sizes its
+//! resident worker pool (default: all hardware threads) and results are
+//! merged deterministically, so any `--jobs` value prints identical
+//! output. An unknown option or `--apps` name exits 2 with the usage
+//! line before anything is simulated.
 //! Results are cached under `target/repro-cache` (override with
 //! `--cache-dir`, disable with `--no-cache`); a warm rerun simulates
 //! nothing — the stderr sweep summary shows the hit/miss counters.
@@ -45,7 +47,7 @@ use ndpb_core::design::DesignPoint;
 use ndpb_core::result::geomean;
 use ndpb_dram::Geometry;
 use ndpb_sketch::SketchConfig;
-use ndpb_workloads::{Scale, APP_NAMES};
+use ndpb_workloads::{known_app, Scale, APP_NAMES};
 
 struct Opts {
     scale: Scale,
@@ -86,114 +88,97 @@ struct Opts {
 }
 
 fn parse_opts(args: &[String]) -> Opts {
-    let mut scale = Scale::Small;
-    let mut scale_explicit = false;
-    let mut apps: Vec<String> = APP_NAMES.iter().map(|s| s.to_string()).collect();
-    let mut reps = None;
-    let mut quick = false;
-    let mut json = None;
-    let mut trace = None;
-    let mut metrics_json = None;
-    let mut jobs = None;
-    let mut cache_dir = None;
-    let mut no_cache = false;
-    let mut audit = false;
-    let mut steal_budget = None;
-    let mut small_tier = false;
-    let mut profile = false;
-    let mut full_tier = false;
-    let mut port = 7878u16;
-    let mut max_queue = 256usize;
-    let mut max_points = 64usize;
+    let mut o = Opts {
+        scale: Scale::Small,
+        scale_explicit: false,
+        apps: APP_NAMES.iter().map(|s| s.to_string()).collect(),
+        json: None,
+        trace: None,
+        metrics_json: None,
+        jobs: None,
+        cache_dir: None,
+        no_cache: false,
+        audit: false,
+        steal_budget: None,
+        small_tier: false,
+        reps: None,
+        profile: false,
+        full_tier: false,
+        quick: false,
+        port: 7878,
+        max_queue: 256,
+        max_points: 64,
+    };
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--tiny" => (scale, scale_explicit) = (Scale::Tiny, true),
-            "--small" => (scale, scale_explicit) = (Scale::Small, true),
-            "--full" => (scale, scale_explicit) = (Scale::Full, true),
+            "--tiny" => (o.scale, o.scale_explicit) = (Scale::Tiny, true),
+            "--small" => (o.scale, o.scale_explicit) = (Scale::Small, true),
+            "--full" => (o.scale, o.scale_explicit) = (Scale::Full, true),
             "--apps" => {
-                if let Some(list) = it.next() {
-                    apps = list.split(',').map(str::to_string).collect();
+                o.apps = value(&mut it, a).split(',').map(str::to_string).collect();
+                if let Some(bad) = o.apps.iter().find(|app| !known_app(app)) {
+                    usage_error(&format!("unknown app {bad:?} in --apps"));
                 }
             }
-            "--json" => json = it.next().cloned(),
-            "--trace" => trace = it.next().cloned(),
-            "--metrics-json" => metrics_json = it.next().cloned(),
-            "--jobs" => {
-                jobs = it.next().and_then(|v| v.parse().ok());
-                if jobs.is_none() {
-                    eprintln!("--jobs expects a worker count, e.g. --jobs 8");
-                    std::process::exit(2);
-                }
-            }
-            "--cache-dir" => cache_dir = it.next().cloned(),
-            "--no-cache" => no_cache = true,
-            "--audit" => audit = true,
+            "--json" => o.json = Some(value(&mut it, a).to_string()),
+            "--trace" => o.trace = Some(value(&mut it, a).to_string()),
+            "--metrics-json" => o.metrics_json = Some(value(&mut it, a).to_string()),
+            "--jobs" => o.jobs = Some(number(&mut it, a, "a worker count, e.g. --jobs 8")),
+            "--cache-dir" => o.cache_dir = Some(value(&mut it, a).to_string()),
+            "--no-cache" => o.no_cache = true,
+            "--audit" => o.audit = true,
             "--steal-budget" => {
-                steal_budget = it.next().and_then(|v| v.parse().ok());
+                o.steal_budget = Some(number(
+                    &mut it,
+                    a,
+                    "a G_xfer multiple, e.g. --steal-budget 2",
+                ));
             }
-            "--small-tier" => small_tier = true,
-            "--profile" => profile = true,
-            "--full-tier" => full_tier = true,
-            "--reps" => {
-                reps = it.next().and_then(|v| v.parse().ok());
-                if reps.is_none() {
-                    eprintln!("--reps expects a count, e.g. --reps 5");
-                    std::process::exit(2);
-                }
-            }
-            "--quick" => quick = true,
-            "--port" => {
-                port = match it.next().and_then(|v| v.parse().ok()) {
-                    Some(p) => p,
-                    None => {
-                        eprintln!("--port expects a TCP port, e.g. --port 7878");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--max-queue" => {
-                max_queue = match it.next().and_then(|v| v.parse().ok()) {
-                    Some(n) => n,
-                    None => {
-                        eprintln!("--max-queue expects a count, e.g. --max-queue 256");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--max-points" => {
-                max_points = match it.next().and_then(|v| v.parse().ok()) {
-                    Some(n) => n,
-                    None => {
-                        eprintln!("--max-points expects a count, e.g. --max-points 64");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            _ => {}
+            "--small-tier" => o.small_tier = true,
+            "--profile" => o.profile = true,
+            "--full-tier" => o.full_tier = true,
+            "--reps" => o.reps = Some(number(&mut it, a, "a count, e.g. --reps 5")),
+            "--quick" => o.quick = true,
+            "--port" => o.port = number(&mut it, a, "a TCP port, e.g. --port 7878"),
+            "--max-queue" => o.max_queue = number(&mut it, a, "a count, e.g. --max-queue 256"),
+            "--max-points" => o.max_points = number(&mut it, a, "a count, e.g. --max-points 64"),
+            other => usage_error(&format!("unknown option {other:?}")),
         }
     }
-    Opts {
-        scale,
-        scale_explicit,
-        apps,
-        json,
-        trace,
-        metrics_json,
-        jobs,
-        cache_dir,
-        no_cache,
-        audit,
-        steal_budget,
-        small_tier,
-        reps,
-        quick,
-        profile,
-        full_tier,
-        port,
-        max_queue,
-        max_points,
+    o
+}
+
+/// The argument after option `flag`.
+fn value<'a>(it: &mut std::slice::Iter<'a, String>, flag: &str) -> &'a str {
+    match it.next() {
+        Some(v) => v,
+        None => usage_error(&format!("{flag} expects a value")),
     }
+}
+
+/// The argument after option `flag`, parsed; `what` describes it.
+fn number<T: std::str::FromStr>(
+    it: &mut std::slice::Iter<'_, String>,
+    flag: &str,
+    what: &str,
+) -> T {
+    value(it, flag)
+        .parse()
+        .unwrap_or_else(|_| usage_error(&format!("{flag} expects {what}")))
+}
+
+/// Reports a command-line mistake with the usage line and exits 2,
+/// before anything is simulated.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}");
+    let commands: Vec<&str> = FIGURES
+        .iter()
+        .map(|&(name, _)| name)
+        .chain(["audit", "gather", "bench", "serve", "trace", "all"])
+        .collect();
+    eprintln!("usage: repro <{}> [--tiny|--small|--full] [--apps a,b,c] [--jobs N] [--cache-dir path] [--no-cache] [--audit] [--steal-budget N] [--json path] [--trace path] [--metrics-json path] [--reps N] [--quick] [--small-tier] [--profile] [--full-tier] [--port N] [--max-queue N] [--max-points N]", commands.join("|"));
+    std::process::exit(2);
 }
 
 /// `repro serve`: run the resident simulation service (see
@@ -406,7 +391,7 @@ fn fig2(o: &Opts) {
     let m = run_matrix(
         &["tree"],
         &[Column::Ndp(DesignPoint::C)],
-        SystemConfig::table1,
+        SystemConfig::table1(),
         o.scale,
     );
     let r = &m[0][0];
@@ -427,34 +412,33 @@ fn fig10(o: &Opts) {
         .iter()
         .map(|&d| Column::Ndp(d))
         .collect();
-    let m = run_matrix(&apps, &cols, SystemConfig::table1, o.scale);
+    let m = run_matrix(&apps, &cols, SystemConfig::table1(), o.scale);
     dump_json(o, &m);
     print!("{}", format_speedup_table(&apps, &cols, &m));
     println!("\nbalance (avg unit time / total, paper: B 22.4%, W 47.0%, O 59.0%):");
-    print!("{:<8}", "app");
-    for c in &cols {
-        print!("{:>10}", c.label());
-    }
-    println!();
-    for (i, app) in apps.iter().enumerate() {
-        print!("{app:<8}");
-        for row in &m[i][..cols.len()] {
-            print!("{:>9.1}%", row.balance * 100.0);
-        }
-        println!();
-    }
+    print_per_app(&apps, &cols, &m, |r| format!("{:>9.1}%", r.balance * 100.0));
     println!("\nwait fraction of total time (paper: C large, B 1.4%, W 18.6%, O 10.0%):");
+    print_per_app(&apps, &cols, &m, |r| {
+        format!("{:>9.1}%", r.wait_fraction * 100.0)
+    });
+}
+
+/// Prints a column-labelled table with one row per app, formatting each
+/// of the app's results with `cell`.
+fn print_per_app(
+    apps: &[&str],
+    cols: &[Column],
+    m: &[Vec<ndpb_core::RunResult>],
+    cell: impl Fn(&ndpb_core::RunResult) -> String,
+) {
     print!("{:<8}", "app");
-    for c in &cols {
+    for c in cols {
         print!("{:>10}", c.label());
     }
     println!();
-    for (i, app) in apps.iter().enumerate() {
-        print!("{app:<8}");
-        for row in &m[i][..cols.len()] {
-            print!("{:>9.1}%", row.wait_fraction * 100.0);
-        }
-        println!();
+    for (app, row) in apps.iter().zip(m) {
+        let cells: String = row.iter().map(&cell).collect();
+        println!("{app:<8}{cells}");
     }
 }
 
@@ -469,7 +453,7 @@ fn fig11(o: &Opts) {
         Column::Ndp(DesignPoint::B),
         Column::Ndp(DesignPoint::O),
     ];
-    let m = run_matrix(&apps, &cols, SystemConfig::table1, o.scale);
+    let m = run_matrix(&apps, &cols, SystemConfig::table1(), o.scale);
     print!("{}", format_speedup_table(&apps, &cols, &m));
     println!(
         "\nO over H: {:.2}x   R over C: {:.2}x   B over R: {:.2}x   O over R: {:.2}x",
@@ -492,27 +476,16 @@ fn fig12(o: &Opts) {
         "{:<8}{:>10}{:>10}{:>10}{:>10}   (makespan us; speedup vs C-at-64-units)",
         "units", "C", "B", "W", "O"
     );
-    let mut base: Option<f64> = None;
     for ranks in [1u32, 2, 4, 8, 16] {
-        let geom = Geometry::with_total_ranks(ranks);
-        let units = geom.total_units();
-        let m = run_matrix(
-            &["pr"],
-            &cols,
-            || SystemConfig::with_geometry(Geometry::with_total_ranks(ranks)),
-            o.scale,
-        );
-        let c0 = m[0][0].makespan.as_ns() / 1000.0;
-        if base.is_none() {
-            base = Some(c0);
-        }
+        let cfg = SystemConfig::with_geometry(Geometry::with_total_ranks(ranks));
+        let units = cfg.geometry.total_units();
+        let m = run_matrix(&["pr"], &cols, cfg, o.scale);
         print!("{units:<8}");
         for cell in &m[0][..4] {
             print!("{:>10.1}", cell.makespan.as_ns() / 1000.0);
         }
         println!();
     }
-    let _ = base;
 }
 
 fn fig13(o: &Opts) {
@@ -523,7 +496,7 @@ fn fig13(o: &Opts) {
         .iter()
         .map(|&d| Column::Ndp(d))
         .collect();
-    let m = run_matrix(&apps, &cols, SystemConfig::table1, o.scale);
+    let m = run_matrix(&apps, &cols, SystemConfig::table1(), o.scale);
     println!(
         "{:<8}{:<8}{:>12}{:>12}{:>12}{:>12}{:>12}",
         "app", "design", "core+sram", "dram-local", "dram-comm", "static", "total(uJ)"
@@ -563,7 +536,7 @@ fn fig14a(o: &Opts) {
         Column::Ndp(DesignPoint::WHot),
         Column::Ndp(DesignPoint::O),
     ];
-    let m = run_matrix(&apps, &cols, SystemConfig::table1, o.scale);
+    let m = run_matrix(&apps, &cols, SystemConfig::table1(), o.scale);
     print!("{}", format_speedup_table(&apps, &cols, &m));
 }
 
@@ -580,12 +553,11 @@ fn fig14b(o: &Opts) {
     let mut results = Vec::new();
     for (label, pol) in policies {
         let m = run_matrix(
-            &app_refs(o),
+            &apps,
             &[Column::Ndp(DesignPoint::O)],
-            move || {
-                let mut c = SystemConfig::table1();
-                c.trigger = pol;
-                c
+            SystemConfig {
+                trigger: pol,
+                ..SystemConfig::table1()
             },
             o.scale,
         );
@@ -627,7 +599,7 @@ fn fig15(o: &Opts) {
         let m = run_matrix(
             &apps,
             &cols,
-            move || SystemConfig::with_geometry(Geometry::with_dq_bits(dq)),
+            SystemConfig::with_geometry(Geometry::with_dq_bits(dq)),
             o.scale,
         );
         println!(
@@ -657,10 +629,9 @@ fn fig16a(o: &Opts) {
             let m = run_matrix(
                 &apps,
                 &[Column::Ndp(DesignPoint::O)],
-                move || {
-                    let mut c = SystemConfig::table1().scale_metadata(meta);
-                    c.g_xfer = gx;
-                    c
+                SystemConfig {
+                    g_xfer: gx,
+                    ..SystemConfig::table1().scale_metadata(meta)
                 },
                 o.scale,
             );
@@ -696,17 +667,16 @@ fn fig16b(o: &Opts) {
     let base = run_matrix(
         &apps,
         &[Column::Ndp(DesignPoint::O)],
-        SystemConfig::table1,
+        SystemConfig::table1(),
         o.scale,
     );
     for i_state in [500u64, 1000, 2000, 4000, 8000] {
         let m = run_matrix(
             &apps,
             &[Column::Ndp(DesignPoint::O)],
-            move || {
-                let mut c = SystemConfig::table1();
-                c.i_state_cycles = i_state;
-                c
+            SystemConfig {
+                i_state_cycles: i_state,
+                ..SystemConfig::table1()
             },
             o.scale,
         );
@@ -732,21 +702,21 @@ fn fig16cd(o: &Opts, buckets: bool) {
     let base = run_matrix(
         &apps,
         &[Column::Ndp(DesignPoint::O)],
-        SystemConfig::table1,
+        SystemConfig::table1(),
         o.scale,
     );
     for k in [4usize, 8, 16, 32] {
+        let sketch = if buckets {
+            SketchConfig::with_geometry(k, 16)
+        } else {
+            SketchConfig::with_geometry(16, k)
+        };
         let m = run_matrix(
             &apps,
             &[Column::Ndp(DesignPoint::O)],
-            move || {
-                let mut c = SystemConfig::table1();
-                c.sketch = if buckets {
-                    SketchConfig::with_geometry(k, 16)
-                } else {
-                    SketchConfig::with_geometry(16, k)
-                };
-                c
+            SystemConfig {
+                sketch,
+                ..SystemConfig::table1()
             },
             o.scale,
         );
@@ -764,13 +734,13 @@ fn split_dimm(o: &Opts) {
     let unified = run_matrix(
         &apps,
         &[Column::Ndp(DesignPoint::O)],
-        SystemConfig::table1,
+        SystemConfig::table1(),
         o.scale,
     );
     let split = run_matrix(
         &apps,
         &[Column::Ndp(DesignPoint::O)],
-        || SystemConfig::with_geometry(Geometry::split_dimm_buffer()),
+        SystemConfig::with_geometry(Geometry::split_dimm_buffer()),
         o.scale,
     );
     let perf: Vec<f64> = (0..apps.len())
@@ -794,13 +764,13 @@ fn dimm_link(o: &Opts) {
     let base = run_matrix(
         &apps,
         &[Column::Ndp(DesignPoint::O)],
-        SystemConfig::table1,
+        SystemConfig::table1(),
         o.scale,
     );
     let linked = run_matrix(
         &apps,
         &[Column::Ndp(DesignPoint::O)],
-        || SystemConfig::table1().with_dimm_link(),
+        SystemConfig::table1().with_dimm_link(),
         o.scale,
     );
     println!(
@@ -824,10 +794,8 @@ fn dimm_link(o: &Opts) {
 
 /// `repro bench`: wall-clock benchmark of the simulation engine itself.
 ///
-/// Runs the fig10-style sweep (all apps × the six golden-column
-/// designs C/B/W/O/H/R) `reps` times per design — sequentially,
-/// bypassing the result cache so every run is a real simulation — and
-/// reports the median wall seconds and events/sec per design. Writes
+/// Times the fig10-style sweep (all apps × the six golden-column
+/// designs C/B/W/O/H/R) with [`time_tier`] and writes
 /// `BENCH_repro.json` (or `--json path`) for machine consumption.
 /// Defaults to `--tiny` so a full bench stays in seconds.
 fn bench_engine(o: &Opts) {
@@ -847,88 +815,18 @@ fn bench_engine(o: &Opts) {
         Column::Ndp(DesignPoint::R),
     ];
     println!(
-        "== engine bench: {} apps x {} designs, {} rep(s), scale {:?} ==",
+        "== engine bench: {} apps x {} designs, {} rep(s), scale {:?} ==\n",
         apps.len(),
         cols.len(),
         reps,
         scale
     );
-    let mut walls: Vec<Vec<f64>> = vec![Vec::new(); cols.len()];
-    let mut events: Vec<u64> = vec![0; cols.len()];
-    for rep in 0..reps {
-        for (ci, col) in cols.iter().enumerate() {
-            let start = std::time::Instant::now();
-            let mut ev = 0u64;
-            for app in &apps {
-                let r = match col {
-                    Column::Ndp(d) => ndpb_bench::run_one(app, *d, SystemConfig::table1(), scale),
-                    Column::Host => ndpb_bench::run_host(app, SystemConfig::table1(), scale),
-                };
-                ev += r.events;
-            }
-            walls[ci].push(start.elapsed().as_secs_f64());
-            // Simulations are deterministic: the event count per design
-            // must not vary across reps.
-            if rep == 0 {
-                events[ci] = ev;
-            } else {
-                assert_eq!(events[ci], ev, "nondeterministic event count for {col:?}");
-            }
-        }
-    }
-    println!(
-        "\n{:<8}{:>12}{:>14}{:>16}",
-        "design", "events", "median s", "events/sec"
-    );
-    let mut rows = Vec::new();
-    let mut stat_rows: Vec<(String, u64, f64)> = Vec::new();
-    let mut total_events = 0u64;
-    let mut total_median = 0.0;
-    for (ci, col) in cols.iter().enumerate() {
-        let med = ndpb_bench::timing::median(&walls[ci]);
-        let eps = if med > 0.0 {
-            events[ci] as f64 / med
-        } else {
-            0.0
-        };
-        println!(
-            "{:<8}{:>12}{:>14.4}{:>16.0}",
-            col.label(),
-            events[ci],
-            med,
-            eps
-        );
-        total_events += events[ci];
-        total_median += med;
-        stat_rows.push((col.label(), events[ci], eps));
-        let wall_list = walls[ci]
-            .iter()
-            .map(|w| format!("{w:.6}"))
-            .collect::<Vec<_>>()
-            .join(",");
-        rows.push(format!(
-            "{{\"design\":\"{}\",\"events\":{},\"wall_seconds\":[{}],\"median_wall_seconds\":{:.6},\"events_per_sec\":{:.1}}}",
-            col.label(),
-            events[ci],
-            wall_list,
-            med,
-            eps
-        ));
-    }
-    let total_eps = if total_median > 0.0 {
-        total_events as f64 / total_median
-    } else {
-        0.0
-    };
-    println!(
-        "{:<8}{:>12}{:>14.4}{:>16.0}",
-        "total", total_events, total_median, total_eps
-    );
+    let tier = time_tier(&apps, &cols, scale, reps);
+    let mut sections = vec![tier.json];
     // --small-tier: the Small-scale gather-traffic tier (ROADMAP item
     // 1 acceptance: W+GA moves >= 2x fewer gather bytes than W with
     // makespan no worse). One pass per design — the numbers recorded
     // are deterministic byte counts and makespans, not wall times.
-    let mut small_tier_json = String::new();
     if o.small_tier {
         let tier_cols = [DesignPoint::W, DesignPoint::WGather];
         let mut tier_rows = Vec::new();
@@ -982,10 +880,10 @@ fn bench_engine(o: &Opts) {
                 }
             }
         }
-        small_tier_json = format!(
-            "\"small_tier\":{{\"scale\":\"Small\",\"designs\":[\n{}\n],\"gather_reduction_x\":{reduction:.3},\"speedup_x\":{perf:.4}}},",
+        sections.push(format!(
+            "\"small_tier\":{{\"scale\":\"Small\",\"designs\":[\n{}\n],\"gather_reduction_x\":{reduction:.3},\"speedup_x\":{perf:.4}}}",
             tier_rows.join(",\n")
-        );
+        ));
     }
     // --profile: one extra profiled pass per design, run *after* the
     // timing reps so the profiler's clock reads never contaminate the
@@ -993,7 +891,6 @@ fn bench_engine(o: &Opts) {
     // finalize, plus the same-tick run-length histogram that shows what
     // batched dispatch is fusing (DESIGN.md §3c).
     let mut profile_rows: Vec<(String, ndpb_core::result::ProfileStats)> = Vec::new();
-    let mut profile_json = String::new();
     if o.profile {
         println!(
             "\n{:<8}{:>9}{:>10}{:>11}{:>11}{:>12}   (profiled pass)",
@@ -1040,14 +937,13 @@ fn bench_engine(o: &Opts) {
             .map(|(l, v)| format!("{l}:{:.1}%", 100.0 * v as f64 / total_batches as f64))
             .collect();
         println!("events-per-pop histogram  {}", line.join("  "));
-        profile_json = format!("\"profile\":[\n{}\n],", agg_rows.join(",\n"));
+        sections.push(format!("\"profile\":[\n{}\n]", agg_rows.join(",\n")));
     }
     // --full-tier: the first Scale::Full per-design tier. Full runs
     // cost minutes, not milliseconds, so the rep count is budgeted
     // (default 1 with --quick, else 2) — the numbers are a trajectory
     // marker, not a micro-benchmark.
-    let mut full_rows: Vec<(String, u64, f64)> = Vec::new();
-    let mut full_json = String::new();
+    let mut full_rows = Vec::new();
     if o.full_tier {
         let full_reps = if o.quick { 1 } else { 2 };
         println!(
@@ -1056,101 +952,107 @@ fn bench_engine(o: &Opts) {
             cols.len(),
             full_reps
         );
-        let mut fwalls: Vec<Vec<f64>> = vec![Vec::new(); cols.len()];
-        let mut fevents: Vec<u64> = vec![0; cols.len()];
-        for rep in 0..full_reps {
-            for (ci, col) in cols.iter().enumerate() {
-                let start = std::time::Instant::now();
-                let mut ev = 0u64;
-                for app in &apps {
-                    let r = match col {
-                        Column::Ndp(d) => {
-                            ndpb_bench::run_one(app, *d, SystemConfig::table1(), Scale::Full)
-                        }
-                        Column::Host => {
-                            ndpb_bench::run_host(app, SystemConfig::table1(), Scale::Full)
-                        }
-                    };
-                    ev += r.events;
-                }
-                fwalls[ci].push(start.elapsed().as_secs_f64());
-                if rep == 0 {
-                    fevents[ci] = ev;
-                } else {
-                    assert_eq!(fevents[ci], ev, "nondeterministic event count for {col:?}");
-                }
-            }
-        }
-        println!(
-            "{:<8}{:>12}{:>14}{:>16}",
-            "design", "events", "median s", "events/sec"
-        );
-        let mut frows = Vec::new();
-        let (mut ftotal_events, mut ftotal_median) = (0u64, 0.0f64);
-        for (ci, col) in cols.iter().enumerate() {
-            let med = ndpb_bench::timing::median(&fwalls[ci]);
-            let eps = if med > 0.0 {
-                fevents[ci] as f64 / med
-            } else {
-                0.0
-            };
-            println!(
-                "{:<8}{:>12}{:>14.4}{:>16.0}",
-                col.label(),
-                fevents[ci],
-                med,
-                eps
-            );
-            ftotal_events += fevents[ci];
-            ftotal_median += med;
-            full_rows.push((col.label(), fevents[ci], eps));
-            frows.push(format!(
-                "{{\"design\":\"{}\",\"events\":{},\"median_wall_seconds\":{:.6},\"events_per_sec\":{:.1}}}",
-                col.label(),
-                fevents[ci],
-                med,
-                eps
-            ));
-        }
-        let ftotal_eps = if ftotal_median > 0.0 {
-            ftotal_events as f64 / ftotal_median
-        } else {
-            0.0
-        };
-        println!(
-            "{:<8}{:>12}{:>14.4}{:>16.0}",
-            "total", ftotal_events, ftotal_median, ftotal_eps
-        );
-        full_json = format!(
-            "\"full_tier\":{{\"scale\":\"Full\",\"reps\":{full_reps},\"designs\":[\n{}\n],\"total_events\":{ftotal_events},\"total_median_wall_seconds\":{ftotal_median:.6},\"total_events_per_sec\":{ftotal_eps:.1}}},",
-            frows.join(",\n")
-        );
+        let full = time_tier(&apps, &cols, Scale::Full, full_reps);
+        sections.push(format!(
+            "\"full_tier\":{{\"scale\":\"Full\",\"reps\":{full_reps},{}}}",
+            full.json
+        ));
+        full_rows = full.rows;
     }
     // Recorded so a throughput delta is only read against a baseline
     // taken on a comparable host.
     let host_parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let apps_json: Vec<String> = apps.iter().map(|a| format!("\"{a}\"")).collect();
     let body = format!(
-        "{{\"bench\":\"fig10\",\"scale\":\"{:?}\",\"reps\":{},\"host_parallelism\":{host_parallelism},\"apps\":[{}],\"designs\":[\n{}\n],{}{}{}\"total_events\":{},\"total_median_wall_seconds\":{:.6},\"total_events_per_sec\":{:.1}}}\n",
-        scale,
-        reps,
-        apps.iter()
-            .map(|a| format!("\"{a}\""))
-            .collect::<Vec<_>>()
-            .join(","),
-        rows.join(",\n"),
-        small_tier_json,
-        profile_json,
-        full_json,
-        total_events,
-        total_median,
-        total_eps
+        "{{\"bench\":\"fig10\",\"scale\":\"{scale:?}\",\"reps\":{reps},\"host_parallelism\":{host_parallelism},\"apps\":[{}],{}}}\n",
+        apps_json.join(","),
+        sections.join(",")
     );
     let path = o.json.as_deref().unwrap_or("BENCH_repro.json");
     match std::fs::write(path, &body) {
         Ok(()) => eprintln!("[wrote {path}]"),
         Err(e) => eprintln!("failed to write {path}: {e}"),
     }
-    print_baseline_delta(&stat_rows, scale, &profile_rows, &full_rows);
+    print_baseline_delta(&tier.rows, scale, &profile_rows, &full_rows);
+}
+
+/// One `repro bench` tier: per design, its label, event count and
+/// events/sec, plus the tier's JSON fields.
+struct Tier {
+    rows: Vec<(String, u64, f64)>,
+    /// `"designs":[...],"total_events":..,"total_median_wall_seconds":..,
+    /// "total_events_per_sec":..`
+    json: String,
+}
+
+/// Times each column over `apps` at `scale`, `reps` passes per design —
+/// sequentially, bypassing the result cache so every run is a real
+/// simulation — and prints the median wall seconds and events/sec per
+/// design.
+fn time_tier(apps: &[&str], cols: &[Column], scale: Scale, reps: u32) -> Tier {
+    let mut walls: Vec<Vec<f64>> = vec![Vec::new(); cols.len()];
+    let mut events: Vec<u64> = vec![0; cols.len()];
+    for rep in 0..reps {
+        for (ci, col) in cols.iter().enumerate() {
+            let start = std::time::Instant::now();
+            let mut ev = 0u64;
+            for app in apps {
+                let r = match *col {
+                    Column::Ndp(d) => ndpb_bench::run_one(app, d, SystemConfig::table1(), scale),
+                    Column::Host => ndpb_bench::run_host(app, SystemConfig::table1(), scale),
+                };
+                ev += r.events;
+            }
+            walls[ci].push(start.elapsed().as_secs_f64());
+            // Simulations are deterministic: the event count per design
+            // must not vary across reps.
+            if rep == 0 {
+                events[ci] = ev;
+            } else {
+                assert_eq!(events[ci], ev, "nondeterministic event count for {col:?}");
+            }
+        }
+    }
+    let per_sec = |events: u64, secs: f64| {
+        if secs > 0.0 {
+            events as f64 / secs
+        } else {
+            0.0
+        }
+    };
+    println!(
+        "{:<8}{:>12}{:>14}{:>16}",
+        "design", "events", "median s", "events/sec"
+    );
+    let mut rows = Vec::new();
+    let mut json_rows = Vec::new();
+    let (mut total_events, mut total_median) = (0u64, 0.0);
+    for ((col, walls), events) in cols.iter().zip(&walls).zip(events) {
+        let med = ndpb_bench::timing::median(walls);
+        let eps = per_sec(events, med);
+        let label = col.label();
+        println!("{label:<8}{events:>12}{med:>14.4}{eps:>16.0}");
+        total_events += events;
+        total_median += med;
+        let wall_list: Vec<String> = walls.iter().map(|w| format!("{w:.6}")).collect();
+        json_rows.push(format!(
+            "{{\"design\":\"{label}\",\"events\":{events},\"wall_seconds\":[{}],\"median_wall_seconds\":{med:.6},\"events_per_sec\":{eps:.1}}}",
+            wall_list.join(",")
+        ));
+        rows.push((label, events, eps));
+    }
+    let total_eps = per_sec(total_events, total_median);
+    println!(
+        "{:<8}{total_events:>12}{total_median:>14.4}{total_eps:>16.0}",
+        "total"
+    );
+    Tier {
+        rows,
+        json: format!(
+            "\"designs\":[\n{}\n],\"total_events\":{total_events},\"total_median_wall_seconds\":{total_median:.6},\"total_events_per_sec\":{total_eps:.1}",
+            json_rows.join(",\n")
+        ),
+    }
 }
 
 /// Compares a `repro bench` run against the committed baseline in
@@ -1195,27 +1097,7 @@ fn print_baseline_delta(
         "{:<8}{:>14}{:>14}{:>10}",
         "design", "base ev/s", "now ev/s", "ratio"
     );
-    for (label, events, eps) in rows {
-        let Some(b) = designs
-            .iter()
-            .find(|d| d.str_field("design") == Some(label.as_str()))
-        else {
-            println!("{label:<8}{:>14}{:>14.0}{:>10}", "-", eps, "new");
-            continue;
-        };
-        let base_eps = b
-            .get("events_per_sec")
-            .and_then(|v| v.as_f64())
-            .unwrap_or(0.0);
-        let ratio = if base_eps > 0.0 { eps / base_eps } else { 0.0 };
-        print!("{label:<8}{base_eps:>14.0}{eps:>14.0}{ratio:>9.2}x");
-        match b.u64_field("events") {
-            Some(be) if be != *events => {
-                println!("   EVENT-COUNT DRIFT: {be} -> {events}");
-            }
-            _ => println!(),
-        }
-    }
+    compare_rows(designs, rows, 8);
     // Newer sections diff only when both sides carry them: old
     // baselines (and runs without the flags) silently skip.
     if !profile_rows.is_empty() {
@@ -1256,26 +1138,29 @@ fn print_baseline_delta(
                 "\nfull tier vs baseline: {:<8}{:>14}{:>14}{:>10}",
                 "design", "base ev/s", "now ev/s", "ratio"
             );
-            for (label, events, eps) in full_rows {
-                let Some(b) = base_full
-                    .iter()
-                    .find(|d| d.str_field("design") == Some(label.as_str()))
-                else {
-                    continue;
-                };
-                let base_eps = b
-                    .get("events_per_sec")
-                    .and_then(|v| v.as_f64())
-                    .unwrap_or(0.0);
-                let ratio = if base_eps > 0.0 { eps / base_eps } else { 0.0 };
-                print!("{label:<31}{base_eps:>14.0}{eps:>14.0}{ratio:>9.2}x");
-                match b.u64_field("events") {
-                    Some(be) if be != *events => {
-                        println!("   EVENT-COUNT DRIFT: {be} -> {events}");
-                    }
-                    _ => println!(),
-                }
-            }
+            compare_rows(base_full, full_rows, 31);
+        }
+    }
+}
+
+/// Prints baseline vs current events/sec for each `(design, events,
+/// events/sec)` row, labels padded to `width`; a design missing from the
+/// baseline prints `new`.
+fn compare_rows(base: &[ndpb_bench::json::Json], rows: &[(String, u64, f64)], width: usize) {
+    for (label, events, eps) in rows {
+        let Some(b) = base
+            .iter()
+            .find(|d| d.str_field("design") == Some(label.as_str()))
+        else {
+            println!("{label:<width$}{:>14}{eps:>14.0}{:>10}", "-", "new");
+            continue;
+        };
+        let base_eps = b.f64_field("events_per_sec").unwrap_or(0.0);
+        let ratio = if base_eps > 0.0 { eps / base_eps } else { 0.0 };
+        print!("{label:<width$}{base_eps:>14.0}{eps:>14.0}{ratio:>9.2}x");
+        match b.u64_field("events") {
+            Some(be) if be != *events => println!("   EVENT-COUNT DRIFT: {be} -> {events}"),
+            _ => println!(),
         }
     }
 }
@@ -1295,16 +1180,11 @@ fn audit_breakdown(o: &Opts) {
         Column::Ndp(DesignPoint::W),
         Column::Ndp(DesignPoint::WGather),
     ];
-    let m = run_matrix(
-        &apps,
-        &cols,
-        || {
-            let mut c = SystemConfig::table1();
-            c.audit = AuditLevel::Full;
-            c
-        },
-        o.scale,
-    );
+    let cfg = SystemConfig {
+        audit: AuditLevel::Full,
+        ..SystemConfig::table1()
+    };
+    let m = run_matrix(&apps, &cols, cfg, o.scale);
     let groups: [(&str, &[&str]); 6] = [
         ("taskq", &["ledger/comm/taskq"]),
         (
@@ -1380,10 +1260,14 @@ fn gather_aware(o: &Opts) {
         o.scale
     );
     println!("(steal batches budgeted by wire bytes; tasks for already-lent blocks");
+    let table1 = SystemConfig::table1();
+    let cfg = SystemConfig {
+        steal_budget_gxfer: o.steal_budget.unwrap_or(table1.steal_budget_gxfer),
+        ..table1
+    };
     println!(
         " forward task-only — see DESIGN.md §10; budget {} x G_xfer per W_th)\n",
-        o.steal_budget
-            .unwrap_or_else(|| SystemConfig::table1().steal_budget_gxfer)
+        cfg.steal_budget_gxfer
     );
     let apps = app_refs(o);
     let cols = [
@@ -1395,37 +1279,14 @@ fn gather_aware(o: &Opts) {
         Column::Ndp(DesignPoint::O),
         Column::Ndp(DesignPoint::OGather),
     ];
-    let steal_budget = o.steal_budget;
-    let m = run_matrix(
-        &apps,
-        &cols,
-        move || {
-            let mut c = SystemConfig::table1();
-            if let Some(b) = steal_budget {
-                c.steal_budget_gxfer = b;
-            }
-            c
-        },
-        o.scale,
-    );
+    let m = run_matrix(&apps, &cols, cfg, o.scale);
     dump_json(o, &m);
     print!("{}", format_speedup_table(&apps, &cols, &m));
     let gather = |r: &ndpb_core::RunResult| -> u64 {
         r.metrics.final_value("ledger/comm/gather").unwrap_or(0)
     };
     println!("\ngather traffic (KB; the bytes the byte budget rations):");
-    print!("{:<8}", "app");
-    for c in &cols {
-        print!("{:>10}", c.label());
-    }
-    println!();
-    for (i, app) in apps.iter().enumerate() {
-        print!("{app:<8}");
-        for cell in &m[i][..cols.len()] {
-            print!("{:>10}", gather(cell) >> 10);
-        }
-        println!();
-    }
+    print_per_app(&apps, &cols, &m, |r| format!("{:>10}", gather(r) >> 10));
     // Per-design geomean ratios vs plain W: the acceptance metric is
     // W+GA moving >= 2x fewer gather bytes at makespan no worse.
     println!("\nvs W (geomean over apps; gather <1 = fewer bytes, perf >1 = faster):");
@@ -1460,6 +1321,29 @@ fn gather_aware(o: &Opts) {
     );
 }
 
+/// A subcommand that prints one table or figure.
+type Figure = fn(&Opts);
+
+/// Every table and figure, in `repro all` order.
+const FIGURES: &[(&str, Figure)] = &[
+    ("table1", |_| table1()),
+    ("table2", |_| table2()),
+    ("fig2", fig2),
+    ("fig10", fig10),
+    ("fig11", fig11),
+    ("fig12", fig12),
+    ("fig13", fig13),
+    ("fig14a", fig14a),
+    ("fig14b", fig14b),
+    ("fig15", fig15),
+    ("fig16a", fig16a),
+    ("fig16b", fig16b),
+    ("fig16c", |o| fig16cd(o, true)),
+    ("fig16d", |o| fig16cd(o, false)),
+    ("split-dimm", split_dimm),
+    ("dimm-link", dimm_link),
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     // Flags-first invocation (`repro --trace out.json`) implies the
@@ -1475,59 +1359,22 @@ fn main() {
     let start = std::time::Instant::now();
     match cmd {
         "trace" => traced_run(&o),
-        "table1" => table1(),
-        "table2" => table2(),
-        "fig2" => fig2(&o),
-        "fig10" => fig10(&o),
-        "fig11" => fig11(&o),
-        "fig12" => fig12(&o),
-        "fig13" => fig13(&o),
-        "fig14a" => fig14a(&o),
-        "fig14b" => fig14b(&o),
-        "fig15" => fig15(&o),
-        "fig16a" => fig16a(&o),
-        "fig16b" => fig16b(&o),
-        "fig16c" => fig16cd(&o, true),
-        "fig16d" => fig16cd(&o, false),
-        "split-dimm" => split_dimm(&o),
-        "dimm-link" => dimm_link(&o),
         "audit" => audit_breakdown(&o),
         "gather" => gather_aware(&o),
         "bench" => bench_engine(&o),
         "serve" => serve(&o),
         "all" => {
-            table1();
-            println!();
-            table2();
-            for f in [
-                fig2 as fn(&Opts),
-                fig10,
-                fig11,
-                fig12,
-                fig13,
-                fig14a,
-                fig14b,
-                fig15,
-                fig16a,
-                fig16b,
-            ] {
-                println!();
-                f(&o);
+            for (i, (_, figure)) in FIGURES.iter().enumerate() {
+                if i > 0 {
+                    println!();
+                }
+                figure(&o);
             }
-            println!();
-            fig16cd(&o, true);
-            println!();
-            fig16cd(&o, false);
-            println!();
-            split_dimm(&o);
-            println!();
-            dimm_link(&o);
         }
-        other => {
-            eprintln!("unknown subcommand {other:?}");
-            eprintln!("usage: repro <table1|table2|fig2|fig10|fig11|fig12|fig13|fig14a|fig14b|fig15|fig16a|fig16b|fig16c|fig16d|split-dimm|dimm-link|audit|gather|bench|serve|trace|all> [--tiny|--small|--full] [--apps a,b,c] [--jobs N] [--cache-dir path] [--no-cache] [--audit] [--steal-budget N] [--json path] [--trace path] [--metrics-json path] [--reps N] [--quick] [--small-tier] [--profile] [--full-tier] [--port N] [--max-queue N] [--max-points N]");
-            std::process::exit(2);
-        }
+        name => match FIGURES.iter().find(|&&(n, _)| n == name) {
+            Some((_, figure)) => figure(&o),
+            None => usage_error(&format!("unknown subcommand {name:?}")),
+        },
     }
     let engine = ndpb_bench::sweep::global();
     if let Some(summary) = engine.summary() {

@@ -5,8 +5,8 @@
 //! table/figure; the `Instant`-based benches under `benches/` (see
 //! [`timing`]) reuse the same entry points at reduced scale.
 //!
-//! All multi-point work routes through the [`sweep`] engine: a bounded
-//! worker pool with deterministic result merging and an optional
+//! All multi-point work routes through the [`sweep`] engine: one
+//! resident worker pool with deterministic result merging and an optional
 //! content-addressed on-disk [`cache`] keyed by
 //! `SystemConfig::fingerprint`, so a warm `repro all` rerun simulates
 //! nothing. [`json`] holds the matching reader for the workspace's
@@ -98,9 +98,9 @@ impl Column {
     }
 }
 
-/// Runs `columns × apps` through the process-wide [`sweep`] engine
-/// (bounded worker pool, deterministic merge, optional result cache)
-/// and returns results in `[app][column]` order.
+/// Runs `columns × apps` under `cfg` through the process-wide [`sweep`]
+/// engine (resident worker pool, deterministic merge, optional result
+/// cache) and returns results in `[app][column]` order.
 ///
 /// Output is identical for any worker count: each simulation is
 /// single-threaded and deterministic, and the engine merges by point
@@ -108,16 +108,16 @@ impl Column {
 pub fn run_matrix(
     apps: &[&str],
     columns: &[Column],
-    make_cfg: impl Fn() -> SystemConfig,
+    cfg: SystemConfig,
     scale: Scale,
 ) -> Vec<Vec<RunResult>> {
-    let make_cfg = &make_cfg;
+    let cfg = &cfg;
     let points: Vec<SweepPoint> = apps
         .iter()
         .flat_map(|&app| {
             columns
                 .iter()
-                .map(move |&col| SweepPoint::new(app, col, make_cfg(), scale))
+                .map(move |&col| SweepPoint::new(app, col, cfg.clone(), scale))
         })
         .collect();
     let mut flat = sweep::global().run(points).into_iter();
@@ -209,7 +209,7 @@ mod tests {
     fn matrix_shape_and_tables() {
         let apps = ["ll", "spmv"];
         let cols = [Column::Ndp(DesignPoint::C), Column::Ndp(DesignPoint::B)];
-        let m = run_matrix(&apps, &cols, tiny_cfg, Scale::Tiny);
+        let m = run_matrix(&apps, &cols, tiny_cfg(), Scale::Tiny);
         assert_eq!(m.len(), 2);
         assert_eq!(m[0].len(), 2);
         let table = format_speedup_table(&apps, &cols, &m);

@@ -1,5 +1,5 @@
-//! The sweep engine: a bounded worker pool that fans simulation points
-//! across threads, with an optional content-addressed result cache.
+//! The sweep engine: one resident worker pool that runs simulation
+//! points, with an optional content-addressed result cache.
 //!
 //! Every table/figure of the paper is a *sweep*: a list of
 //! (application, design column, configuration, scale) points whose
@@ -7,17 +7,18 @@
 //! and deterministic given its config seed. The engine exploits exactly
 //! that independence and nothing more:
 //!
-//! * **Bounded parallelism.** `--jobs N` workers pull point indices
-//!   from one shared queue (work stealing over a `Mutex<VecDeque>`;
-//!   whichever worker finishes first takes the next point), instead of
-//!   the former one-thread-per-cell free-for-all that oversubscribed
-//!   the machine on large figures.
-//! * **Deterministic merge.** Results are written into a slot vector by
+//! * **One worker loop.** `--jobs N` workers start on the first
+//!   [`Sweeper::submit`] and pull points from one shared queue
+//!   (whichever worker finishes first takes the next point). A
+//!   panicking simulation is caught in the worker loop and fails only
+//!   its own point. Batch sweeps ([`Sweeper::run`]) and the `ndpb-serve`
+//!   service both submit here.
+//! * **Deterministic merge.** `run` collects outcomes into slots by
 //!   point index, so callers observe the same ordering regardless of
 //!   worker count or scheduling. `--jobs 1` and `--jobs 8` produce
 //!   byte-identical harness output.
 //! * **Result cache.** With a cache directory configured, each point's
-//!   [`cache::point_key`] is probed before simulating; hits skip the
+//!   [`point_key`] is probed before simulating; hits skip the
 //!   simulation entirely and misses are stored after it. A warm rerun
 //!   of `repro all` simulates nothing.
 //! * **Observability.** Point counts, cache hits/misses, simulations
@@ -25,12 +26,16 @@
 //!   harness can snapshot and dump (`sweep/points_total`,
 //!   `sweep/cache_hits`, `sweep/cache_misses`, `sweep/simulated`,
 //!   `sweep/worker-N/points`).
+//! * **Shutdown.** Dropping a `Sweeper` closes its queue: the workers
+//!   finish the points already queued (their results still reach the
+//!   cache and their callbacks), then exit.
 
 use std::collections::VecDeque;
+use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
+use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::thread;
 
 use ndpb_core::audit::AuditLevel;
@@ -86,35 +91,42 @@ impl SweepPoint {
 /// drained-queue assert, an audit violation, an unknown app).
 pub type PointOutcome = Result<RunResult, String>;
 
-/// A claim on the outcome of one point handed to [`Sweeper::submit`].
-///
-/// Dropping the ticket abandons the result; the simulation still runs
-/// to completion (and still populates the cache).
-#[derive(Debug)]
-pub struct PointTicket {
-    rx: mpsc::Receiver<PointOutcome>,
-}
+/// The completion callback of one submitted point.
+type Done = Box<dyn FnOnce(PointOutcome) + Send>;
 
-impl PointTicket {
-    /// Blocks until the point's simulation finishes or fails.
-    pub fn wait(self) -> PointOutcome {
-        self.rx
-            .recv()
-            .unwrap_or_else(|_| Err("the pool dropped the point without an outcome".into()))
-    }
-
-    /// Non-blocking probe: the outcome if it is already available.
-    pub fn try_wait(&self) -> Option<PointOutcome> {
-        self.rx.try_recv().ok()
-    }
-}
-
-/// Shared state of the resident pool: a job queue plus the condvar
+/// Shared state of the resident pool: the job queue plus the condvar
 /// workers park on while it is empty.
-#[derive(Debug, Default)]
+#[derive(Default)]
 struct ResidentPool {
-    queue: Mutex<VecDeque<(SweepPoint, mpsc::Sender<PointOutcome>)>>,
+    queue: Mutex<PoolQueue>,
     ready: Condvar,
+}
+
+#[derive(Default)]
+struct PoolQueue {
+    jobs: VecDeque<(SweepPoint, Done)>,
+    /// Set when the owning [`Sweeper`] is dropped: workers exit once
+    /// the queue is empty.
+    closed: bool,
+}
+
+impl ResidentPool {
+    /// Blocks until a job is queued; `None` once the pool is closed and
+    /// drained.
+    fn next_job(&self) -> Option<(SweepPoint, Done)> {
+        let q = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
+        self.ready
+            .wait_while(q, |q| q.jobs.is_empty() && !q.closed)
+            .unwrap_or_else(PoisonError::into_inner)
+            .jobs
+            .pop_front()
+    }
+}
+
+impl fmt::Debug for ResidentPool {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ResidentPool").finish_non_exhaustive()
+    }
 }
 
 /// The sweep executor: worker count, optional cache, shared metrics.
@@ -180,93 +192,62 @@ impl Sweeper {
 
     /// Runs all points and returns their results in input order.
     ///
-    /// Cache probing happens serially up front (it is pure file I/O);
-    /// only the misses go to the worker pool. The output is a pure
-    /// function of `points` — worker count and scheduling never show.
+    /// Every point is probed in the cache first; the misses then go to
+    /// the resident pool, and their outcomes come back by index over one
+    /// channel. The output is a pure function of `points` — worker count
+    /// and scheduling never show.
     ///
     /// # Panics
     ///
-    /// Propagates a panic from any simulation.
+    /// With the failure message of the first point (in input order)
+    /// whose simulation panicked.
     pub fn run(&self, points: Vec<SweepPoint>) -> Vec<RunResult> {
-        let m = &self.metrics;
-        let total_id = m.register("sweep/points_total");
-        let hits_id = m.register("sweep/cache_hits");
-        let miss_id = m.register("sweep/cache_misses");
-        let sim_id = m.register("sweep/simulated");
-        m.add(total_id, points.len() as u64);
-
-        let mut slots: Vec<Option<RunResult>> = (0..points.len()).map(|_| None).collect();
-        let mut pending: VecDeque<(usize, SweepPoint)> = VecDeque::new();
-        for (i, mut p) in points.into_iter().enumerate() {
-            if let Some(level) = self.audit {
-                p.cfg.audit = level;
-            }
-            match self.cache.as_ref().and_then(|c| c.load(p.key())) {
-                Some(hit) => {
-                    m.inc(hits_id);
-                    slots[i] = Some(hit);
-                }
-                None => {
-                    m.inc(miss_id);
-                    pending.push_back((i, p));
-                }
+        // Registered up front, so a warm sweep still reports
+        // `sweep/simulated` = 0 and the column order is fixed.
+        for name in [
+            "sweep/points_total",
+            "sweep/cache_hits",
+            "sweep/cache_misses",
+            "sweep/simulated",
+        ] {
+            self.metrics.register(name);
+        }
+        let mut slots: Vec<Option<PointOutcome>> =
+            points.iter().map(|p| self.cached(p).map(Ok)).collect();
+        let (tx, rx) = mpsc::channel();
+        for (i, point) in points.into_iter().enumerate() {
+            if slots[i].is_none() {
+                let tx = tx.clone();
+                self.submit(point, move |outcome| {
+                    // `run` holds the receiver until every callback ran.
+                    let _ = tx.send((i, outcome));
+                });
             }
         }
-
-        let workers = self.jobs.min(pending.len());
-        if workers > 0 {
-            // Register worker gauges serially so metric column order
-            // does not depend on thread scheduling.
-            let worker_ids: Vec<_> = (0..workers)
-                .map(|w| m.register(&format!("sweep/worker-{w}/points")))
-                .collect();
-            let queue = Mutex::new(pending);
-            let (tx, rx) = mpsc::channel::<(usize, RunResult)>();
-            thread::scope(|s| {
-                for &worker_id in &worker_ids {
-                    let tx = tx.clone();
-                    let queue = &queue;
-                    let metrics = m.clone();
-                    let cache = self.cache.as_ref();
-                    s.spawn(move || loop {
-                        let job = queue.lock().unwrap_or_else(|e| e.into_inner()).pop_front();
-                        let Some((idx, point)) = job else { break };
-                        let key = point.key();
-                        let result = point.simulate();
-                        if let Some(c) = cache {
-                            // Best-effort: an unwritable cache directory
-                            // slows reruns down, it does not fail them.
-                            let _ = c.store(key, &result);
-                        }
-                        metrics.inc(sim_id);
-                        metrics.inc(worker_id);
-                        if tx.send((idx, result)).is_err() {
-                            break;
-                        }
-                    });
-                }
-                drop(tx);
-                for (idx, result) in rx {
-                    slots[idx] = Some(result);
-                }
-            });
+        drop(tx);
+        for (i, outcome) in rx {
+            slots[i] = Some(outcome);
         }
 
         let seq = self.sweeps_run.fetch_add(1, Ordering::Relaxed);
-        m.snapshot(format!("sweep-{seq}"), SimTime::ZERO);
+        self.metrics.snapshot(format!("sweep-{seq}"), SimTime::ZERO);
         slots
             .into_iter()
-            .map(|s| s.expect("sweep worker died before delivering its result"))
+            .map(|slot| match slot {
+                Some(Ok(result)) => result,
+                Some(Err(msg)) => panic!("{msg}"),
+                None => panic!("the pool dropped a point without an outcome"),
+            })
             .collect()
     }
 
     /// Probes the result cache for `point` without scheduling anything.
     ///
     /// The audit override is applied before the key is computed, exactly
-    /// as [`run`](Self::run) and [`submit`](Self::submit) do, so a probe
-    /// and a later submit of the same point agree on the key. A hit
-    /// counts into `sweep/points_total` and `sweep/cache_hits`; a miss
-    /// counts nothing (the caller is expected to `submit`, which does).
+    /// as [`submit`](Self::submit) does, so a probe and a later submit of
+    /// the same point agree on the key. A hit counts into
+    /// `sweep/points_total` and `sweep/cache_hits`; a miss counts
+    /// nothing (the caller is expected to `submit`, which does).
     pub fn cached(&self, point: &SweepPoint) -> Option<RunResult> {
         let cache = self.cache.as_ref()?;
         let key = match self.audit {
@@ -284,19 +265,17 @@ impl Sweeper {
         Some(hit)
     }
 
-    /// Schedules one point on the engine's *resident* pool and returns
-    /// a ticket for its result.
+    /// Schedules one point on the engine's resident pool; a pool worker
+    /// calls `done` with its outcome.
     ///
-    /// Unlike [`run`](Self::run) — which spawns scoped workers for the
-    /// duration of one batch — the resident pool's `jobs` workers are
-    /// detached daemon threads created on first submit and kept parked
-    /// on a condvar between jobs. That is the shape a long-running
-    /// server needs: callers submit from many request threads, results
-    /// fan back through per-ticket channels, and the pool never has to
-    /// be re-warmed. The cache (if configured) is *not* probed here —
-    /// callers that want the fast path probe [`cached`](Self::cached)
-    /// first — but completed simulations are stored to it.
-    pub fn submit(&self, mut point: SweepPoint) -> PointTicket {
+    /// The pool's `jobs` workers start on the first submit and park on a
+    /// condvar between jobs, so neither a batch sweep nor a long-running
+    /// server ever re-warms them. The cache (if configured) is *not*
+    /// probed here — callers that want the fast path probe
+    /// [`cached`](Self::cached) first — but a successful simulation is
+    /// stored to it *before* `done` runs. `done` runs on the worker
+    /// thread: it must be short and must not panic.
+    pub fn submit(&self, mut point: SweepPoint, done: impl FnOnce(PointOutcome) + Send + 'static) {
         if let Some(level) = self.audit {
             point.cfg.audit = level;
         }
@@ -304,56 +283,43 @@ impl Sweeper {
         m.inc(m.register("sweep/points_total"));
         m.inc(m.register("sweep/cache_misses"));
         let pool = self.resident.get_or_init(|| self.spawn_resident_pool());
-        let (tx, rx) = mpsc::channel();
         pool.queue
             .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push_back((point, tx));
+            .unwrap_or_else(PoisonError::into_inner)
+            .jobs
+            .push_back((point, Box::new(done)));
         pool.ready.notify_one();
-        PointTicket { rx }
     }
 
     fn spawn_resident_pool(&self) -> Arc<ResidentPool> {
         let pool = Arc::new(ResidentPool::default());
         let sim_id = self.metrics.register("sweep/simulated");
         for w in 0..self.jobs {
-            let worker_id = self
-                .metrics
-                .register(&format!("sweep/pool-worker-{w}/points"));
+            let worker_id = self.metrics.register(&format!("sweep/worker-{w}/points"));
             let pool = Arc::clone(&pool);
             let metrics = self.metrics.clone();
             let cache = self.cache.clone();
-            // Detached on purpose: the workers live for the rest of the
-            // process, parked when idle. Service shutdown drains by
-            // waiting on outstanding tickets, not by joining these.
             thread::Builder::new()
                 .name(format!("sweep-pool-{w}"))
-                .spawn(move || loop {
-                    let (point, tx) = {
-                        let mut q = pool.queue.lock().unwrap_or_else(|e| e.into_inner());
-                        loop {
-                            match q.pop_front() {
-                                Some(job) => break job,
-                                None => q = pool.ready.wait(q).unwrap_or_else(|e| e.into_inner()),
+                .spawn(move || {
+                    while let Some((point, done)) = pool.next_job() {
+                        let key = point.key();
+                        // A panicking simulation fails only its own point:
+                        // `done` gets the panic message, and the worker
+                        // goes on serving the queue.
+                        let outcome = panic::catch_unwind(AssertUnwindSafe(|| point.simulate()))
+                            .map_err(|payload| panic_message(payload.as_ref()));
+                        if let Ok(result) = &outcome {
+                            if let Some(c) = &cache {
+                                // Best-effort: an unwritable cache directory
+                                // slows reruns down, it does not fail them.
+                                let _ = c.store(key, result);
                             }
+                            metrics.inc(sim_id);
+                            metrics.inc(worker_id);
                         }
-                    };
-                    let key = point.key();
-                    // A panicking simulation fails only its own job: the
-                    // ticket gets the panic message, and the worker goes
-                    // on serving the queue.
-                    let outcome = panic::catch_unwind(AssertUnwindSafe(|| point.simulate()))
-                        .map_err(|payload| panic_message(payload.as_ref()));
-                    if let Ok(result) = &outcome {
-                        if let Some(c) = &cache {
-                            // Best-effort, as in `run`: an unwritable cache
-                            // slows reruns down, it does not fail them.
-                            let _ = c.store(key, result);
-                        }
-                        metrics.inc(sim_id);
-                        metrics.inc(worker_id);
+                        done(outcome);
                     }
-                    let _ = tx.send(outcome);
                 })
                 .expect("spawn resident pool worker");
         }
@@ -381,6 +347,18 @@ impl Sweeper {
             "[sweep: {total} points, {hits} cache hits, {simulated} simulated, jobs={}, cache={cache}]",
             self.jobs
         ))
+    }
+}
+
+impl Drop for Sweeper {
+    fn drop(&mut self) {
+        if let Some(pool) = self.resident.get() {
+            pool.queue
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .closed = true;
+            pool.ready.notify_all();
+        }
     }
 }
 
@@ -422,9 +400,18 @@ mod tests {
     use super::*;
     use ndpb_core::design::DesignPoint;
     use ndpb_dram::Geometry;
+    use std::time::{Duration, Instant};
+
+    /// How long a test waits for one outcome before calling the pool
+    /// stuck.
+    const PATIENCE: Duration = Duration::from_secs(120);
 
     fn tiny_cfg() -> SystemConfig {
         SystemConfig::with_geometry(Geometry::with_total_ranks(1))
+    }
+
+    fn point(app: &str) -> SweepPoint {
+        SweepPoint::new(app, Column::Ndp(DesignPoint::C), tiny_cfg(), Scale::Tiny)
     }
 
     fn points() -> Vec<SweepPoint> {
@@ -439,6 +426,30 @@ mod tests {
 
     fn fingerprint(results: &[RunResult]) -> Vec<String> {
         results.iter().map(RunResult::to_json).collect()
+    }
+
+    /// Submits every point with a callback that reports back by index.
+    fn submit_all(sw: &Sweeper, points: Vec<SweepPoint>) -> mpsc::Receiver<(usize, PointOutcome)> {
+        let (tx, rx) = mpsc::channel();
+        for (i, p) in points.into_iter().enumerate() {
+            let tx = tx.clone();
+            sw.submit(p, move |outcome| {
+                let _ = tx.send((i, outcome));
+            });
+        }
+        rx
+    }
+
+    /// The `n` outcomes `rx` delivers, in submission order.
+    fn outcomes(rx: &mpsc::Receiver<(usize, PointOutcome)>, n: usize) -> Vec<PointOutcome> {
+        let mut slots: Vec<Option<PointOutcome>> = (0..n).map(|_| None).collect();
+        for _ in 0..n {
+            let (i, outcome) = rx
+                .recv_timeout(PATIENCE)
+                .expect("the pool stopped delivering outcomes");
+            slots[i] = Some(outcome);
+        }
+        slots.into_iter().map(Option::unwrap).collect()
     }
 
     #[test]
@@ -553,13 +564,18 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "simulation panicked: unknown application")]
+    fn a_panicking_point_fails_the_batch_with_its_message() {
+        Sweeper::new(2).run(vec![point("ll"), point("no-such-app")]);
+    }
+
+    #[test]
     fn submitted_points_match_batch_results() {
         let sw = Sweeper::new(3);
         let batch = fingerprint(&Sweeper::new(1).run(points()));
-        let tickets: Vec<_> = points().into_iter().map(|p| sw.submit(p)).collect();
-        let got: Vec<String> = tickets
+        let got: Vec<String> = outcomes(&submit_all(&sw, points()), batch.len())
             .into_iter()
-            .map(|t| t.wait().expect("valid point").to_json())
+            .map(|o| o.expect("valid point").to_json())
             .collect();
         assert_eq!(got, batch, "resident pool must reproduce batch output");
         let report = sw.metrics().live_report();
@@ -569,28 +585,21 @@ mod tests {
 
     #[test]
     fn panicking_point_does_not_kill_its_pool_worker() {
-        use std::time::{Duration, Instant};
+        // One worker: the valid point can only finish if the worker
+        // survived the panicking one queued ahead of it.
         let sw = Sweeper::new(1);
-        let point =
-            |app| SweepPoint::new(app, Column::Ndp(DesignPoint::C), tiny_cfg(), Scale::Tiny);
-        let bad = sw.submit(point("no-such-app"));
-        let good = sw.submit(point("ll"));
-        let deadline = Instant::now() + Duration::from_secs(30);
-        let result = loop {
-            if let Some(r) = good.try_wait() {
-                break r.expect("the valid point succeeds");
-            }
-            assert!(
-                Instant::now() < deadline,
-                "the one pool worker stopped serving after a panicking point"
-            );
-            thread::sleep(Duration::from_millis(10));
-        };
-        assert_eq!(result.app, "ll");
-        // The failed job's ticket carries the panic message.
-        let msg = bad.wait().expect_err("an unknown app cannot simulate");
+        let rx = submit_all(&sw, vec![point("no-such-app"), point("ll")]);
+        let mut got = outcomes(&rx, 2).into_iter();
+        let msg = got
+            .next()
+            .unwrap()
+            .expect_err("an unknown app cannot simulate");
         assert!(msg.starts_with("simulation panicked: "), "{msg}");
         assert!(msg.contains("unknown application"), "{msg}");
+        assert_eq!(
+            got.next().unwrap().expect("the valid point succeeds").app,
+            "ll"
+        );
     }
 
     #[test]
@@ -599,9 +608,11 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
 
         let sw = Sweeper::new(2).with_cache(&dir).with_audit(AuditLevel::Off);
-        let p = SweepPoint::new("ll", Column::Ndp(DesignPoint::C), tiny_cfg(), Scale::Tiny);
+        let p = point("ll");
         assert!(sw.cached(&p).is_none(), "cold cache misses");
-        let live = sw.submit(p.clone()).wait().expect("valid point");
+        let live = outcomes(&submit_all(&sw, vec![p.clone()]), 1)
+            .remove(0)
+            .expect("valid point");
         let hit = sw.cached(&p).expect("submit populated the cache");
         assert_eq!(hit.to_json(), live.to_json());
 
@@ -616,6 +627,47 @@ mod tests {
         assert_eq!(report.final_value("sweep/points_total"), Some(2));
 
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn points_submitted_before_a_drop_still_complete_and_reach_the_cache() {
+        let dir = std::env::temp_dir().join(format!("ndpb-drop-drain-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let batch = fingerprint(&Sweeper::new(1).run(points()));
+        let sw = Sweeper::new(1).with_cache(&dir);
+        // The one worker parks in this point's callback until the gate
+        // opens, so every point below is still queued at the drop.
+        let (gate, parked) = mpsc::channel::<()>();
+        sw.submit(point("ll"), move |_| {
+            let _ = parked.recv();
+        });
+        let rx = submit_all(&sw, points());
+        drop(sw);
+        gate.send(()).expect("the worker is parked on the gate");
+        let got: Vec<String> = outcomes(&rx, batch.len())
+            .into_iter()
+            .map(|o| o.expect("valid point").to_json())
+            .collect();
+        assert_eq!(got, batch);
+        let warm = Sweeper::new(1).with_cache(&dir);
+        assert!(points().iter().all(|p| warm.cached(p).is_some()));
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn every_worker_exits_once_its_sweeper_is_dropped() {
+        let sw = Sweeper::new(3);
+        outcomes(&submit_all(&sw, vec![point("ll")]), 1);
+        let pool = Arc::downgrade(sw.resident.get().expect("submit started the pool"));
+        drop(sw);
+        // Each worker holds the pool until its loop returns.
+        let deadline = Instant::now() + PATIENCE;
+        while pool.upgrade().is_some() {
+            assert!(Instant::now() < deadline, "a worker outlived its Sweeper");
+            thread::sleep(Duration::from_millis(5));
+        }
     }
 
     #[test]

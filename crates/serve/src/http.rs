@@ -12,11 +12,12 @@
 //! and answered with one line of JSON. That keeps CI smokes and quick
 //! pokes possible from bare `bash` (`/dev/tcp`) without `curl`.
 
-use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::io::{self, BufRead, Read, Write};
 
 /// Cap on header block and body sizes: the service's real requests are
-/// tiny, so anything huge is a mistake or abuse, not a workload.
+/// tiny, so anything huge is a mistake or abuse, not a workload. The
+/// first line carries a line-protocol `run {...}` body, so it gets the
+/// body cap; header lines share the header cap.
 const MAX_HEADER_BYTES: usize = 16 * 1024;
 const MAX_BODY_BYTES: usize = 1024 * 1024;
 
@@ -45,12 +46,11 @@ pub enum Request {
 
 /// Reads one request off the connection. `Ok(None)` is a clean EOF
 /// (client closed between keep-alive requests); errors are malformed or
-/// oversized requests and should close the connection.
-pub fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<Request>> {
-    let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
-        return Ok(None);
-    }
+/// oversized requests and should close the connection. No line is
+/// buffered past its cap, however long the client streams without a
+/// newline.
+pub fn read_request<R: BufRead>(reader: &mut R) -> io::Result<Option<Request>> {
+    let line = read_line_capped(reader, MAX_BODY_BYTES)?;
     let line = line.trim_end_matches(['\r', '\n']);
     if line.is_empty() {
         return Ok(None);
@@ -78,22 +78,16 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<Requ
     if line.ends_with("HTTP/1.0") {
         keep_alive = false;
     }
-    let mut header_bytes = 0usize;
+    let mut header_budget = MAX_HEADER_BYTES;
     loop {
-        let mut h = String::new();
-        if reader.read_line(&mut h)? == 0 {
+        let h = read_line_capped(reader, header_budget)?;
+        if h.is_empty() {
             return Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "eof inside headers",
             ));
         }
-        header_bytes += h.len();
-        if header_bytes > MAX_HEADER_BYTES {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "headers too large",
-            ));
-        }
+        header_budget -= h.len();
         let h = h.trim_end_matches(['\r', '\n']);
         if h.is_empty() {
             break;
@@ -132,6 +126,18 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<Requ
         body,
         keep_alive,
     }))
+}
+
+/// Reads one line of at most `cap` bytes, newline included; an empty
+/// string is EOF. A line that reaches `cap` without a newline, or is not
+/// UTF-8, is an `InvalidData` error.
+fn read_line_capped<R: BufRead>(reader: &mut R, cap: usize) -> io::Result<String> {
+    let mut buf = Vec::new();
+    reader.take(cap as u64).read_until(b'\n', &mut buf)?;
+    if buf.len() == cap && !buf.ends_with(b"\n") {
+        return Err(io::Error::new(io::ErrorKind::InvalidData, "line too long"));
+    }
+    String::from_utf8(buf).map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "line not utf-8"))
 }
 
 /// The reason phrase for the handful of statuses the service emits.
@@ -214,6 +220,52 @@ mod tests {
         assert!(text.contains("Content-Length: 11\r\n"));
         assert!(text.contains("Connection: keep-alive\r\n"));
         assert!(text.ends_with("\r\n\r\n{\"ok\":true}"));
+    }
+
+    #[test]
+    fn an_endless_first_line_is_an_error() {
+        let mut endless = io::BufReader::new(io::repeat(b'a'));
+        assert!(read_request(&mut endless).is_err());
+    }
+
+    #[test]
+    fn an_endless_header_line_is_an_error() {
+        let mut endless =
+            io::BufReader::new(b"GET /metrics HTTP/1.1\r\nX-Pad: ".chain(io::repeat(b'a')));
+        assert!(read_request(&mut endless).is_err());
+    }
+
+    #[test]
+    fn a_non_utf8_line_is_an_error() {
+        assert!(read_request(&mut &b"run \xff\xfe\n"[..]).is_err());
+    }
+
+    #[test]
+    fn http_and_line_requests_still_parse() {
+        let mut http =
+            &b"POST /run HTTP/1.1\r\nContent-Length: 2\r\nConnection: close\r\n\r\n{}"[..];
+        match read_request(&mut http).unwrap() {
+            Some(Request::Http {
+                method,
+                path,
+                body,
+                keep_alive,
+            }) => {
+                assert_eq!((method.as_str(), path.as_str()), ("POST", "/run"));
+                assert_eq!(body, "{}");
+                assert!(!keep_alive);
+            }
+            other => panic!("{other:?}"),
+        }
+        let mut line = &b"run {\"app\":\"ll\"}\n"[..];
+        match read_request(&mut line).unwrap() {
+            Some(Request::Line { cmd, rest }) => {
+                assert_eq!(cmd, "run");
+                assert_eq!(rest, "{\"app\":\"ll\"}");
+            }
+            other => panic!("{other:?}"),
+        }
+        assert!(read_request(&mut line).unwrap().is_none(), "clean EOF");
     }
 
     #[test]

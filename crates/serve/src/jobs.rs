@@ -6,19 +6,19 @@
 //! key the on-disk cache uses) also identifies it for *in-flight
 //! deduplication*: all concurrently submitted requests for one key
 //! share a single [`PointCell`], the simulation runs exactly once, and
-//! the result fans back out to every waiter. Keys whose result is
+//! the result fans back out to every attached job. Keys whose result is
 //! already on disk are served straight from the cache and never touch
 //! the pool.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use ndpb_bench::json::Json;
 use ndpb_bench::{Column, SweepPoint};
 use ndpb_core::audit::AuditLevel;
 use ndpb_core::config::SystemConfig;
 use ndpb_core::design::DesignPoint;
-use ndpb_workloads::{Scale, APP_NAMES, EXTRA_APP_NAMES};
+use ndpb_workloads::{known_app, Scale};
 
 /// A typed `/run` request: the cross product `apps × designs` at one
 /// scale, with an optional audit-level override.
@@ -71,13 +71,6 @@ fn parse_audit(s: &str) -> Option<AuditLevel> {
         "full" => AuditLevel::Full,
         _ => return None,
     })
-}
-
-fn known_app(name: &str) -> bool {
-    APP_NAMES
-        .iter()
-        .chain(EXTRA_APP_NAMES.iter())
-        .any(|&a| a == name)
 }
 
 /// One-or-many string field: `"app": "ll"` or `"apps": ["ll","pr"]`.
@@ -166,57 +159,11 @@ impl RunRequest {
     }
 }
 
-/// The rendezvous for one in-flight (or already-served) point: filled
-/// exactly once with the result's JSON, or the message its simulation
-/// failed with, then read by every job that attached to it.
-#[derive(Debug, Default)]
-pub struct PointCell {
-    outcome: Mutex<Option<Result<String, String>>>,
-    done: Condvar,
-}
-
-impl PointCell {
-    /// A cell already holding `json` (cache fast path).
-    pub fn ready(json: String) -> Arc<Self> {
-        let cell = PointCell::default();
-        cell.fill(Ok(json));
-        Arc::new(cell)
-    }
-
-    /// Fills the cell and wakes blocked waiters. Filling twice is a
-    /// logic error upstream (each key has one owner).
-    pub fn fill(&self, outcome: Result<String, String>) {
-        let mut g = self.outcome.lock().unwrap_or_else(|e| e.into_inner());
-        debug_assert!(g.is_none(), "point cell filled twice");
-        *g = Some(outcome);
-        self.done.notify_all();
-    }
-
-    /// The outcome, if the point has finished.
-    pub fn peek(&self) -> Option<Result<String, String>> {
-        self.outcome
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
-    }
-
-    /// `None` while the point is pending, else whether it succeeded.
-    fn succeeded(&self) -> Option<bool> {
-        let g = self.outcome.lock().unwrap_or_else(|e| e.into_inner());
-        g.as_ref().map(Result::is_ok)
-    }
-
-    /// Blocks until the cell is filled and returns the outcome.
-    pub fn wait(&self) -> Result<String, String> {
-        let mut g = self.outcome.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(outcome) = g.as_ref() {
-                return outcome.clone();
-            }
-            g = self.done.wait(g).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-}
+/// The rendezvous for one in-flight (or already-served) point: set
+/// exactly once — by the pool worker that ran the point, or at admission
+/// on a cache hit — with the result's JSON or the message its
+/// simulation failed with, then read by every job that attached to it.
+pub type PointCell = OnceLock<Result<String, String>>;
 
 /// One accepted job: an ordered list of point cells (shared with other
 /// jobs that requested the same points).
@@ -232,7 +179,11 @@ impl Job {
     /// finish), else `done` once every cell is filled, `running` once
     /// any is (progress exists), `queued` before that.
     pub fn status(&self) -> &'static str {
-        let states: Vec<Option<bool>> = self.cells.iter().map(|c| c.succeeded()).collect();
+        let states: Vec<Option<bool>> = self
+            .cells
+            .iter()
+            .map(|c| c.get().map(Result::is_ok))
+            .collect();
         if states.contains(&Some(false)) {
             "failed"
         } else if states.iter().all(Option::is_some) {
@@ -251,8 +202,11 @@ impl Job {
         let points = self.cells.len();
         match self.status() {
             "done" => {
-                let results: Vec<String> =
-                    self.cells.iter().filter_map(|c| c.wait().ok()).collect();
+                let results: Vec<&str> = self
+                    .cells
+                    .iter()
+                    .filter_map(|c| c.get()?.as_deref().ok())
+                    .collect();
                 format!(
                     "{{\"id\":{id},\"status\":\"done\",\"points\":{points},\"results\":[{}]}}",
                     results.join(",")
@@ -262,11 +216,11 @@ impl Job {
                 let error = self
                     .cells
                     .iter()
-                    .find_map(|c| c.peek()?.err())
-                    .unwrap_or_default();
+                    .find_map(|c| c.get()?.as_ref().err())
+                    .map_or("", String::as_str);
                 format!(
                     "{{\"id\":{id},\"status\":\"failed\",\"points\":{points},\"error\":\"{}\"}}",
-                    escape_json(&error)
+                    escape_json(error)
                 )
             }
             status => format!("{{\"id\":{id},\"status\":\"{status}\",\"points\":{points}}}"),
@@ -384,15 +338,15 @@ mod tests {
 
     #[test]
     fn job_status_progresses_with_cell_fills() {
-        let a = Arc::new(PointCell::default());
-        let b = Arc::new(PointCell::default());
+        let a = Arc::new(PointCell::new());
+        let b = Arc::new(PointCell::new());
         let job = Job {
             cells: vec![a.clone(), b.clone()],
         };
         assert_eq!(job.status(), "queued");
-        a.fill(Ok("{\"x\":1}".to_string()));
+        a.set(Ok("{\"x\":1}".to_string())).unwrap();
         assert_eq!(job.status(), "running");
-        b.fill(Ok("{\"y\":2}".to_string()));
+        b.set(Ok("{\"y\":2}".to_string())).unwrap();
         assert_eq!(job.status(), "done");
         assert_eq!(
             job.to_json(7),
@@ -402,16 +356,17 @@ mod tests {
 
     #[test]
     fn a_failed_point_fails_the_job_with_its_message() {
-        let a = Arc::new(PointCell::default());
-        let b = Arc::new(PointCell::default());
+        let a = Arc::new(PointCell::new());
+        let b = Arc::new(PointCell::new());
         let job = Job {
             cells: vec![a.clone(), b.clone()],
         };
-        b.fill(Err(
+        b.set(Err(
             "simulation panicked: audit\n  \"law\" broke".to_string()
-        ));
+        ))
+        .unwrap();
         assert_eq!(job.status(), "failed", "a failed point fails the job early");
-        a.fill(Ok("{\"x\":1}".to_string()));
+        a.set(Ok("{\"x\":1}".to_string())).unwrap();
         let doc = job.to_json(3);
         assert_eq!(
             doc,
@@ -422,18 +377,5 @@ mod tests {
             j.str_field("error"),
             Some("simulation panicked: audit\n  \"law\" broke")
         );
-    }
-
-    #[test]
-    fn waiters_block_until_fill() {
-        let cell = Arc::new(PointCell::default());
-        let waiter = {
-            let cell = cell.clone();
-            std::thread::spawn(move || cell.wait())
-        };
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        cell.fill(Ok("{}".to_string()));
-        assert_eq!(waiter.join().unwrap(), Ok("{}".to_string()));
-        assert_eq!(cell.peek(), Some(Ok("{}".to_string())));
     }
 }

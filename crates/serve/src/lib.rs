@@ -15,8 +15,10 @@
 //!   concurrent requests for one content-addressed key share one
 //!   [`jobs::PointCell`], the simulation runs exactly once, and the
 //!   result fans out to every attached job.
-//! * The **resident pool** is [`Sweeper::submit`] — detached workers
-//!   that survive between requests.
+//! * The **resident pool** is [`Sweeper::submit`], the same worker loop
+//!   the CLI's batch sweeps use. Its workers survive between requests,
+//!   and the worker that ran a point fills the point's cell and releases
+//!   its in-flight key through the submit callback.
 //! * The **cache** serves repeat keys without touching the pool at all:
 //!   pool workers store results on disk *before* completing a point, so
 //!   every submitted key is obtainable from exactly one of
@@ -40,8 +42,9 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
+use ndpb_bench::sweep::PointOutcome;
 use ndpb_bench::{SweepPoint, Sweeper};
 
 use http::Request;
@@ -99,7 +102,6 @@ pub struct State {
     rejected: AtomicU64,
     deduped: AtomicU64,
     cache_hits: AtomicU64,
-    in_flight: AtomicU64,
     // Last-completed-run throughput snapshot (latest writer wins):
     // simulated event count and submit→completion wall time, surfaced
     // as events/sec by `/metrics` so a resident server exposes the same
@@ -131,7 +133,6 @@ impl State {
             rejected: AtomicU64::new(0),
             deduped: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
-            in_flight: AtomicU64::new(0),
             last_events: AtomicU64::new(0),
             last_wall_ns: AtomicU64::new(0),
             completed: AtomicU64::new(0),
@@ -157,7 +158,10 @@ impl State {
 
     /// Unique in-flight (submitted, not yet completed) points.
     pub fn in_flight(&self) -> u64 {
-        self.in_flight.load(Ordering::SeqCst)
+        self.inflight
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .len() as u64
     }
 
     /// Routes one parsed request to its handler; returns (status, body).
@@ -223,9 +227,9 @@ impl State {
                     cells.push(cell.clone());
                 } else if let Some(hit) = self.sweeper.cached(&p) {
                     self.cache_hits.fetch_add(1, Ordering::SeqCst);
-                    cells.push(PointCell::ready(hit.to_json()));
+                    cells.push(Arc::new(PointCell::from(Ok(hit.to_json()))));
                 } else {
-                    let cell = Arc::new(PointCell::default());
+                    let cell = Arc::new(PointCell::new());
                     cells.push(cell.clone());
                     fresh.push((key, p, cell));
                 }
@@ -246,36 +250,10 @@ impl State {
             }
             for (key, point, cell) in fresh {
                 inflight.insert(key, cell.clone());
-                self.in_flight.fetch_add(1, Ordering::SeqCst);
-                let ticket = self.sweeper.submit(point);
                 let state = Arc::clone(self);
-                let submitted = std::time::Instant::now();
-                // One lightweight waiter per unique point bridges the
-                // pool's ticket to every job attached to the cell, and
-                // releases the key whether the simulation succeeded or
-                // panicked.
-                thread::spawn(move || {
-                    let outcome = match ticket.wait() {
-                        Ok(result) => {
-                            let wall = submitted.elapsed();
-                            state.last_events.store(result.events, Ordering::SeqCst);
-                            state
-                                .last_wall_ns
-                                .store(wall.as_nanos() as u64, Ordering::SeqCst);
-                            state.completed.fetch_add(1, Ordering::SeqCst);
-                            Ok(result.to_json())
-                        }
-                        Err(msg) => {
-                            state.failed.fetch_add(1, Ordering::SeqCst);
-                            Err(msg)
-                        }
-                    };
-                    {
-                        let mut inflight = state.inflight.lock().unwrap_or_else(|e| e.into_inner());
-                        cell.fill(outcome);
-                        inflight.remove(&key);
-                    }
-                    state.in_flight.fetch_sub(1, Ordering::SeqCst);
+                let submitted = Instant::now();
+                self.sweeper.submit(point, move |outcome| {
+                    state.complete(key, &cell, submitted, outcome);
                 });
             }
         }
@@ -289,6 +267,29 @@ impl State {
             .unwrap_or_else(|e| e.into_inner())
             .insert(id, job);
         (200, doc)
+    }
+
+    /// The submit callback of a fresh point, run on the pool worker
+    /// that simulated it (after the result reached the cache): records
+    /// the outcome, fills the cell, then releases the in-flight key.
+    fn complete(&self, key: u64, cell: &PointCell, submitted: Instant, outcome: PointOutcome) {
+        let outcome = match outcome {
+            Ok(result) => {
+                let wall = submitted.elapsed();
+                self.last_events.store(result.events, Ordering::SeqCst);
+                self.last_wall_ns
+                    .store(wall.as_nanos() as u64, Ordering::SeqCst);
+                self.completed.fetch_add(1, Ordering::SeqCst);
+                Ok(result.to_json())
+            }
+            Err(msg) => {
+                self.failed.fetch_add(1, Ordering::SeqCst);
+                Err(msg)
+            }
+        };
+        let mut inflight = self.inflight.lock().unwrap_or_else(|e| e.into_inner());
+        let _ = cell.set(outcome);
+        inflight.remove(&key);
     }
 
     /// `GET /job/{id}`.
@@ -322,7 +323,7 @@ impl State {
             self.rejected.load(Ordering::SeqCst),
             self.deduped.load(Ordering::SeqCst),
             self.cache_hits.load(Ordering::SeqCst),
-            self.in_flight.load(Ordering::SeqCst),
+            self.in_flight(),
             self.completed.load(Ordering::SeqCst),
             self.failed.load(Ordering::SeqCst),
             last_events,
@@ -531,9 +532,8 @@ mod tests {
         let state = test_state(8, 8);
         let req = RunRequest::parse("{\"app\":\"ll\",\"design\":\"C\"}").unwrap();
         let key = req.points()[0].key();
-        let cell = Arc::new(PointCell::default());
+        let cell = Arc::new(PointCell::new());
         state.inflight.lock().unwrap().insert(key, cell.clone());
-        state.in_flight.fetch_add(1, Ordering::SeqCst);
 
         let (status, body) = state.dispatch("POST", "/run", "{\"app\":\"ll\",\"design\":\"C\"}");
         assert_eq!(status, 200);
@@ -550,7 +550,7 @@ mod tests {
         );
 
         // Filling the shared cell completes the attached job.
-        cell.fill(Ok("{\"fake\":true}".to_string()));
+        cell.set(Ok("{\"fake\":true}".to_string())).unwrap();
         let (status, body) = state.dispatch("GET", "/job/1", "");
         assert_eq!(status, 200);
         assert_eq!(
@@ -572,7 +572,7 @@ mod tests {
             .inflight
             .lock()
             .unwrap()
-            .insert(other.key(), Arc::new(PointCell::default()));
+            .insert(other.key(), Arc::new(PointCell::new()));
         let (status, body) = state.dispatch("POST", "/run", "{\"app\":\"ll\"}");
         assert_eq!(status, 429, "{body}");
         assert_eq!(state.rejected.load(Ordering::SeqCst), 1);
@@ -641,7 +641,7 @@ mod tests {
         let state = test_state(8, 8);
         let (status, _) = state.dispatch("POST", "/run", "{\"app\":\"ll\",\"design\":\"C\"}");
         assert_eq!(status, 200);
-        // The waiter thread fills the snapshot when the pool finishes.
+        // The pool worker fills the snapshot when the point finishes.
         let deadline = std::time::Instant::now() + Duration::from_secs(120);
         while state.completed.load(Ordering::SeqCst) == 0 {
             assert!(

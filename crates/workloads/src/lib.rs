@@ -48,6 +48,15 @@ pub const APP_NAMES: [&str; 8] = ["ll", "ht", "tree", "spmv", "bfs", "sssp", "pr
 /// tasks) and doubles as a low-skew control.
 pub const EXTRA_APP_NAMES: [&str; 1] = ["stencil"];
 
+/// Whether `name` is one of [`APP_NAMES`] or [`EXTRA_APP_NAMES`], the
+/// names [`build_app`] accepts.
+pub fn known_app(name: &str) -> bool {
+    APP_NAMES
+        .iter()
+        .chain(EXTRA_APP_NAMES.iter())
+        .any(|&a| a == name)
+}
+
 /// Builds an application by name for the given geometry and scale.
 ///
 /// # Panics
