@@ -157,6 +157,14 @@ grep -q "events-per-pop histogram" "$SMOKE_DIR/bench.txt"
 if command -v python3 >/dev/null 2>&1; then
     python3 -m json.tool BENCH_repro.json > /dev/null
 fi
+# A run over a subset of the apps does different work from the
+# all-app baseline: the harness must skip the delta with one note
+# instead of reporting ratios and event-count drift against it.
+"$REPRO" bench --quick --apps ll --json "$SMOKE_DIR/bench-ll.json" > "$SMOKE_DIR/bench-ll.txt" 2>&1
+[ "$(grep -c "skipping delta" "$SMOKE_DIR/bench-ll.txt")" -eq 1 ]
+if grep -q "EVENT-COUNT DRIFT" "$SMOKE_DIR/bench-ll.txt"; then
+    echo "bench --apps ll was compared with the all-app baseline"; exit 1
+fi
 
 echo "== repro serve smoke: run / dedup-cache / metrics / graceful shutdown =="
 # Drives the resident service over its line protocol (same port as

@@ -26,11 +26,14 @@
 //! subcommand additionally prints the per-cause traffic-ledger
 //! breakdown for designs B and W.
 //!
-//! Simulations fan out over the sweep engine: `--jobs N` sizes its
-//! resident worker pool (default: all hardware threads) and results are
-//! merged deterministically, so any `--jobs` value prints identical
-//! output. An unknown option or `--apps` name exits 2 with the usage
-//! line before anything is simulated.
+//! Simulations fan out over one sweep engine that `main` builds from the
+//! flags and hands to every figure: `--jobs N` sizes its resident worker
+//! pool (default: all hardware threads) and results are merged
+//! deterministically, so any `--jobs` value prints identical output.
+//! Each figure, `audit` and `gather` is one sweep: a single
+//! `run_matrix` call over its apps × configurations × design columns.
+//! An unknown option or `--apps` name exits 2 with the usage line
+//! before anything is simulated.
 //! Results are cached under `target/repro-cache` (override with
 //! `--cache-dir`, disable with `--no-cache`); a warm rerun simulates
 //! nothing — the stderr sweep summary shows the hit/miss counters.
@@ -40,11 +43,14 @@
 //! reproduction target. Each section prints the paper's reported
 //! numbers for comparison.
 
-use ndpb_bench::{format_speedup_table, matrix_geomean_speedup, run_matrix, Column};
+use ndpb_bench::{
+    format_speedup_table, matrix_geomean, matrix_geomean_speedup, run_matrix, Column, Sweeper,
+};
 use ndpb_core::audit::AuditLevel;
 use ndpb_core::config::{SystemConfig, TriggerPolicy};
 use ndpb_core::design::DesignPoint;
 use ndpb_core::result::geomean;
+use ndpb_core::RunResult;
 use ndpb_dram::Geometry;
 use ndpb_sketch::SketchConfig;
 use ndpb_workloads::{known_app, Scale, APP_NAMES};
@@ -222,13 +228,12 @@ fn serve(o: &Opts) {
     }
 }
 
-/// Installs the process-wide sweep engine from the CLI flags. Caching
-/// is on by default (`target/repro-cache`) so a rerun of an unchanged
-/// figure costs file reads, not simulations; `--no-cache` forces fresh
-/// simulations and `--cache-dir` relocates the store.
-fn configure_sweep(o: &Opts) {
-    let mut sweeper =
-        ndpb_bench::Sweeper::new(o.jobs.unwrap_or_else(ndpb_bench::sweep::default_jobs));
+/// Builds the sweep engine from the CLI flags. Caching is on by default
+/// (`target/repro-cache`) so a rerun of an unchanged figure costs file
+/// reads, not simulations; `--no-cache` forces fresh simulations and
+/// `--cache-dir` relocates the store.
+fn sweeper(o: &Opts) -> Sweeper {
+    let mut sweeper = Sweeper::new(o.jobs.unwrap_or_else(ndpb_bench::sweep::default_jobs));
     if !o.no_cache {
         let dir = o
             .cache_dir
@@ -241,12 +246,12 @@ fn configure_sweep(o: &Opts) {
         // invariant aborts the run with the full violation list.
         sweeper = sweeper.with_audit(AuditLevel::Full);
     }
-    ndpb_bench::sweep::configure(sweeper);
+    sweeper
 }
 
 /// Writes one JSON array of per-run records for a matrix (only when
 /// `--json` was given).
-fn dump_json(o: &Opts, matrix: &[Vec<ndpb_core::RunResult>]) {
+fn dump_json(o: &Opts, matrix: &[Vec<RunResult>]) {
     let Some(path) = &o.json else { return };
     let records: Vec<String> = matrix.iter().flatten().map(|r| r.to_json()).collect();
     let body = format!("[\n{}\n]\n", records.join(",\n"));
@@ -259,6 +264,37 @@ fn dump_json(o: &Opts, matrix: &[Vec<ndpb_core::RunResult>]) {
 
 fn app_refs(o: &Opts) -> Vec<&str> {
     o.apps.iter().map(String::as_str).collect()
+}
+
+/// The Table II design columns C, B, W and O.
+fn table2_cols() -> Vec<Column> {
+    DesignPoint::table2().map(Column::Ndp).to_vec()
+}
+
+/// Runs design O over the selected apps under each of `cfgs`, as one
+/// sweep; results are `[app][config]`.
+fn run_o(o: &Opts, sw: &Sweeper, cfgs: &[SystemConfig]) -> Vec<Vec<RunResult>> {
+    run_matrix(
+        sw,
+        &app_refs(o),
+        cfgs,
+        &[Column::Ndp(DesignPoint::O)],
+        o.scale,
+    )
+}
+
+/// The index of the Table I configuration in `cfgs`, the point a
+/// parameter sweep compares every other value against.
+fn table1_index(cfgs: &[SystemConfig]) -> usize {
+    let table1 = SystemConfig::table1().fingerprint();
+    cfgs.iter()
+        .position(|c| c.fingerprint() == table1)
+        .expect("the sweep includes the Table I configuration")
+}
+
+/// A run's makespan in ticks.
+fn ticks(r: &RunResult) -> f64 {
+    r.makespan.ticks() as f64
 }
 
 /// Trace ring capacity of the instrumented run: the most recent records
@@ -385,13 +421,14 @@ fn table2() {
     }
 }
 
-fn fig2(o: &Opts) {
+fn fig2(o: &Opts, sw: &Sweeper) {
     println!("== Figure 2: tree traversal on baseline DRAM-bank NDP (design C) ==");
     println!("paper: 32.9% wait time; large max-vs-average gap (512 units)\n");
     let m = run_matrix(
+        sw,
         &["tree"],
+        &[SystemConfig::table1()],
         &[Column::Ndp(DesignPoint::C)],
-        SystemConfig::table1(),
         o.scale,
     );
     let r = &m[0][0];
@@ -404,15 +441,12 @@ fn fig2(o: &Opts) {
     );
 }
 
-fn fig10(o: &Opts) {
+fn fig10(o: &Opts, sw: &Sweeper) {
     println!("== Figure 10: C / B / W / O across applications ==");
     println!("paper: B=1.51x, W=2.23x, O=2.98x over C on average; W can hurt tree\n");
     let apps = app_refs(o);
-    let cols: Vec<Column> = DesignPoint::table2()
-        .iter()
-        .map(|&d| Column::Ndp(d))
-        .collect();
-    let m = run_matrix(&apps, &cols, SystemConfig::table1(), o.scale);
+    let cols = table2_cols();
+    let m = run_matrix(sw, &apps, &[SystemConfig::table1()], &cols, o.scale);
     dump_json(o, &m);
     print!("{}", format_speedup_table(&apps, &cols, &m));
     println!("\nbalance (avg unit time / total, paper: B 22.4%, W 47.0%, O 59.0%):");
@@ -428,8 +462,8 @@ fn fig10(o: &Opts) {
 fn print_per_app(
     apps: &[&str],
     cols: &[Column],
-    m: &[Vec<ndpb_core::RunResult>],
-    cell: impl Fn(&ndpb_core::RunResult) -> String,
+    m: &[Vec<RunResult>],
+    cell: impl Fn(&RunResult) -> String,
 ) {
     print!("{:<8}", "app");
     for c in cols {
@@ -442,7 +476,7 @@ fn print_per_app(
     }
 }
 
-fn fig11(o: &Opts) {
+fn fig11(o: &Opts, sw: &Sweeper) {
     println!("== Figure 11: vs host-only (H) and RowClone (R) ==");
     println!("paper: O=3.59x over H; R=1.35x over C; B=1.12x over R; O=2.23x over R\n");
     let apps = app_refs(o);
@@ -453,7 +487,7 @@ fn fig11(o: &Opts) {
         Column::Ndp(DesignPoint::B),
         Column::Ndp(DesignPoint::O),
     ];
-    let m = run_matrix(&apps, &cols, SystemConfig::table1(), o.scale);
+    let m = run_matrix(sw, &apps, &[SystemConfig::table1()], &cols, o.scale);
     print!("{}", format_speedup_table(&apps, &cols, &m));
     println!(
         "\nO over H: {:.2}x   R over C: {:.2}x   B over R: {:.2}x   O over R: {:.2}x",
@@ -464,39 +498,33 @@ fn fig11(o: &Opts) {
     );
 }
 
-fn fig12(o: &Opts) {
+fn fig12(o: &Opts, sw: &Sweeper) {
     println!("== Figure 12: scalability on pr, 64..1024 units ==");
     println!("paper: speedups over baselines grow with scale; O@1024 = 1.68x O@512;");
     println!("       W fails to beat B at 1024 units\n");
-    let cols: Vec<Column> = DesignPoint::table2()
-        .iter()
-        .map(|&d| Column::Ndp(d))
-        .collect();
+    let cols = table2_cols();
+    let cfgs = [1u32, 2, 4, 8, 16]
+        .map(|ranks| SystemConfig::with_geometry(Geometry::with_total_ranks(ranks)));
+    let m = run_matrix(sw, &["pr"], &cfgs, &cols, o.scale);
     println!(
-        "{:<8}{:>10}{:>10}{:>10}{:>10}   (makespan us; speedup vs C-at-64-units)",
+        "{:<8}{:>10}{:>10}{:>10}{:>10}   (makespan us)",
         "units", "C", "B", "W", "O"
     );
-    for ranks in [1u32, 2, 4, 8, 16] {
-        let cfg = SystemConfig::with_geometry(Geometry::with_total_ranks(ranks));
-        let units = cfg.geometry.total_units();
-        let m = run_matrix(&["pr"], &cols, cfg, o.scale);
-        print!("{units:<8}");
-        for cell in &m[0][..4] {
+    for (cfg, cells) in cfgs.iter().zip(m[0].chunks(cols.len())) {
+        print!("{:<8}", cfg.geometry.total_units());
+        for cell in cells {
             print!("{:>10.1}", cell.makespan.as_ns() / 1000.0);
         }
         println!();
     }
 }
 
-fn fig13(o: &Opts) {
+fn fig13(o: &Opts, sw: &Sweeper) {
     println!("== Figure 13: energy breakdown (core+SRAM / local DRAM / comm DRAM / static) ==");
     println!("paper: O reduces total energy 56.4% vs C on average\n");
     let apps = app_refs(o);
-    let cols: Vec<Column> = DesignPoint::table2()
-        .iter()
-        .map(|&d| Column::Ndp(d))
-        .collect();
-    let m = run_matrix(&apps, &cols, SystemConfig::table1(), o.scale);
+    let cols = table2_cols();
+    let m = run_matrix(sw, &apps, &[SystemConfig::table1()], &cols, o.scale);
     println!(
         "{:<8}{:<8}{:>12}{:>12}{:>12}{:>12}{:>12}",
         "app", "design", "core+sram", "dram-local", "dram-comm", "static", "total(uJ)"
@@ -516,16 +544,16 @@ fn fig13(o: &Opts) {
             );
         }
     }
-    let reductions: Vec<f64> = (0..apps.len())
-        .map(|i| m[i][3].energy.total_pj() / m[i][0].energy.total_pj())
-        .collect();
+    let reduction = matrix_geomean(&m, |row| {
+        row[3].energy.total_pj() / row[0].energy.total_pj()
+    });
     println!(
         "\nO total energy vs C (geomean): {:.1}% (paper: 43.6%, i.e. a 56.4% reduction)",
-        geomean(&reductions) * 100.0
+        reduction * 100.0
     );
 }
 
-fn fig14a(o: &Opts) {
+fn fig14a(o: &Opts, sw: &Sweeper) {
     println!("== Figure 14a: data-transfer-aware LB ablation over W ==");
     println!("paper: +Adv 1.046x, +Fine 1.19x, +Hot 1.29x, O 1.35x over W (geomean)\n");
     let apps = app_refs(o);
@@ -536,119 +564,94 @@ fn fig14a(o: &Opts) {
         Column::Ndp(DesignPoint::WHot),
         Column::Ndp(DesignPoint::O),
     ];
-    let m = run_matrix(&apps, &cols, SystemConfig::table1(), o.scale);
+    let m = run_matrix(sw, &apps, &[SystemConfig::table1()], &cols, o.scale);
     print!("{}", format_speedup_table(&apps, &cols, &m));
 }
 
-fn fig14b(o: &Opts) {
+fn fig14b(o: &Opts, sw: &Sweeper) {
     println!("== Figure 14b: dynamic communication triggering ==");
     println!("paper: dynamic saves 29.5% access energy vs fixed I_min at -0.4% perf;");
     println!("       fixed 2*I_min loses 31% performance\n");
-    let apps = app_refs(o);
     let policies = [
         ("dynamic", TriggerPolicy::Dynamic),
         ("I_min", TriggerPolicy::FixedIMin),
         ("2*I_min", TriggerPolicy::Fixed2IMin),
     ];
-    let mut results = Vec::new();
-    for (label, pol) in policies {
-        let m = run_matrix(
-            &apps,
-            &[Column::Ndp(DesignPoint::O)],
-            SystemConfig {
-                trigger: pol,
-                ..SystemConfig::table1()
-            },
-            o.scale,
-        );
-        results.push((label, m));
-    }
+    let cfgs = policies.map(|(_, trigger)| SystemConfig {
+        trigger,
+        ..SystemConfig::table1()
+    });
+    // Each row holds one result per policy; entry 0, the dynamic
+    // policy, is the one every policy is compared with.
+    let m = run_o(o, sw, &cfgs);
     println!(
         "{:<10}{:>14}{:>18}{:>16}",
         "trigger", "perf vs dyn", "comm energy", "wasted gathers"
     );
-    let dyn_m = &results[0].1;
-    for (label, m) in &results {
-        let perf: Vec<f64> = (0..apps.len())
-            .map(|i| dyn_m[i][0].makespan.ticks() as f64 / m[i][0].makespan.ticks() as f64)
-            .collect();
-        let energy: Vec<f64> = (0..apps.len())
-            .map(|i| m[i][0].energy.dram_comm_pj / dyn_m[i][0].energy.dram_comm_pj.max(1.0))
-            .collect();
-        let wasted: u64 = (0..apps.len()).map(|i| m[i][0].comm_dram_bytes).sum();
+    for (k, (label, _)) in policies.iter().enumerate() {
+        let perf = matrix_geomean(&m, |row| ticks(&row[0]) / ticks(&row[k]));
+        let energy = matrix_geomean(&m, |row| {
+            row[k].energy.dram_comm_pj / row[0].energy.dram_comm_pj.max(1.0)
+        });
+        let wasted: u64 = m.iter().map(|row| row[k].comm_dram_bytes).sum();
         println!(
             "{:<10}{:>13.2}x{:>17.1}%{:>16}",
             label,
-            geomean(&perf),
-            geomean(&energy) * 100.0,
+            perf,
+            energy * 100.0,
             wasted / 1024,
         );
     }
 }
 
-fn fig15(o: &Opts) {
+fn fig15(o: &Opts, sw: &Sweeper) {
     println!("== Figure 15: chip DQ widths x4 / x8 / x16 ==");
     println!("paper: O = 3.26x/2.98x/2.58x over C; B gains most at x4 (2.33x),");
     println!("       LB gains most at x16 (W 1.79x, O 2.3x over B)\n");
-    let apps = app_refs(o);
-    let cols: Vec<Column> = DesignPoint::table2()
-        .iter()
-        .map(|&d| Column::Ndp(d))
-        .collect();
-    for dq in [4u32, 8, 16] {
-        let m = run_matrix(
-            &apps,
-            &cols,
-            SystemConfig::with_geometry(Geometry::with_dq_bits(dq)),
-            o.scale,
-        );
+    let cols = table2_cols();
+    let dqs = [4u32, 8, 16];
+    let cfgs = dqs.map(|dq| SystemConfig::with_geometry(Geometry::with_dq_bits(dq)));
+    let m = run_matrix(sw, &app_refs(o), &cfgs, &cols, o.scale);
+    for (k, dq) in dqs.iter().enumerate() {
+        // Design `t` over design `b`, both under DQ width `dq`.
+        let over =
+            |t: usize, b: usize| matrix_geomean_speedup(&m, k * cols.len() + t, k * cols.len() + b);
         println!(
             "x{dq:<3} B/C {:>5.2}x  W/C {:>5.2}x  O/C {:>5.2}x  |  W/B {:>5.2}x  O/B {:>5.2}x",
-            matrix_geomean_speedup(&m, 1, 0),
-            matrix_geomean_speedup(&m, 2, 0),
-            matrix_geomean_speedup(&m, 3, 0),
-            matrix_geomean_speedup(&m, 2, 1),
-            matrix_geomean_speedup(&m, 3, 1),
+            over(1, 0),
+            over(2, 0),
+            over(3, 0),
+            over(2, 1),
+            over(3, 1),
         );
     }
 }
 
-fn fig16a(o: &Opts) {
+fn fig16a(o: &Opts, sw: &Sweeper) {
     println!("== Figure 16a: G_xfer x metadata-size sweep (design O) ==");
     println!("paper: 256 B is the sweet spot; 64 B needs 4x metadata to win\n");
-    let apps = app_refs(o);
     println!(
         "{:<10}{:>12}{:>12}{:>12}   (geomean makespan vs 256B/1x)",
         "G_xfer", "1/4x meta", "1x meta", "4x meta"
     );
-    let mut baseline: Option<f64> = None;
-    let mut rows = Vec::new();
-    for gx in [64u32, 256, 1024] {
-        let mut row = Vec::new();
-        for meta in [0.25f64, 1.0, 4.0] {
-            let m = run_matrix(
-                &apps,
-                &[Column::Ndp(DesignPoint::O)],
-                SystemConfig {
-                    g_xfer: gx,
-                    ..SystemConfig::table1().scale_metadata(meta)
-                },
-                o.scale,
-            );
-            let g = geomean(
-                &(0..apps.len())
-                    .map(|i| m[i][0].makespan.ticks() as f64)
-                    .collect::<Vec<_>>(),
-            );
-            if gx == 256 && meta == 1.0 {
-                baseline = Some(g);
-            }
-            row.push(g);
-        }
-        rows.push((gx, row));
-    }
-    let base = baseline.expect("256/1x in sweep");
-    for (gx, row) in rows {
+    let gxfers = [64u32, 256, 1024];
+    let metas = [0.25f64, 1.0, 4.0];
+    let cfgs: Vec<SystemConfig> = gxfers
+        .iter()
+        .flat_map(|&g_xfer| {
+            metas.map(|meta| SystemConfig {
+                g_xfer,
+                ..SystemConfig::table1().scale_metadata(meta)
+            })
+        })
+        .collect();
+    let m = run_o(o, sw, &cfgs);
+    let geo: Vec<f64> = (0..cfgs.len())
+        .map(|k| matrix_geomean(&m, |row| ticks(&row[k])))
+        .collect();
+    // 256 B with 1x metadata is the Table I configuration.
+    let base = geo[table1_index(&cfgs)];
+    for (gx, row) in gxfers.iter().zip(geo.chunks(metas.len())) {
         println!(
             "{:<10}{:>11.2}x{:>11.2}x{:>11.2}x",
             format!("{gx}B"),
@@ -660,133 +663,101 @@ fn fig16a(o: &Opts) {
     println!("(>1 means slower than the default)");
 }
 
-fn fig16b(o: &Opts) {
+fn fig16b(o: &Opts, sw: &Sweeper) {
     println!("== Figure 16b: I_state sweep (design O) ==");
     println!("paper: 2000 cycles retains performance\n");
-    let apps = app_refs(o);
-    let base = run_matrix(
-        &apps,
-        &[Column::Ndp(DesignPoint::O)],
-        SystemConfig::table1(),
-        o.scale,
-    );
-    for i_state in [500u64, 1000, 2000, 4000, 8000] {
-        let m = run_matrix(
-            &apps,
-            &[Column::Ndp(DesignPoint::O)],
-            SystemConfig {
-                i_state_cycles: i_state,
-                ..SystemConfig::table1()
-            },
-            o.scale,
-        );
-        let rel: Vec<f64> = (0..apps.len())
-            .map(|i| base[i][0].makespan.ticks() as f64 / m[i][0].makespan.ticks() as f64)
-            .collect();
-        println!(
-            "I_state={i_state:<6} perf vs 2000-cycle default: {:.3}x",
-            geomean(&rel)
-        );
+    let i_states = [500u64, 1000, 2000, 4000, 8000];
+    let cfgs = i_states.map(|i_state_cycles| SystemConfig {
+        i_state_cycles,
+        ..SystemConfig::table1()
+    });
+    let m = run_o(o, sw, &cfgs);
+    // The 2000-cycle entry is the Table I configuration.
+    let base = table1_index(&cfgs);
+    for (k, i_state) in i_states.iter().enumerate() {
+        let rel = matrix_geomean(&m, |row| ticks(&row[base]) / ticks(&row[k]));
+        println!("I_state={i_state:<6} perf vs 2000-cycle default: {rel:.3}x");
     }
 }
 
-fn fig16cd(o: &Opts, buckets: bool) {
+fn fig16cd(o: &Opts, sw: &Sweeper, buckets: bool) {
     let (name, what) = if buckets {
-        ("fig16c", "sketch bucket count")
+        ("16c", "sketch bucket count")
     } else {
-        ("fig16d", "sketch entries per bucket")
+        ("16d", "sketch entries per bucket")
     };
     println!("== Figure {name}: {what} sweep (design O) ==");
     println!("paper: the 16x16 default is sufficient\n");
-    let apps = app_refs(o);
-    let base = run_matrix(
-        &apps,
-        &[Column::Ndp(DesignPoint::O)],
-        SystemConfig::table1(),
-        o.scale,
-    );
-    for k in [4usize, 8, 16, 32] {
-        let sketch = if buckets {
+    let sizes = [4usize, 8, 16, 32];
+    let cfgs = sizes.map(|k| SystemConfig {
+        sketch: if buckets {
             SketchConfig::with_geometry(k, 16)
         } else {
             SketchConfig::with_geometry(16, k)
-        };
-        let m = run_matrix(
-            &apps,
-            &[Column::Ndp(DesignPoint::O)],
-            SystemConfig {
-                sketch,
-                ..SystemConfig::table1()
-            },
-            o.scale,
-        );
-        let rel: Vec<f64> = (0..apps.len())
-            .map(|i| base[i][0].makespan.ticks() as f64 / m[i][0].makespan.ticks() as f64)
-            .collect();
-        println!("{what} = {k:<4} perf vs default: {:.3}x", geomean(&rel));
+        },
+        ..SystemConfig::table1()
+    });
+    let m = run_o(o, sw, &cfgs);
+    // The 16x16 sketch is the Table I configuration.
+    let base = table1_index(&cfgs);
+    for (k, size) in sizes.iter().enumerate() {
+        let rel = matrix_geomean(&m, |row| ticks(&row[base]) / ticks(&row[k]));
+        println!("{what} = {size:<4} perf vs default: {rel:.3}x");
     }
 }
 
-fn split_dimm(o: &Opts) {
+fn split_dimm(o: &Opts, sw: &Sweeper) {
     println!("== Section VIII-A: split DIMM buffers (chameleon-s) ==");
     println!("paper: 9.1% performance degradation, 35.3% more wait time\n");
-    let apps = app_refs(o);
-    let unified = run_matrix(
-        &apps,
-        &[Column::Ndp(DesignPoint::O)],
-        SystemConfig::table1(),
-        o.scale,
+    // Entry 0 of each row is the unified buffer, entry 1 the split one.
+    let m = run_o(
+        o,
+        sw,
+        &[
+            SystemConfig::table1(),
+            SystemConfig::with_geometry(Geometry::split_dimm_buffer()),
+        ],
     );
-    let split = run_matrix(
-        &apps,
-        &[Column::Ndp(DesignPoint::O)],
-        SystemConfig::with_geometry(Geometry::split_dimm_buffer()),
-        o.scale,
-    );
-    let perf: Vec<f64> = (0..apps.len())
-        .map(|i| split[i][0].makespan.ticks() as f64 / unified[i][0].makespan.ticks() as f64)
-        .collect();
-    let waits: Vec<f64> = (0..apps.len())
-        .map(|i| (split[i][0].wait_fraction + 1e-9) / (unified[i][0].wait_fraction + 1e-9))
-        .collect();
+    let perf = matrix_geomean(&m, |row| ticks(&row[1]) / ticks(&row[0]));
+    let waits = matrix_geomean(&m, |row| {
+        (row[1].wait_fraction + 1e-9) / (row[0].wait_fraction + 1e-9)
+    });
     println!(
         "split-DIMM slowdown: {:.1}% (geomean)   wait-time ratio: {:.2}x",
-        (geomean(&perf) - 1.0) * 100.0,
-        geomean(&waits)
+        (perf - 1.0) * 100.0,
+        waits
     );
 }
 
-fn dimm_link(o: &Opts) {
+fn dimm_link(o: &Opts, sw: &Sweeper) {
     println!("== Extension: NDPBridge + DIMM-Link cross-rank links ==");
     println!("(Section V-A: NDPBridge is orthogonal to and can work in tandem");
     println!(" with DIMM-Link; the paper's evaluation uses plain DDR channels.)\n");
     let apps = app_refs(o);
-    let base = run_matrix(
-        &apps,
-        &[Column::Ndp(DesignPoint::O)],
-        SystemConfig::table1(),
-        o.scale,
-    );
-    let linked = run_matrix(
-        &apps,
-        &[Column::Ndp(DesignPoint::O)],
-        SystemConfig::table1().with_dimm_link(),
-        o.scale,
+    // Entry 0 of each row runs on plain DDR channels, entry 1 with the
+    // links.
+    let m = run_o(
+        o,
+        sw,
+        &[
+            SystemConfig::table1(),
+            SystemConfig::table1().with_dimm_link(),
+        ],
     );
     println!(
         "{:<8}{:>12}{:>14}{:>14}",
         "app", "speedup", "chan KB", "chan KB+link"
     );
     let mut sp = Vec::new();
-    for (i, app) in apps.iter().enumerate() {
-        let s = linked[i][0].speedup_over(&base[i][0]);
+    for (app, row) in apps.iter().zip(&m) {
+        let s = row[1].speedup_over(&row[0]);
         sp.push(s);
         println!(
             "{:<8}{:>11.2}x{:>14}{:>14}",
             app,
             s,
-            base[i][0].channel_bytes / 1024,
-            linked[i][0].channel_bytes / 1024,
+            row[0].channel_bytes / 1024,
+            row[1].channel_bytes / 1024,
         );
     }
     println!("geomean {:>11.2}x", geomean(&sp));
@@ -823,6 +794,7 @@ fn bench_engine(o: &Opts) {
     );
     let tier = time_tier(&apps, &cols, scale, reps);
     let mut sections = vec![tier.json];
+    let baseline = load_baseline(&apps);
     // --small-tier: the Small-scale gather-traffic tier (ROADMAP item
     // 1 acceptance: W+GA moves >= 2x fewer gather bytes than W with
     // makespan no worse). One pass per design — the numbers recorded
@@ -867,18 +839,13 @@ fn bench_engine(o: &Opts) {
         let perf = geomean(&makespans[0]) / geomean(&makespans[1]);
         println!("gather reduction W+GA vs W: {reduction:.2}x   W+GA speedup over W: {perf:.3}x");
         // Non-gating delta against the committed baseline's small tier.
-        if let Ok(text) = std::fs::read_to_string("docs/repro/BENCH_repro.json") {
-            if let Ok(base) = ndpb_bench::json::Json::parse(&text) {
-                if let Some(br) = base
-                    .get("small_tier")
-                    .and_then(|t| t.get("gather_reduction_x"))
-                    .and_then(|v| v.as_f64())
-                {
-                    println!(
-                        "[baseline small-tier gather reduction {br:.2}x, this run {reduction:.2}x]"
-                    );
-                }
-            }
+        if let Some(br) = baseline
+            .as_ref()
+            .and_then(|b| b.get("small_tier"))
+            .and_then(|t| t.get("gather_reduction_x"))
+            .and_then(|v| v.as_f64())
+        {
+            println!("[baseline small-tier gather reduction {br:.2}x, this run {reduction:.2}x]");
         }
         sections.push(format!(
             "\"small_tier\":{{\"scale\":\"Small\",\"designs\":[\n{}\n],\"gather_reduction_x\":{reduction:.3},\"speedup_x\":{perf:.4}}}",
@@ -973,7 +940,9 @@ fn bench_engine(o: &Opts) {
         Ok(()) => eprintln!("[wrote {path}]"),
         Err(e) => eprintln!("failed to write {path}: {e}"),
     }
-    print_baseline_delta(&tier.rows, scale, &profile_rows, &full_rows);
+    if let Some(base) = &baseline {
+        print_baseline_delta(base, &tier.rows, scale, &profile_rows, &full_rows);
+    }
 }
 
 /// One `repro bench` tier: per design, its label, event count and
@@ -1055,33 +1024,50 @@ fn time_tier(apps: &[&str], cols: &[Column], scale: Scale, reps: u32) -> Tier {
     }
 }
 
-/// Compares a `repro bench` run against the committed baseline in
-/// `docs/repro/BENCH_repro.json`, when one exists. Throughput ratios
-/// are informational (machines differ); event-count drift is called
-/// out loudly because the simulator is deterministic — a changed count
-/// means changed behaviour, not noise.
+/// Where `repro bench` finds the committed baseline it compares with.
+const BASELINE: &str = "docs/repro/BENCH_repro.json";
+
+/// The committed baseline, when it exists, parses, and covers the same
+/// apps as this run. Every number it holds is a sum over its apps, so a
+/// run over other apps would be compared with different work: that
+/// case prints one skip note and yields `None`.
+fn load_baseline(apps: &[&str]) -> Option<ndpb_bench::json::Json> {
+    let text = std::fs::read_to_string(BASELINE).ok()?;
+    let Ok(base) = ndpb_bench::json::Json::parse(&text) else {
+        eprintln!("[baseline {BASELINE} is not valid JSON; skipping delta]");
+        return None;
+    };
+    let base_apps: Vec<&str> = base
+        .get("apps")
+        .and_then(|a| a.as_arr())
+        .map_or_else(Vec::new, |a| a.iter().filter_map(|v| v.as_str()).collect());
+    if base_apps != apps {
+        eprintln!(
+            "[baseline {BASELINE} covers apps {}, this run {}; skipping delta]",
+            base_apps.join(","),
+            apps.join(",")
+        );
+        return None;
+    }
+    Some(base)
+}
+
+/// Compares a `repro bench` run against the committed baseline `base`
+/// (see [`load_baseline`]). Throughput ratios are informational
+/// (machines differ); event-count drift is called out loudly because
+/// the simulator is deterministic — a changed count means changed
+/// behaviour, not noise.
 fn print_baseline_delta(
+    base: &ndpb_bench::json::Json,
     rows: &[(String, u64, f64)],
     scale: Scale,
     profile_rows: &[(String, ndpb_core::result::ProfileStats)],
     full_rows: &[(String, u64, f64)],
 ) {
-    let path = std::path::Path::new("docs/repro/BENCH_repro.json");
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return;
-    };
-    let Ok(base) = ndpb_bench::json::Json::parse(&text) else {
-        eprintln!(
-            "[baseline {} is not valid JSON; skipping delta]",
-            path.display()
-        );
-        return;
-    };
     let base_scale = base.str_field("scale").unwrap_or("?");
     if base_scale != format!("{scale:?}") {
         eprintln!(
-            "[baseline {} is scale {base_scale}, this run is {scale:?}; skipping delta]",
-            path.display()
+            "[baseline {BASELINE} is scale {base_scale}, this run is {scale:?}; skipping delta]"
         );
         return;
     }
@@ -1089,8 +1075,7 @@ fn print_baseline_delta(
         return;
     };
     println!(
-        "\nvs committed baseline ({}, reps={}):",
-        path.display(),
+        "\nvs committed baseline ({BASELINE}, reps={}):",
         base.u64_field("reps").unwrap_or(0)
     );
     println!(
@@ -1170,7 +1155,7 @@ fn compare_rows(base: &[ndpb_bench::json::Json], rows: &[(String, u64, f64)], wi
 /// message conservation, toArrive balance, dataBorrowed inclusivity,
 /// ledger totals and bus sanity; any violation aborts the run, so a
 /// completed table doubles as an invariant certificate.
-fn audit_breakdown(o: &Opts) {
+fn audit_breakdown(o: &Opts, sw: &Sweeper) {
     println!("== Traffic ledger: per-cause DRAM data movement, B vs W (audited) ==");
     println!("(W adds work stealing over B; the ledger shows where the extra bytes");
     println!(" go — scheduled-task mail, block migration, return traffic.)\n");
@@ -1184,7 +1169,7 @@ fn audit_breakdown(o: &Opts) {
         audit: AuditLevel::Full,
         ..SystemConfig::table1()
     };
-    let m = run_matrix(&apps, &cols, cfg, o.scale);
+    let m = run_matrix(sw, &apps, &[cfg], &cols, o.scale);
     let groups: [(&str, &[&str]); 6] = [
         ("taskq", &["ledger/comm/taskq"]),
         (
@@ -1204,7 +1189,7 @@ fn audit_breakdown(o: &Opts) {
         ),
         ("rowclone", &["ledger/comm/rowclone"]),
     ];
-    let bytes = |r: &ndpb_core::RunResult, names: &[&str]| -> u64 {
+    let bytes = |r: &RunResult, names: &[&str]| -> u64 {
         names.iter().filter_map(|n| r.metrics.final_value(n)).sum()
     };
     print!("{:<8}{:<8}", "app", "design");
@@ -1230,22 +1215,16 @@ fn audit_breakdown(o: &Opts) {
     println!(" the auditor checks that identity at every epoch)\n");
     println!("W vs B per cause (geomean bytes ratio; >1 = W moves more):");
     for (g, names) in &groups {
-        let ratios: Vec<f64> = (0..apps.len())
-            .map(|i| bytes(&m[i][1], names).max(1) as f64 / bytes(&m[i][0], names).max(1) as f64)
-            .collect();
-        println!("  {g:<10}{:>8.2}x", geomean(&ratios));
+        let ratio = matrix_geomean(&m, |row| {
+            bytes(&row[1], names).max(1) as f64 / bytes(&row[0], names).max(1) as f64
+        });
+        println!("  {g:<10}{ratio:>8.2}x");
     }
-    let perf: Vec<f64> = (0..apps.len())
-        .map(|i| m[i][0].makespan.ticks() as f64 / m[i][1].makespan.ticks() as f64)
-        .collect();
-    let comm: Vec<f64> = (0..apps.len())
-        .map(|i| m[i][1].comm_dram_bytes.max(1) as f64 / m[i][0].comm_dram_bytes.max(1) as f64)
-        .collect();
-    println!(
-        "\nW speedup over B (geomean): {:.2}x   W/B total comm bytes: {:.2}x",
-        geomean(&perf),
-        geomean(&comm)
-    );
+    let perf = matrix_geomean(&m, |row| ticks(&row[0]) / ticks(&row[1]));
+    let comm = matrix_geomean(&m, |row| {
+        row[1].comm_dram_bytes.max(1) as f64 / row[0].comm_dram_bytes.max(1) as f64
+    });
+    println!("\nW speedup over B (geomean): {perf:.2}x   W/B total comm bytes: {comm:.2}x");
     println!("auditor: zero violations (a violation would have aborted the sweep)");
 }
 
@@ -1254,7 +1233,7 @@ fn audit_breakdown(o: &Opts) {
 /// ablation ladder (byte budget, lent preference, both) and O±GA, with
 /// the per-design `ledger/comm/gather` bytes that motivated the policy.
 /// The ledger rows are always registered, so no `--audit` is needed.
-fn gather_aware(o: &Opts) {
+fn gather_aware(o: &Opts, sw: &Sweeper) {
     println!(
         "== Gather-cost-aware stealing: W ablations + O, scale {:?} ==",
         o.scale
@@ -1279,12 +1258,11 @@ fn gather_aware(o: &Opts) {
         Column::Ndp(DesignPoint::O),
         Column::Ndp(DesignPoint::OGather),
     ];
-    let m = run_matrix(&apps, &cols, cfg, o.scale);
+    let m = run_matrix(sw, &apps, &[cfg], &cols, o.scale);
     dump_json(o, &m);
     print!("{}", format_speedup_table(&apps, &cols, &m));
-    let gather = |r: &ndpb_core::RunResult| -> u64 {
-        r.metrics.final_value("ledger/comm/gather").unwrap_or(0)
-    };
+    let gather =
+        |r: &RunResult| -> u64 { r.metrics.final_value("ledger/comm/gather").unwrap_or(0) };
     println!("\ngather traffic (KB; the bytes the byte budget rations):");
     print_per_app(&apps, &cols, &m, |r| format!("{:>10}", gather(r) >> 10));
     // Per-design geomean ratios vs plain W: the acceptance metric is
@@ -1295,39 +1273,29 @@ fn gather_aware(o: &Opts) {
         if c.label() == "W" {
             continue;
         }
-        let gr: Vec<f64> = (0..apps.len())
-            .map(|i| gather(&m[i][j]).max(1) as f64 / gather(&m[i][1]).max(1) as f64)
-            .collect();
-        let perf: Vec<f64> = (0..apps.len())
-            .map(|i| m[i][1].makespan.ticks() as f64 / m[i][j].makespan.ticks() as f64)
-            .collect();
-        println!(
-            "{:<10}{:>11.3}x{:>11.3}x",
-            c.label(),
-            geomean(&gr),
-            geomean(&perf)
-        );
+        let gr = matrix_geomean(&m, |row| {
+            gather(&row[j]).max(1) as f64 / gather(&row[1]).max(1) as f64
+        });
+        let perf = matrix_geomean(&m, |row| ticks(&row[1]) / ticks(&row[j]));
+        println!("{:<10}{gr:>11.3}x{perf:>11.3}x", c.label());
     }
-    let wga_gather: Vec<f64> = (0..apps.len())
-        .map(|i| gather(&m[i][1]).max(1) as f64 / gather(&m[i][4]).max(1) as f64)
-        .collect();
-    let wga_perf: Vec<f64> = (0..apps.len())
-        .map(|i| m[i][1].makespan.ticks() as f64 / m[i][4].makespan.ticks() as f64)
-        .collect();
+    let wga_gather = matrix_geomean(&m, |row| {
+        gather(&row[1]).max(1) as f64 / gather(&row[4]).max(1) as f64
+    });
+    let wga_perf = matrix_geomean(&m, |row| ticks(&row[1]) / ticks(&row[4]));
     println!(
-        "\ngather reduction W+GA vs W: {:.2}x   W+GA speedup over W: {:.3}x",
-        geomean(&wga_gather),
-        geomean(&wga_perf)
+        "\ngather reduction W+GA vs W: {wga_gather:.2}x   W+GA speedup over W: {wga_perf:.3}x"
     );
 }
 
-/// A subcommand that prints one table or figure.
-type Figure = fn(&Opts);
+/// A subcommand that prints one table or figure; a figure runs its
+/// points as one sweep on the given engine.
+type Figure = fn(&Opts, &Sweeper);
 
 /// Every table and figure, in `repro all` order.
 const FIGURES: &[(&str, Figure)] = &[
-    ("table1", |_| table1()),
-    ("table2", |_| table2()),
+    ("table1", |_, _| table1()),
+    ("table2", |_, _| table2()),
     ("fig2", fig2),
     ("fig10", fig10),
     ("fig11", fig11),
@@ -1338,8 +1306,8 @@ const FIGURES: &[(&str, Figure)] = &[
     ("fig15", fig15),
     ("fig16a", fig16a),
     ("fig16b", fig16b),
-    ("fig16c", |o| fig16cd(o, true)),
-    ("fig16d", |o| fig16cd(o, false)),
+    ("fig16c", |o, sw| fig16cd(o, sw, true)),
+    ("fig16d", |o, sw| fig16cd(o, sw, false)),
     ("split-dimm", split_dimm),
     ("dimm-link", dimm_link),
 ];
@@ -1355,12 +1323,12 @@ fn main() {
     };
     let skip = usize::from(!args.first().is_none_or(|a| a.starts_with("--")));
     let o = parse_opts(&args[skip.min(args.len())..]);
-    configure_sweep(&o);
+    let sweeper = sweeper(&o);
     let start = std::time::Instant::now();
     match cmd {
         "trace" => traced_run(&o),
-        "audit" => audit_breakdown(&o),
-        "gather" => gather_aware(&o),
+        "audit" => audit_breakdown(&o, &sweeper),
+        "gather" => gather_aware(&o, &sweeper),
         "bench" => bench_engine(&o),
         "serve" => serve(&o),
         "all" => {
@@ -1368,16 +1336,15 @@ fn main() {
                 if i > 0 {
                     println!();
                 }
-                figure(&o);
+                figure(&o, &sweeper);
             }
         }
         name => match FIGURES.iter().find(|&&(n, _)| n == name) {
-            Some((_, figure)) => figure(&o),
+            Some((_, figure)) => figure(&o, &sweeper),
             None => usage_error(&format!("unknown subcommand {name:?}")),
         },
     }
-    let engine = ndpb_bench::sweep::global();
-    if let Some(summary) = engine.summary() {
+    if let Some(summary) = sweeper.summary() {
         eprintln!("\n{summary}");
     }
     // For sweep subcommands, `--metrics-json` dumps the engine's
@@ -1386,7 +1353,7 @@ fn main() {
     // own per-epoch metrics above.
     if cmd != "trace" {
         if let Some(path) = &o.metrics_json {
-            let report = engine.metrics().report();
+            let report = sweeper.metrics().report();
             match std::fs::write(path, report.to_json()) {
                 Ok(()) => eprintln!("[wrote sweep metrics to {path}]"),
                 Err(e) => eprintln!("failed to write {path}: {e}"),

@@ -5,12 +5,14 @@
 //! table/figure; the `Instant`-based benches under `benches/` (see
 //! [`timing`]) reuse the same entry points at reduced scale.
 //!
-//! All multi-point work routes through the [`sweep`] engine: one
-//! resident worker pool with deterministic result merging and an optional
+//! All multi-point work routes through a [`Sweeper`]: one resident
+//! worker pool with deterministic result merging and an optional
 //! content-addressed on-disk [`cache`] keyed by
 //! `SystemConfig::fingerprint`, so a warm `repro all` rerun simulates
-//! nothing. [`json`] holds the matching reader for the workspace's
-//! hand-rolled JSON writers.
+//! nothing. There is no process-wide engine: the caller builds the
+//! `Sweeper` and hands it to [`run_matrix`], which runs a whole figure
+//! (apps × configurations × columns) as one sweep. [`json`] holds the
+//! matching reader for the workspace's hand-rolled JSON writers.
 
 pub mod cache;
 pub mod json;
@@ -98,42 +100,48 @@ impl Column {
     }
 }
 
-/// Runs `columns × apps` under `cfg` through the process-wide [`sweep`]
-/// engine (resident worker pool, deterministic merge, optional result
-/// cache) and returns results in `[app][column]` order.
+/// Runs `apps × cfgs × columns` at `scale` as one sweep on `sweeper`
+/// and returns results in `[app][config * columns.len() + column]`
+/// order: each app's row holds its columns under the first
+/// configuration, then under the second, and so on.
 ///
 /// Output is identical for any worker count: each simulation is
 /// single-threaded and deterministic, and the engine merges by point
 /// index.
 pub fn run_matrix(
+    sweeper: &Sweeper,
     apps: &[&str],
+    cfgs: &[SystemConfig],
     columns: &[Column],
-    cfg: SystemConfig,
     scale: Scale,
 ) -> Vec<Vec<RunResult>> {
-    let cfg = &cfg;
     let points: Vec<SweepPoint> = apps
         .iter()
         .flat_map(|&app| {
-            columns
-                .iter()
-                .map(move |&col| SweepPoint::new(app, col, cfg.clone(), scale))
+            cfgs.iter().flat_map(move |cfg| {
+                columns
+                    .iter()
+                    .map(move |&col| SweepPoint::new(app, col, cfg.clone(), scale))
+            })
         })
         .collect();
-    let mut flat = sweep::global().run(points).into_iter();
+    let row = cfgs.len() * columns.len();
+    let mut flat = sweeper.run(points).into_iter();
     apps.iter()
-        .map(|_| flat.by_ref().take(columns.len()).collect())
+        .map(|_| flat.by_ref().take(row).collect())
         .collect()
 }
 
-/// Geometric-mean speedup of column `target` over column `baseline`
-/// across all rows of a [`run_matrix`] result.
+/// Geometric mean of `f(row)` over the rows (apps) of a [`run_matrix`]
+/// result.
+pub fn matrix_geomean(matrix: &[Vec<RunResult>], f: impl Fn(&[RunResult]) -> f64) -> f64 {
+    geomean(&matrix.iter().map(|row| f(row)).collect::<Vec<_>>())
+}
+
+/// Geometric-mean speedup of row entry `target` over row entry
+/// `baseline` across all rows of a [`run_matrix`] result.
 pub fn matrix_geomean_speedup(matrix: &[Vec<RunResult>], target: usize, baseline: usize) -> f64 {
-    let ratios: Vec<f64> = matrix
-        .iter()
-        .map(|row| row[target].speedup_over(&row[baseline]))
-        .collect();
-    geomean(&ratios)
+    matrix_geomean(matrix, |row| row[target].speedup_over(&row[baseline]))
 }
 
 /// Formats a speedup table (rows = apps, columns relative to the first
@@ -209,7 +217,7 @@ mod tests {
     fn matrix_shape_and_tables() {
         let apps = ["ll", "spmv"];
         let cols = [Column::Ndp(DesignPoint::C), Column::Ndp(DesignPoint::B)];
-        let m = run_matrix(&apps, &cols, tiny_cfg(), Scale::Tiny);
+        let m = run_matrix(&Sweeper::new(2), &apps, &[tiny_cfg()], &cols, Scale::Tiny);
         assert_eq!(m.len(), 2);
         assert_eq!(m[0].len(), 2);
         let table = format_speedup_table(&apps, &cols, &m);

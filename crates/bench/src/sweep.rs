@@ -1,11 +1,15 @@
 //! The sweep engine: one resident worker pool that runs simulation
 //! points, with an optional content-addressed result cache.
 //!
-//! Every table/figure of the paper is a *sweep*: a list of
+//! Every table/figure of the paper is one *sweep*: a list of
 //! (application, design column, configuration, scale) points whose
 //! simulations are completely independent — each one is single-threaded
-//! and deterministic given its config seed. The engine exploits exactly
-//! that independence and nothing more:
+//! and deterministic given its config seed. `crate::run_matrix` builds a
+//! figure's whole apps × configurations × columns list and runs it as
+//! one [`Sweeper::run`]. There is no process-wide engine: whoever owns
+//! the worker count and cache (the `repro` harness, the service, a
+//! test) builds its own `Sweeper` and passes it down. The engine
+//! exploits exactly that independence and nothing more:
 //!
 //! * **One worker loop.** `--jobs N` workers start on the first
 //!   [`Sweeper::submit`] and pull points from one shared queue
@@ -378,23 +382,6 @@ pub fn default_jobs() -> usize {
     thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get)
 }
 
-static GLOBAL: OnceLock<Sweeper> = OnceLock::new();
-
-/// Installs the process-wide engine (the `repro` harness calls this
-/// once from its CLI flags). Returns `false` if an engine was already
-/// installed — the existing one keeps running, matching `OnceLock`
-/// semantics.
-pub fn configure(sweeper: Sweeper) -> bool {
-    GLOBAL.set(sweeper).is_ok()
-}
-
-/// The process-wide engine `run_matrix` routes through. Defaults to
-/// all hardware threads and **no cache** (library users and tests get
-/// pure in-memory behaviour unless they opt in via [`configure`]).
-pub fn global() -> &'static Sweeper {
-    GLOBAL.get_or_init(|| Sweeper::new(default_jobs()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -671,11 +658,36 @@ mod tests {
     }
 
     #[test]
-    fn global_engine_is_installed_once() {
-        // Whichever call wins, subsequent configuration is rejected and
-        // the instance stays stable.
-        let first = global() as *const Sweeper;
-        assert!(!configure(Sweeper::new(2)), "global already initialized");
-        assert_eq!(first, global() as *const Sweeper);
+    fn run_matrix_is_one_config_major_sweep() {
+        let apps = ["ll", "spmv"];
+        let cfgs = [
+            tiny_cfg(),
+            SystemConfig {
+                g_xfer: 1024,
+                ..tiny_cfg()
+            },
+        ];
+        let cols = [Column::Ndp(DesignPoint::C), Column::Ndp(DesignPoint::O)];
+        let sw = Sweeper::new(2);
+        let m = crate::run_matrix(&sw, &apps, &cfgs, &cols, Scale::Tiny);
+        assert_eq!(m.len(), apps.len());
+        for (app, row) in apps.iter().zip(&m) {
+            assert_eq!(row.len(), cfgs.len() * cols.len());
+            for (k, cfg) in cfgs.iter().enumerate() {
+                for (j, &col) in cols.iter().enumerate() {
+                    let alone = SweepPoint::new(*app, col, cfg.clone(), Scale::Tiny).simulate();
+                    assert_eq!(
+                        row[k * cols.len() + j].to_json(),
+                        alone.to_json(),
+                        "{app}, config {k}, column {j}"
+                    );
+                }
+            }
+        }
+        // The whole matrix is one `Sweeper::run`: one snapshot.
+        let report = sw.metrics().report();
+        let sweeps: Vec<&str> = report.snapshots.iter().map(|s| s.label.as_str()).collect();
+        assert_eq!(sweeps, ["sweep-0"]);
+        assert_eq!(report.final_value("sweep/points_total"), Some(8));
     }
 }

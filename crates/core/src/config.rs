@@ -36,16 +36,6 @@ pub struct SystemConfig {
     /// default 2 mirrors the `W_th` derivation — one gather out plus
     /// one scatter back stays latency-hidden per threshold of work.
     pub steal_budget_gxfer: u32,
-    /// Giver overload gate, in `W_th` multiples (only read when
-    /// `LbPolicy::byte_budget` is on). A giver spends *data* bytes on
-    /// block moves only while its queued backlog exceeds
-    /// `steal_gate_wth · W_th`; shallower queues drain on their own
-    /// before rebalancing pays, and each block move costs a full
-    /// gather-round sweep (`chips · G_xfer` of ledger traffic), so
-    /// transient imbalance is left alone. Task-only forwards ignore
-    /// the gate. Sweeping 2..512 at Small scale: gather reduction
-    /// grows monotonically, makespan peaks near 256.
-    pub steal_gate_wth: u32,
     /// State-gathering period `I_state` in NDP core cycles.
     pub i_state_cycles: u64,
     /// Per-unit in-DRAM mailbox region (1 MB).
@@ -99,7 +89,6 @@ impl SystemConfig {
             energy: EnergyParams::paper(),
             g_xfer: 256,
             steal_budget_gxfer: 2,
-            steal_gate_wth: 256,
             i_state_cycles: 2000,
             mailbox_bytes: 1 << 20,
             borrowed_region_bytes: 1 << 20,
@@ -173,10 +162,6 @@ impl SystemConfig {
         assert!(
             self.steal_budget_gxfer > 0,
             "steal byte budget must be positive"
-        );
-        assert!(
-            self.steal_gate_wth > 0,
-            "steal overload gate must be positive"
         );
         assert!(
             self.geometry.intra_rank_data_bits() > 0,
@@ -323,13 +308,6 @@ mod tests {
             c.fingerprint(),
             base,
             "the steal byte budget is a policy knob and must key the cache"
-        );
-        let mut c = SystemConfig::table1();
-        c.steal_gate_wth = 8;
-        assert_ne!(
-            c.fingerprint(),
-            base,
-            "the overload gate is a policy knob and must key the cache"
         );
         let mut c = SystemConfig::table1();
         c.trigger = TriggerPolicy::Fixed2IMin;

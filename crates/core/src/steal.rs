@@ -102,6 +102,16 @@ impl AmortizeCfg {
     }
 }
 
+/// Giver overload gate, in `W_th` multiples (only read when
+/// `LbPolicy::byte_budget` is on). A giver spends *data* bytes on block
+/// moves only while its queued backlog is at least `STEAL_GATE_WTH ·
+/// W_th`; shallower queues drain on their own before rebalancing pays,
+/// and each block move costs a full gather-round sweep (`chips ·
+/// G_xfer` of ledger traffic), so transient imbalance is left alone.
+/// Task-only forwards ignore the gate. Sweeping 2..512 at Small scale:
+/// gather reduction grows monotonically, makespan peaks near 256.
+pub const STEAL_GATE_WTH: u64 = 256;
+
 /// Converts a round's workload budget into its byte budget.
 ///
 /// The `W_th` threshold is derived so that executing `W_th` workload

@@ -858,7 +858,6 @@ impl System {
                     CommCause::MailData
                 }
             }
-            Message::State(_) => CommCause::MailTask,
         };
         self.charge_comm(cause, bytes as u64);
         self.bank_access(u, now, MAILBOX_ROW, bytes, true);
@@ -976,9 +975,6 @@ impl System {
                     }
                 }
             }
-            Message::State(_) => {
-                // State messages never arrive at units.
-            }
         }
     }
 
@@ -1050,7 +1046,7 @@ impl System {
                     None
                 }
             }
-            Message::Data(_, None) | Message::State(_) => None,
+            Message::Data(_, None) => None,
         }
     }
 
@@ -1066,7 +1062,7 @@ impl System {
                 g.rank_of(self.map.block_home(block)).index()
             }
             Message::Data(_, Some(dest)) => g.rank_of(*dest).index(),
-            Message::Data(_, None) | Message::State(_) => 0,
+            Message::Data(_, None) => 0,
         }
     }
 
@@ -1568,13 +1564,13 @@ impl System {
             // genuinely backlogged (DESIGN.md §10). Each block move
             // provokes a full gather-round sweep — `chips · G_xfer` of
             // ledger traffic, far more than the message's own wire
-            // bytes — so a queue shallower than `steal_gate_wth · W_th`
+            // bytes — so a queue shallower than `STEAL_GATE_WTH · W_th`
             // (transient imbalance that drains on its own) gets a zero
             // *data* budget. Task-only forwards, which ride the reroute
             // path's mail anyway, are still allowed. This is what stops
             // low-parallelism apps from re-stealing thin blocks every
             // idle round.
-            let gate = u64::from(self.cfg.steal_gate_wth) * w_th.max(1);
+            let gate = steal::STEAL_GATE_WTH * w_th.max(1);
             if self.units[giver].queue_workload() < gate {
                 0
             } else {
@@ -2094,7 +2090,6 @@ impl System {
                 dest.index()
             }
             Message::Data(dm, None) => self.map.block_home(dm.block).index(),
-            Message::State(_) => 0,
         }
     }
 

@@ -3,26 +3,22 @@
 //! Section V-B of the paper defines three message types — *task*,
 //! *data* and *state* messages (Figure 5), each at most 64 bytes with
 //! larger payloads split into indexed sub-messages — and four bridge
-//! commands forged from standard DDR commands on reserved row/column
-//! addresses:
+//! commands (STATE-GATHER, GATHER, SCATTER, SCHEDULE) forged from
+//! standard DDR commands on reserved row/column addresses.
 //!
-//! | Command | DDR encoding | Purpose |
-//! |---|---|---|
-//! | `STATE-GATHER` | ACTIVATE to `R_ROW` | collect a child's state message |
-//! | `GATHER` | READ to `R_COL` | drain `G_xfer` bytes from a child's mailbox |
-//! | `SCATTER` | WRITE to `R_COL` | deliver `G_xfer` bytes of messages to a child |
-//! | `SCHEDULE` | ACTIVATE with budget in the row address | start load balancing at a giver |
-//!
-//! This crate models those wire formats ([`message`]), the per-unit and
-//! per-bridge mailbox ring buffers ([`mailbox`]), and the command
-//! encodings with their C/A timing cost ([`commands`]).
+//! This crate models the messages that travel through mailboxes — task
+//! and data messages, with their wire sizes ([`message`]) — and the
+//! per-unit and per-bridge mailbox ring buffers ([`mailbox`]). State
+//! never queues behind mail: `ndpb_core`'s STATE-GATHER reads each
+//! child's status into a `bridge::ChildState` and charges a fixed
+//! 64 B per child on the rank bus. Each bridge command is likewise
+//! modelled in `ndpb_core::System` as a reservation on the bus it
+//! occupies.
 
 #![warn(missing_docs)]
 
-pub mod commands;
 pub mod mailbox;
 pub mod message;
 
-pub use commands::BridgeCommand;
 pub use mailbox::Mailbox;
-pub use message::{DataMessage, Message, StateMessage, MAX_MESSAGE_BYTES};
+pub use message::{DataMessage, Message, MAX_MESSAGE_BYTES};

@@ -24,32 +24,8 @@ pub struct DataMessage {
     pub workload: u64,
 }
 
-/// A state message: the per-unit status the bridge collects with
-/// STATE-GATHER (Section V-B). State is maintained in the unit
-/// controller, not the mailbox, so it is never blocked behind other
-/// messages.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct StateMessage {
-    /// Bytes currently waiting in the mailbox region (`L_mailbox`).
-    pub mailbox_bytes: u64,
-    /// Workload (estimated cycles) waiting in the task queue
-    /// (`W_queue`).
-    pub queue_workload: u64,
-    /// Workload finished since the previous state gather (`W_finish`).
-    pub finished_workload: u64,
-    /// When responding to a SCHEDULE round: the blocks chosen to be lent
-    /// out with their workloads (step ③ of Figure 6).
-    pub scheduled_out: Vec<(BlockAddr, u64)>,
-}
-
-impl StateMessage {
-    /// Wire size: fixed fields plus 10 bytes per scheduled-out entry.
-    pub fn wire_bytes(&self) -> u32 {
-        MESSAGE_HEADER_BYTES + 6 + 6 + 6 + self.scheduled_out.len() as u32 * 10
-    }
-}
-
-/// Any message travelling between units and bridges.
+/// Any message travelling between units and bridges through their
+/// mailboxes.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
     /// A task pushed to the unit holding its data element.
@@ -62,8 +38,6 @@ pub enum Message {
     /// chosen by the bridge (step ④ of Figure 6). `None` until the
     /// bridge assigns it.
     Data(DataMessage, Option<UnitId>),
-    /// A state report (only travels child → parent).
-    State(StateMessage),
 }
 
 impl Message {
@@ -77,7 +51,6 @@ impl Message {
                 let subs = d.bytes.div_ceil(payload_per_sub).max(1);
                 d.bytes + subs * (MESSAGE_HEADER_BYTES + 8)
             }
-            Message::State(s) => s.wire_bytes(),
         }
     }
 
@@ -142,14 +115,5 @@ mod tests {
             Some(UnitId(3)),
         );
         assert_eq!(m.wire_bytes(), 16 + 10);
-    }
-
-    #[test]
-    fn state_message_grows_with_schedule_list() {
-        let mut s = StateMessage::default();
-        let empty = s.wire_bytes();
-        s.scheduled_out.push((BlockAddr(3), 17));
-        assert_eq!(s.wire_bytes(), empty + 10);
-        assert!(Message::State(s).wire_bytes() >= empty);
     }
 }

@@ -180,7 +180,6 @@ fn wire_bytes_bounds() {
                 let subs = d.bytes.div_ceil(54).max(1);
                 assert!(sz <= d.bytes + subs * 10);
             }
-            Message::State(_) => {}
         }
     }
 }
