@@ -126,6 +126,12 @@ echo "== repro bench smoke: engine throughput + Small tier (non-gating timings) 
 # is well-formed with all six design columns present.
 "$REPRO" bench --quick --small-tier --profile > "$SMOKE_DIR/bench.txt" 2>&1
 test -s BENCH_repro.json
+# Event counts ARE gated: the simulator is deterministic, so a count
+# that differs from docs/repro/BENCH_repro.json means changed behaviour.
+# A deliberate behaviour change regenerates that baseline with it.
+if grep "EVENT-COUNT DRIFT" "$SMOKE_DIR/bench.txt"; then
+    echo "repro bench event counts drifted from docs/repro/BENCH_repro.json"; exit 1
+fi
 # Structure IS gated: a report missing any of the six design columns —
 # or the profile section below — means the harness
 # silently dropped coverage, which must fail CI even though the wall

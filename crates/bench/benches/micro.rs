@@ -10,7 +10,7 @@
 use ndpb_bench::timing::bench;
 use ndpb_dram::{BankModel, Bus, DataAddr, DramTiming};
 use ndpb_proto::{Mailbox, Message};
-use ndpb_sim::{EventQueue, SimRng, SimTime};
+use ndpb_sim::{EventQueue, SimRng, SimTime, WHEEL_SLOTS};
 use ndpb_sketch::{HotSketch, SketchConfig};
 use ndpb_tasks::{Task, TaskArgs, TaskFnId, Timestamp};
 use ndpb_workloads::{Graph, Zipfian};
@@ -124,8 +124,9 @@ macro_rules! queue_workload {
 
 /// Head-to-head: timer-wheel `EventQueue` vs the old `BinaryHeap`
 /// queue on the three mixes that matter — near-horizon (bucket tier),
-/// far-future (overflow tier), and same-tick bursts (FIFO churn) — the
-/// near-horizon and same-tick mixes also with event-sized payloads.
+/// far-future (one to four wheel widths out: the overflow tier), and
+/// same-tick bursts (FIFO churn) — the near-horizon and same-tick mixes
+/// also with event-sized payloads.
 fn event_queue_head_to_head() {
     let near = |rng: &mut SimRng, _i: u64| rng.next_below(256);
     bench("micro/evq_wheel_near_horizon_50k", ITERS, || {
@@ -141,7 +142,8 @@ fn event_queue_head_to_head() {
         queue_workload!(heap_queue::HeapQueue::new(), near, Fat)
     });
 
-    let far = |rng: &mut SimRng, _i: u64| 4096 + rng.next_below(3 * 4096);
+    let slots = WHEEL_SLOTS as u64;
+    let far = |rng: &mut SimRng, _i: u64| slots + rng.next_below(3 * slots);
     bench("micro/evq_wheel_far_future_50k", ITERS, || {
         queue_workload!(EventQueue::new(), far)
     });

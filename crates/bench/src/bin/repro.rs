@@ -593,13 +593,16 @@ fn fig14b(o: &Opts, sw: &Sweeper) {
         let energy = matrix_geomean(&m, |row| {
             row[k].energy.dram_comm_pj / row[0].energy.dram_comm_pj.max(1.0)
         });
-        let wasted: u64 = m.iter().map(|row| row[k].comm_dram_bytes).sum();
+        let wasted: u64 = m
+            .iter()
+            .filter_map(|row| row[k].metrics.final_value("bridge/wasted_gathers"))
+            .sum();
         println!(
             "{:<10}{:>13.2}x{:>17.1}%{:>16}",
             label,
             perf,
             energy * 100.0,
-            wasted / 1024,
+            wasted,
         );
     }
 }

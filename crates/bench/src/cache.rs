@@ -9,7 +9,7 @@
 //! would run byte-identical simulations, so their `RunResult` can be
 //! reused from disk.
 //!
-//! The cached document must reproduce the in-memory result *exactly* —
+//! The result document must reproduce the in-memory result *exactly* —
 //! `repro` output printed from a cache hit has to be byte-identical to
 //! output printed from a live run. Integers are stored plainly; every
 //! `f64` is stored as its IEEE-754 bit pattern (a `u64`), because a
@@ -17,10 +17,15 @@
 //! bits. A human-readable decimal copy rides along for `git diff` /
 //! eyeballing but is ignored by the decoder.
 //!
-//! Decoding is fail-open: any parse error, format-version mismatch or
-//! missing field is reported as a cache miss and the entry is
-//! re-simulated and overwritten. A stale or corrupt cache can cost
-//! time, never correctness.
+//! A cache entry is that result document sealed by one last field,
+//! `body_fnv1a`: the FNV-1a hash of every byte before it. (The golden
+//! references in `tests/golden/` are unsealed result documents.)
+//!
+//! Decoding is fail-open: any parse error, format-version mismatch, seal
+//! mismatch or missing field is reported as a cache miss and the entry
+//! is re-simulated and overwritten. A stale or corrupt cache can cost
+//! time, never correctness: a flipped digit breaks the seal instead of
+//! decoding as a valid but wrong result.
 
 use std::fmt::Write as _;
 use std::fs;
@@ -30,15 +35,26 @@ use std::path::{Path, PathBuf};
 use ndpb_core::config::SystemConfig;
 use ndpb_core::result::RunResult;
 use ndpb_dram::EnergyBreakdown;
+use ndpb_sim::fingerprint::fingerprint_str;
 use ndpb_sim::{Fnv1a64, SimTime};
 use ndpb_trace::{MetricsReport, MetricsSnapshot};
 use ndpb_workloads::Scale;
 
 use crate::json::Json;
 
-/// Bump when the cached document layout changes; old entries then miss
-/// and are regenerated instead of being misread.
-pub const CACHE_FORMAT: u32 = 1;
+/// Version of the result document's layout ([`encode_document`]).
+const DOCUMENT_FORMAT: u32 = 1;
+
+/// Version of a cache entry: a result document of `DOCUMENT_FORMAT`
+/// plus its seal. Bump it when either changes; it is folded into every
+/// key, so entries of another format are never read. Version 2 added
+/// the seal.
+pub const CACHE_FORMAT: u32 = 2;
+
+/// What precedes the seal at the end of a cache entry. Named apart from
+/// `RunResult::checksum`, the application's output checksum inside the
+/// document.
+const SEAL: &str = ",\n  \"body_fnv1a\": ";
 
 /// The cache key for one sweep point.
 pub fn point_key(app: &str, column_label: &str, scale: Scale, cfg: &SystemConfig) -> u64 {
@@ -54,16 +70,45 @@ pub fn point_key(app: &str, column_label: &str, scale: Scale, cfg: &SystemConfig
     h.finish()
 }
 
-/// Serializes a [`RunResult`] as the cache/golden JSON document:
+/// Serializes a [`RunResult`] as a sealed cache entry: the
+/// [`encode_document`] text with `body_fnv1a` as its last field.
+pub fn encode_result(r: &RunResult) -> String {
+    seal(encode_document(r))
+}
+
+/// Appends the seal to a result document: its closing brace gives way
+/// to `body_fnv1a`, the hash of everything before that field.
+fn seal(mut doc: String) -> String {
+    let body_len = doc
+        .strip_suffix("\n}\n")
+        .expect("a result document ends with its closing brace")
+        .len();
+    doc.truncate(body_len);
+    let hash = fingerprint_str(&doc);
+    let _ = write!(doc, "{SEAL}{hash}\n}}\n");
+    doc
+}
+
+/// Decodes a cache entry produced by [`encode_result`]. `None` on any
+/// mismatch, the seal's included (treated as a cache miss by callers).
+pub fn decode_result(text: &str) -> Option<RunResult> {
+    let (body, tail) = text.rsplit_once(SEAL)?;
+    if tail != format!("{}\n}}\n", fingerprint_str(body)) {
+        return None;
+    }
+    decode_document(text)
+}
+
+/// Serializes a [`RunResult`] as the result JSON document:
 /// pretty-printed one field per line (diff-friendly), floats duplicated
 /// as decimal (for humans) and bit pattern (for exact decode).
 ///
 /// The `trace` field is deliberately not persisted — traced runs bypass
 /// the cache entirely, and untraced runs have an empty trace.
-pub fn encode_result(r: &RunResult) -> String {
+pub fn encode_document(r: &RunResult) -> String {
     let mut s = String::new();
     s.push_str("{\n");
-    let _ = writeln!(s, "  \"format\": {CACHE_FORMAT},");
+    let _ = writeln!(s, "  \"format\": {DOCUMENT_FORMAT},");
     let _ = writeln!(s, "  \"app\": \"{}\",", escape(&r.app));
     let _ = writeln!(s, "  \"design\": \"{}\",", escape(&r.design));
     let _ = writeln!(s, "  \"makespan_ticks\": {},", r.makespan.ticks());
@@ -115,11 +160,11 @@ pub fn encode_result(r: &RunResult) -> String {
     s
 }
 
-/// Decodes a document produced by [`encode_result`]. `None` on any
-/// mismatch (treated as a cache miss by callers).
-pub fn decode_result(text: &str) -> Option<RunResult> {
+/// Decodes a document produced by [`encode_document`]; unknown fields,
+/// such as the seal, are ignored. `None` on any mismatch.
+pub fn decode_document(text: &str) -> Option<RunResult> {
     let j = Json::parse(text).ok()?;
-    if j.u64_field("format")? != CACHE_FORMAT as u64 {
+    if j.u64_field("format")? != DOCUMENT_FORMAT as u64 {
         return None;
     }
     let energy_bits = j.get("energy_bits")?;
@@ -248,7 +293,7 @@ impl ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run_one;
+    use crate::{run_one, Column, SweepPoint, Sweeper};
     use ndpb_core::design::DesignPoint;
     use ndpb_dram::Geometry;
 
@@ -308,16 +353,38 @@ mod tests {
         let key = point_key("spmv", "B", Scale::Tiny, &tiny_cfg());
         assert!(cache.load(key).is_none(), "cold cache misses");
         cache.store(key, &r).expect("store");
+        let entry = fs::read_to_string(cache.path_for(key)).unwrap();
+        assert_eq!(entry, encode_result(&r), "the store writes the entry");
         let hit = cache.load(key).expect("warm cache hits");
         assert_eq!(hit.to_json(), r.to_json());
         // Corrupt entries miss instead of erroring.
         fs::write(cache.path_for(key), "{\"format\": 1, \"app\": tru").unwrap();
         assert!(cache.load(key).is_none());
-        // Entries from a different format version miss.
-        let stale =
-            encode_result(&r).replacen(&format!("\"format\": {CACHE_FORMAT}"), "\"format\": 0", 1);
-        fs::write(cache.path_for(key), stale).unwrap();
+        // Documents of another version miss, even when sealed.
+        let stale = encode_document(&r).replacen("\"format\": 1,", "\"format\": 0,", 1);
+        fs::write(cache.path_for(key), seal(stale)).unwrap();
         assert!(cache.load(key).is_none());
+        // One flipped digit leaves a valid but wrong result, which the
+        // seal turns into a miss.
+        let at = entry.find("\"makespan_ticks\": ").unwrap() + "\"makespan_ticks\": ".len();
+        let digit = if entry.as_bytes()[at] == b'9' {
+            "8"
+        } else {
+            "9"
+        };
+        let flipped = format!("{}{digit}{}", &entry[..at], &entry[at + 1..]);
+        let wrong = decode_document(&flipped).expect("still a result document");
+        assert_ne!(wrong.makespan, r.makespan);
+        fs::write(cache.path_for(key), &flipped).unwrap();
+        assert!(cache.load(key).is_none(), "a flipped digit must miss");
+        // A sweep then re-simulates the point and rewrites its entry.
+        let sw = Sweeper::new(1).with_cache(&dir);
+        let point = SweepPoint::new("spmv", Column::Ndp(DesignPoint::B), tiny_cfg(), Scale::Tiny);
+        assert_eq!(point.key(), key);
+        assert_eq!(sw.run(vec![point])[0].to_json(), r.to_json());
+        let report = sw.metrics().report();
+        assert_eq!(report.final_value("sweep/simulated"), Some(1));
+        assert_eq!(fs::read_to_string(cache.path_for(key)).unwrap(), entry);
         let _ = fs::remove_dir_all(&dir);
     }
 

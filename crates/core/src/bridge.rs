@@ -157,16 +157,9 @@ impl RankBridge {
         }
     }
 
-    /// Drains up to `budget` bytes of messages destined for child `idx`.
-    pub fn drain_scatter(&mut self, idx: usize, budget: u32) -> Vec<Message> {
-        let mut out = Vec::new();
-        self.drain_scatter_into(idx, budget, &mut out);
-        out
-    }
-
-    /// Like [`drain_scatter`](Self::drain_scatter), but appends into a
-    /// caller-provided buffer so the scatter hot path can recycle one
-    /// allocation across rounds.
+    /// Drains up to `budget` bytes of messages destined for child `idx`,
+    /// appending them to `out` (a buffer the scatter hot path recycles
+    /// across rounds).
     pub fn drain_scatter_into(&mut self, idx: usize, budget: u32, out: &mut Vec<Message>) {
         let mut drained = 0u32;
         while let Some(front) = self.scatter[idx].front() {
@@ -209,11 +202,6 @@ impl RankBridge {
             .iter()
             .flatten()
             .chain(self.backup.iter().map(|(_, m)| m))
-    }
-
-    /// Number of messages buffered in scatter + backup.
-    pub fn buffered_msg_count(&self) -> usize {
-        self.scatter.iter().map(VecDeque::len).sum::<usize>() + self.backup.len()
     }
 
     /// Children whose queue (plus in-flight correction when enabled)
@@ -298,13 +286,8 @@ impl HostBridge {
         self.scatter[rank].push_back(msg);
     }
 
-    /// Drains every message pending for `rank`.
-    pub fn drain_scatter(&mut self, rank: usize) -> Vec<Message> {
-        self.scatter[rank].drain(..).collect()
-    }
-
-    /// Like [`drain_scatter`](Self::drain_scatter), but appends into a
-    /// caller-provided buffer (recycled by the host-round hot path).
+    /// Drains every message pending for `rank`, appending them to `out`
+    /// (a buffer the host-round hot path recycles).
     pub fn drain_scatter_into(&mut self, rank: usize, out: &mut Vec<Message>) {
         out.extend(self.scatter[rank].drain(..));
     }
@@ -325,11 +308,6 @@ impl HostBridge {
     /// Iterates over every message queued for any rank (auditing).
     pub fn buffered_messages(&self) -> impl Iterator<Item = &Message> {
         self.scatter.iter().flatten()
-    }
-
-    /// Number of messages queued across all ranks.
-    pub fn buffered_msg_count(&self) -> usize {
-        self.scatter.iter().map(VecDeque::len).sum()
     }
 }
 
@@ -377,7 +355,8 @@ mod tests {
         let mut b = RankBridge::new(RankId(0), 1, &c, SimRng::new(1));
         b.enqueue_scatter(0, msg()).unwrap();
         b.enqueue_scatter(0, msg()).unwrap(); // backup
-        let drained = b.drain_scatter(0, 1024);
+        let mut drained = Vec::new();
+        b.drain_scatter_into(0, 1024, &mut drained);
         assert_eq!(drained.len(), 1);
         b.refill_from_backup();
         assert_eq!(b.backup_pending(), 0);
@@ -392,9 +371,11 @@ mod tests {
             b.enqueue_scatter(3, msg()).unwrap();
         }
         let one = msg().wire_bytes();
-        let got = b.drain_scatter(3, 2 * one);
+        let mut got = Vec::new();
+        b.drain_scatter_into(3, 2 * one, &mut got);
         assert_eq!(got.len(), 2);
-        assert_eq!(b.drain_scatter(3, u32::MAX).len(), 3);
+        b.drain_scatter_into(3, u32::MAX, &mut got);
+        assert_eq!(got.len(), 5, "appends after the first drain");
         assert_eq!(b.scatter_pending(3), 0);
     }
 
@@ -433,7 +414,9 @@ mod tests {
         h.enqueue_scatter(5, msg());
         assert!(h.has_pending());
         assert!(h.scatter_pending(5) > 0);
-        assert_eq!(h.drain_scatter(5).len(), 1);
+        let mut got = Vec::new();
+        h.drain_scatter_into(5, &mut got);
+        assert_eq!(got.len(), 1);
         assert!(!h.has_pending());
     }
 
@@ -444,7 +427,7 @@ mod tests {
         assert!(!b.has_pending_output());
         b.enqueue_scatter(0, msg()).unwrap();
         assert!(b.has_pending_output());
-        b.drain_scatter(0, u32::MAX);
+        b.drain_scatter_into(0, u32::MAX, &mut Vec::new());
         assert!(!b.has_pending_output());
         assert!(b.up_mailbox.try_push(msg()).is_none());
         assert!(b.has_pending_output());

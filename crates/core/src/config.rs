@@ -2,7 +2,7 @@
 
 use crate::audit::AuditLevel;
 use ndpb_dram::{DramTiming, EnergyParams, Geometry};
-use ndpb_sim::{SimTime, TICKS_PER_CORE_CYCLE};
+use ndpb_sim::SimTime;
 use ndpb_sketch::SketchConfig;
 
 /// When the bridges run task/data message gather/scatter rounds
@@ -223,11 +223,6 @@ pub fn w_threshold(
     (transfer_cycles / s_exe_cycles_per_workload).ceil() as u64
 }
 
-/// Converts NDP core cycles to ticks (convenience for tests and apps).
-pub fn cycles_to_ticks(cycles: u64) -> u64 {
-    cycles * TICKS_PER_CORE_CYCLE
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,6 +242,17 @@ mod tests {
         let base = c.i_min();
         c.g_xfer = 1024;
         assert_eq!(c.i_min().ticks(), base.ticks() * 4);
+    }
+
+    #[test]
+    fn table1_periodic_timers_fit_the_event_queue_near_tier() {
+        // The bridges' periodic timers (a state gather every I_state, a
+        // round up to 2 × I_min after the last under `Fixed2IMin`) stay
+        // in the event queue's near tier only if it is wider than both.
+        let c = SystemConfig::table1();
+        assert_eq!(c.i_state().ticks(), 12_000);
+        assert!(c.i_state().ticks() < ndpb_sim::WHEEL_SLOTS as u64);
+        assert!(2 * c.i_min().ticks() < ndpb_sim::WHEEL_SLOTS as u64);
     }
 
     #[test]

@@ -103,13 +103,13 @@ impl HostOnly {
             cfg,
             host,
             app,
-            // Host completion times pile up multiple wheel revolutions
-            // ahead of the clock (per-access activation latency plus
-            // shared-channel queueing across 16 workers), which made the
-            // default 4096-tick horizon overflow-dominated — the 0.96x
-            // H regression vs the old heap. Start the calendar wide; the
-            // wheel still auto-tunes if contention pushes further out.
-            q: EventQueue::with_horizon(1 << 16),
+            // Host completion times run up to 10,851 ticks ahead of the
+            // clock (activation latency plus shared-channel queueing
+            // across 16 workers): inside the queue's 16,384-tick near
+            // tier at every scale. The old 4096-tick tier made them
+            // overflow-dominated, the 0.96x H regression against a
+            // plain heap.
+            q: EventQueue::new(),
             ready: VecDeque::new(),
             future: BTreeMap::new(),
             worker_free: vec![SimTime::ZERO; w],

@@ -82,7 +82,6 @@ pub struct System {
     link_bus: Vec<Bus>,
     link_scheduled: Vec<bool>,
     epochs: EpochTracker,
-    done: bool,
     /// Optional event trace (`None` = tracing off: each record site
     /// costs one branch), written only through [`Self::record`].
     /// Attached via [`System::set_trace`], drained by `finalize`.
@@ -416,7 +415,6 @@ impl System {
             link_bus,
             link_scheduled,
             epochs: EpochTracker::new(),
-            done: false,
             trace: None,
             metrics,
             m,
@@ -603,7 +601,6 @@ impl System {
         // An application with no tasks is already done; don't arm the
         // periodic machinery at all.
         if self.epochs.all_done() {
-            self.done = true;
             return self.finalize();
         }
         // Periodic machinery.
@@ -786,9 +783,6 @@ impl System {
                     self.wake_unit(i, now);
                 }
             }
-        }
-        if self.epochs.all_done() {
-            self.done = true;
         }
         self.wake_unit(u, now);
     }
@@ -1069,7 +1063,10 @@ impl System {
     // ---- rank bridge rounds -------------------------------------------------
 
     fn consider_rank_round(&mut self, r: usize, now: SimTime) {
-        if self.done || self.bridges[r].round_scheduled || self.comm != CommPath::Bridges {
+        if self.epochs.all_done()
+            || self.bridges[r].round_scheduled
+            || self.comm != CommPath::Bridges
+        {
             return;
         }
         let base = r * self.cfg.geometry.units_per_rank() as usize;
@@ -1274,7 +1271,8 @@ impl System {
     // ---- DIMM-Link rounds (optional extension, Section V-A) ---------------
 
     fn consider_link_round(&mut self, r: usize, now: SimTime) {
-        if self.done || self.link_scheduled[r] || self.bridges[r].up_mailbox.is_empty() {
+        if self.epochs.all_done() || self.link_scheduled[r] || self.bridges[r].up_mailbox.is_empty()
+        {
             return;
         }
         self.link_scheduled[r] = true;
@@ -1380,7 +1378,7 @@ impl System {
 
     fn on_rank_state(&mut self, r: usize) {
         self.bridges[r].state_scheduled = false;
-        if self.done {
+        if self.epochs.all_done() {
             return;
         }
         let now = self.q.now();
@@ -1748,7 +1746,7 @@ impl System {
     // ---- host-level state + rounds -------------------------------------------
 
     fn on_host_state(&mut self) {
-        if self.done {
+        if self.epochs.all_done() {
             return;
         }
         let now = self.q.now();
@@ -1831,7 +1829,7 @@ impl System {
     }
 
     fn consider_host_round(&mut self, now: SimTime) {
-        if self.done || self.host.round_scheduled {
+        if self.epochs.all_done() || self.host.round_scheduled {
             return;
         }
         let pending = match self.comm {

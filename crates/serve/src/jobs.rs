@@ -179,16 +179,17 @@ impl Job {
     /// finish), else `done` once every cell is filled, `running` once
     /// any is (progress exists), `queued` before that.
     pub fn status(&self) -> &'static str {
-        let states: Vec<Option<bool>> = self
-            .cells
-            .iter()
-            .map(|c| c.get().map(Result::is_ok))
-            .collect();
-        if states.contains(&Some(false)) {
-            "failed"
-        } else if states.iter().all(Option::is_some) {
+        let mut filled = 0;
+        for cell in &self.cells {
+            match cell.get() {
+                Some(Err(_)) => return "failed",
+                Some(Ok(_)) => filled += 1,
+                None => {}
+            }
+        }
+        if filled == self.cells.len() {
             "done"
-        } else if states.iter().any(Option::is_some) {
+        } else if filled > 0 {
             "running"
         } else {
             "queued"

@@ -35,7 +35,7 @@
 pub mod http;
 pub mod jobs;
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::io::{self, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -89,11 +89,17 @@ const POLL: Duration = Duration::from_millis(25);
 /// a worker forever.
 const READ_TIMEOUT: Duration = Duration::from_secs(10);
 
+/// Settled (done or failed) jobs kept for `GET /job/{id}`. Admitting a
+/// job evicts the oldest settled ones beyond this; queued and running
+/// jobs are never evicted, and an evicted id answers 404.
+const MAX_SETTLED_JOBS: usize = 1024;
+
 /// Shared server state: the engine, the job/dedup tables, counters.
 #[derive(Debug)]
 pub struct State {
     sweeper: Sweeper,
-    jobs: Mutex<HashMap<u64, Job>>,
+    /// Jobs by id; ids grow with admission, so the first is the oldest.
+    jobs: Mutex<BTreeMap<u64, Job>>,
     next_job: AtomicU64,
     inflight: jobs::Inflight,
     max_queue: usize,
@@ -124,7 +130,7 @@ impl State {
         }
         Arc::new(State {
             sweeper,
-            jobs: Mutex::new(HashMap::new()),
+            jobs: Mutex::new(BTreeMap::new()),
             next_job: AtomicU64::new(1),
             inflight: Mutex::new(HashMap::new()),
             max_queue: cfg.max_queue.max(1),
@@ -262,10 +268,19 @@ impl State {
         let id = self.next_job.fetch_add(1, Ordering::SeqCst);
         let job = Job { cells };
         let doc = job.to_json(id);
-        self.jobs
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(id, job);
+        let mut jobs = self.jobs.lock().unwrap_or_else(|e| e.into_inner());
+        jobs.insert(id, job);
+        if jobs.len() > MAX_SETTLED_JOBS {
+            let settled: Vec<u64> = jobs
+                .iter()
+                .filter(|(_, job)| matches!(job.status(), "done" | "failed"))
+                .map(|(&id, _)| id)
+                .collect();
+            let excess = settled.len().saturating_sub(MAX_SETTLED_JOBS);
+            for id in &settled[..excess] {
+                jobs.remove(id);
+            }
+        }
         (200, doc)
     }
 
@@ -662,6 +677,49 @@ mod tests {
             Some(1),
             "{doc}"
         );
+    }
+
+    #[test]
+    fn admission_evicts_the_oldest_settled_jobs_only() {
+        let state = test_state(8, 8);
+        let point = |app: &str| {
+            SweepPoint::new(
+                app,
+                Column::Ndp(DesignPoint::C),
+                ndpb_core::config::SystemConfig::table1(),
+                Scale::Tiny,
+            )
+        };
+        // Job 1 attaches to an in-flight cell that never fills: queued
+        // for the whole test.
+        let pending = point("ll");
+        state
+            .inflight
+            .lock()
+            .unwrap()
+            .insert(pending.key(), Arc::new(PointCell::new()));
+        assert_eq!(state.admit(vec![pending]).0, 200);
+        // Jobs 2..=MAX_SETTLED_JOBS + 3 attach to a filled cell: each is
+        // done as it is admitted.
+        let filled = point("pr");
+        state.inflight.lock().unwrap().insert(
+            filled.key(),
+            Arc::new(PointCell::from(Ok("{}".to_string()))),
+        );
+        let last = MAX_SETTLED_JOBS as u64 + 3;
+        for _ in 2..=last {
+            assert_eq!(state.admit(vec![filled.clone()]).0, 200);
+        }
+        let status = |id: u64| state.dispatch("GET", &format!("/job/{id}"), "");
+        assert!(status(1).1.contains("\"status\":\"queued\""));
+        assert_eq!(status(2).0, 404, "oldest settled job evicted");
+        assert_eq!(status(3).0, 404);
+        for id in [4, last] {
+            assert!(status(id).1.contains("\"status\":\"done\""), "job {id}");
+        }
+        let jobs = state.jobs.lock().unwrap();
+        assert_eq!(jobs.len(), MAX_SETTLED_JOBS + 1);
+        assert_eq!(jobs.keys().next(), Some(&1));
     }
 
     /// Polls `GET /job/{id}` until its status leaves queued/running.

@@ -8,10 +8,10 @@
 //!   400 MHz is exactly [`TICKS_PER_CORE_CYCLE`] ticks, which keeps all
 //!   timing arithmetic integral and deterministic.
 //! * [`EventQueue`] — a generic priority queue of timestamped events with
-//!   FIFO tie-breaking, the heart of the discrete-event engine. Backed by
-//!   [`wheel`], a two-tier timer wheel (per-tick calendar buckets plus an
-//!   overflow heap) that makes the common bounded-latency schedule/pop
-//!   pattern `O(1)`.
+//!   FIFO tie-breaking, the heart of the discrete-event engine. It is a
+//!   two-tier timer wheel ([`events`]): [`WHEEL_SLOTS`] per-tick calendar
+//!   buckets plus an overflow heap, which makes the common bounded-latency
+//!   schedule/pop pattern `O(1)`.
 //! * [`rng`] — a small, seedable SplitMix64/xoshiro RNG so simulations are
 //!   reproducible without depending on `rand` in the hot path.
 //! * [`fingerprint`] — a stable 64-bit FNV-1a hasher used to
@@ -37,9 +37,8 @@ pub mod events;
 pub mod fingerprint;
 pub mod rng;
 pub mod time;
-pub mod wheel;
 
-pub use events::EventQueue;
+pub use events::{EventQueue, WHEEL_SLOTS};
 pub use fingerprint::Fnv1a64;
 pub use rng::SimRng;
 pub use time::{SimTime, TICKS_PER_BUS_CYCLE, TICKS_PER_CORE_CYCLE};

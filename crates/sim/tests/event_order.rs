@@ -37,7 +37,7 @@ fn scheduling_at_now_during_pop_does_not_panic() {
     assert_eq!(q.now(), SimTime::from_ticks(5));
     // At exactly now(): legal (a handler chaining a zero-latency event).
     q.schedule(q.now(), ());
-    q.schedule_after(SimTime::ZERO, ());
+    q.schedule(SimTime::from_ticks(5), ());
     assert_eq!(q.pop().unwrap().0, SimTime::from_ticks(5));
     assert_eq!(q.pop().unwrap().0, SimTime::from_ticks(5));
 }

@@ -4,16 +4,12 @@
 //! nondecreasing `(time, seq)` order, where `seq` is global schedule
 //! order — is checked against a deliberately dumb reference model (a
 //! flat list scanned for its minimum) over randomized workloads that
-//! exercise every storage path: same-tick bucket FIFO, near-horizon
+//! exercise every storage path: same-tick bucket FIFO, near-window
 //! buckets, far-future overflow-heap entries, events landing exactly at
-//! `now`, and interleaved pops that slide the wheel window mid-stream.
-//! The reference-model and batched-drain properties also run on a
-//! 64-tick wheel under schedules that make its horizon grow several
-//! times while events are pending, so relinking the node slab into a
-//! wider calendar is covered too.
+//! `now`, ticks shared by an overflow entry and younger near-tier events,
+//! and interleaved pops that slide the wheel window mid-stream.
 
-use ndpb_sim::wheel::{MAX_WHEEL_SLOTS, WHEEL_SLOTS};
-use ndpb_sim::{EventQueue, SimRng, SimTime};
+use ndpb_sim::{EventQueue, SimRng, SimTime, WHEEL_SLOTS};
 
 /// Reference model: every scheduled event in a flat list; popping scans
 /// for the minimum `(time, seq)`. Obviously correct, O(n) per pop.
@@ -41,50 +37,36 @@ impl RefModel {
     }
 }
 
-/// One random offset, mixing all tiers of the queue:
-/// same-tick (`0`), near horizon, just-past-horizon, and far future.
-fn random_offset(rng: &mut SimRng) -> u64 {
-    match rng.next_below(10) {
-        0 => 0,                                                                // lands at `now`
-        1..=4 => rng.next_below(64),                                           // near bucket
-        5..=7 => rng.next_below(WHEEL_SLOTS as u64),                           // anywhere in window
-        8 => WHEEL_SLOTS as u64 + rng.next_below(64),                          // just past horizon
-        _ => WHEEL_SLOTS as u64 * rng.next_below(5) + rng.next_below(100_000), // far
+/// Spacing of the shared ticks that [`random_at`] snaps to.
+const GRID: u64 = 1024;
+
+/// One random absolute tick at or after `now`, mixing all tiers of the
+/// queue: `now` itself, near buckets, anywhere in the window, just past
+/// it, far future, and a grid of shared ticks up to two windows out. A
+/// grid tick is often scheduled first from beyond the window (overflow)
+/// and again once the window has reached it (near tier), so the older
+/// overflow entry must pop before the younger near-tier events.
+fn random_at(rng: &mut SimRng, now: u64) -> u64 {
+    let slots = WHEEL_SLOTS as u64;
+    match rng.next_below(12) {
+        0 => now,                                                       // lands at `now`
+        1..=4 => now + rng.next_below(64),                              // near bucket
+        5..=7 => now + rng.next_below(slots),                           // anywhere in window
+        8 => now + slots + rng.next_below(64),                          // just past the window
+        9 => now + slots * rng.next_below(5) + rng.next_below(100_000), // far
+        _ => (now + rng.next_below(2 * slots)).next_multiple_of(GRID),  // shared
     }
 }
 
-/// One random offset scaled to the queue's current horizon: inside it,
-/// one to three horizons past it (overflow inserts a wider wheel would
-/// capture, which make the horizon grow), at `now`, or beyond
-/// [`MAX_WHEEL_SLOTS`] (never captured).
-fn growth_offset(rng: &mut SimRng, horizon: usize) -> u64 {
-    let h = horizon as u64;
-    match rng.next_below(10) {
-        0 => 0,
-        1..=3 => rng.next_below(h),
-        4..=8 => h + rng.next_below(3 * h),
-        _ => MAX_WHEEL_SLOTS as u64 + rng.next_below(100_000),
-    }
-}
-
-/// Runs `ops` random schedule/pop steps on `q` and on the reference
-/// model, drains both, and asserts identical pop streams. `offset`
-/// draws each delay from the rng and the queue's current horizon.
-/// Returns how many times the horizon changed while events were
-/// pending.
-fn check_against_reference(
-    mut q: EventQueue<u32>,
-    seed: u64,
-    ops: usize,
-    offset: fn(&mut SimRng, usize) -> u64,
-) -> usize {
+/// Runs `ops` random schedule/pop steps on a queue and on the reference
+/// model, drains both, and asserts identical pop streams.
+fn check_against_reference(seed: u64, ops: usize) {
     let mut rng = SimRng::new(seed);
+    let mut q = EventQueue::new();
     let mut model = RefModel::default();
     let mut id = 0u32;
     let mut popped = Vec::new();
     let mut expected = Vec::new();
-    let mut horizon = q.horizon();
-    let mut growths = 0;
     for _ in 0..ops {
         // Bias toward scheduling so the queue stays populated, but
         // interleave enough pops to advance `now` through several
@@ -92,7 +74,7 @@ fn check_against_reference(
         if rng.chance(0.6) || model.pending.is_empty() {
             // Duplicate ticks on purpose: reuse the previous offset
             // sometimes so bucket FIFO order is exercised.
-            let at = q.now().ticks() + offset(&mut rng, q.horizon());
+            let at = random_at(&mut rng, q.now().ticks());
             let copies = if rng.chance(0.2) { 3 } else { 1 };
             for _ in 0..copies {
                 q.schedule(SimTime::from_ticks(at), id);
@@ -102,11 +84,6 @@ fn check_against_reference(
         } else {
             popped.push(q.pop().map(|(t, e)| (t.ticks(), e)));
             expected.push(model.pop());
-        }
-        if q.horizon() != horizon {
-            assert!(!q.is_empty(), "growth must happen mid-drain");
-            horizon = q.horizon();
-            growths += 1;
         }
     }
     // Drain both completely.
@@ -121,28 +98,12 @@ fn check_against_reference(
         }
     }
     assert_eq!(popped, expected, "divergence from reference (seed {seed})");
-    growths
 }
 
 #[test]
 fn random_schedules_pop_identically_to_reference_model() {
     for seed in 0..8u64 {
-        check_against_reference(EventQueue::new(), 0xF00D + seed, 4_000, |rng, _| {
-            random_offset(rng)
-        });
-    }
-}
-
-#[test]
-fn growing_horizon_pops_identically_to_reference_model() {
-    for seed in 0..3u64 {
-        let growths = check_against_reference(
-            EventQueue::with_horizon(64),
-            0x6E0 + seed,
-            10_000,
-            growth_offset,
-        );
-        assert!(growths >= 2, "horizon grew {growths} times (seed {seed})");
+        check_against_reference(0xF00D + seed, 4_000);
     }
 }
 
@@ -152,7 +113,7 @@ fn pop_order_is_nondecreasing_time_and_fifo_within_tick() {
     let mut q = EventQueue::new();
     for id in 0..2_000u64 {
         q.schedule(
-            SimTime::from_ticks(q.now().ticks() + random_offset(&mut rng)),
+            SimTime::from_ticks(random_at(&mut rng, q.now().ticks())),
             id,
         );
         if rng.chance(0.3) {
@@ -232,27 +193,21 @@ fn scheduling_before_now_panics() {
 // ---- batched same-tick drains (`pop_run`) ------------------------------
 //
 // The batched dispatch loop replaces repeated `pop` calls with
-// `pop_run`, so these properties pin the tentpole contract: draining a
-// queue through runs yields the byte-identical event sequence, run
-// timestamps match the events they carry, and a run never spans ticks —
-// over randomized schedules that cross the horizon (wrap-around) and
-// migrate events from the overflow heap into the near window.
+// `pop_run`, so these properties pin its contract: draining a queue
+// through runs yields the byte-identical event sequence, run timestamps
+// match the events they carry, and a run never spans ticks — over
+// randomized schedules that cross the window (wrap-around) and share
+// ticks between the overflow heap and the near tier.
 
 /// Builds two identically-scheduled queues from one random script,
-/// returning (batched queue, single-pop queue). `mk` builds each queue
-/// and `offset` draws each delay from the rng and the current horizon.
-fn twin_queues(
-    seed: u64,
-    ops: usize,
-    mk: fn() -> EventQueue<u32>,
-    offset: fn(&mut SimRng, usize) -> u64,
-) -> (EventQueue<u32>, EventQueue<u32>) {
+/// returning (batched queue, single-pop queue).
+fn twin_queues(seed: u64, ops: usize) -> (EventQueue<u32>, EventQueue<u32>) {
     let mut rng = SimRng::new(seed);
-    let mut a = mk();
-    let mut b = mk();
+    let mut a = EventQueue::new();
+    let mut b = EventQueue::new();
     let mut id = 0u32;
     for _ in 0..ops {
-        let at = a.now().ticks() + offset(&mut rng, a.horizon());
+        let at = random_at(&mut rng, a.now().ticks());
         let copies = if rng.chance(0.25) { 4 } else { 1 };
         for _ in 0..copies {
             a.schedule(SimTime::from_ticks(at), id);
@@ -260,7 +215,7 @@ fn twin_queues(
             id += 1;
         }
         // Interleaved draining slides the window so later schedules
-        // exercise wrap-around and overflow→near migration in both.
+        // exercise wrap-around and shared ticks in both.
         if rng.chance(0.3) {
             let mut run = Vec::new();
             a.pop_run(&mut run);
@@ -295,27 +250,7 @@ fn assert_batched_drain_matches(mut a: EventQueue<u32>, mut b: EventQueue<u32>, 
 #[test]
 fn batched_drain_is_byte_identical_to_single_pops() {
     for seed in 0..8u64 {
-        let (a, b) = twin_queues(0xBA7C + seed, 3_000, EventQueue::new, |rng, _| {
-            random_offset(rng)
-        });
-        assert_batched_drain_matches(a, b, seed);
-    }
-}
-
-#[test]
-fn batched_drain_across_horizon_growth_matches_single_pops() {
-    for seed in 0..4u64 {
-        let (a, b) = twin_queues(
-            0x6B7C + seed,
-            12_000,
-            || EventQueue::with_horizon(64),
-            growth_offset,
-        );
-        // `growth_offset` never asks a wheel of horizon `h` to cover more
-        // than `4h`, so one growth takes 64 ticks to at most 256: a
-        // horizon of 1024 or more took at least two.
-        assert!(a.horizon() >= 1024, "horizon {} (seed {seed})", a.horizon());
-        assert_eq!(a.horizon(), b.horizon());
+        let (a, b) = twin_queues(0xBA7C + seed, 3_000);
         assert_batched_drain_matches(a, b, seed);
     }
 }
@@ -323,9 +258,7 @@ fn batched_drain_across_horizon_growth_matches_single_pops() {
 #[test]
 fn runs_never_span_ticks_and_clock_matches() {
     for seed in 0..4u64 {
-        let (mut q, _) = twin_queues(0x5EED + seed, 2_000, EventQueue::new, |rng, _| {
-            random_offset(rng)
-        });
+        let (mut q, _) = twin_queues(0x5EED + seed, 2_000);
         let mut run = Vec::new();
         let mut prev: Option<u64> = None;
         while let Some(at) = q.pop_run(&mut run) {
@@ -347,24 +280,32 @@ fn runs_never_span_ticks_and_clock_matches() {
 
 #[test]
 fn split_tick_runs_continue_on_the_next_call() {
-    // An event just inside the horizon and one far beyond it can share
-    // a tick once the window slides; the near/overflow split means one
-    // tick may take several runs. The concatenation must still be the
-    // FIFO order.
-    let slots = WHEEL_SLOTS as u64;
+    // Two events scheduled beyond the window wait in the overflow tier;
+    // once the window reaches their tick, two younger events for the
+    // same tick go to the near tier. The tick then takes one run per
+    // overflow entry and one for the bucket, and the concatenation is
+    // still the FIFO order.
+    let tick = WHEEL_SLOTS as u64 + 40;
     let mut q = EventQueue::new();
-    let tick = slots + 40;
-    q.schedule(SimTime::from_ticks(3), 0u32); // advances the window
-    q.schedule(SimTime::from_ticks(tick), 1); // overflow at schedule time
-    q.schedule(SimTime::from_ticks(3), 2);
-    q.schedule(SimTime::from_ticks(tick), 3); // also overflow
-    let mut order = Vec::new();
+    q.schedule(SimTime::from_ticks(tick), 0u32); // overflow at schedule time
+    q.schedule(SimTime::from_ticks(tick), 1); // also overflow
+    q.schedule(SimTime::from_ticks(41), 2); // advances the window
+    let mut runs = Vec::new();
     let mut run = Vec::new();
+    let at = q.pop_run(&mut run).unwrap();
+    runs.push((at.ticks(), std::mem::take(&mut run)));
+    q.schedule(SimTime::from_ticks(tick), 3); // near tier now
+    q.schedule(SimTime::from_ticks(tick), 4);
     while let Some(at) = q.pop_run(&mut run) {
-        for &e in &run {
-            order.push((at.ticks(), e));
-        }
-        run.clear();
+        runs.push((at.ticks(), std::mem::take(&mut run)));
     }
-    assert_eq!(order, [(3, 0), (3, 2), (tick, 1), (tick, 3)]);
+    assert_eq!(
+        runs,
+        [
+            (41, vec![2]),
+            (tick, vec![0]),
+            (tick, vec![1]),
+            (tick, vec![3, 4])
+        ]
+    );
 }

@@ -13,16 +13,17 @@
 //! UPDATE_GOLDEN=1 cargo test --test golden_runs
 //! ```
 //!
-//! The reference documents live in `tests/golden/*.json` in the result
-//! cache's codec (floats stored by bit pattern, so the comparison is
-//! exact, not epsilon-based). `tests/golden/traces_tiny.txt` pins the
-//! event trace of four instrumented runs the same way.
+//! The reference documents live in `tests/golden/*.json` as the result
+//! cache's unsealed result documents (floats stored by bit pattern, so
+//! the comparison is exact, not epsilon-based).
+//! `tests/golden/traces_tiny.txt` pins the event trace of four
+//! instrumented runs the same way.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use ndpbridge::bench::cache::{decode_result, encode_result};
+use ndpbridge::bench::cache::{decode_document, encode_document};
 use ndpbridge::bench::{run_traced, Column, SweepPoint, Sweeper};
 use ndpbridge::core::config::SystemConfig;
 use ndpbridge::core::design::DesignPoint;
@@ -155,7 +156,7 @@ fn check_suite(cols: &[Column], scale: Scale) -> Vec<String> {
         let path = golden_path(&golden_name(scale, &label));
         if update {
             std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-            std::fs::write(&path, encode_result(fresh)).unwrap();
+            std::fs::write(&path, encode_document(fresh)).unwrap();
             eprintln!("updated {}", path.display());
             continue;
         }
@@ -165,7 +166,7 @@ fn check_suite(cols: &[Column], scale: Scale) -> Vec<String> {
                 path.display()
             )
         });
-        let golden = decode_result(&text)
+        let golden = decode_document(&text)
             .unwrap_or_else(|| panic!("undecodable golden reference {}", path.display()));
         let diffs = diff_fields(&golden, fresh);
         if !diffs.is_empty() {
@@ -173,7 +174,7 @@ fn check_suite(cols: &[Column], scale: Scale) -> Vec<String> {
         }
         // The codec itself must also be byte-stable: re-encoding the
         // fresh result reproduces the committed document exactly.
-        if diffs.is_empty() && encode_result(fresh) != text {
+        if diffs.is_empty() && encode_document(fresh) != text {
             failures.push(format!(
                 "design {label}: fields match but serialized form differs (codec drift)"
             ));
@@ -229,9 +230,9 @@ fn golden_references_are_exact_roundtrips() {
             // The suite tests report missing files.
             continue;
         };
-        let decoded = decode_result(&text).expect("golden decodes");
+        let decoded = decode_document(&text).expect("golden decodes");
         assert_eq!(
-            encode_result(&decoded),
+            encode_document(&decoded),
             text,
             "{} does not round-trip",
             path.display()
