@@ -142,6 +142,10 @@ done
 # The report records the host's parallelism so a throughput delta is
 # only read against a baseline taken on a comparable host.
 grep -q '"host_parallelism":' BENCH_repro.json
+# Set-up (build_app plus the model's constructor) is reported apart
+# from the run, per design and for the tier.
+grep -q '"median_setup_seconds":' BENCH_repro.json
+grep -q '"total_median_setup_seconds":' BENCH_repro.json
 # The Small-tier section must be present with both designs, and the
 # harness must have printed the delta against the committed baseline
 # (docs/repro/BENCH_repro.json). The values are deterministic byte
@@ -171,6 +175,14 @@ fi
 if grep -q "EVENT-COUNT DRIFT" "$SMOKE_DIR/bench-ll.txt"; then
     echo "bench --apps ll was compared with the all-app baseline"; exit 1
 fi
+# Outside the repository root the committed baseline cannot be read:
+# the harness must say so with one skip note, not drop the delta and
+# the event-count check without a word.
+REPRO_ABS="$PWD/$REPRO"
+(cd "$SMOKE_DIR" && "$REPRO_ABS" bench --quick --apps ll --json "$SMOKE_DIR/bench-outside.json") \
+    > "$SMOKE_DIR/bench-outside.txt" 2>&1
+[ "$(grep -c "skipping delta" "$SMOKE_DIR/bench-outside.txt")" -eq 1 ]
+grep -q "^\[no baseline at docs/repro/BENCH_repro.json" "$SMOKE_DIR/bench-outside.txt"
 
 echo "== repro serve smoke: run / dedup-cache / metrics / graceful shutdown =="
 # Drives the resident service over its line protocol (same port as

@@ -1,8 +1,8 @@
 //! Microbenchmarks of the substrate data structures the system is
 //! built on: the event queue, RNG, Zipfian sampler, hot-data sketch,
-//! mailbox, bank timing model, graph generator, and the sweep engine's
-//! substrate (FNV fingerprinting, the result-cache codec, the JSON
-//! reader).
+//! mailbox, bank timing model, graph generator, all eight apps' Tiny
+//! set-up, and the sweep engine's substrate (FNV fingerprinting, the
+//! result-cache codec, the JSON reader).
 //!
 //! `harness = false` binary using the in-repo `Instant` timer
 //! (`ndpb_bench::timing`) so no external bench framework is needed.
@@ -13,7 +13,7 @@ use ndpb_proto::{Mailbox, Message};
 use ndpb_sim::{EventQueue, SimRng, SimTime, WHEEL_SLOTS};
 use ndpb_sketch::{HotSketch, SketchConfig};
 use ndpb_tasks::{Task, TaskArgs, TaskFnId, Timestamp};
-use ndpb_workloads::{Graph, Zipfian};
+use ndpb_workloads::{build_app, Graph, Scale, Zipfian, APP_NAMES};
 
 const ITERS: u32 = 20;
 
@@ -250,6 +250,16 @@ fn main() {
 
     bench("micro/rmat_scale12", ITERS, || Graph::rmat(12, 32_768, 5));
 
+    // A cold start's set-up: every paper app's dataset at Tiny on
+    // Table I geometry and seed.
+    let table1 = ndpb_dram::Geometry::table1();
+    bench("micro/build_app_tiny", ITERS, || {
+        APP_NAMES
+            .iter()
+            .map(|app| build_app(app, &table1, Scale::Tiny, 0x5EED))
+            .collect::<Vec<_>>()
+    });
+
     bench("micro/fnv1a_config_fingerprint_1k", ITERS, || {
         let cfg = ndpb_core::config::SystemConfig::table1();
         let mut acc = 0u64;
@@ -263,12 +273,7 @@ fn main() {
         let cfg = ndpb_core::config::SystemConfig::with_geometry(
             ndpb_dram::Geometry::with_total_ranks(1),
         );
-        ndpb_bench::run_one(
-            "ll",
-            ndpb_core::design::DesignPoint::O,
-            cfg,
-            ndpb_workloads::Scale::Tiny,
-        )
+        ndpb_bench::run_one("ll", ndpb_core::design::DesignPoint::O, cfg, Scale::Tiny)
     };
     bench("micro/cache_encode_100", ITERS, || {
         let mut bytes = 0usize;

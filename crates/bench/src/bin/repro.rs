@@ -49,11 +49,13 @@ use ndpb_bench::{
 use ndpb_core::audit::AuditLevel;
 use ndpb_core::config::{SystemConfig, TriggerPolicy};
 use ndpb_core::design::DesignPoint;
+use ndpb_core::hostonly::{HostOnly, HostOnlyConfig};
 use ndpb_core::result::geomean;
-use ndpb_core::RunResult;
+use ndpb_core::{RunResult, System};
 use ndpb_dram::Geometry;
 use ndpb_sketch::SketchConfig;
-use ndpb_workloads::{known_app, Scale, APP_NAMES};
+use ndpb_workloads::{build_app, known_app, Scale, APP_NAMES};
+use std::time::{Duration, Instant};
 
 struct Opts {
     scale: Scale,
@@ -953,29 +955,44 @@ fn bench_engine(o: &Opts) {
 struct Tier {
     rows: Vec<(String, u64, f64)>,
     /// `"designs":[...],"total_events":..,"total_median_wall_seconds":..,
-    /// "total_events_per_sec":..`
+    /// "total_median_setup_seconds":..,"total_events_per_sec":..`
     json: String,
 }
 
 /// Times each column over `apps` at `scale`, `reps` passes per design —
 /// sequentially, bypassing the result cache so every run is a real
-/// simulation — and prints the median wall seconds and events/sec per
-/// design.
+/// simulation — and prints per design the median wall seconds, the
+/// median set-up seconds within them (`build_app` plus the model's
+/// constructor, before `run`), and events/sec over the whole wall time.
 fn time_tier(apps: &[&str], cols: &[Column], scale: Scale, reps: u32) -> Tier {
     let mut walls: Vec<Vec<f64>> = vec![Vec::new(); cols.len()];
+    let mut setups: Vec<Vec<f64>> = vec![Vec::new(); cols.len()];
     let mut events: Vec<u64> = vec![0; cols.len()];
     for rep in 0..reps {
         for (ci, col) in cols.iter().enumerate() {
-            let start = std::time::Instant::now();
+            let start = Instant::now();
+            let mut setup = Duration::ZERO;
             let mut ev = 0u64;
             for app in apps {
+                let setup_start = Instant::now();
+                let cfg = SystemConfig::table1();
+                let workload = build_app(app, &cfg.geometry, scale, cfg.seed);
                 let r = match *col {
-                    Column::Ndp(d) => ndpb_bench::run_one(app, d, SystemConfig::table1(), scale),
-                    Column::Host => ndpb_bench::run_host(app, SystemConfig::table1(), scale),
+                    Column::Ndp(d) => {
+                        let sys = System::new(cfg, d, workload);
+                        setup += setup_start.elapsed();
+                        sys.run()
+                    }
+                    Column::Host => {
+                        let host = HostOnly::new(cfg, HostOnlyConfig::paper(), workload);
+                        setup += setup_start.elapsed();
+                        host.run()
+                    }
                 };
                 ev += r.events;
             }
             walls[ci].push(start.elapsed().as_secs_f64());
+            setups[ci].push(setup.as_secs_f64());
             // Simulations are deterministic: the event count per design
             // must not vary across reps.
             if rep == 0 {
@@ -993,35 +1010,37 @@ fn time_tier(apps: &[&str], cols: &[Column], scale: Scale, reps: u32) -> Tier {
         }
     };
     println!(
-        "{:<8}{:>12}{:>14}{:>16}",
-        "design", "events", "median s", "events/sec"
+        "{:<8}{:>12}{:>14}{:>12}{:>16}",
+        "design", "events", "median s", "setup s", "events/sec"
     );
     let mut rows = Vec::new();
     let mut json_rows = Vec::new();
-    let (mut total_events, mut total_median) = (0u64, 0.0);
-    for ((col, walls), events) in cols.iter().zip(&walls).zip(events) {
+    let (mut total_events, mut total_median, mut total_setup) = (0u64, 0.0, 0.0);
+    for (((col, walls), setups), events) in cols.iter().zip(&walls).zip(&setups).zip(events) {
         let med = ndpb_bench::timing::median(walls);
+        let setup = ndpb_bench::timing::median(setups);
         let eps = per_sec(events, med);
         let label = col.label();
-        println!("{label:<8}{events:>12}{med:>14.4}{eps:>16.0}");
+        println!("{label:<8}{events:>12}{med:>14.4}{setup:>12.4}{eps:>16.0}");
         total_events += events;
         total_median += med;
+        total_setup += setup;
         let wall_list: Vec<String> = walls.iter().map(|w| format!("{w:.6}")).collect();
         json_rows.push(format!(
-            "{{\"design\":\"{label}\",\"events\":{events},\"wall_seconds\":[{}],\"median_wall_seconds\":{med:.6},\"events_per_sec\":{eps:.1}}}",
+            "{{\"design\":\"{label}\",\"events\":{events},\"wall_seconds\":[{}],\"median_wall_seconds\":{med:.6},\"median_setup_seconds\":{setup:.6},\"events_per_sec\":{eps:.1}}}",
             wall_list.join(",")
         ));
         rows.push((label, events, eps));
     }
     let total_eps = per_sec(total_events, total_median);
     println!(
-        "{:<8}{total_events:>12}{total_median:>14.4}{total_eps:>16.0}",
+        "{:<8}{total_events:>12}{total_median:>14.4}{total_setup:>12.4}{total_eps:>16.0}",
         "total"
     );
     Tier {
         rows,
         json: format!(
-            "\"designs\":[\n{}\n],\"total_events\":{total_events},\"total_median_wall_seconds\":{total_median:.6},\"total_events_per_sec\":{total_eps:.1}",
+            "\"designs\":[\n{}\n],\"total_events\":{total_events},\"total_median_wall_seconds\":{total_median:.6},\"total_median_setup_seconds\":{total_setup:.6},\"total_events_per_sec\":{total_eps:.1}",
             json_rows.join(",\n")
         ),
     }
@@ -1030,12 +1049,19 @@ fn time_tier(apps: &[&str], cols: &[Column], scale: Scale, reps: u32) -> Tier {
 /// Where `repro bench` finds the committed baseline it compares with.
 const BASELINE: &str = "docs/repro/BENCH_repro.json";
 
-/// The committed baseline, when it exists, parses, and covers the same
-/// apps as this run. Every number it holds is a sum over its apps, so a
-/// run over other apps would be compared with different work: that
-/// case prints one skip note and yields `None`.
+/// The committed baseline, when it can be read, parses, and covers the
+/// same apps as this run. Every number it holds is a sum over its apps,
+/// so a run over other apps would be compared with different work. Each
+/// case that yields `None` prints one skip note, so a run from outside
+/// the repository root says why it has no delta.
 fn load_baseline(apps: &[&str]) -> Option<ndpb_bench::json::Json> {
-    let text = std::fs::read_to_string(BASELINE).ok()?;
+    let text = match std::fs::read_to_string(BASELINE) {
+        Ok(text) => text,
+        Err(e) => {
+            eprintln!("[no baseline at {BASELINE} ({e}); skipping delta]");
+            return None;
+        }
+    };
     let Ok(base) = ndpb_bench::json::Json::parse(&text) else {
         eprintln!("[baseline {BASELINE} is not valid JSON; skipping delta]");
         return None;
@@ -1327,7 +1353,7 @@ fn main() {
     let skip = usize::from(!args.first().is_none_or(|a| a.starts_with("--")));
     let o = parse_opts(&args[skip.min(args.len())..]);
     let sweeper = sweeper(&o);
-    let start = std::time::Instant::now();
+    let start = Instant::now();
     match cmd {
         "trace" => traced_run(&o),
         "audit" => audit_breakdown(&o, &sweeper),

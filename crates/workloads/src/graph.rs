@@ -51,6 +51,15 @@ impl Graph {
     /// locality from their crawl/community structure, which is what
     /// gives RowClone-style intra-chip transfers (and the bridges'
     /// intra-rank short path) something to exploit.
+    ///
+    /// Each edge descends the `2^scale`-square adjacency matrix one
+    /// level per draw, most significant bit first. A draw picks the
+    /// quadrant `q` (0 top-left with probability a, 1 top-right b,
+    /// 2 bottom-left c, 3 bottom-right) without a branch, and its
+    /// column half (`q & 1`) and row half (`q >> 1`) are that level's
+    /// bits of the source and target. Because the side is a power of
+    /// two, these are the bits that halving a `[lo, hi)` interval per
+    /// level would give.
     pub fn rmat_with_locality(scale: u32, edges: usize, locality: f64, seed: u64) -> Self {
         let n = 1usize << scale;
         let mut rng = SimRng::new(seed);
@@ -58,38 +67,19 @@ impl Graph {
         let window = (n / 64).max(2) as u64;
         let mut list = Vec::with_capacity(edges);
         for _ in 0..edges {
-            let (mut x0, mut x1) = (0usize, n);
-            let (mut y0, mut y1) = (0usize, n);
-            while x1 - x0 > 1 {
+            let (mut src, mut dst) = (0u64, 0u64);
+            for level in (0..scale).rev() {
                 let r = rng.next_f64();
-                let (right, down) = if r < a {
-                    (false, false)
-                } else if r < a + b {
-                    (true, false)
-                } else if r < a + b + c {
-                    (false, true)
-                } else {
-                    (true, true)
-                };
-                let xm = (x0 + x1) / 2;
-                let ym = (y0 + y1) / 2;
-                if right {
-                    x0 = xm;
-                } else {
-                    x1 = xm;
-                }
-                if down {
-                    y0 = ym;
-                } else {
-                    y1 = ym;
-                }
+                let q = u64::from(r >= a) + u64::from(r >= a + b) + u64::from(r >= a + b + c);
+                src |= (q & 1) << level;
+                dst |= (q >> 1) << level;
             }
-            let mut target = y0 as u64;
+            let mut target = dst;
             if locality > 0.0 && rng.chance(locality) {
-                let base = (x0 as u64).saturating_sub(window / 2);
+                let base = src.saturating_sub(window / 2);
                 target = (base + rng.next_below(window)).min(n as u64 - 1);
             }
-            list.push((x0 as u32, target as u32));
+            list.push((src as u32, target as u32));
         }
         Self::from_edges(n, &list)
     }

@@ -27,6 +27,9 @@ pub struct Zipfian {
     zetan: f64,
     eta: f64,
     zeta2: f64,
+    /// `1 + 0.5^theta`: a scaled draw `u * zetan` below this (and at
+    /// or above 1) is rank 1.
+    rank1_cut: f64,
 }
 
 fn zeta(n: u64, theta: f64) -> f64 {
@@ -63,6 +66,7 @@ impl Zipfian {
             zetan,
             eta: (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zetan),
             zeta2,
+            rank1_cut: 1.0 + 0.5f64.powf(theta),
         }
     }
 
@@ -81,7 +85,7 @@ impl Zipfian {
         if uz < 1.0 {
             return 0;
         }
-        if uz < 1.0 + 0.5f64.powf(self.theta) && self.n >= 2 {
+        if uz < self.rank1_cut && self.n >= 2 {
             return 1;
         }
         let r = (self.n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
