@@ -84,6 +84,14 @@ cmp "$SMOKE_DIR/j1.txt" "$SMOKE_DIR/audited.txt"   # auditor is observational
 "$REPRO" audit --tiny --apps tree,spmv --jobs 2 --no-cache > "$SMOKE_DIR/ledger.txt" 2>/dev/null
 grep -q "auditor: zero violations" "$SMOKE_DIR/ledger.txt"
 
+echo "== repro all under --audit: every figure's path audited, output unchanged =="
+# Every figure over all eight apps, DIMM-Link's link deliveries
+# included, with the full audit in a release build: a violated law
+# aborts the sweep, and the audited stdout must equal the unaudited.
+"$REPRO" all --tiny --no-cache --jobs 2 > "$SMOKE_DIR/all-plain.txt" 2>/dev/null
+"$REPRO" all --tiny --no-cache --audit --jobs 2 > "$SMOKE_DIR/all-audited.txt" 2>/dev/null
+cmp "$SMOKE_DIR/all-plain.txt" "$SMOKE_DIR/all-audited.txt"
+
 echo "== repro instrumented smoke: trace and metrics-registry output =="
 # The instrumented design-O run is the one path that writes the
 # registry's epoch series. Its shape is gated: well-formed JSON, the

@@ -51,6 +51,7 @@ use ndpb_core::config::{SystemConfig, TriggerPolicy};
 use ndpb_core::design::DesignPoint;
 use ndpb_core::hostonly::{HostOnly, HostOnlyConfig};
 use ndpb_core::result::geomean;
+use ndpb_core::steal::STEAL_BUDGET_GXFER;
 use ndpb_core::{RunResult, System};
 use ndpb_dram::Geometry;
 use ndpb_sketch::SketchConfig;
@@ -70,9 +71,6 @@ struct Opts {
     cache_dir: Option<String>,
     no_cache: bool,
     audit: bool,
-    /// `gather`: override `SystemConfig::steal_budget_gxfer` (`G_xfer`
-    /// multiples of steal bytes per `W_th` stolen; default 2).
-    steal_budget: Option<u32>,
     /// `bench --small-tier`: append the Small-scale W vs W+GA section
     /// (gather bytes + makespan) to the JSON report.
     small_tier: bool,
@@ -107,7 +105,6 @@ fn parse_opts(args: &[String]) -> Opts {
         cache_dir: None,
         no_cache: false,
         audit: false,
-        steal_budget: None,
         small_tier: false,
         reps: None,
         profile: false,
@@ -136,13 +133,6 @@ fn parse_opts(args: &[String]) -> Opts {
             "--cache-dir" => o.cache_dir = Some(value(&mut it, a).to_string()),
             "--no-cache" => o.no_cache = true,
             "--audit" => o.audit = true,
-            "--steal-budget" => {
-                o.steal_budget = Some(number(
-                    &mut it,
-                    a,
-                    "a G_xfer multiple, e.g. --steal-budget 2",
-                ));
-            }
             "--small-tier" => o.small_tier = true,
             "--profile" => o.profile = true,
             "--full-tier" => o.full_tier = true,
@@ -185,7 +175,7 @@ fn usage_error(msg: &str) -> ! {
         .map(|&(name, _)| name)
         .chain(["audit", "gather", "bench", "serve", "trace", "all"])
         .collect();
-    eprintln!("usage: repro <{}> [--tiny|--small|--full] [--apps a,b,c] [--jobs N] [--cache-dir path] [--no-cache] [--audit] [--steal-budget N] [--json path] [--trace path] [--metrics-json path] [--reps N] [--quick] [--small-tier] [--profile] [--full-tier] [--port N] [--max-queue N] [--max-points N]", commands.join("|"));
+    eprintln!("usage: repro <{}> [--tiny|--small|--full] [--apps a,b,c] [--jobs N] [--cache-dir path] [--no-cache] [--audit] [--json path] [--trace path] [--metrics-json path] [--reps N] [--quick] [--small-tier] [--profile] [--full-tier] [--port N] [--max-queue N] [--max-points N]", commands.join("|"));
     std::process::exit(2);
 }
 
@@ -1268,14 +1258,9 @@ fn gather_aware(o: &Opts, sw: &Sweeper) {
         o.scale
     );
     println!("(steal batches budgeted by wire bytes; tasks for already-lent blocks");
-    let table1 = SystemConfig::table1();
-    let cfg = SystemConfig {
-        steal_budget_gxfer: o.steal_budget.unwrap_or(table1.steal_budget_gxfer),
-        ..table1
-    };
     println!(
         " forward task-only — see DESIGN.md §10; budget {} x G_xfer per W_th)\n",
-        cfg.steal_budget_gxfer
+        STEAL_BUDGET_GXFER
     );
     let apps = app_refs(o);
     let cols = [
@@ -1287,7 +1272,7 @@ fn gather_aware(o: &Opts, sw: &Sweeper) {
         Column::Ndp(DesignPoint::O),
         Column::Ndp(DesignPoint::OGather),
     ];
-    let m = run_matrix(sw, &apps, &[cfg], &cols, o.scale);
+    let m = run_matrix(sw, &apps, &[SystemConfig::table1()], &cols, o.scale);
     dump_json(o, &m);
     print!("{}", format_speedup_table(&apps, &cols, &m));
     let gather =

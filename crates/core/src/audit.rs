@@ -5,16 +5,24 @@
 //! its conservation laws from component state at every epoch boundary
 //! (and at end-of-run); [`AuditLevel::Final`] checks only at
 //! end-of-run; [`AuditLevel::Off`] skips the scans entirely. The checks
-//! are purely observational — they read component state but never touch
-//! the RNG, the event queue, or any counter the simulation consumes —
-//! so results are bit-identical across levels.
+//! are purely observational — they read component state and the
+//! pending events but never touch the RNG, the event order, or any
+//! counter the simulation consumes — so results are bit-identical
+//! across levels.
+//!
+//! A scan runs only between event batches, never inside a handler: the
+//! rest of a handler's batch has left the queue but is not yet
+//! delivered, so no scan could see it. The epoch audit therefore runs
+//! after the batch in which the barrier cleared, under that epoch's
+//! `epoch-N` label.
 //!
 //! The laws checked (see `System::collect_violations`):
 //!
 //! - **Message conservation** — every message ever emitted is either
-//!   delivered or still identifiable in flight (unit mailboxes and
+//!   delivered or still identifiable in flight: in unit mailboxes and
 //!   pending-out buffers, bridge scatter/backup/up-mailbox buffers, host
-//!   scatter buffers, or scheduled delivery events).
+//!   scatter buffers, or the `Deliver`/`LinkDeliver` events pending in
+//!   the event queue, which the scan reads through `EventQueue::iter`.
 //! - **`dataBorrowed` inclusivity** — a borrowed block at a unit has a
 //!   matching rank-bridge entry, the rank entry is covered by a host
 //!   entry when the block crossed ranks, the home unit's `isLent` bit is

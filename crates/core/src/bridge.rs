@@ -20,15 +20,12 @@ use ndpb_sim::{SimRng, SimTime};
 use crate::config::SystemConfig;
 use crate::metadata::LruTable;
 
-/// The bridge's last state snapshot of one child unit.
+/// The bridge's last state snapshot of one child unit. STATE-GATHER
+/// also reads `W_finish`, which goes straight into the speed estimate.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ChildState {
-    /// `L_mailbox`: bytes waiting in the child's mailbox.
-    pub mailbox_bytes: u64,
     /// `W_queue`: workload waiting in the child's task queue.
     pub queue_workload: u64,
-    /// `W_finish`: workload finished in the last interval.
-    pub finished_workload: u64,
 }
 
 /// On buffer exhaustion the bridge hands the message back to the
@@ -66,8 +63,6 @@ pub struct RankBridge {
     pub last_round_end: SimTime,
     /// Whether a transfer round event is scheduled.
     pub round_scheduled: bool,
-    /// Whether a state-gather event is scheduled.
-    pub state_scheduled: bool,
     /// Bank position where the next gather phase starts (round-robin
     /// fairness across rounds, so a pause cannot starve late positions).
     pub gather_cursor: u32,
@@ -97,7 +92,6 @@ impl RankBridge {
             last_round_start: SimTime::ZERO,
             last_round_end: SimTime::ZERO,
             round_scheduled: false,
-            state_scheduled: false,
             gather_cursor: 0,
             last_round_idle: false,
             rng,
@@ -250,8 +244,6 @@ pub struct HostBridge {
     pub data_borrowed: LruTable<BlockAddr, RankId>,
     /// Aggregate queue workload per rank from the last state pass.
     pub rank_queue_workload: Vec<u64>,
-    /// Aggregate mailbox bytes per rank bridge (upward mailboxes).
-    pub rank_mailbox_bytes: Vec<u64>,
     /// `toArrive` per rank for cross-rank scheduling.
     pub to_arrive: Vec<u64>,
     /// Whether a host transfer round is scheduled.
@@ -271,7 +263,6 @@ impl HostBridge {
             scatter: vec![VecDeque::new(); ranks],
             data_borrowed: LruTable::new(cfg.bridge_borrowed_entries),
             rank_queue_workload: vec![0; ranks],
-            rank_mailbox_bytes: vec![0; ranks],
             to_arrive: vec![0; ranks],
             round_scheduled: false,
             last_round_start: SimTime::ZERO,

@@ -31,11 +31,6 @@ pub struct SystemConfig {
     pub energy: EnergyParams,
     /// Message transfer and load-balancing granularity `G_xfer` (bytes).
     pub g_xfer: u32,
-    /// Steal byte budget, in `G_xfer` multiples per `W_th` of stolen
-    /// workload (only read when `LbPolicy::byte_budget` is on). The
-    /// default 2 mirrors the `W_th` derivation — one gather out plus
-    /// one scatter back stays latency-hidden per threshold of work.
-    pub steal_budget_gxfer: u32,
     /// State-gathering period `I_state` in NDP core cycles.
     pub i_state_cycles: u64,
     /// Per-unit in-DRAM mailbox region (1 MB).
@@ -88,7 +83,6 @@ impl SystemConfig {
             timing: DramTiming::ddr4_2400(),
             energy: EnergyParams::paper(),
             g_xfer: 256,
-            steal_budget_gxfer: 2,
             i_state_cycles: 2000,
             mailbox_bytes: 1 << 20,
             borrowed_region_bytes: 1 << 20,
@@ -159,10 +153,6 @@ impl SystemConfig {
     /// dividing buffers, DQ multiplexing eating every pin).
     pub fn validate(&self) {
         assert!(self.g_xfer > 0, "G_xfer must be positive");
-        assert!(
-            self.steal_budget_gxfer > 0,
-            "steal byte budget must be positive"
-        );
         assert!(
             self.geometry.intra_rank_data_bits() > 0,
             "C/A multiplexing must leave data pins"
@@ -308,13 +298,6 @@ mod tests {
         let mut c = SystemConfig::table1();
         c.g_xfer = 1024;
         assert_ne!(c.fingerprint(), base);
-        let mut c = SystemConfig::table1();
-        c.steal_budget_gxfer = 4;
-        assert_ne!(
-            c.fingerprint(),
-            base,
-            "the steal byte budget is a policy knob and must key the cache"
-        );
         let mut c = SystemConfig::table1();
         c.trigger = TriggerPolicy::Fixed2IMin;
         assert_ne!(c.fingerprint(), base);

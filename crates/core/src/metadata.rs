@@ -91,11 +91,6 @@ impl<K: std::hash::Hash + Eq + Copy, V> LruTable<K, V> {
         self.map.is_empty()
     }
 
-    /// Whether the table is at capacity.
-    pub fn is_full(&self) -> bool {
-        self.map.len() >= self.capacity
-    }
-
     /// Maximum entries.
     pub fn capacity(&self) -> usize {
         self.capacity
@@ -191,15 +186,6 @@ mod tests {
         t.peek(&1);
         let e = t.insert(3, 'c').unwrap();
         assert_eq!(e.0, 1, "peek must not refresh recency");
-    }
-
-    #[test]
-    fn lru_is_full() {
-        let mut t = LruTable::new(1);
-        assert!(!t.is_full());
-        t.insert(9u64, ());
-        assert!(t.is_full());
-        assert_eq!(t.capacity(), 1);
     }
 
     #[test]

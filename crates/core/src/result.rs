@@ -210,16 +210,6 @@ impl RunResult {
         baseline.makespan.ticks() as f64 / self.makespan.ticks() as f64
     }
 
-    /// Energy reduction relative to `baseline` in `[0, 1)`; negative if
-    /// this run uses more energy.
-    pub fn energy_reduction_vs(&self, baseline: &RunResult) -> f64 {
-        let b = baseline.energy.total_pj();
-        if b == 0.0 {
-            return 0.0;
-        }
-        1.0 - self.energy.total_pj() / b
-    }
-
     /// Serializes the result as a self-contained JSON object (used by
     /// the `repro --json` harness output; hand-rolled to keep the
     /// dependency set minimal).
@@ -332,14 +322,6 @@ mod tests {
         let slow = result(300, 1.0);
         assert!((fast.speedup_over(&slow) - 3.0).abs() < 1e-12);
         assert!((slow.speedup_over(&fast) - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn energy_reduction() {
-        let low = result(1, 40.0);
-        let high = result(1, 100.0);
-        assert!((low.energy_reduction_vs(&high) - 0.6).abs() < 1e-12);
-        assert!(high.energy_reduction_vs(&low) < 0.0);
     }
 
     #[test]

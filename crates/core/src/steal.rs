@@ -81,7 +81,7 @@ pub struct AmortizeCfg {
     /// Gather/scatter transfer granularity (`SystemConfig::g_xfer`).
     pub g_xfer: u32,
     /// Byte allowance per `w_th`, in `g_xfer` multiples
-    /// (`SystemConfig::steal_budget_gxfer`).
+    /// ([`STEAL_BUDGET_GXFER`] in the simulator).
     pub budget_gxfer: u32,
     /// The rank's `W_th` workload threshold.
     pub w_th: u64,
@@ -112,15 +112,21 @@ impl AmortizeCfg {
 /// gather reduction grows monotonically, makespan peaks near 256.
 pub const STEAL_GATE_WTH: u64 = 256;
 
+/// Steal byte budget, in `G_xfer` multiples per `W_th` of stolen
+/// workload (only read when `LbPolicy::byte_budget` is on). 2 mirrors
+/// the `W_th` derivation: one gather out plus one scatter back stays
+/// latency-hidden per threshold of work.
+pub const STEAL_BUDGET_GXFER: u32 = 2;
+
 /// Converts a round's workload budget into its byte budget.
 ///
 /// The `W_th` threshold is derived so that executing `W_th` workload
 /// hides the transfer of `2·G_xfer` bytes (gather out + scatter back).
 /// Inverting that: every `w_th` of stolen workload buys
 /// `budget_gxfer · g_xfer` bytes of latency-hidden transfer
-/// (`budget_gxfer` = 2 covers the round trip; `SystemConfig::
-/// steal_budget_gxfer` exposes it). At least one block's worth is
-/// always granted so a single steal can still happen.
+/// (`budget_gxfer` = [`STEAL_BUDGET_GXFER`] = 2 covers the round
+/// trip). At least one block's worth is always granted so a single
+/// steal can still happen.
 pub fn steal_byte_budget(wl_budget: u64, w_th: u64, g_xfer: u32, budget_gxfer: u32) -> u64 {
     let per_round = u64::from(g_xfer) * u64::from(budget_gxfer.max(1));
     let rounds = wl_budget.max(1).div_ceil(w_th.max(1));

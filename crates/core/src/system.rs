@@ -96,9 +96,10 @@ pub struct System {
     /// Messages ever put into a unit mailbox, the message-conservation
     /// law's left-hand side.
     msgs_emitted: u64,
-    /// Conservation-audit bookkeeping (see [`crate::audit`]); inert
-    /// when `cfg.audit` is [`AuditLevel::Off`].
-    audit: AuditState,
+    /// Violations caught at update sites while the audit is on (a
+    /// `toArrive` counter that would have gone negative), reported by
+    /// the next scan.
+    flagged: Vec<Violation>,
     /// Recycled staging buffer for gather/scatter message batches. Round
     /// handlers `mem::take` it, drain a mailbox or scatter buffer into
     /// it, consume it, and hand it back — so the steady-state event loop
@@ -195,71 +196,9 @@ impl SramCause {
     ];
 }
 
-/// Bookkeeping for messages riding inside queued `Deliver` /
-/// `LinkDeliver` events, which the conservation audit cannot scan out
-/// of the event queue, plus violations flagged inline at update sites.
-/// Only maintained while `enabled` (i.e. `cfg.audit != Off`).
-#[derive(Debug, Default)]
-struct AuditState {
-    enabled: bool,
-    /// Message-carrying events currently queued.
-    sched_events: u64,
-    /// Data-block occurrence counts inside queued events.
-    sched_data_blocks: FastMap<u64, u32>,
-    /// Scheduled-task workload inside queued events, keyed by the
-    /// intended receiver unit.
-    sched_task_toward: FastMap<u32, u64>,
-    /// Violations caught at update sites (e.g. a `toArrive` counter
-    /// that would have gone negative), reported at the next scan.
-    flagged: Vec<Violation>,
-}
-
-impl AuditState {
-    fn note_scheduled(&mut self, msg: &Message) {
-        self.sched_events += 1;
-        match msg {
-            Message::Task(t, Some(dest)) => {
-                *self.sched_task_toward.entry(dest.0).or_insert(0) += t.workload_or_default();
-            }
-            Message::Data(dm, _) => {
-                *self.sched_data_blocks.entry(dm.block.0).or_insert(0) += 1;
-            }
-            _ => {}
-        }
-    }
-
-    fn note_delivered(&mut self, msg: &Message) {
-        self.sched_events = self.sched_events.saturating_sub(1);
-        match msg {
-            Message::Task(t, Some(dest)) => {
-                if let Some(w) = self.sched_task_toward.get_mut(&dest.0) {
-                    *w = w.saturating_sub(t.workload_or_default());
-                    if *w == 0 {
-                        self.sched_task_toward.remove(&dest.0);
-                    }
-                }
-            }
-            Message::Data(dm, _) => {
-                if let Some(c) = self.sched_data_blocks.get_mut(&dm.block.0) {
-                    *c -= 1;
-                    if *c == 0 {
-                        self.sched_data_blocks.remove(&dm.block.0);
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-
-    fn flag(&mut self, law: &'static str, detail: String) {
-        if self.flagged.len() < 16 {
-            self.flagged.push(Violation { law, detail });
-        }
-    }
-}
-
-/// Every in-flight message the audit can reach by scanning mailboxes
-/// and buffers, merged with the queued-event view from [`AuditState`].
+/// Every in-flight message: in mailboxes, buffers and queued
+/// delivery events.
+#[derive(Default)]
 struct InFlight {
     msgs: u64,
     data_blocks: FastMap<u64, u32>,
@@ -396,10 +335,6 @@ impl System {
         let link_scheduled = vec![false; cfg.geometry.total_ranks() as usize];
         let mut metrics = MetricsRegistry::new();
         let m = SysMetrics::register(&mut metrics);
-        let audit = AuditState {
-            enabled: cfg.audit != AuditLevel::Off,
-            ..AuditState::default()
-        };
         System {
             comm: design.comm_path(),
             lb: design.lb_policy(),
@@ -420,7 +355,7 @@ impl System {
             m,
             local_dram_bytes: 0,
             msgs_emitted: 0,
-            audit,
+            flagged: Vec::new(),
             cfg,
             msg_scratch: Vec::new(),
             per_unit_scratch: Vec::new(),
@@ -448,24 +383,6 @@ impl System {
     fn charge_sram(&mut self, cause: SramCause, bytes: u64) {
         self.metrics.add(self.m.sram_staged_bytes, bytes);
         self.metrics.add(self.m.ledger_sram[cause as usize], bytes);
-    }
-
-    /// Schedules a message delivery to unit `u`, keeping the audit's
-    /// view of messages queued inside events current.
-    fn schedule_delivery(&mut self, at: SimTime, u: usize, msg: Message) {
-        if self.audit.enabled {
-            self.audit.note_scheduled(&msg);
-        }
-        self.sched(at, Ev::Deliver(u as u32, msg));
-    }
-
-    /// Schedules a DIMM-Link delivery to rank `r` (see
-    /// [`Self::schedule_delivery`]).
-    fn schedule_link_delivery(&mut self, at: SimTime, r: usize, msg: Message) {
-        if self.audit.enabled {
-            self.audit.note_scheduled(&msg);
-        }
-        self.sched(at, Ev::LinkDeliver(r as u32, msg));
     }
 
     // ---- traced hardware actions ------------------------------------------
@@ -606,7 +523,6 @@ impl System {
         // Periodic machinery.
         for r in 0..self.bridges.len() {
             if self.comm == CommPath::Bridges {
-                self.bridges[r].state_scheduled = true;
                 self.sched(self.cfg.i_state(), Ev::RankState(r as u32));
             }
         }
@@ -618,6 +534,13 @@ impl System {
         // (DESIGN.md §3c). The phase profiler is a per-batch hook, so
         // every run takes this one loop.
         let mut batch: Vec<Ev> = Vec::with_capacity(64);
+        // Epoch audits run between batches: inside a handler the rest
+        // of its batch is neither queued nor delivered, so the scan
+        // would miss it. A batch closes at most one epoch (a task of the
+        // next epoch cannot finish in the batch that opens it), so each
+        // barrier still gets exactly one audit under its own label.
+        let audit_epochs = self.cfg.audit.at_epochs();
+        let mut audited = self.epochs.current();
         loop {
             let t0 = self.profile.is_some().then(Instant::now);
             let popped = self.q.pop_run(&mut batch).is_some();
@@ -642,6 +565,10 @@ impl System {
             }
             if let (Some(p), Some(t1)) = (self.profile.as_mut(), t1) {
                 p.dispatch_ns += t1.elapsed().as_nanos() as u64;
+            }
+            if audit_epochs && self.epochs.current() != audited {
+                audited = self.epochs.current();
+                self.run_audit(&format!("epoch-{}", audited.0));
             }
         }
         assert!(
@@ -835,7 +762,7 @@ impl System {
         self.bank_precharge(dst, end);
         self.charge_comm(CommCause::RowClone, 128);
         self.msgs_emitted += 1;
-        self.schedule_delivery(end, dst, Message::Task(task, None));
+        self.sched(end, Ev::Deliver(dst as u32, Message::Task(task, None)));
     }
 
     /// Puts a message into `u`'s mailbox (stalling the core when full),
@@ -846,7 +773,7 @@ impl System {
             Message::Task(_, None) => CommCause::MailTask,
             Message::Task(_, Some(_)) => CommCause::MailSched,
             Message::Data(dm, dest) => {
-                if *dest == Some(self.map.block_home(dm.block)) {
+                if *dest == self.map.block_home(dm.block) {
                     CommCause::MailReturn
                 } else {
                     CommCause::MailData
@@ -898,9 +825,6 @@ impl System {
 
     fn on_deliver(&mut self, u: usize, msg: Message) {
         let now = self.q.now();
-        if self.audit.enabled {
-            self.audit.note_delivered(&msg);
-        }
         self.metrics.inc(self.m.msgs_delivered);
         match msg {
             Message::Task(task, scheduled) => {
@@ -915,7 +839,8 @@ impl System {
                         let wl = task.workload_or_default();
                         let ir = self.cfg.geometry.rank_of(intended).index();
                         let il = self.local_index(intended.index());
-                        if self.audit.enabled
+                        if self.cfg.audit != AuditLevel::Off
+                            && self.flagged.len() < 16
                             && (self.bridges[ir].to_arrive[il] < wl || self.host.to_arrive[ir] < wl)
                         {
                             let detail = format!(
@@ -923,7 +848,10 @@ impl System {
                                  bridge {} / host {} against workload {wl}",
                                 intended.0, self.bridges[ir].to_arrive[il], self.host.to_arrive[ir],
                             );
-                            self.audit.flag("to-arrive", detail);
+                            self.flagged.push(Violation {
+                                law: "to-arrive",
+                                detail,
+                            });
                         }
                         self.bridges[ir].to_arrive[il] =
                             self.bridges[ir].to_arrive[il].saturating_sub(wl);
@@ -994,7 +922,7 @@ impl System {
             bytes: self.cfg.g_xfer,
             workload: 0,
         };
-        self.emit_message(u, Message::Data(dm, Some(home)), now);
+        self.emit_message(u, Message::Data(dm, home), now);
     }
 
     // ---- routing -----------------------------------------------------------
@@ -1033,14 +961,13 @@ impl System {
                     None
                 }
             }
-            Message::Data(_, Some(dest)) => {
+            Message::Data(_, dest) => {
                 if g.rank_of(*dest).index() == r {
                     Some(dest.index())
                 } else {
                     None
                 }
             }
-            Message::Data(_, None) => None,
         }
     }
 
@@ -1055,8 +982,7 @@ impl System {
                 }
                 g.rank_of(self.map.block_home(block)).index()
             }
-            Message::Data(_, Some(dest)) => g.rank_of(*dest).index(),
-            Message::Data(_, None) => 0,
+            Message::Data(_, dest) => g.rank_of(*dest).index(),
         }
     }
 
@@ -1244,7 +1170,7 @@ impl System {
                     },
                 ));
                 for msg in msgs.drain(..) {
-                    self.schedule_delivery(grant.end, u, msg);
+                    self.sched(grant.end, Ev::Deliver(u as u32, msg));
                 }
                 self.msg_scratch = msgs;
             }
@@ -1291,22 +1217,20 @@ impl System {
             let bytes = msg.wire_bytes() as u64;
             let grant = self.reserve(ComponentId::Link(r as u32), now, bytes);
             self.charge_sram(SramCause::Link, bytes);
-            self.schedule_link_delivery(grant.end, dest_rank, msg);
+            self.sched(grant.end, Ev::LinkDeliver(dest_rank as u32, msg));
         }
         self.msg_scratch = msgs;
     }
 
     fn on_link_deliver(&mut self, dest: usize, msg: Message) {
         let now = self.q.now();
-        if self.audit.enabled {
-            self.audit.note_delivered(&msg);
-        }
         match self.absorb_at_rank(dest, msg) {
             Ok(()) => self.consider_rank_round(dest, now),
             Err(back) => {
                 // Destination bridge full: hold the message on the link
                 // and retry after a round's worth of draining.
-                self.schedule_link_delivery(now + self.cfg.i_min(), dest, back);
+                let retry = now + self.cfg.i_min();
+                self.sched(retry, Ev::LinkDeliver(dest as u32, back));
             }
         }
     }
@@ -1331,7 +1255,7 @@ impl System {
 
     fn is_data_block_assignment(&self, msg: &Message, r: usize) -> bool {
         match msg {
-            Message::Data(dm, Some(dest)) => {
+            Message::Data(dm, dest) => {
                 let home = self.map.block_home(dm.block);
                 // Arriving at the receiver's rank and not a return-home.
                 self.cfg.geometry.rank_of(*dest).index() == r && home != *dest
@@ -1343,7 +1267,7 @@ impl System {
     /// Records block→receiver metadata when a lent block enters the
     /// receiver's rank (inclusive two-level dataBorrowed).
     fn note_block_in_rank(&mut self, r: usize, msg: &Message) {
-        if let Message::Data(dm, Some(dest)) = msg {
+        if let Message::Data(dm, dest) = msg {
             // A cross-rank assignment must mirror a live host entry: if
             // the host evicted or reassigned the block while the data
             // was in flight, recording it here would orphan the
@@ -1377,7 +1301,6 @@ impl System {
     // ---- state gathering + rank-level load balancing -------------------------
 
     fn on_rank_state(&mut self, r: usize) {
-        self.bridges[r].state_scheduled = false;
         if self.epochs.all_done() {
             return;
         }
@@ -1397,13 +1320,8 @@ impl System {
         let mut finished_total = 0u64;
         for i in 0..n {
             let u = base + i;
-            let st = crate::bridge::ChildState {
-                mailbox_bytes: self.units[u].mailbox.bytes_used(),
-                queue_workload: self.units[u].queue_workload(),
-                finished_workload: self.units[u].take_finished(),
-            };
-            finished_total += st.finished_workload;
-            self.bridges[r].child_state[i] = st;
+            self.bridges[r].child_state[i].queue_workload = self.units[u].queue_workload();
+            finished_total += self.units[u].take_finished();
         }
         self.charge_sram(SramCause::State, state_bytes);
         self.bridges[r].update_speed_estimate(self.cfg.i_state_cycles, finished_total);
@@ -1413,7 +1331,6 @@ impl System {
             .iter()
             .map(|s| s.queue_workload)
             .sum();
-        self.host.rank_mailbox_bytes[r] = self.bridges[r].up_mailbox.bytes_used();
 
         if self.lb.enabled {
             self.lb_rank(r, grant.end);
@@ -1424,7 +1341,6 @@ impl System {
         }
 
         // Re-arm.
-        self.bridges[r].state_scheduled = true;
         self.sched(now + self.cfg.i_state(), Ev::RankState(r as u32));
     }
 
@@ -1586,7 +1502,7 @@ impl System {
                     budget.min(fine_equiv),
                     w_th,
                     self.cfg.g_xfer,
-                    self.cfg.steal_budget_gxfer,
+                    steal::STEAL_BUDGET_GXFER,
                 )
             }
         } else {
@@ -1609,20 +1525,17 @@ impl System {
             }
         }
         let data_wire = u64::from(
-            Message::Data(
-                DataMessage {
-                    block: BlockAddr(0),
-                    bytes: self.cfg.g_xfer,
-                    workload: 0,
-                },
-                None,
-            )
+            DataMessage {
+                block: BlockAddr(0),
+                bytes: self.cfg.g_xfer,
+                workload: 0,
+            }
             .wire_bytes(),
         );
         let hot = self.lb.hot_data;
         let amortize = self.lb.byte_budget.then(|| steal::AmortizeCfg {
             g_xfer: self.cfg.g_xfer,
-            budget_gxfer: self.cfg.steal_budget_gxfer,
+            budget_gxfer: steal::STEAL_BUDGET_GXFER,
             w_th: self.rank_w_threshold(r),
         });
         let picks = {
@@ -1716,7 +1629,7 @@ impl System {
                             bytes: self.cfg.g_xfer,
                             workload: sb.workload,
                         },
-                        Some(recv_id),
+                        recv_id,
                     ),
                 );
             }
@@ -1736,7 +1649,7 @@ impl System {
                 bytes: self.cfg.g_xfer,
                 workload: sb.workload,
             };
-            self.emit_message(giver, Message::Data(dm, Some(recv_id)), now);
+            self.emit_message(giver, Message::Data(dm, recv_id), now);
         }
         for task in sb.tasks {
             self.emit_message(giver, Message::Task(task, Some(recv_id)), now);
@@ -2068,7 +1981,7 @@ impl System {
                     },
                 ));
                 for msg in msgs.drain(..) {
-                    self.schedule_delivery(cg.end, u, msg);
+                    self.sched(cg.end, Ev::Deliver(u as u32, msg));
                 }
                 self.vec_pool.put(msgs);
             }
@@ -2083,25 +1996,17 @@ impl System {
     fn direct_dest_unit(&self, msg: &Message) -> usize {
         match msg {
             Message::Task(task, _) => self.map.home_unit(task.data).index(),
-            Message::Data(dm, Some(dest)) => {
-                let _ = dm;
-                dest.index()
-            }
-            Message::Data(dm, None) => self.map.block_home(dm.block).index(),
+            Message::Data(_, dest) => dest.index(),
         }
     }
 
     // ---- conservation audit ---------------------------------------------------
 
-    /// Collects every in-flight message reachable by scanning mailboxes
-    /// and buffers, merged with the queued-event view the [`AuditState`]
-    /// maintains.
+    /// Collects every in-flight message: in unit mailboxes and
+    /// pending-out buffers, bridge and host buffers, and the queued
+    /// `Deliver`/`LinkDeliver` events.
     fn scan_in_flight(&self) -> InFlight {
-        let mut f = InFlight {
-            msgs: self.audit.sched_events,
-            data_blocks: self.audit.sched_data_blocks.clone(),
-            task_toward: self.audit.sched_task_toward.clone(),
-        };
+        let mut f = InFlight::default();
         fn note(f: &mut InFlight, msg: &Message) {
             f.msgs += 1;
             match msg {
@@ -2133,6 +2038,11 @@ impl System {
         for m in self.host.buffered_messages() {
             note(&mut f, m);
         }
+        for ev in self.q.iter() {
+            if let Ev::Deliver(_, m) | Ev::LinkDeliver(_, m) = ev {
+                note(&mut f, m);
+            }
+        }
         f
     }
 
@@ -2142,7 +2052,7 @@ impl System {
     /// unaudited ones. Called between event handlers only, where all
     /// component state is consistent.
     pub fn collect_violations(&self) -> Vec<Violation> {
-        let mut v: Vec<Violation> = self.audit.flagged.clone();
+        let mut v: Vec<Violation> = self.flagged.clone();
         let f = self.scan_in_flight();
         let g = &self.cfg.geometry;
 
@@ -2432,9 +2342,6 @@ impl System {
             ComponentId::Host,
             TraceEvent::EpochAdvance { epoch: new_epoch.0 },
         ));
-        if self.cfg.audit.at_epochs() {
-            self.run_audit(&format!("epoch-{}", new_epoch.0));
-        }
     }
 
     fn finalize(mut self) -> RunResult {
@@ -2606,7 +2513,7 @@ mod tests {
             bytes: 256,
             workload: 1,
         };
-        let msg = Message::Data(dm, Some(UnitId(70)));
+        let msg = Message::Data(dm, UnitId(70));
         assert_eq!(s.route_at_rank(0, &msg), None);
         assert_eq!(s.route_at_rank(1, &msg), Some(70));
         assert_eq!(s.route_at_host(&msg), 1);
@@ -2850,7 +2757,7 @@ mod tests {
     #[test]
     fn audit_trips_on_corrupted_data_borrowed_entry() {
         let mut s = sys(DesignPoint::O);
-        s.audit.enabled = true;
+        s.cfg.audit = AuditLevel::Full;
         // Fabricate a bridge entry for a block whose home never lent it
         // and which nobody holds: two inclusivity laws must fire.
         let t = task_on(&s, 5, 0);
@@ -2870,7 +2777,7 @@ mod tests {
     #[test]
     fn audit_trips_on_corrupted_to_arrive_counter() {
         let mut s = sys(DesignPoint::W);
-        s.audit.enabled = true;
+        s.cfg.audit = AuditLevel::Full;
         assert!(s.collect_violations().is_empty());
         s.bridges[1].to_arrive[3] = 7; // no scheduled task is in flight
         let v = s.collect_violations();
@@ -2892,7 +2799,7 @@ mod tests {
 
     fn audited(design: DesignPoint) -> System {
         let mut s = sys(design);
-        s.audit.enabled = true;
+        s.cfg.audit = AuditLevel::Full;
         assert!(s.collect_violations().is_empty());
         s
     }
@@ -2947,6 +2854,37 @@ mod tests {
     }
 
     #[test]
+    fn audit_reads_messages_inside_queued_deliveries() {
+        // A scheduled task for u9 is gathered from u5's mailbox and
+        // scattered by a real rank round, which leaves it inside a
+        // queued `Deliver` event.
+        let mut s = audited(DesignPoint::W);
+        let t = task_on(&s, 5, 0);
+        let wl = t.workload_or_default();
+        s.bridges[0].to_arrive[9] = wl;
+        s.host.to_arrive[0] = wl;
+        s.emit_message(5, Message::Task(t, Some(UnitId(9))), SimTime::ZERO);
+        assert!(s.collect_violations().is_empty());
+        s.on_rank_round(0);
+        assert!(s.units[5].mailbox.is_empty());
+        assert!(s.q.iter().any(|ev| matches!(ev, Ev::Deliver(5, _))));
+        assert!(s.collect_violations().is_empty());
+        // Dropping the event loses the message and its workload.
+        while !matches!(s.q.pop(), Some((_, Ev::Deliver(..)))) {}
+        let v = s.collect_violations();
+        assert!(
+            v.iter().any(|x| x.law == "message-conservation"
+                && x.detail == "emitted 1 != delivered 0 + in-flight 0"),
+            "{v:?}"
+        );
+        assert!(
+            v.iter()
+                .any(|x| x.law == "to-arrive" && x.detail.contains("bridge 0 child 9")),
+            "{v:?}"
+        );
+    }
+
+    #[test]
     fn audited_run_is_bit_identical_to_unaudited() {
         let run = |audit| {
             let mut cfg = SystemConfig::with_geometry(Geometry::with_total_ranks(2));
@@ -2968,7 +2906,7 @@ mod tests {
     #[test]
     fn scheduled_task_settles_to_arrive_for_intended_receiver_once() {
         let mut s = sys(DesignPoint::W);
-        s.audit.enabled = true;
+        s.cfg.audit = AuditLevel::Full;
         // A scheduled task intended for u9 is delivered at u9, which
         // does not hold the block: the reroute must still settle both
         // toArrive levels (u9 was the intended receiver) and clear the
@@ -2978,7 +2916,6 @@ mod tests {
         s.bridges[0].to_arrive[9] = wl;
         s.host.to_arrive[0] = wl;
         let msg = Message::Task(t, Some(UnitId(9)));
-        s.audit.note_scheduled(&msg); // as schedule_delivery would
         s.on_deliver(9, msg);
         assert_eq!(s.bridges[0].to_arrive[9], 0);
         assert_eq!(s.host.to_arrive[0], 0);
@@ -2992,7 +2929,7 @@ mod tests {
     #[test]
     fn evicting_an_in_flight_block_leaves_no_orphan() {
         let mut s = sys(DesignPoint::O);
-        s.audit.enabled = true;
+        s.cfg.audit = AuditLevel::Full;
         let cap = s.bridges[0].data_borrowed.capacity();
         // Block A is scheduled toward u9 but its data is still in
         // flight (not admitted anywhere).
@@ -3004,26 +2941,24 @@ mod tests {
             bytes: gx,
             workload: 1,
         };
-        s.note_block_in_rank(0, &Message::Data(dm(a), Some(UnitId(9))));
+        s.note_block_in_rank(0, &Message::Data(dm(a), UnitId(9)));
         assert_eq!(s.bridges[0].data_borrowed.peek(&a), Some(&UnitId(9)));
         // Fill the table until A's entry is evicted while in flight.
         for i in 0..cap as u64 {
             let b = s.map.block_of(task_on(&s, 6, s.cfg.g_xfer as u64 * i).data);
             s.units[6].is_lent.set(b);
-            s.note_block_in_rank(0, &Message::Data(dm(b), Some(UnitId(10))));
+            s.note_block_in_rank(0, &Message::Data(dm(b), UnitId(10)));
         }
         assert!(s.bridges[0].data_borrowed.peek(&a).is_none());
         // No bogus return was emitted from u9 (it never held A).
         assert!(s.units[9].mailbox.is_empty());
         // When A's data finally arrives, the stale check bounces it
         // home instead of admitting an orphan borrow.
-        s.audit
-            .note_scheduled(&Message::Data(dm(a), Some(UnitId(9))));
-        s.on_deliver(9, Message::Data(dm(a), Some(UnitId(9))));
+        s.on_deliver(9, Message::Data(dm(a), UnitId(9)));
         assert!(!s.units[9].is_borrowed(a));
         let mut bounced = s.units[9].mailbox.iter();
         match bounced.next() {
-            Some(Message::Data(d, Some(dest))) if d.block == a && *dest == UnitId(5) => {}
+            Some(Message::Data(d, dest)) if d.block == a && *dest == UnitId(5) => {}
             other => panic!("expected a bounce-home data message, got {other:?}"),
         }
     }
@@ -3031,7 +2966,7 @@ mod tests {
     #[test]
     fn returned_block_can_be_relent_cleanly() {
         let mut s = sys(DesignPoint::O);
-        s.audit.enabled = true;
+        s.cfg.audit = AuditLevel::Full;
         let a = s.map.block_of(task_on(&s, 5, 0).data);
         let dmsg = Message::Data(
             DataMessage {
@@ -3039,12 +2974,11 @@ mod tests {
                 bytes: s.cfg.g_xfer,
                 workload: 1,
             },
-            Some(UnitId(9)),
+            UnitId(9),
         );
         // First lend: u5 → u9, admitted.
         s.units[5].is_lent.set(a);
         s.note_block_in_rank(0, &dmsg);
-        s.audit.note_scheduled(&dmsg);
         s.on_deliver(9, dmsg.clone());
         assert!(s.units[9].is_borrowed(a));
         // Return home: metadata cleared, lent bit dropped.
@@ -3056,15 +2990,13 @@ mod tests {
                 bytes: s.cfg.g_xfer,
                 workload: 0,
             },
-            Some(UnitId(5)),
+            UnitId(5),
         );
-        s.audit.note_scheduled(&ret);
         s.on_deliver(5, ret);
         assert!(!s.units[5].is_lent.is_lent(a));
         // Immediate re-lend of the just-returned block is clean.
         s.units[5].is_lent.set(a);
         s.note_block_in_rank(0, &dmsg);
-        s.audit.note_scheduled(&dmsg);
         s.on_deliver(9, dmsg);
         assert!(s.units[9].is_borrowed(a));
         assert_eq!(s.bridges[0].data_borrowed.peek(&a), Some(&UnitId(9)));

@@ -562,12 +562,6 @@ impl NdpUnit {
         }
         out
     }
-
-    /// The unit's deterministic RNG (for system-level decisions tied to
-    /// this unit).
-    pub fn rng(&mut self) -> &mut SimRng {
-        &mut self.rng
-    }
 }
 
 /// Wire bytes of a batch of task descriptors, as they would be mailed.

@@ -173,23 +173,6 @@ impl AddressMap {
             self.row_shift,
         )
     }
-
-    /// Number of blocks per bank.
-    pub fn blocks_per_bank(&self) -> u64 {
-        self.bank_bytes / self.block_bytes as u64
-    }
-
-    /// The block's index within its home bank (for `isLent` bitmaps).
-    #[inline]
-    pub fn block_index_in_bank(&self, block: BlockAddr) -> u64 {
-        // blocks_per_bank = bank_bytes / block_bytes, a power of two
-        // exactly when both are (block size divides bank size).
-        let shift = match (self.bank_shift, self.block_shift) {
-            (Some(b), Some(k)) => Some(b - k),
-            _ => p2_shift(self.blocks_per_bank()),
-        };
-        rem_p2(block.0, self.blocks_per_bank(), shift)
-    }
 }
 
 #[cfg(test)]
@@ -238,16 +221,6 @@ mod tests {
         // Same offset in another bank has the same row index.
         let b0 = m.addr_in_unit(UnitId(3), 0);
         assert_eq!(m.row_of(b0), 0);
-    }
-
-    #[test]
-    fn block_index_in_bank_wraps() {
-        let m = map();
-        let blocks_per_bank = m.blocks_per_bank();
-        let a = m.addr_in_unit(UnitId(1), 256);
-        let b = m.block_of(a);
-        assert_eq!(b.0, blocks_per_bank + 1);
-        assert_eq!(m.block_index_in_bank(b), 1);
     }
 
     #[test]

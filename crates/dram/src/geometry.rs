@@ -239,18 +239,6 @@ impl Geometry {
         ChannelId(rank.0 / self.ranks_per_channel)
     }
 
-    /// Iterator over the units of `rank`, in bank-position-major order:
-    /// all chips' bank 0 first, then bank 1, … — the order a bridge's
-    /// round-robin gather visits them (one command per bank position
-    /// serves every chip in parallel, Section V-B).
-    pub fn units_of_rank(&self, rank: RankId) -> impl Iterator<Item = UnitId> + '_ {
-        let base = rank.0 * self.units_per_rank();
-        let banks = self.banks_per_chip;
-        let chips = self.chips_per_rank;
-        (0..banks)
-            .flat_map(move |bank| (0..chips).map(move |chip| UnitId(base + chip * banks + bank)))
-    }
-
     /// All units in the system.
     pub fn all_units(&self) -> impl Iterator<Item = UnitId> {
         (0..self.total_units()).map(UnitId)
@@ -289,20 +277,6 @@ mod tests {
         assert_eq!(p.rank, RankId(7));
         assert_eq!(p.channel, ChannelId(1));
         assert_eq!((p.chip, p.bank), (7, 7));
-    }
-
-    #[test]
-    fn units_of_rank_is_bank_position_major() {
-        let g = Geometry::table1();
-        let units: Vec<UnitId> = g.units_of_rank(RankId(0)).collect();
-        assert_eq!(units.len(), 64);
-        // First 8 entries are bank 0 of chips 0..8.
-        for (chip, u) in units[..8].iter().enumerate() {
-            let p = g.position(*u);
-            assert_eq!((p.chip, p.bank), (chip as u32, 0));
-        }
-        // Next 8 are bank 1.
-        assert_eq!(g.position(units[8]).bank, 1);
     }
 
     #[test]

@@ -148,7 +148,7 @@ impl Mailbox {
 mod tests {
     use super::*;
     use crate::message::DataMessage;
-    use ndpb_dram::{BlockAddr, DataAddr};
+    use ndpb_dram::{BlockAddr, DataAddr, UnitId};
     use ndpb_tasks::{Task, TaskArgs, TaskFnId, Timestamp};
 
     fn task_msg() -> Message {
@@ -165,7 +165,7 @@ mod tests {
                 bytes,
                 workload: 1,
             },
-            None,
+            UnitId(0),
         )
     }
 

@@ -24,6 +24,16 @@ pub struct DataMessage {
     pub workload: u64,
 }
 
+impl DataMessage {
+    /// Bytes on the wire: the payload plus a header and an address per
+    /// sub-message.
+    pub fn wire_bytes(&self) -> u32 {
+        let payload_per_sub = MAX_MESSAGE_BYTES - MESSAGE_HEADER_BYTES - 8;
+        let subs = self.bytes.div_ceil(payload_per_sub).max(1);
+        self.bytes + subs * (MESSAGE_HEADER_BYTES + 8)
+    }
+}
+
 /// Any message travelling between units and bridges through their
 /// mailboxes.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,10 +44,10 @@ pub enum Message {
     /// `toArrive` correction counters (Section VI-C) until first
     /// delivery; `None` for ordinary spawns and reroutes.
     Task(Task, Option<UnitId>),
-    /// A block being lent for load balancing, with an explicit receiver
-    /// chosen by the bridge (step ④ of Figure 6). `None` until the
-    /// bridge assigns it.
-    Data(DataMessage, Option<UnitId>),
+    /// A block being lent for load balancing, with its receiver: the
+    /// unit the bridge chose (step ④ of Figure 6), or the block's home
+    /// when it returns.
+    Data(DataMessage, UnitId),
 }
 
 impl Message {
@@ -46,11 +56,7 @@ impl Message {
     pub fn wire_bytes(&self) -> u32 {
         match self {
             Message::Task(t, _) => t.wire_bytes().min(MAX_MESSAGE_BYTES),
-            Message::Data(d, _) => {
-                let payload_per_sub = MAX_MESSAGE_BYTES - MESSAGE_HEADER_BYTES - 8;
-                let subs = d.bytes.div_ceil(payload_per_sub).max(1);
-                d.bytes + subs * (MESSAGE_HEADER_BYTES + 8)
-            }
+            Message::Data(d, _) => d.wire_bytes(),
         }
     }
 
@@ -97,7 +103,7 @@ mod tests {
                 bytes: 256,
                 workload: 40,
             },
-            None,
+            UnitId(0),
         );
         // 256 B payload at 54 B per sub-message = 5 subs, each with a
         // 10 B header+address overhead.
@@ -112,7 +118,7 @@ mod tests {
                 bytes: 16,
                 workload: 1,
             },
-            Some(UnitId(3)),
+            UnitId(3),
         );
         assert_eq!(m.wire_bytes(), 16 + 10);
     }

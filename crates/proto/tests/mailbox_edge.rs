@@ -2,7 +2,7 @@
 //! backpressure, and the full-episode latch behind the once-per-stall
 //! `mailbox-full` trace event.
 
-use ndpb_dram::{BlockAddr, DataAddr};
+use ndpb_dram::{BlockAddr, DataAddr, UnitId};
 use ndpb_proto::{DataMessage, Mailbox, Message};
 use ndpb_tasks::{Task, TaskArgs, TaskFnId, Timestamp};
 
@@ -20,7 +20,7 @@ fn data_msg(bytes: u32, block: u64) -> Message {
             bytes,
             workload: 1,
         },
-        None,
+        UnitId(0),
     )
 }
 

@@ -1,7 +1,7 @@
 //! Randomized tests for mailboxes and message accounting, driven by the
 //! in-repo deterministic `SimRng`.
 
-use ndpb_dram::{BlockAddr, DataAddr};
+use ndpb_dram::{BlockAddr, DataAddr, UnitId};
 use ndpb_proto::message::DataMessage;
 use ndpb_proto::{Mailbox, Message};
 use ndpb_sim::SimRng;
@@ -28,7 +28,7 @@ fn arb_message(rng: &mut SimRng) -> Message {
                 bytes: 1 + rng.next_below(1023) as u32,
                 workload: rng.next_below(100),
             },
-            None,
+            UnitId(0),
         )
     }
 }

@@ -217,6 +217,15 @@ impl<E> EventQueue<E> {
         self.len() == 0
     }
 
+    /// Every pending event, in no particular order: the slab nodes that
+    /// hold an event (free nodes hold none), then the overflow heap.
+    /// Pop order is untouched; this serves observers that need the
+    /// pending set, not its order.
+    pub fn iter(&self) -> impl Iterator<Item = &E> {
+        let near = self.nodes.iter().filter_map(|n| n.event.as_ref());
+        near.chain(self.overflow.iter().map(|o| &o.event))
+    }
+
     /// Schedules `event` at absolute time `at`.
     ///
     /// Scheduling at exactly [`now`](Self::now) — e.g. from inside the
@@ -664,5 +673,45 @@ mod tests {
             "draining must not shrink or grow the slab"
         );
         assert_eq!(free_len(&q), peak);
+    }
+
+    #[test]
+    fn iter_yields_exactly_the_pending_payloads() {
+        // Schedules into both tiers, interleaved with both pop paths:
+        // after every step `iter` yields each pending payload once and
+        // nothing from a freed node.
+        let mut rng = crate::SimRng::new(0x17E2);
+        let mut q = EventQueue::new();
+        let mut pending = std::collections::BTreeSet::new();
+        let mut id = 0u64;
+        let mut run = Vec::new();
+        let mut saw_overflow = false;
+        for _ in 0..5_000 {
+            if rng.chance(0.55) || q.is_empty() {
+                let delta = match rng.next_below(4) {
+                    0 => 0,
+                    1 | 2 => rng.next_below(WHEEL_SLOTS as u64),
+                    _ => WHEEL_SLOTS as u64 + rng.next_below(1 << 16),
+                };
+                q.schedule(SimTime::from_ticks(q.now().ticks() + delta), id);
+                pending.insert(id);
+                id += 1;
+            } else if rng.chance(0.5) {
+                assert!(pending.remove(&q.pop().unwrap().1));
+            } else {
+                run.clear();
+                q.pop_run(&mut run).unwrap();
+                for e in &run {
+                    assert!(pending.remove(e));
+                }
+            }
+            saw_overflow |= !q.overflow.is_empty();
+            let mut seen: Vec<u64> = q.iter().copied().collect();
+            assert_eq!(seen.len(), q.len());
+            seen.sort_unstable();
+            assert!(seen.iter().eq(pending.iter()));
+        }
+        assert!(saw_overflow, "no event reached the overflow heap");
+        assert!(free_len(&q) > 0, "no freed node was left to skip");
     }
 }

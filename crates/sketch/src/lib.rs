@@ -6,7 +6,8 @@
 //! sketch ([`HotSketch`]): a set-associative array of buckets whose
 //! entries hold `(block address, workload)`. On a miss with a full
 //! bucket, the minimum entry decays with probability `b^-workload`
-//! (b = 1.08) and is replaced when its counter underflows.
+//! (b = [`sketch::DECAY_BASE`] = 1.08) and is replaced when its counter
+//! underflows.
 //!
 //! The tasks associated with sketched blocks are parked in an in-DRAM
 //! *reserved queue* ([`ReservedQueue`]) organized as linked chunk lists

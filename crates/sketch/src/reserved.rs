@@ -54,12 +54,6 @@ impl<T> ReservedQueue<T> {
         }
     }
 
-    /// The paper's default: 1280 chunks of `G_xfer` = 256 bytes, about
-    /// 8 tasks (32 B records) per chunk ⇒ roughly 10 000 tasks.
-    pub fn paper_default() -> Self {
-        Self::new(1280, 8)
-    }
-
     fn chunks_for(&self, tasks: usize) -> usize {
         // Every key holds at least its statically assigned chunk.
         tasks.div_ceil(self.tasks_per_chunk).max(1)
@@ -223,13 +217,6 @@ mod tests {
         assert_eq!(q.drain_all(), vec![10, 30, 50, 51]);
         assert!(q.is_empty());
         assert_eq!(q.chunks_used(), 0);
-    }
-
-    #[test]
-    fn paper_default_capacity() {
-        let q: ReservedQueue<u8> = ReservedQueue::paper_default();
-        assert_eq!(q.chunk_pool, 1280);
-        assert_eq!(q.tasks_per_chunk, 8);
     }
 
     #[test]

@@ -2,20 +2,18 @@
 
 use ndpb_sim::SimRng;
 
-/// Sketch geometry and decay parameters (Table I defaults: 16 buckets ×
-/// 16 entries, 1-byte workload counters, b = 1.08).
-#[derive(Debug, Clone, PartialEq)]
+/// Exponential decay base: a full bucket's minimum entry decays with
+/// probability `DECAY_BASE^-workload` (HeavyGuardian's proven-optimal
+/// 1.08, Table I).
+pub const DECAY_BASE: f64 = 1.08;
+
+/// Sketch geometry (Table I defaults: 16 buckets × 16 entries).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SketchConfig {
     /// Number of buckets (indexed by block address).
     pub buckets: usize,
     /// Entries per bucket.
     pub entries_per_bucket: usize,
-    /// Exponential decay base: the minimum entry decays with probability
-    /// `base^-workload` (HeavyGuardian's proven-optimal 1.08).
-    pub decay_base: f64,
-    /// Saturation cap for the per-entry workload counter (1 byte in
-    /// hardware scaled to workload units; large cap in the model).
-    pub counter_cap: u64,
 }
 
 impl SketchConfig {
@@ -24,8 +22,6 @@ impl SketchConfig {
         SketchConfig {
             buckets: 16,
             entries_per_bucket: 16,
-            decay_base: 1.08,
-            counter_cap: u64::MAX,
         }
     }
 
@@ -34,7 +30,6 @@ impl SketchConfig {
         SketchConfig {
             buckets,
             entries_per_bucket,
-            ..Self::paper()
         }
     }
 }
@@ -73,7 +68,7 @@ struct Entry {
 pub struct HotSketch {
     config: SketchConfig,
     buckets: Vec<Vec<Entry>>,
-    /// Memo of `decay_base.powf(-wl)` for small `wl` (the common case:
+    /// Memo of `DECAY_BASE.powf(-wl)` for small `wl` (the common case:
     /// workloads repeat constantly). `powf` is a libm call on the
     /// per-enqueue path; caching the exact value it returned keeps the
     /// decay probabilities bit-identical while skipping the recompute.
@@ -102,20 +97,19 @@ impl HotSketch {
         }
     }
 
-    /// `decay_base^(-wl)`, memoized for small `wl`. Values are computed
+    /// `DECAY_BASE^(-wl)`, memoized for small `wl`. Values are computed
     /// by the same `powf` call either way, so the memo is invisible to
     /// the decay outcome.
     fn decay_probability(&mut self, wl: u64) -> f64 {
-        let base = self.config.decay_base;
         if wl >= 1024 {
-            return base.powf(-(wl as f64));
+            return DECAY_BASE.powf(-(wl as f64));
         }
         if self.decay_memo.is_empty() {
             self.decay_memo.resize(1024, f64::NAN);
         }
         let slot = &mut self.decay_memo[wl as usize];
         if slot.is_nan() {
-            *slot = base.powf(-(wl as f64));
+            *slot = DECAY_BASE.powf(-(wl as f64));
         }
         *slot
     }
@@ -139,20 +133,16 @@ impl HotSketch {
     /// enqueue). On a full-bucket miss, applies HeavyGuardian decay to
     /// the bucket's minimum entry using `rng`.
     pub fn record(&mut self, key: u64, workload: u64, rng: &mut SimRng) {
-        let cap = self.config.counter_cap;
         let per = self.config.entries_per_bucket;
         let b = self.bucket_of(key);
         let bucket = &mut self.buckets[b];
 
         if let Some(e) = bucket.iter_mut().find(|e| e.key == key) {
-            e.workload = e.workload.saturating_add(workload).min(cap);
+            e.workload = e.workload.saturating_add(workload);
             return;
         }
         if bucket.len() < per {
-            bucket.push(Entry {
-                key,
-                workload: workload.min(cap),
-            });
+            bucket.push(Entry { key, workload });
             return;
         }
         // Miss on a full bucket: probabilistically decay the minimum.
@@ -166,10 +156,7 @@ impl HotSketch {
         if rng.chance(p) {
             let bucket = &mut self.buckets[b];
             if min_wl <= workload {
-                bucket[min_idx] = Entry {
-                    key,
-                    workload: workload.min(cap),
-                };
+                bucket[min_idx] = Entry { key, workload };
             } else {
                 bucket[min_idx].workload = min_wl - workload;
             }
@@ -224,13 +211,6 @@ impl HotSketch {
     /// Whether nothing is tracked.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Clears all entries.
-    pub fn clear(&mut self) {
-        for b in &mut self.buckets {
-            b.clear();
-        }
     }
 
     /// SRAM bytes this sketch occupies (58-bit addresses + 1-byte
@@ -318,18 +298,6 @@ mod tests {
         s.record(10, 3, &mut r);
         assert_eq!(s.remove(10), Some(3));
         assert_eq!(s.remove(10), None);
-    }
-
-    #[test]
-    fn clear_empties() {
-        let mut s = HotSketch::new(SketchConfig::paper());
-        let mut r = rng();
-        for k in 0..10u64 {
-            s.record(k, 1, &mut r);
-        }
-        s.clear();
-        assert!(s.is_empty());
-        assert_eq!(s.hottest(), None);
     }
 
     #[test]

@@ -4,10 +4,12 @@
 //!
 //! The auditor (`ndpbridge::core::audit`, enforced inside
 //! `System::run`) re-derives the system's conservation laws from
-//! independent state at every epoch boundary and at end of run:
+//! independent state after the event batch that clears each epoch
+//! barrier and at end of run:
 //!
-//! * messages scheduled = delivered + in-flight across every hop
-//!   (unit mailboxes, bridge buffers, host buffers, queued events);
+//! * messages emitted = delivered + in-flight across every hop
+//!   (unit mailboxes, bridge buffers, host buffers, and the
+//!   `Deliver`/`LinkDeliver` events read from the event queue);
 //! * `toArrive` counters at both bridge and host level equal the
 //!   scanned in-flight scheduled workload;
 //! * the two-level inclusive `dataBorrowed` tables mirror the `isLent`
