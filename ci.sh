@@ -36,6 +36,12 @@ echo "== golden + determinism + invariant suites (incl. Small tier) =="
 # to keep the tier-1 `cargo test` lane fast).
 cargo test --release -q --test golden_runs --test determinism --test invariants
 
+echo "== footprint: record sizes and run() allocation budget =="
+# Fails if a task record creeps back into `Message` or the allocator
+# calls / requested bytes of a Tiny run exceed their pinned budget;
+# prints the measured counts either way.
+cargo test --release -q --test footprint -- --nocapture
+
 echo "== repro fig10 smoke: --jobs determinism and warm cache =="
 SMOKE_DIR=$(mktemp -d)
 trap 'rm -rf "$SMOKE_DIR"' EXIT

@@ -9,10 +9,10 @@
 
 use ndpb_bench::timing::bench;
 use ndpb_dram::{BankModel, Bus, DataAddr, DramTiming};
-use ndpb_proto::{Mailbox, Message};
+use ndpb_proto::{Mailbox, Message, TaskMessage};
 use ndpb_sim::{EventQueue, SimRng, SimTime, WHEEL_SLOTS};
 use ndpb_sketch::{HotSketch, SketchConfig};
-use ndpb_tasks::{Task, TaskArgs, TaskFnId, Timestamp};
+use ndpb_tasks::{Task, TaskArgs, TaskFnId, TaskId, Timestamp};
 use ndpb_workloads::{build_app, Graph, Scale, Zipfian, APP_NAMES};
 
 const ITERS: u32 = 20;
@@ -87,9 +87,10 @@ mod heap_queue {
     }
 }
 
-/// A payload as large as the simulator's own event enum (`Ev` in
-/// `ndpb-core`, 96 bytes): what the queue moves per schedule and pop in
-/// a real run, where a `u64` payload hides the cost of moving entries.
+/// A payload as large as the simulator's event enum (`Ev` in
+/// `ndpb-core`) was while events carried task records (96 bytes; with
+/// the task arena it is 40): what the queue moved per schedule and pop,
+/// where a `u64` payload hides the cost of moving entries.
 type Fat = [u64; 12];
 
 /// Drives `schedule`/`pop` through one workload mix. `offset(rng, i)`
@@ -217,10 +218,11 @@ fn main() {
     });
 
     let task = Task::new(TaskFnId(0), Timestamp(0), DataAddr(0), 1, TaskArgs::EMPTY);
+    let msg = Message::Task(TaskMessage::new(TaskId(0), &task), None);
     bench("micro/mailbox_push_drain_10k", ITERS, || {
         let mut mb = Mailbox::new(1 << 20);
         for _ in 0..10_000 {
-            assert!(mb.try_push(Message::Task(task, None)).is_none());
+            assert!(mb.try_push(msg.clone()).is_none());
         }
         let mut n = 0;
         while !mb.is_empty() {

@@ -306,7 +306,8 @@ impl HostBridge {
 mod tests {
     use super::*;
     use ndpb_dram::DataAddr;
-    use ndpb_tasks::{Task, TaskArgs, TaskFnId, Timestamp};
+    use ndpb_proto::TaskMessage;
+    use ndpb_tasks::{Task, TaskArgs, TaskFnId, TaskId, Timestamp};
 
     fn cfg() -> SystemConfig {
         SystemConfig::table1()
@@ -317,10 +318,8 @@ mod tests {
     }
 
     fn msg() -> Message {
-        Message::Task(
-            Task::new(TaskFnId(0), Timestamp(0), DataAddr(0), 1, TaskArgs::EMPTY),
-            None,
-        )
+        let task = Task::new(TaskFnId(0), Timestamp(0), DataAddr(0), 1, TaskArgs::EMPTY);
+        Message::Task(TaskMessage::new(TaskId(0), &task), None)
     }
 
     #[test]

@@ -8,6 +8,8 @@
 //! * [`design::DesignPoint`] — the evaluated designs C/B/W/O plus the
 //!   RowClone baseline R and the Figure 14a ablations;
 //! * [`unit::NdpUnit`] — per-bank core, controller, queues, metadata;
+//! * [`arena::TaskArena`] — every live task stored once, named by a
+//!   4-byte [`TaskId`](ndpb_tasks::TaskId) in every queue and message;
 //! * [`bridge`] — level-1 rank bridges and the level-2 host bridge;
 //! * [`system::System`] — the discrete-event simulation binding it all:
 //!   task execution, gather/scatter rounds, dynamic triggering and
@@ -19,12 +21,12 @@
 
 #![warn(missing_docs)]
 
+pub mod arena;
 pub mod audit;
 pub mod bridge;
 pub mod config;
 pub mod design;
 pub mod epoch;
-pub mod fasthash;
 pub mod hostonly;
 pub mod metadata;
 pub mod pool;
@@ -32,6 +34,8 @@ pub mod result;
 pub mod steal;
 pub mod system;
 pub mod unit;
+
+pub use ndpb_sim::fasthash;
 
 pub use audit::{AuditLevel, Violation};
 pub use config::{SystemConfig, TriggerPolicy};

@@ -70,19 +70,17 @@ pub fn ranks_better(a: &StealCandidate, b: &StealCandidate) -> bool {
 /// Per-candidate amortization: the cost model a block move must beat
 /// to be worth stealing at all.
 ///
-/// `W_th` says executing `w_th` workload hides `budget_gxfer · g_xfer`
-/// transferred bytes. A candidate *pays for itself* when its own queued
-/// workload hides its own wire bytes; a thinner candidate would stall
-/// the receiver longer than the stolen work keeps it busy, which is
+/// `W_th` says executing `w_th` workload hides
+/// [`STEAL_BUDGET_GXFER`]` · g_xfer` transferred bytes. A candidate
+/// *pays for itself* when its own queued workload hides its own wire
+/// bytes; a thinner candidate would stall the receiver longer than the
+/// stolen work keeps it busy, which is
 /// exactly the regime where W loses to B (Fig 10's inversion at small
 /// scale). Task-only forwards always pay — no gather/scatter happens.
 #[derive(Debug, Clone, Copy)]
 pub struct AmortizeCfg {
     /// Gather/scatter transfer granularity (`SystemConfig::g_xfer`).
     pub g_xfer: u32,
-    /// Byte allowance per `w_th`, in `g_xfer` multiples
-    /// ([`STEAL_BUDGET_GXFER`] in the simulator).
-    pub budget_gxfer: u32,
     /// The rank's `W_th` workload threshold.
     pub w_th: u64,
 }
@@ -90,15 +88,13 @@ pub struct AmortizeCfg {
 impl AmortizeCfg {
     /// Whether stealing this candidate moves fewer bytes than its own
     /// workload can hide. Exact integer cross-multiplication:
-    /// `bytes · w_th <= workload · budget_gxfer · g_xfer`.
+    /// `bytes · w_th <= workload · STEAL_BUDGET_GXFER · g_xfer`.
     pub fn pays(&self, c: &StealCandidate) -> bool {
         if c.data_bytes == 0 {
             return true;
         }
         u128::from(c.bytes()) * u128::from(self.w_th.max(1))
-            <= u128::from(c.workload)
-                * u128::from(self.g_xfer)
-                * u128::from(self.budget_gxfer.max(1))
+            <= u128::from(c.workload) * u128::from(self.g_xfer) * u128::from(STEAL_BUDGET_GXFER)
     }
 }
 
@@ -123,12 +119,11 @@ pub const STEAL_BUDGET_GXFER: u32 = 2;
 /// The `W_th` threshold is derived so that executing `W_th` workload
 /// hides the transfer of `2·G_xfer` bytes (gather out + scatter back).
 /// Inverting that: every `w_th` of stolen workload buys
-/// `budget_gxfer · g_xfer` bytes of latency-hidden transfer
-/// (`budget_gxfer` = [`STEAL_BUDGET_GXFER`] = 2 covers the round
-/// trip). At least one block's worth is always granted so a single
-/// steal can still happen.
-pub fn steal_byte_budget(wl_budget: u64, w_th: u64, g_xfer: u32, budget_gxfer: u32) -> u64 {
-    let per_round = u64::from(g_xfer) * u64::from(budget_gxfer.max(1));
+/// [`STEAL_BUDGET_GXFER`]` · g_xfer` bytes of latency-hidden transfer
+/// (2 covers the round trip). At least one round's worth is always
+/// granted so a single steal can still happen.
+pub fn steal_byte_budget(wl_budget: u64, w_th: u64, g_xfer: u32) -> u64 {
+    let per_round = u64::from(g_xfer) * u64::from(STEAL_BUDGET_GXFER);
     let rounds = wl_budget.max(1).div_ceil(w_th.max(1));
     rounds.saturating_mul(per_round).max(per_round)
 }
@@ -208,22 +203,18 @@ mod tests {
 
     #[test]
     fn byte_budget_inverts_w_threshold() {
-        // One W_th of workload buys budget_gxfer * g_xfer bytes.
-        assert_eq!(steal_byte_budget(52, 52, 256, 2), 512);
+        // One W_th of workload buys STEAL_BUDGET_GXFER * g_xfer bytes.
+        assert_eq!(steal_byte_budget(52, 52, 256), 512);
         // Partial rounds round up.
-        assert_eq!(steal_byte_budget(53, 52, 256, 2), 1024);
-        // Degenerate thresholds still grant one block's worth.
-        assert_eq!(steal_byte_budget(0, 0, 256, 2), 512);
-        // budget_gxfer scales linearly (and 0 clamps to 1).
-        assert_eq!(steal_byte_budget(52, 52, 256, 4), 1024);
-        assert_eq!(steal_byte_budget(52, 52, 256, 0), 256);
+        assert_eq!(steal_byte_budget(53, 52, 256), 1024);
+        // Degenerate thresholds still grant one round's worth.
+        assert_eq!(steal_byte_budget(0, 0, 256), 512);
     }
 
     #[test]
     fn amortization_gates_thin_blocks() {
         let am = AmortizeCfg {
             g_xfer: 256,
-            budget_gxfer: 2,
             w_th: 52,
         };
         // 346 wire bytes need >= ceil(346*52/512) = 36 workload.

@@ -15,11 +15,12 @@ use ndpb_dram::bank::BankAccess;
 use ndpb_dram::bus::BusGrant;
 use ndpb_dram::{AddressMap, BlockAddr, Bus, EnergyBreakdown, UnitId};
 use ndpb_proto::message::DataMessage;
-use ndpb_proto::Message;
+use ndpb_proto::{Message, TaskMessage};
 use ndpb_sim::{EventQueue, SimRng, SimTime, TICKS_PER_CORE_CYCLE};
-use ndpb_tasks::{Application, ExecCtx, Task, Timestamp};
+use ndpb_tasks::{Application, ExecCtx, TaskId, Timestamp};
 use ndpb_trace::{ComponentId, MetricId, MetricsRegistry, RingRecorder, TraceEvent, TraceRecord};
 
+use crate::arena::TaskArena;
 use crate::audit::{AuditLevel, Violation};
 use crate::bridge::{HostBridge, RankBridge};
 use crate::config::{w_threshold, SystemConfig, TriggerPolicy};
@@ -44,7 +45,7 @@ pub(crate) enum Ev {
     /// Wake a unit's core to execute the next task.
     CoreWake(u32),
     /// A task finished executing at a unit; deliver its children.
-    TaskDone(u32, Task, Vec<Task>),
+    TaskDone(u32, TaskId, Vec<TaskId>),
     /// A message arrives at a unit.
     Deliver(u32, Message),
     /// Periodic STATE-GATHER + load-balancing pass at a rank bridge.
@@ -61,6 +62,11 @@ pub(crate) enum Ev {
     /// A message arriving at a rank bridge over a DIMM-Link.
     LinkDeliver(u32, Message),
 }
+
+// Every slab node of the event queue holds one `Ev` inline, and every
+// batch moves them by value. Tasks live in the arena, so no variant
+// carries a task record (a `Task` is 64 bytes).
+const _: () = assert!(std::mem::size_of::<Ev>() <= 48);
 
 /// The simulated NDP system.
 pub struct System {
@@ -82,6 +88,9 @@ pub struct System {
     link_bus: Vec<Bus>,
     link_scheduled: Vec<bool>,
     epochs: EpochTracker,
+    /// Every live task, stored once from spawn until its execution
+    /// completes; queues, messages and events carry its [`TaskId`].
+    tasks: TaskArena,
     /// Optional event trace (`None` = tracing off: each record site
     /// costs one branch), written only through [`Self::record`].
     /// Attached via [`System::set_trace`], drained by `finalize`.
@@ -113,9 +122,8 @@ pub struct System {
     /// Persistent execution context: task reads/writes/spawns land in
     /// recycled buffers instead of three fresh `Vec`s per task.
     exec_ctx: ExecCtx,
-    /// Free list of spawn `Vec`s cycling between [`Ev::TaskDone`] events
-    /// and [`Self::exec_ctx`].
-    spawn_pool: crate::pool::BufPool<Task>,
+    /// Free list of child-id `Vec`s riding [`Ev::TaskDone`] events.
+    spawn_pool: crate::pool::BufPool<TaskId>,
     /// Event-loop phase profile, armed by [`System::set_profile`] and
     /// surfaced as [`RunResult::profile`]. Deliberately *not* part of
     /// [`SystemConfig`]: the config's debug representation is hashed
@@ -335,6 +343,9 @@ impl System {
         let link_scheduled = vec![false; cfg.geometry.total_ranks() as usize];
         let mut metrics = MetricsRegistry::new();
         let m = SysMetrics::register(&mut metrics);
+        // Each unit has at most a few `TaskDone`s in flight, so one
+        // child list per unit keeps every list in circulation.
+        let spawn_pool = crate::pool::BufPool::with_cap(units.len());
         System {
             comm: design.comm_path(),
             lb: design.lb_policy(),
@@ -350,6 +361,7 @@ impl System {
             link_bus,
             link_scheduled,
             epochs: EpochTracker::new(),
+            tasks: TaskArena::new(),
             trace: None,
             metrics,
             m,
@@ -361,7 +373,7 @@ impl System {
             per_unit_scratch: Vec::new(),
             vec_pool: crate::pool::BufPool::new(),
             exec_ctx: ExecCtx::new(ndpb_dram::UnitId(0)),
-            spawn_pool: crate::pool::BufPool::new(),
+            spawn_pool,
             profile: None,
         }
     }
@@ -370,6 +382,11 @@ impl System {
     #[inline]
     fn sched(&mut self, at: SimTime, ev: Ev) {
         self.q.schedule(at, ev);
+    }
+
+    /// The message that carries task `id`.
+    fn task_msg(&self, id: TaskId) -> TaskMessage {
+        TaskMessage::new(id, self.tasks.get(id))
     }
 
     /// Charges communication-DRAM traffic to the system total and the
@@ -556,6 +573,13 @@ impl System {
                 self.design,
                 self.app.name()
             );
+            // Deliveries read their tasks from the arena: start those
+            // loads for the whole batch before the first handler runs.
+            for ev in &batch {
+                if let Ev::Deliver(_, Message::Task(tm, _)) = ev {
+                    self.tasks.prefetch(tm.id);
+                }
+            }
             let t1 = self.profile.as_mut().map(|p| {
                 p.note_batch(batch.len());
                 Instant::now()
@@ -585,16 +609,15 @@ impl System {
 
     fn inject_initial(&mut self) {
         let initial = self.app.initial_tasks();
+        let hot = self.lb.hot_data;
         for task in initial {
             self.epochs.spawned(task.ts);
-            let home = self.map.home_unit(task.data);
-            let hot = self.lb.hot_data;
-            let idx = home.index();
+            let id = self.tasks.insert(task);
+            let idx = self.map.home_unit(task.data).index();
             if self.epochs.is_ready(task.ts) {
-                let map = &self.map;
-                self.units[idx].enqueue_ready(task, hot, map);
+                self.units[idx].enqueue_ready(id, &self.tasks, hot, &self.map);
             } else {
-                self.units[idx].enqueue_future(task);
+                self.units[idx].enqueue_future(id, task.ts);
             }
         }
         for u in 0..self.units.len() {
@@ -633,17 +656,16 @@ impl System {
                 return;
             }
         }
-        let Some(task) = ({
-            let map = &self.map;
-            self.units[u].pop_task(map)
-        }) else {
+        let Some(id) = self.units[u].pop_task(&self.tasks, &self.map) else {
             return;
         };
-        let block = self.map.block_of(task.data);
+        let task = self.tasks.get(id);
+        let (data, func, wl) = (task.data, task.func, task.workload_or_default());
+        let block = self.map.block_of(data);
         if !self.units[u].holds_block(block, &self.map) {
             // The block migrated while this task waited: re-route it.
             self.metrics.inc(self.m.unit_tasks_rerouted);
-            let msg = Message::Task(task, None);
+            let msg = Message::Task(self.task_msg(id), None);
             self.emit_message(u, msg, now);
             self.wake_unit(u, now);
             return;
@@ -651,11 +673,11 @@ impl System {
         if self.units[u].is_borrowed(block) {
             self.units[u].touch_borrow(block);
         }
-        // Execute, reusing the persistent context: reads/writes land in
-        // recycled buffers and the spawn `Vec` comes off the free list.
-        let spawn_buf = self.spawn_pool.get();
+        // Execute, reusing the persistent context: reads, writes and
+        // spawns land in buffers that keep their capacity across tasks.
+        let spawn_buf = self.exec_ctx.take_spawned();
         self.exec_ctx.reset(self.units[u].id, spawn_buf);
-        self.app.execute(&task, &mut self.exec_ctx);
+        self.app.execute(self.tasks.get(id), &mut self.exec_ctx);
         let cycles = self.exec_ctx.compute_cycles();
         let mut t = now + SimTime::from_ticks(cycles * TICKS_PER_CORE_CYCLE);
         for i in 0..self.exec_ctx.reads().len() {
@@ -674,38 +696,40 @@ impl System {
         unit.core_free_at = t;
         unit.busy += t - now;
         unit.last_finish = t;
-        unit.add_finished(task.workload_or_default());
+        unit.add_finished(wl);
         self.metrics.inc(self.m.unit_tasks_executed);
         self.record(TraceRecord::span(
             now,
             t - now,
             ComponentId::Unit(u as u32),
             TraceEvent::TaskExec {
-                func: task.func.0,
-                workload: task.workload_or_default(),
+                func: func.0,
+                workload: wl,
             },
         ));
-        let children = self.exec_ctx.take_spawned();
-        for c in &children {
+        // A child is stored and counted as spawned in one step, so the
+        // arena's live count always equals the tracker's outstanding one.
+        let mut children = self.spawn_pool.get();
+        for c in self.exec_ctx.spawned() {
             self.epochs.spawned(c.ts);
+            children.push(self.tasks.insert(*c));
         }
-        self.sched(t, Ev::TaskDone(u as u32, task, children));
+        self.sched(t, Ev::TaskDone(u as u32, id, children));
     }
 
-    fn on_task_done(&mut self, u: usize, task: Task, mut children: Vec<Task>) {
+    fn on_task_done(&mut self, u: usize, id: TaskId, mut children: Vec<TaskId>) {
         let now = self.q.now();
         for child in children.drain(..) {
             self.route_spawn(u, child, now);
         }
         self.spawn_pool.put(children);
-        if let Some(new_epoch) = self.epochs.completed(task.ts) {
+        let opened = self.epochs.completed(self.tasks.get(id).ts);
+        self.tasks.free(id);
+        if let Some(new_epoch) = opened {
             self.note_epoch_advance(new_epoch, now);
             let hot = self.lb.hot_data;
             for i in 0..self.units.len() {
-                let released = {
-                    let map = &self.map;
-                    self.units[i].release_epoch(new_epoch, hot, map)
-                };
+                let released = self.units[i].release_epoch(new_epoch, &self.tasks, hot, &self.map);
                 if released > 0 {
                     self.wake_unit(i, now);
                 }
@@ -715,20 +739,20 @@ impl System {
     }
 
     /// Routes a freshly spawned child task from unit `u`.
-    fn route_spawn(&mut self, u: usize, task: Task, now: SimTime) {
+    fn route_spawn(&mut self, u: usize, id: TaskId, now: SimTime) {
+        let task = self.tasks.get(id);
+        let (ts, bytes) = (task.ts, task.wire_bytes());
         let block = self.map.block_of(task.data);
         if self.units[u].holds_block(block, &self.map) {
             // Local: enqueue directly (a cheap in-DRAM task-queue append).
-            self.charge_comm(CommCause::Taskq, task.wire_bytes() as u64);
-            self.bank_access(u, now, TASKQ_ROW, task.wire_bytes(), true);
-            let unit = &mut self.units[u];
+            self.charge_comm(CommCause::Taskq, bytes as u64);
+            self.bank_access(u, now, TASKQ_ROW, bytes, true);
             let hot = self.lb.hot_data;
-            if self.epochs.is_ready(task.ts) {
-                let map = &self.map;
-                unit.enqueue_ready(task, hot, map);
+            if self.epochs.is_ready(ts) {
+                self.units[u].enqueue_ready(id, &self.tasks, hot, &self.map);
                 self.wake_unit(u, now);
             } else {
-                unit.enqueue_future(task);
+                self.units[u].enqueue_future(id, ts);
             }
             return;
         }
@@ -736,15 +760,15 @@ impl System {
         if self.comm == CommPath::RowClone {
             let home = self.map.block_home(block);
             if self.cfg.geometry.same_chip(self.units[u].id, home) {
-                self.rowclone_transfer(u, home.index(), task, now);
+                self.rowclone_transfer(u, home.index(), id, now);
                 return;
             }
         }
-        self.emit_message(u, Message::Task(task, None), now);
+        self.emit_message(u, Message::Task(self.task_msg(id), None), now);
     }
 
     /// Direct bank-to-bank transfer over the chip-internal bus (R).
-    fn rowclone_transfer(&mut self, src: usize, dst: usize, task: Task, now: SimTime) {
+    fn rowclone_transfer(&mut self, src: usize, dst: usize, id: TaskId, now: SimTime) {
         let copy = self.cfg.timing.rowclone_row_copy();
         let timing = &self.cfg.timing;
         // Both banks are busy for the copy; serialize behind each.
@@ -762,7 +786,8 @@ impl System {
         self.bank_precharge(dst, end);
         self.charge_comm(CommCause::RowClone, 128);
         self.msgs_emitted += 1;
-        self.sched(end, Ev::Deliver(dst as u32, Message::Task(task, None)));
+        let msg = Message::Task(self.task_msg(id), None);
+        self.sched(end, Ev::Deliver(dst as u32, msg));
     }
 
     /// Puts a message into `u`'s mailbox (stalling the core when full),
@@ -827,7 +852,9 @@ impl System {
         let now = self.q.now();
         self.metrics.inc(self.m.msgs_delivered);
         match msg {
-            Message::Task(task, scheduled) => {
+            Message::Task(tm, scheduled) => {
+                let task = self.tasks.get(tm.id);
+                let (ts, block) = (task.ts, self.map.block_of(tm.data));
                 // First delivery of an LB-scheduled task settles the
                 // `toArrive` correction for its *intended* receiver at
                 // both hierarchy levels (both were incremented at
@@ -858,20 +885,18 @@ impl System {
                         self.host.to_arrive[ir] = self.host.to_arrive[ir].saturating_sub(wl);
                     }
                 }
-                let block = self.map.block_of(task.data);
                 if !self.units[u].holds_block(block, &self.map) {
                     // Stale routing: forward to the current holder.
                     self.metrics.inc(self.m.unit_tasks_rerouted);
-                    self.emit_message(u, Message::Task(task, None), now);
+                    self.emit_message(u, Message::Task(tm, None), now);
                     return;
                 }
                 let hot = self.lb.hot_data;
-                if self.epochs.is_ready(task.ts) {
-                    let map = &self.map;
-                    self.units[u].enqueue_ready(task, hot, map);
+                if self.epochs.is_ready(ts) {
+                    self.units[u].enqueue_ready(tm.id, &self.tasks, hot, &self.map);
                     self.wake_unit(u, now);
                 } else {
-                    self.units[u].enqueue_future(task);
+                    self.units[u].enqueue_future(tm.id, ts);
                 }
             }
             Message::Data(dm, _dest) => {
@@ -944,8 +969,8 @@ impl System {
     fn route_at_rank(&mut self, r: usize, msg: &Message) -> Option<usize> {
         let g = &self.cfg.geometry;
         match msg {
-            Message::Task(task, _) => {
-                let block = self.map.block_of(task.data);
+            Message::Task(tm, _) => {
+                let block = self.map.block_of(tm.data);
                 if let Some(&unit) = self.bridges[r].data_borrowed.peek(&block) {
                     return Some(unit.index());
                 }
@@ -975,8 +1000,8 @@ impl System {
     fn route_at_host(&mut self, msg: &Message) -> usize {
         let g = &self.cfg.geometry;
         match msg {
-            Message::Task(task, _) => {
-                let block = self.map.block_of(task.data);
+            Message::Task(tm, _) => {
+                let block = self.map.block_of(tm.data);
                 if let Some(&rank) = self.host.data_borrowed.peek(&block) {
                     return rank.index();
                 }
@@ -1437,10 +1462,7 @@ impl System {
             return self.schedule_giver_aware(r, giver, budget, receivers, now, cross_rank);
         }
         let hot = self.lb.hot_data;
-        let chosen = {
-            let map = &self.map;
-            self.units[giver].choose_scheduled_out(budget, hot, map)
-        };
+        let chosen = self.units[giver].choose_scheduled_out(budget, hot, &self.tasks, &self.map);
         if chosen.is_empty() {
             return;
         }
@@ -1498,12 +1520,7 @@ impl System {
                 // bytes, so they can still fill the rest of the
                 // workload budget past this cap.
                 let fine_equiv = 2 * w_th.max(1);
-                steal::steal_byte_budget(
-                    budget.min(fine_equiv),
-                    w_th,
-                    self.cfg.g_xfer,
-                    steal::STEAL_BUDGET_GXFER,
-                )
+                steal::steal_byte_budget(budget.min(fine_equiv), w_th, self.cfg.g_xfer)
             }
         } else {
             u64::MAX
@@ -1516,7 +1533,7 @@ impl System {
         // tracked per rank, not per holder unit.
         let mut lent_to: FastMap<u64, UnitId> = FastMap::default();
         if self.lb.prefer_lent && !cross_rank {
-            for block in self.units[giver].queued_lent_home_blocks(&self.map) {
+            for block in self.units[giver].queued_lent_home_blocks(&self.tasks, &self.map) {
                 if let Some(&holder) = self.bridges[r].data_borrowed.peek(&block) {
                     if holder.index() != giver {
                         lent_to.insert(block.0, holder);
@@ -1535,21 +1552,18 @@ impl System {
         let hot = self.lb.hot_data;
         let amortize = self.lb.byte_budget.then(|| steal::AmortizeCfg {
             g_xfer: self.cfg.g_xfer,
-            budget_gxfer: steal::STEAL_BUDGET_GXFER,
             w_th: self.rank_w_threshold(r),
         });
-        let picks = {
-            let map = &self.map;
-            self.units[giver].choose_scheduled_out_aware(
-                budget,
-                byte_budget,
-                hot,
-                &lent_to,
-                data_wire,
-                amortize,
-                map,
-            )
-        };
+        let picks = self.units[giver].choose_scheduled_out_aware(
+            budget,
+            byte_budget,
+            hot,
+            &lent_to,
+            data_wire,
+            amortize,
+            &self.tasks,
+            &self.map,
+        );
         if picks.is_empty() {
             return;
         }
@@ -1651,8 +1665,9 @@ impl System {
             };
             self.emit_message(giver, Message::Data(dm, recv_id), now);
         }
-        for task in sb.tasks {
-            self.emit_message(giver, Message::Task(task, Some(recv_id)), now);
+        for id in sb.tasks {
+            let msg = Message::Task(self.task_msg(id), Some(recv_id));
+            self.emit_message(giver, msg, now);
         }
     }
 
@@ -1995,7 +2010,7 @@ impl System {
     /// migration exists without load balancing).
     fn direct_dest_unit(&self, msg: &Message) -> usize {
         match msg {
-            Message::Task(task, _) => self.map.home_unit(task.data).index(),
+            Message::Task(tm, _) => self.map.home_unit(tm.data).index(),
             Message::Data(_, dest) => dest.index(),
         }
     }
@@ -2007,18 +2022,20 @@ impl System {
     /// `Deliver`/`LinkDeliver` events.
     fn scan_in_flight(&self) -> InFlight {
         let mut f = InFlight::default();
-        fn note(f: &mut InFlight, msg: &Message) {
+        let tasks = &self.tasks;
+        let note = |f: &mut InFlight, msg: &Message| {
             f.msgs += 1;
             match msg {
-                Message::Task(t, Some(dest)) => {
-                    *f.task_toward.entry(dest.0).or_insert(0) += t.workload_or_default();
+                Message::Task(tm, Some(dest)) => {
+                    *f.task_toward.entry(dest.0).or_insert(0) +=
+                        tasks.get(tm.id).workload_or_default();
                 }
                 Message::Data(dm, _) => {
                     *f.data_blocks.entry(dm.block.0).or_insert(0) += 1;
                 }
                 _ => {}
             }
-        }
+        };
         for u in &self.units {
             for m in u.mailbox.iter() {
                 note(&mut f, m);
@@ -2067,6 +2084,18 @@ impl System {
                     "emitted {emitted} != delivered {delivered} + in-flight {}",
                     f.msgs
                 ),
+            });
+        }
+
+        // Task conservation: the arena holds exactly the tasks the epoch
+        // tracker counts as outstanding (spawned, not yet finished), so
+        // no slot leaks and no live task lost its slot.
+        let live = self.tasks.live() as u64;
+        let outstanding = self.epochs.total_outstanding();
+        if live != outstanding {
+            v.push(Violation {
+                law: "task-conservation",
+                detail: format!("{live} live arena slots != {outstanding} outstanding tasks"),
             });
         }
 
@@ -2435,7 +2464,7 @@ impl System {
 mod tests {
     use super::*;
     use ndpb_dram::Geometry;
-    use ndpb_tasks::{TaskArgs, TaskFnId, Timestamp};
+    use ndpb_tasks::{Task, TaskArgs, TaskFnId, Timestamp};
 
     /// A do-nothing app for constructing systems in unit tests.
     struct Noop;
@@ -2468,13 +2497,22 @@ mod tests {
         )
     }
 
+    /// A message carrying [`task_on`]'s task, stored and counted as
+    /// spawned the way the system does it.
+    fn task_message(s: &mut System, unit: u32, offset: u64, scheduled: Option<UnitId>) -> Message {
+        let t = task_on(s, unit, offset);
+        s.epochs.spawned(t.ts);
+        let id = s.tasks.insert(t);
+        Message::Task(s.task_msg(id), scheduled)
+    }
+
     #[test]
     fn route_at_rank_sends_home_by_default() {
         let mut s = sys(DesignPoint::B);
-        let msg = Message::Task(task_on(&s, 5, 0), None);
+        let msg = task_message(&mut s, 5, 0, None);
         assert_eq!(s.route_at_rank(0, &msg), Some(5));
         // A unit of the other rank routes upward.
-        let far = Message::Task(task_on(&s, 64, 0), None);
+        let far = task_message(&mut s, 64, 0, None);
         assert_eq!(s.route_at_rank(0, &far), None);
         assert_eq!(s.route_at_rank(1, &far), Some(64));
     }
@@ -2487,7 +2525,7 @@ mod tests {
         // Simulate a migration: home marks lent, bridge maps to unit 9.
         s.units[5].is_lent.set(block);
         s.bridges[0].data_borrowed.insert(block, UnitId(9));
-        let msg = Message::Task(t, None);
+        let msg = task_message(&mut s, 5, 0, None);
         assert_eq!(s.route_at_rank(0, &msg), Some(9));
     }
 
@@ -2500,7 +2538,7 @@ mod tests {
         // knows the rank.
         s.units[5].is_lent.set(block);
         s.host.data_borrowed.insert(block, ndpb_dram::RankId(1));
-        let msg = Message::Task(t, None);
+        let msg = task_message(&mut s, 5, 0, None);
         assert_eq!(s.route_at_rank(0, &msg), None, "must escalate");
         assert_eq!(s.route_at_host(&msg), 1);
     }
@@ -2521,9 +2559,9 @@ mod tests {
 
     #[test]
     fn direct_dest_is_home_unit() {
-        let s = sys(DesignPoint::C);
-        let t = task_on(&s, 42, 128);
-        assert_eq!(s.direct_dest_unit(&Message::Task(t, None)), 42);
+        let mut s = sys(DesignPoint::C);
+        let msg = task_message(&mut s, 42, 128, None);
+        assert_eq!(s.direct_dest_unit(&msg), 42);
     }
 
     #[test]
@@ -2539,8 +2577,8 @@ mod tests {
         let mut s = sys(DesignPoint::B);
         // Shrink unit 0's mailbox to one message.
         s.units[0].mailbox = ndpb_proto::Mailbox::new(24);
-        let m1 = Message::Task(task_on(&s, 7, 0), None);
-        let m2 = Message::Task(task_on(&s, 8, 0), None);
+        let m1 = task_message(&mut s, 7, 0, None);
+        let m2 = task_message(&mut s, 8, 0, None);
         s.emit_message(0, m1, SimTime::ZERO);
         assert!(s.units[0].pending_out.is_empty());
         s.emit_message(0, m2, SimTime::ZERO);
@@ -2722,7 +2760,7 @@ mod tests {
         let mut s = traced(DesignPoint::B);
         // Unit 0's mailbox holds exactly one task message.
         s.units[0].mailbox = ndpb_proto::Mailbox::new(24);
-        let msg = |s: &System, i: u64| Message::Task(task_on(s, 7, 64 * i), None);
+        let msg = |s: &mut System, i: u64| task_message(s, 7, 64 * i, None);
         let full_events = |s: &mut System| {
             records(s)
                 .iter()
@@ -2730,9 +2768,9 @@ mod tests {
                 .count()
         };
         for episode in 0..2 {
-            let m = msg(&s, 2 * episode);
+            let m = msg(&mut s, 2 * episode);
             s.emit_message(0, m, SimTime::ZERO);
-            let m = msg(&s, 2 * episode + 1);
+            let m = msg(&mut s, 2 * episode + 1);
             s.emit_message(0, m, SimTime::ZERO);
             assert_eq!(s.units[0].pending_out.len(), 1, "the core stalls");
             // The stalled core retries on every wake; none of the
@@ -2854,16 +2892,32 @@ mod tests {
     }
 
     #[test]
+    fn audit_trips_on_leaked_task() {
+        let mut s = audited(DesignPoint::O);
+        // A stored task nobody counts as outstanding: a completion
+        // that forgot to free its slot looks exactly like this.
+        let id = s.tasks.insert(task_on(&s, 5, 0));
+        let v = s.collect_violations();
+        assert!(
+            v.iter().any(|x| x.law == "task-conservation"
+                && x.detail == "1 live arena slots != 0 outstanding tasks"),
+            "{v:?}"
+        );
+        s.tasks.free(id);
+        assert!(s.collect_violations().is_empty());
+    }
+
+    #[test]
     fn audit_reads_messages_inside_queued_deliveries() {
         // A scheduled task for u9 is gathered from u5's mailbox and
         // scattered by a real rank round, which leaves it inside a
         // queued `Deliver` event.
         let mut s = audited(DesignPoint::W);
-        let t = task_on(&s, 5, 0);
-        let wl = t.workload_or_default();
+        let wl = task_on(&s, 5, 0).workload_or_default();
         s.bridges[0].to_arrive[9] = wl;
         s.host.to_arrive[0] = wl;
-        s.emit_message(5, Message::Task(t, Some(UnitId(9))), SimTime::ZERO);
+        let msg = task_message(&mut s, 5, 0, Some(UnitId(9)));
+        s.emit_message(5, msg, SimTime::ZERO);
         assert!(s.collect_violations().is_empty());
         s.on_rank_round(0);
         assert!(s.units[5].mailbox.is_empty());
@@ -2911,11 +2965,10 @@ mod tests {
         // does not hold the block: the reroute must still settle both
         // toArrive levels (u9 was the intended receiver) and clear the
         // marker so the forwarded copy settles nothing further.
-        let t = task_on(&s, 5, 0);
-        let wl = t.workload_or_default();
+        let wl = task_on(&s, 5, 0).workload_or_default();
         s.bridges[0].to_arrive[9] = wl;
         s.host.to_arrive[0] = wl;
-        let msg = Message::Task(t, Some(UnitId(9)));
+        let msg = task_message(&mut s, 5, 0, Some(UnitId(9)));
         s.on_deliver(9, msg);
         assert_eq!(s.bridges[0].to_arrive[9], 0);
         assert_eq!(s.host.to_arrive[0], 0);

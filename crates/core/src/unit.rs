@@ -1,14 +1,15 @@
 //! The NDP unit: one DRAM bank plus its wimpy core, unit controller
 //! state, task queues and load-balancing structures (Figure 4(b)).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use ndpb_dram::{AddressMap, BankModel, BlockAddr, UnitId};
 use ndpb_proto::{Mailbox, Message, MAX_MESSAGE_BYTES};
 use ndpb_sim::{SimRng, SimTime};
 use ndpb_sketch::{HotSketch, ReservedQueue};
-use ndpb_tasks::{Task, Timestamp};
+use ndpb_tasks::{TaskId, Timestamp};
 
+use crate::arena::TaskArena;
 use crate::config::SystemConfig;
 use crate::fasthash::{FastMap, FastSet};
 use crate::metadata::LentBitmap;
@@ -35,7 +36,7 @@ pub struct ScheduledBlock {
     /// The lent block (original address).
     pub block: BlockAddr,
     /// Tasks migrating with the block.
-    pub tasks: Vec<Task>,
+    pub tasks: Vec<TaskId>,
     /// Their cumulative workload.
     pub workload: u64,
 }
@@ -46,7 +47,12 @@ struct Borrow {
     pins: u64,
 }
 
-/// One NDP unit.
+/// How far ahead [`NdpUnit::release_epoch`] prefetches the tasks it
+/// releases.
+const RELEASE_PREFETCH: usize = 4;
+
+/// One NDP unit. Its queues hold [`TaskId`]s; every method that reads
+/// a task's fields takes the system's [`TaskArena`].
 #[derive(Debug)]
 pub struct NdpUnit {
     /// Unit identity.
@@ -69,11 +75,16 @@ pub struct NdpUnit {
     /// Whether a core wake event is already scheduled.
     pub wake_scheduled: bool,
 
-    task_queue: VecDeque<Task>,
-    future: BTreeMap<u32, Vec<Task>>,
+    task_queue: VecDeque<TaskId>,
+    /// Parked tasks of later epochs: `future[i]` holds epoch
+    /// `future_base + i`. Released lists keep their buffers in
+    /// `future_spare` for a later epoch.
+    future: VecDeque<Vec<TaskId>>,
+    future_base: u32,
+    future_spare: Vec<Vec<TaskId>>,
     pending_workload: u64,
     sketch: HotSketch,
-    reserved: ReservedQueue<Task>,
+    reserved: ReservedQueue<TaskId>,
     borrowed: crate::fasthash::FastMap<BlockAddr, Borrow>,
     borrow_clock: u64,
     borrow_capacity: usize,
@@ -95,7 +106,9 @@ impl NdpUnit {
             core_free_at: SimTime::ZERO,
             wake_scheduled: false,
             task_queue: VecDeque::new(),
-            future: BTreeMap::new(),
+            future: VecDeque::new(),
+            future_base: 0,
+            future_spare: Vec::new(),
             pending_workload: 0,
             sketch: HotSketch::new(cfg.sketch.clone()),
             reserved: ReservedQueue::new(cfg.reserved_chunks, cfg.reserved_tasks_per_chunk),
@@ -122,7 +135,14 @@ impl NdpUnit {
     /// Enqueues a task that is ready to execute (its epoch is open).
     /// With `hot_tracking` the task may be parked in the reserved queue
     /// behind the sketch.
-    pub fn enqueue_ready(&mut self, task: Task, hot_tracking: bool, map: &AddressMap) {
+    pub fn enqueue_ready(
+        &mut self,
+        id: TaskId,
+        tasks: &TaskArena,
+        hot_tracking: bool,
+        map: &AddressMap,
+    ) {
+        let task = tasks.get(id);
         let wl = task.workload_or_default();
         let block = map.block_of(task.data);
         // Pin accounting only matters while borrows exist; skip the map
@@ -136,55 +156,81 @@ impl NdpUnit {
         if hot_tracking && self.holds_block(block, map) {
             self.sketch.record(block.0, wl, &mut self.rng);
             if self.sketch.get(block.0).is_some() {
-                match self.reserved.reserve(block.0, task) {
-                    Ok(()) => return,
-                    Err(task) => {
-                        self.task_queue.push_back(task);
-                        return;
-                    }
+                if let Err(id) = self.reserved.reserve(block.0, id) {
+                    self.task_queue.push_back(id);
                 }
+                return;
             }
         }
-        self.task_queue.push_back(task);
+        self.task_queue.push_back(id);
     }
 
-    /// Parks a task whose epoch has not opened yet.
-    pub fn enqueue_future(&mut self, task: Task) {
-        self.future.entry(task.ts.0).or_default().push(task);
+    /// Parks a task of epoch `ts`, which has not opened yet. Epochs
+    /// open in order and every unit releases each one
+    /// ([`release_epoch`](Self::release_epoch)), so `ts` is never an
+    /// epoch already released here.
+    pub fn enqueue_future(&mut self, id: TaskId, ts: Timestamp) {
+        let i =
+            ts.0.checked_sub(self.future_base)
+                .expect("parked a task of an epoch already released") as usize;
+        if i >= self.future.len() {
+            let spare = &mut self.future_spare;
+            self.future
+                .resize_with(i + 1, || spare.pop().unwrap_or_default());
+        }
+        self.future[i].push(id);
     }
 
-    /// Releases parked tasks of `epoch` into the ready queue; returns
-    /// how many were released.
+    /// Releases parked tasks of `epoch` into the ready queue, in the
+    /// order they were parked; returns how many were released.
     pub fn release_epoch(
         &mut self,
         epoch: Timestamp,
+        tasks: &TaskArena,
         hot_tracking: bool,
         map: &AddressMap,
     ) -> usize {
-        let Some(tasks) = self.future.remove(&epoch.0) else {
-            return 0;
-        };
-        let n = tasks.len();
-        for t in tasks {
-            self.enqueue_ready(t, hot_tracking, map);
+        let mut released = 0;
+        while self.future_base <= epoch.0 {
+            let Some(mut list) = self.future.pop_front() else {
+                self.future_base = epoch.0 + 1;
+                break;
+            };
+            if self.future_base == epoch.0 {
+                released = list.len();
+                for (i, &id) in list.iter().enumerate() {
+                    if let Some(&ahead) = list.get(i + RELEASE_PREFETCH) {
+                        tasks.prefetch(ahead);
+                    }
+                    self.enqueue_ready(id, tasks, hot_tracking, map);
+                }
+            }
+            debug_assert!(self.future_base == epoch.0 || list.is_empty());
+            list.clear();
+            self.future_spare.push(list);
+            self.future_base += 1;
         }
-        n
+        released
     }
 
     /// Pops the next ready task, refilling the ready queue from the
     /// reserved queue when needed. Releases the task's borrow pin.
-    pub fn pop_task(&mut self, map: &AddressMap) -> Option<Task> {
+    pub fn pop_task(&mut self, tasks: &TaskArena, map: &AddressMap) -> Option<TaskId> {
         loop {
-            if let Some(t) = self.task_queue.pop_front() {
-                let wl = t.workload_or_default();
-                self.pending_workload -= wl;
+            if let Some(id) = self.task_queue.pop_front() {
+                // This unit's next pop reads the new front.
+                if let Some(&next) = self.task_queue.front() {
+                    tasks.prefetch(next);
+                }
+                let t = tasks.get(id);
+                self.pending_workload -= t.workload_or_default();
                 if !self.borrowed.is_empty() {
                     let block = map.block_of(t.data);
                     if let Some(b) = self.borrowed.get_mut(&block) {
                         b.pins = b.pins.saturating_sub(1);
                     }
                 }
-                return Some(t);
+                return Some(id);
             }
             if self.reserved.is_empty() {
                 return None;
@@ -192,11 +238,9 @@ impl NdpUnit {
             // Refill: pull the hottest reserved list back into the ready
             // queue (they are local work when no scheduling claims them).
             if let Some((key, _)) = self.sketch.pop_hottest() {
-                let list = self.reserved.take(key);
-                self.task_queue.extend(list);
+                self.reserved.take_into(key, &mut self.task_queue);
             } else {
-                let all = self.reserved.drain_all();
-                self.task_queue.extend(all);
+                self.reserved.drain_all_into(&mut self.task_queue);
             }
         }
     }
@@ -227,7 +271,7 @@ impl NdpUnit {
 
     /// Number of parked future-epoch tasks.
     pub fn future_tasks(&self) -> usize {
-        self.future.values().map(Vec::len).sum()
+        self.future.iter().map(Vec::len).sum()
     }
 
     /// Records `wl` workload as finished (for `W_finish`).
@@ -309,6 +353,7 @@ impl NdpUnit {
         &mut self,
         budget: u64,
         hot_first: bool,
+        tasks: &TaskArena,
         map: &AddressMap,
     ) -> Vec<ScheduledBlock> {
         let mut out = Vec::new();
@@ -319,28 +364,29 @@ impl NdpUnit {
                     break;
                 };
                 let block = BlockAddr(key);
-                let tasks = self.reserved.take(key);
-                if tasks.is_empty() {
+                let mut ids = Vec::new();
+                self.reserved.take_into(key, &mut ids);
+                if ids.is_empty() {
                     continue;
                 }
                 if !self.lendable(block, map) {
                     // Keep the tasks local.
-                    self.task_queue.extend(tasks);
+                    self.task_queue.extend(ids);
                     continue;
                 }
-                let wl: u64 = tasks.iter().map(Task::workload_or_default).sum();
+                let wl = workload_of(&ids, tasks);
                 self.is_lent.set(block);
                 self.pending_workload -= wl;
                 remaining = remaining.saturating_sub(wl);
                 out.push(ScheduledBlock {
                     block,
-                    tasks,
+                    tasks: ids,
                     workload: wl,
                 });
             }
         }
         if remaining > 0 {
-            out.extend(self.choose_from_tail(remaining, map));
+            out.extend(self.choose_from_tail(remaining, tasks, map));
         }
         out
     }
@@ -352,45 +398,56 @@ impl NdpUnit {
     /// Tail-of-queue selection (traditional work stealing): walk the
     /// ready queue from the back, grouping tasks by block, until
     /// `budget` workload is gathered.
-    fn choose_from_tail(&mut self, budget: u64, map: &AddressMap) -> Vec<ScheduledBlock> {
-        let mut groups: Vec<(BlockAddr, Vec<Task>, u64)> = Vec::new();
+    fn choose_from_tail(
+        &mut self,
+        budget: u64,
+        tasks: &TaskArena,
+        map: &AddressMap,
+    ) -> Vec<ScheduledBlock> {
+        let mut groups: Vec<(BlockAddr, Vec<TaskId>, u64)> = Vec::new();
         let mut collected = 0u64;
-        let mut keep: VecDeque<Task> = VecDeque::new();
-        // Stop walking once the budget is met: the unexamined front of
-        // the queue stays in place, so `keep` only ever holds the
-        // examined-but-unpicked tail instead of the whole queue.
-        while collected < budget {
-            let Some(task) = self.task_queue.pop_back() else {
-                break;
-            };
+        // Walk back from the tail until the budget is met. Whether a
+        // block is lendable cannot change during the walk, so tasks of
+        // other blocks are passed over and every examined task of a
+        // lendable block is picked.
+        let mut stop = self.task_queue.len();
+        while collected < budget && stop > 0 {
+            stop -= 1;
+            let id = self.task_queue[stop];
+            let task = tasks.get(id);
             let block = map.block_of(task.data);
-            if !self.lendable(block, map) && !groups.iter().any(|(b, _, _)| *b == block) {
-                keep.push_front(task);
+            if !self.lendable(block, map) {
                 continue;
             }
             let wl = task.workload_or_default();
             collected += wl;
             match groups.iter_mut().find(|(b, _, _)| *b == block) {
-                Some((_, tasks, gwl)) => {
-                    tasks.push(task);
+                Some((_, ids, gwl)) => {
+                    ids.push(id);
                     *gwl += wl;
                 }
-                None => groups.push((block, vec![task], wl)),
+                None => groups.push((block, vec![id], wl)),
             }
         }
-        // Re-append the kept tail behind the untouched front portion,
-        // preserving the original relative order.
-        self.task_queue.append(&mut keep);
-        let mut out = Vec::new();
-        for (block, mut tasks, wl) in groups {
-            tasks.reverse(); // restore original queue order
-            if self.lendable(block, map) {
-                self.is_lent.set(block);
+        // Close the picked tasks' gaps in the examined tail; the passed
+        // over ones keep their order behind the untouched front.
+        let mut kept = stop;
+        for i in stop..self.task_queue.len() {
+            let id = self.task_queue[i];
+            if !self.lendable(map.block_of(tasks.get(id).data), map) {
+                self.task_queue[kept] = id;
+                kept += 1;
             }
+        }
+        self.task_queue.truncate(kept);
+        let mut out = Vec::new();
+        for (block, mut ids, wl) in groups {
+            ids.reverse(); // restore original queue order
+            self.is_lent.set(block);
             self.pending_workload -= wl;
             out.push(ScheduledBlock {
                 block,
-                tasks,
+                tasks: ids,
                 workload: wl,
             });
         }
@@ -402,11 +459,11 @@ impl NdpUnit {
     /// one-by-one on pop anyway; the gather-aware steal path forwards
     /// them eagerly (task-only, no data transfer) when the holder is
     /// one of the round's receivers.
-    pub fn queued_lent_home_blocks(&self, map: &AddressMap) -> Vec<BlockAddr> {
+    pub fn queued_lent_home_blocks(&self, tasks: &TaskArena, map: &AddressMap) -> Vec<BlockAddr> {
         let mut seen = FastSet::default();
         let mut out = Vec::new();
-        for t in &self.task_queue {
-            let block = map.block_of(t.data);
+        for &id in &self.task_queue {
+            let block = map.block_of(tasks.get(id).data);
             if map.block_home(block) == self.id
                 && self.is_lent.is_lent(block)
                 && seen.insert(block.0)
@@ -437,6 +494,7 @@ impl NdpUnit {
         lent_to: &FastMap<u64, UnitId>,
         data_wire_bytes: u64,
         amortize: Option<steal::AmortizeCfg>,
+        tasks: &TaskArena,
         map: &AddressMap,
     ) -> Vec<AwarePick> {
         let mut out = Vec::new();
@@ -452,20 +510,21 @@ impl NdpUnit {
                     break;
                 };
                 let block = BlockAddr(key);
-                let tasks = self.reserved.take(key);
-                if tasks.is_empty() {
+                let mut ids = Vec::new();
+                self.reserved.take_into(key, &mut ids);
+                if ids.is_empty() {
                     continue;
                 }
                 if !self.lendable(block, map) {
-                    self.task_queue.extend(tasks);
+                    self.task_queue.extend(ids);
                     continue;
                 }
-                let cost = data_wire_bytes + task_wire_bytes(&tasks);
+                let cost = data_wire_bytes + task_wire_bytes(&ids, tasks);
                 if cost > bytes_left {
-                    self.task_queue.extend(tasks);
+                    self.task_queue.extend(ids);
                     break;
                 }
-                let wl: u64 = tasks.iter().map(Task::workload_or_default).sum();
+                let wl = workload_of(&ids, tasks);
                 self.is_lent.set(block);
                 self.pending_workload -= wl;
                 wl_left = wl_left.saturating_sub(wl);
@@ -473,7 +532,7 @@ impl NdpUnit {
                 out.push(AwarePick {
                     sb: ScheduledBlock {
                         block,
-                        tasks,
+                        tasks: ids,
                         workload: wl,
                     },
                     pinned_recv: None,
@@ -490,7 +549,8 @@ impl NdpUnit {
         // ordinary reroute path.
         let mut cands: Vec<steal::StealCandidate> = Vec::new();
         let mut idx_of: FastMap<u64, usize> = FastMap::default();
-        for task in self.task_queue.iter().rev() {
+        for &id in self.task_queue.iter().rev() {
+            let task = tasks.get(id);
             let block = map.block_of(task.data);
             let task_only = lent_to.contains_key(&block.0);
             if !task_only && !self.lendable(block, map) {
@@ -541,16 +601,16 @@ impl NdpUnit {
                 pinned_recv: lent_to.get(&block.0).copied(),
             });
         }
-        let mut remaining: VecDeque<Task> = VecDeque::with_capacity(self.task_queue.len());
-        for task in self.task_queue.drain(..) {
-            let block = map.block_of(task.data);
-            match slot_of.get(&block.0) {
+        let mut remaining: VecDeque<TaskId> = VecDeque::with_capacity(self.task_queue.len());
+        for id in self.task_queue.drain(..) {
+            let task = tasks.get(id);
+            match slot_of.get(&map.block_of(task.data).0) {
                 Some(&si) => {
                     let sb = &mut out[si].sb;
                     sb.workload += task.workload_or_default();
-                    sb.tasks.push(task);
+                    sb.tasks.push(id);
                 }
-                None => remaining.push_back(task),
+                None => remaining.push_back(id),
             }
         }
         self.task_queue = remaining;
@@ -565,17 +625,23 @@ impl NdpUnit {
 }
 
 /// Wire bytes of a batch of task descriptors, as they would be mailed.
-fn task_wire_bytes(tasks: &[Task]) -> u64 {
-    tasks
-        .iter()
-        .map(|t| u64::from(t.wire_bytes().min(MAX_MESSAGE_BYTES)))
+fn task_wire_bytes(ids: &[TaskId], tasks: &TaskArena) -> u64 {
+    ids.iter()
+        .map(|&id| u64::from(tasks.get(id).wire_bytes().min(MAX_MESSAGE_BYTES)))
+        .sum()
+}
+
+/// Cumulative workload of a batch of tasks.
+fn workload_of(ids: &[TaskId], tasks: &TaskArena) -> u64 {
+    ids.iter()
+        .map(|&id| tasks.get(id).workload_or_default())
         .sum()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ndpb_tasks::{TaskArgs, TaskFnId};
+    use ndpb_tasks::{Task, TaskArgs, TaskFnId};
 
     fn cfg() -> SystemConfig {
         SystemConfig::table1()
@@ -599,20 +665,36 @@ mod tests {
         )
     }
 
+    /// Stores a ready task for unit `u`'s block at `offset` and enqueues
+    /// it at `unit`.
+    fn enqueue(
+        unit: &mut NdpUnit,
+        a: &mut TaskArena,
+        m: &AddressMap,
+        u: u32,
+        offset: u64,
+        wl: u32,
+        hot: bool,
+    ) {
+        let id = a.insert(task_at(m, u, offset, wl));
+        unit.enqueue_ready(id, a, hot, m);
+    }
+
     #[test]
     fn enqueue_pop_fifo_without_hot() {
         let c = cfg();
         let m = map(&c);
         let mut u = unit(&c, 0);
-        u.enqueue_ready(task_at(&m, 0, 0, 5), false, &m);
-        u.enqueue_ready(task_at(&m, 0, 256, 7), false, &m);
+        let mut a = TaskArena::new();
+        enqueue(&mut u, &mut a, &m, 0, 0, 5, false);
+        enqueue(&mut u, &mut a, &m, 0, 256, 7, false);
         assert_eq!(u.queue_workload(), 12);
         assert_eq!(u.queued_tasks(), 2);
-        let t = u.pop_task(&m).unwrap();
-        assert_eq!(t.est_workload, 5);
+        let t = u.pop_task(&a, &m).unwrap();
+        assert_eq!(a.get(t).est_workload, 5);
         assert_eq!(u.queue_workload(), 7);
-        u.pop_task(&m).unwrap();
-        assert!(u.pop_task(&m).is_none());
+        u.pop_task(&a, &m).unwrap();
+        assert!(u.pop_task(&a, &m).is_none());
         assert_eq!(u.queue_workload(), 0);
     }
 
@@ -621,14 +703,15 @@ mod tests {
         let c = cfg();
         let m = map(&c);
         let mut u = unit(&c, 0);
+        let mut a = TaskArena::new();
         for _ in 0..10 {
-            u.enqueue_ready(task_at(&m, 0, 0, 3), true, &m);
+            enqueue(&mut u, &mut a, &m, 0, 0, 3, true);
         }
         assert_eq!(u.queued_tasks(), 10);
         assert_eq!(u.queue_workload(), 30);
         // Popping drains through the reserved refill path.
         let mut n = 0;
-        while u.pop_task(&m).is_some() {
+        while u.pop_task(&a, &m).is_some() {
             n += 1;
         }
         assert_eq!(n, 10);
@@ -640,14 +723,45 @@ mod tests {
         let c = cfg();
         let m = map(&c);
         let mut u = unit(&c, 0);
+        let mut a = TaskArena::new();
         let mut t = task_at(&m, 0, 0, 2);
         t.ts = Timestamp(1);
-        u.enqueue_future(t);
+        u.enqueue_future(a.insert(t), Timestamp(1));
         assert_eq!(u.future_tasks(), 1);
         assert_eq!(u.queued_tasks(), 0);
-        assert_eq!(u.release_epoch(Timestamp(1), false, &m), 1);
+        assert_eq!(u.release_epoch(Timestamp(1), &a, false, &m), 1);
         assert_eq!(u.queued_tasks(), 1);
-        assert_eq!(u.release_epoch(Timestamp(2), false, &m), 0);
+        assert_eq!(u.release_epoch(Timestamp(2), &a, false, &m), 0);
+    }
+
+    #[test]
+    fn future_lists_release_in_order_and_reuse_their_buffers() {
+        let c = cfg();
+        let m = map(&c);
+        let mut u = unit(&c, 0);
+        let mut a = TaskArena::new();
+        // Epochs 2 and 4 park three and one task; epoch 3 parks none.
+        let ids: Vec<TaskId> = [2, 4, 2, 2]
+            .iter()
+            .enumerate()
+            .map(|(i, &ts)| {
+                let id = a.insert(task_at(&m, 0, 64 * i as u64, 1));
+                u.enqueue_future(id, Timestamp(ts));
+                id
+            })
+            .collect();
+        assert_eq!(u.future_tasks(), 4);
+        assert_eq!(u.release_epoch(Timestamp(2), &a, false, &m), 3);
+        let order: Vec<TaskId> = std::iter::from_fn(|| u.pop_task(&a, &m)).collect();
+        assert_eq!(order, vec![ids[0], ids[2], ids[3]], "parking order");
+        // Epochs 0..=2 are released; their buffers wait for later epochs.
+        assert_eq!(u.future_spare.len(), 3);
+        u.enqueue_future(a.insert(task_at(&m, 0, 0, 1)), Timestamp(6));
+        assert_eq!(u.future_spare.len(), 1, "epochs 5 and 6 took two");
+        assert_eq!(u.release_epoch(Timestamp(4), &a, false, &m), 1);
+        assert_eq!(u.pop_task(&a, &m), Some(ids[1]));
+        assert_eq!(u.release_epoch(Timestamp(6), &a, false, &m), 1);
+        assert_eq!(u.future_tasks(), 0);
     }
 
     #[test]
@@ -688,12 +802,13 @@ mod tests {
         // Borrow unit 0's block and pin it with a queued task.
         let home0 = m.block_of(m.addr_in_unit(UnitId(0), 0));
         u.admit_borrow(home0);
-        u.enqueue_ready(task_at(&m, 0, 0, 1), false, &m); // pins home0
+        let mut a = TaskArena::new();
+        enqueue(&mut u, &mut a, &m, 0, 0, 1, false); // pins home0
         let e = u.admit_borrow(BlockAddr(99_999));
         assert_eq!(e, None, "pinned LRU must not be evicted");
         assert_eq!(u.borrowed_count(), 2, "admitted over capacity");
         // Popping the task unpins; next admit can evict it.
-        u.pop_task(&m).unwrap();
+        u.pop_task(&a, &m).unwrap();
         let e = u.admit_borrow(BlockAddr(99_998));
         assert_eq!(e, Some(home0));
     }
@@ -703,11 +818,12 @@ mod tests {
         let c = cfg();
         let m = map(&c);
         let mut u = unit(&c, 0);
+        let mut a = TaskArena::new();
         // Two tasks on block A (offset 0), one on block B (offset 256).
-        u.enqueue_ready(task_at(&m, 0, 0, 4), false, &m);
-        u.enqueue_ready(task_at(&m, 0, 256, 4), false, &m);
-        u.enqueue_ready(task_at(&m, 0, 16, 4), false, &m);
-        let out = u.choose_scheduled_out(8, false, &m);
+        enqueue(&mut u, &mut a, &m, 0, 0, 4, false);
+        enqueue(&mut u, &mut a, &m, 0, 256, 4, false);
+        enqueue(&mut u, &mut a, &m, 0, 16, 4, false);
+        let out = u.choose_scheduled_out(8, false, &a, &m);
         let total: u64 = out.iter().map(|s| s.workload).sum();
         assert!(total >= 8);
         // All chosen blocks are marked lent.
@@ -722,12 +838,13 @@ mod tests {
         let c = cfg();
         let m = map(&c);
         let mut u = unit(&c, 0);
+        let mut a = TaskArena::new();
         // Hot block: 20 tasks at offset 0; cold: 1 task at 512.
         for _ in 0..20 {
-            u.enqueue_ready(task_at(&m, 0, 0, 2), true, &m);
+            enqueue(&mut u, &mut a, &m, 0, 0, 2, true);
         }
-        u.enqueue_ready(task_at(&m, 0, 512, 2), true, &m);
-        let out = u.choose_scheduled_out(10, true, &m);
+        enqueue(&mut u, &mut a, &m, 0, 512, 2, true);
+        let out = u.choose_scheduled_out(10, true, &a, &m);
         assert!(!out.is_empty());
         let hot = m.block_of(m.addr_in_unit(UnitId(0), 0));
         assert_eq!(out[0].block, hot);
@@ -739,12 +856,13 @@ mod tests {
         let c = cfg();
         let m = map(&c);
         let mut u = unit(&c, 0);
-        u.enqueue_ready(task_at(&m, 0, 0, 4), false, &m);
-        let first = u.choose_scheduled_out(4, false, &m);
+        let mut a = TaskArena::new();
+        enqueue(&mut u, &mut a, &m, 0, 0, 4, false);
+        let first = u.choose_scheduled_out(4, false, &a, &m);
         assert_eq!(first.len(), 1);
         // Re-enqueue a task on the now-lent block; it must not be chosen.
-        u.enqueue_ready(task_at(&m, 0, 8, 4), false, &m);
-        let second = u.choose_scheduled_out(4, false, &m);
+        enqueue(&mut u, &mut a, &m, 0, 8, 4, false);
+        let second = u.choose_scheduled_out(4, false, &a, &m);
         assert!(second.is_empty());
         assert_eq!(u.queued_tasks(), 1);
     }

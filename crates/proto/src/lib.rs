@@ -21,4 +21,4 @@ pub mod mailbox;
 pub mod message;
 
 pub use mailbox::Mailbox;
-pub use message::{DataMessage, Message, MAX_MESSAGE_BYTES};
+pub use message::{DataMessage, Message, TaskMessage, MAX_MESSAGE_BYTES};

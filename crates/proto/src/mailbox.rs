@@ -15,13 +15,14 @@ use crate::message::Message;
 /// # Example
 ///
 /// ```
-/// use ndpb_proto::{Mailbox, Message};
-/// use ndpb_tasks::{Task, TaskArgs, TaskFnId, Timestamp};
+/// use ndpb_proto::{Mailbox, Message, TaskMessage};
+/// use ndpb_tasks::{Task, TaskArgs, TaskFnId, TaskId, Timestamp};
 /// use ndpb_dram::DataAddr;
 ///
 /// let mut mb = Mailbox::new(1 << 20);
 /// let task = Task::new(TaskFnId(0), Timestamp(0), DataAddr(0), 1, TaskArgs::EMPTY);
-/// assert!(mb.try_push(Message::Task(task, None)).is_none());
+/// let msg = Message::Task(TaskMessage::new(TaskId(0), &task), None);
+/// assert!(mb.try_push(msg).is_none());
 /// assert!(mb.bytes_used() > 0);
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -147,15 +148,13 @@ impl Mailbox {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::DataMessage;
+    use crate::message::{DataMessage, TaskMessage};
     use ndpb_dram::{BlockAddr, DataAddr, UnitId};
-    use ndpb_tasks::{Task, TaskArgs, TaskFnId, Timestamp};
+    use ndpb_tasks::{Task, TaskArgs, TaskFnId, TaskId, Timestamp};
 
     fn task_msg() -> Message {
-        Message::Task(
-            Task::new(TaskFnId(0), Timestamp(0), DataAddr(0), 1, TaskArgs::EMPTY),
-            None,
-        )
+        let task = Task::new(TaskFnId(0), Timestamp(0), DataAddr(0), 1, TaskArgs::EMPTY);
+        Message::Task(TaskMessage::new(TaskId(0), &task), None)
     }
 
     fn data_msg(bytes: u32) -> Message {

@@ -1,13 +1,38 @@
 //! Message formats (Figure 5).
 
-use ndpb_dram::{BlockAddr, UnitId};
-use ndpb_tasks::Task;
+use ndpb_dram::{BlockAddr, DataAddr, UnitId};
+use ndpb_tasks::{Task, TaskId};
 
 /// Maximum size of one (sub-)message on the wire, including its header.
 pub const MAX_MESSAGE_BYTES: u32 = 64;
 
 /// Header bytes of every message: type + index fields (Figure 5).
 pub const MESSAGE_HEADER_BYTES: u32 = 2;
+
+/// A task message. The task record stays in the simulator's task
+/// arena; the message carries its handle, the task's data address (all
+/// that routing reads) and the wire size the record occupies, fixed
+/// when the message is built.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TaskMessage {
+    /// The carried task.
+    pub id: TaskId,
+    /// Bytes on the wire: [`Task::wire_bytes`], capped at one message.
+    pub bytes: u32,
+    /// The task's data element; the message is routed to its holder.
+    pub data: DataAddr,
+}
+
+impl TaskMessage {
+    /// The message carrying `task`, stored under `id`.
+    pub fn new(id: TaskId, task: &Task) -> Self {
+        TaskMessage {
+            id,
+            bytes: task.wire_bytes().min(MAX_MESSAGE_BYTES),
+            data: task.data,
+        }
+    }
+}
 
 /// A data message: one `G_xfer`-sized block being lent to another unit
 /// for data-first load balancing. On the wire it is split into
@@ -43,7 +68,7 @@ pub enum Message {
     /// intended receiver, whose workload is tracked by the bridges'
     /// `toArrive` correction counters (Section VI-C) until first
     /// delivery; `None` for ordinary spawns and reroutes.
-    Task(Task, Option<UnitId>),
+    Task(TaskMessage, Option<UnitId>),
     /// A block being lent for load balancing, with its receiver: the
     /// unit the bridge chose (step ④ of Figure 6), or the block's home
     /// when it returns.
@@ -55,7 +80,7 @@ impl Message {
     /// headers of all sub-messages it is split into.
     pub fn wire_bytes(&self) -> u32 {
         match self {
-            Message::Task(t, _) => t.wire_bytes().min(MAX_MESSAGE_BYTES),
+            Message::Task(t, _) => t.bytes,
             Message::Data(d, _) => d.wire_bytes(),
         }
     }
@@ -89,7 +114,8 @@ mod tests {
 
     #[test]
     fn task_message_fits_64_bytes() {
-        let m = Message::Task(task(), None);
+        let m = Message::Task(TaskMessage::new(TaskId(3), &task()), None);
+        assert_eq!(m.wire_bytes(), task().wire_bytes());
         assert!(m.wire_bytes() <= MAX_MESSAGE_BYTES);
         assert!(m.is_task());
         assert!(!m.is_data());

@@ -3,14 +3,12 @@
 //! `mailbox-full` trace event.
 
 use ndpb_dram::{BlockAddr, DataAddr, UnitId};
-use ndpb_proto::{DataMessage, Mailbox, Message};
-use ndpb_tasks::{Task, TaskArgs, TaskFnId, Timestamp};
+use ndpb_proto::{DataMessage, Mailbox, Message, TaskMessage};
+use ndpb_tasks::{Task, TaskArgs, TaskFnId, TaskId, Timestamp};
 
 fn task_msg() -> Message {
-    Message::Task(
-        Task::new(TaskFnId(0), Timestamp(0), DataAddr(0), 1, TaskArgs::EMPTY),
-        None,
-    )
+    let task = Task::new(TaskFnId(0), Timestamp(0), DataAddr(0), 1, TaskArgs::EMPTY);
+    Message::Task(TaskMessage::new(TaskId(0), &task), None)
 }
 
 fn data_msg(bytes: u32, block: u64) -> Message {

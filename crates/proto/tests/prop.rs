@@ -3,22 +3,23 @@
 
 use ndpb_dram::{BlockAddr, DataAddr, UnitId};
 use ndpb_proto::message::DataMessage;
-use ndpb_proto::{Mailbox, Message};
+use ndpb_proto::{Mailbox, Message, TaskMessage};
 use ndpb_sim::SimRng;
-use ndpb_tasks::{Task, TaskArgs, TaskFnId, Timestamp};
+use ndpb_tasks::{Task, TaskArgs, TaskFnId, TaskId, Timestamp};
 
 const CASES: usize = 64;
 
 fn arb_message(rng: &mut SimRng) -> Message {
     if rng.chance(0.5) {
+        let task = Task::new(
+            TaskFnId(rng.next_below(8) as u16),
+            Timestamp(rng.next_below(4) as u32),
+            DataAddr(rng.next_below(1 << 30)),
+            rng.next_below(1000) as u32,
+            TaskArgs::one(7),
+        );
         Message::Task(
-            Task::new(
-                TaskFnId(rng.next_below(8) as u16),
-                Timestamp(rng.next_below(4) as u32),
-                DataAddr(rng.next_below(1 << 30)),
-                rng.next_below(1000) as u32,
-                TaskArgs::one(7),
-            ),
+            TaskMessage::new(TaskId(rng.next_below(1 << 20) as u32), &task),
             None,
         )
     } else {

@@ -17,6 +17,8 @@
 //! * [`fingerprint`] — a stable 64-bit FNV-1a hasher used to
 //!   content-address sweep results (std's `DefaultHasher` is not stable
 //!   across toolchains).
+//! * [`fasthash`] — the fixed-seed multiply-rotate hasher behind the
+//!   simulator's integer-keyed maps (`FastMap`, `FastSet`).
 //!
 //! # Example
 //!
@@ -34,6 +36,7 @@
 #![forbid(unsafe_code)]
 
 pub mod events;
+pub mod fasthash;
 pub mod fingerprint;
 pub mod rng;
 pub mod time;

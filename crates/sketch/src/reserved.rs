@@ -6,7 +6,9 @@
 //! ~8 tasks each, 1280 chunks per unit by default); when the chunk pool
 //! is exhausted, further tasks overflow to the normal task queue.
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
+
+use ndpb_sim::fasthash::FastMap;
 
 /// A chunked, per-key task store with a bounded chunk pool.
 ///
@@ -17,13 +19,17 @@ use std::collections::HashMap;
 /// let mut q: ReservedQueue<&str> = ReservedQueue::new(4, 2);
 /// q.reserve(7, "a").unwrap();
 /// q.reserve(7, "b").unwrap();
-/// assert_eq!(q.take(7), vec!["a", "b"]);
+/// let mut out = Vec::new();
+/// q.take_into(7, &mut out);
+/// assert_eq!(out, vec!["a", "b"]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ReservedQueue<T> {
     chunk_pool: usize,
     tasks_per_chunk: usize,
-    lists: HashMap<u64, Vec<T>>,
+    lists: FastMap<u64, Vec<T>>,
+    /// Emptied list buffers, reused for the next new key.
+    spare: Vec<Vec<T>>,
     chunks_used: usize,
     tasks_parked: usize,
     peak_chunks: usize,
@@ -44,7 +50,8 @@ impl<T> ReservedQueue<T> {
         ReservedQueue {
             chunk_pool,
             tasks_per_chunk,
-            lists: HashMap::new(),
+            lists: FastMap::default(),
+            spare: Vec::new(),
             chunks_used: 0,
             tasks_parked: 0,
             peak_chunks: 0,
@@ -66,23 +73,32 @@ impl<T> ReservedQueue<T> {
     /// Returns the task back if admitting it would exceed the chunk
     /// pool; the caller should fall back to the normal task queue.
     pub fn reserve(&mut self, key: u64, task: T) -> Result<(), T> {
-        let cur_len = self.lists.get(&key).map_or(0, Vec::len);
-        let cur_chunks = if cur_len == 0 && !self.lists.contains_key(&key) {
-            0
-        } else {
-            self.chunks_for(cur_len)
+        let per_chunk = self.tasks_per_chunk;
+        let entry = self.lists.entry(key);
+        // A key with no list holds no chunk; its first task takes one.
+        let extra = match &entry {
+            Entry::Occupied(e) => {
+                let len = e.get().len();
+                (len + 1).div_ceil(per_chunk) - len.div_ceil(per_chunk)
+            }
+            Entry::Vacant(_) => 1,
         };
-        let new_chunks = self.chunks_for(cur_len + 1);
-        let extra = new_chunks - cur_chunks;
         if self.chunks_used + extra > self.chunk_pool {
             self.overflows += 1;
             return Err(task);
+        }
+        match entry {
+            Entry::Occupied(mut e) => e.get_mut().push(task),
+            Entry::Vacant(e) => {
+                let mut list = self.spare.pop().unwrap_or_default();
+                list.push(task);
+                e.insert(list);
+            }
         }
         self.chunks_used += extra;
         self.tasks_parked += 1;
         self.peak_chunks = self.peak_chunks.max(self.chunks_used);
         self.peak_tasks = self.peak_tasks.max(self.tasks_parked);
-        self.lists.entry(key).or_default().push(task);
         self.hits += 1;
         Ok(())
     }
@@ -110,17 +126,20 @@ impl<T> ReservedQueue<T> {
         self.overflows
     }
 
-    /// Removes and returns all tasks parked under `key`, freeing its
-    /// chunks. Returns an empty vector for unknown keys.
-    pub fn take(&mut self, key: u64) -> Vec<T> {
-        match self.lists.remove(&key) {
-            Some(v) => {
-                self.chunks_used -= self.chunks_for(v.len());
-                self.tasks_parked -= v.len();
-                v
-            }
-            None => Vec::new(),
+    /// Moves all tasks parked under `key` into `out` in parking order,
+    /// freeing its chunks. Appends nothing for an unknown key.
+    pub fn take_into(&mut self, key: u64, out: &mut impl Extend<T>) {
+        if let Some(list) = self.lists.remove(&key) {
+            self.chunks_used -= self.chunks_for(list.len());
+            self.tasks_parked -= list.len();
+            self.recycle(list, out);
         }
+    }
+
+    /// Moves `list`'s tasks into `out` and keeps its buffer for reuse.
+    fn recycle(&mut self, mut list: Vec<T>, out: &mut impl Extend<T>) {
+        out.extend(list.drain(..));
+        self.spare.push(list);
     }
 
     /// Number of tasks parked under `key`.
@@ -130,7 +149,7 @@ impl<T> ReservedQueue<T> {
 
     /// Total parked tasks.
     pub fn total_tasks(&self) -> usize {
-        self.lists.values().map(Vec::len).sum()
+        self.tasks_parked
     }
 
     /// Chunks currently allocated.
@@ -143,23 +162,29 @@ impl<T> ReservedQueue<T> {
         self.lists.is_empty()
     }
 
-    /// Drains every list (used at epoch barriers), returning all tasks.
-    pub fn drain_all(&mut self) -> Vec<T> {
+    /// Moves every list into `out`, in ascending key order (the map's
+    /// own order is unspecified).
+    pub fn drain_all_into(&mut self, out: &mut impl Extend<T>) {
         self.chunks_used = 0;
         self.tasks_parked = 0;
         let mut keys: Vec<u64> = self.lists.keys().copied().collect();
-        keys.sort_unstable(); // deterministic order
-        let mut out = Vec::new();
+        keys.sort_unstable();
         for k in keys {
-            out.extend(self.lists.remove(&k).expect("key exists"));
+            let list = self.lists.remove(&k).expect("key exists");
+            self.recycle(list, out);
         }
-        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn take<T>(q: &mut ReservedQueue<T>, key: u64) -> Vec<T> {
+        let mut out = Vec::new();
+        q.take_into(key, &mut out);
+        out
+    }
 
     #[test]
     fn reserve_and_take() {
@@ -169,7 +194,7 @@ mod tests {
         q.reserve(2, 'c').unwrap();
         assert_eq!(q.len_of(1), 2);
         assert_eq!(q.total_tasks(), 3);
-        assert_eq!(q.take(1), vec!['a', 'b']);
+        assert_eq!(take(&mut q, 1), vec!['a', 'b']);
         assert_eq!(q.len_of(1), 0);
         assert_eq!(q.total_tasks(), 1);
     }
@@ -183,7 +208,7 @@ mod tests {
         assert_eq!(q.chunks_used(), 1); // still fits one chunk
         q.reserve(1, 2).unwrap();
         assert_eq!(q.chunks_used(), 2); // linked a second chunk
-        q.take(1);
+        take(&mut q, 1);
         assert_eq!(q.chunks_used(), 0);
     }
 
@@ -204,7 +229,7 @@ mod tests {
     #[test]
     fn take_unknown_key_is_empty() {
         let mut q: ReservedQueue<u8> = ReservedQueue::new(4, 4);
-        assert!(q.take(99).is_empty());
+        assert!(take(&mut q, 99).is_empty());
     }
 
     #[test]
@@ -214,9 +239,25 @@ mod tests {
         q.reserve(1, 10).unwrap();
         q.reserve(5, 51).unwrap();
         q.reserve(3, 30).unwrap();
-        assert_eq!(q.drain_all(), vec![10, 30, 50, 51]);
+        let mut out = Vec::new();
+        q.drain_all_into(&mut out);
+        assert_eq!(out, vec![10, 30, 50, 51]);
         assert!(q.is_empty());
         assert_eq!(q.chunks_used(), 0);
+        assert_eq!(q.total_tasks(), 0);
+    }
+
+    #[test]
+    fn emptied_lists_lend_their_buffers_to_new_keys() {
+        let mut q = ReservedQueue::new(16, 2);
+        for i in 0..5 {
+            q.reserve(1, i).unwrap();
+        }
+        let buf = q.lists[&1].as_ptr();
+        take(&mut q, 1);
+        q.reserve(9, 90).unwrap();
+        assert_eq!(q.lists[&9].as_ptr(), buf, "key 9 reuses key 1's buffer");
+        assert_eq!(take(&mut q, 9), vec![90]);
     }
 
     #[test]

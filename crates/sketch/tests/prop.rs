@@ -6,6 +6,12 @@ use ndpb_sketch::{HotSketch, ReservedQueue, SketchConfig};
 
 const CASES: usize = 48;
 
+fn take<T>(q: &mut ReservedQueue<T>, key: u64) -> Vec<T> {
+    let mut out = Vec::new();
+    q.take_into(key, &mut out);
+    out
+}
+
 /// The sketch never tracks more entries than its geometry allows.
 #[test]
 fn sketch_respects_capacity() {
@@ -98,7 +104,7 @@ fn reserved_queue_capacity_bounds_and_peaks() {
                 }
             } else {
                 model.remove(&key);
-                q.take(key);
+                q.take_into(key, &mut Vec::new());
             }
             assert!(q.chunks_used() <= pool, "pool bound violated");
             let tasks: usize = model.values().sum();
@@ -146,14 +152,14 @@ fn reserved_queue_retains_hot_key_tasks_vs_sketch_estimates() {
         let (hot, est) = s.pop_hottest().expect("nonempty sketch");
         let (true_w, expect_tasks) = truth.remove(&hot).expect("hot key was recorded");
         assert_eq!(est, true_w);
-        assert_eq!(q.take(hot), expect_tasks);
+        assert_eq!(take(&mut q, hot), expect_tasks);
         for (k, (_, tasks)) in truth {
-            assert_eq!(q.take(k), tasks, "cold keys keep their tasks too");
+            assert_eq!(take(&mut q, k), tasks, "cold keys keep their tasks too");
         }
     }
 }
 
-/// drain_all is complete and deterministic: ascending key order,
+/// drain_all_into is complete and deterministic: ascending key order,
 /// reservation order within a key, and it resets the occupancy.
 #[test]
 fn reserved_queue_drain_order() {
@@ -172,7 +178,9 @@ fn reserved_queue_drain_order() {
         let mut keys: Vec<u64> = model.keys().copied().collect();
         keys.sort_unstable();
         let expect: Vec<(u64, u32)> = keys.into_iter().flat_map(|k| model[&k].clone()).collect();
-        assert_eq!(q.drain_all(), expect);
+        let mut all = Vec::new();
+        q.drain_all_into(&mut all);
+        assert_eq!(all, expect);
         assert!(q.is_empty());
         assert_eq!(q.chunks_used(), 0);
         assert_eq!(q.total_tasks(), 0);
@@ -197,7 +205,7 @@ fn reserved_queue_chunk_invariant() {
                     *model.entry(key).or_insert(0) += 1;
                 }
             } else {
-                let got = q.take(key);
+                let got = take(&mut q, key);
                 let want = model.remove(&key).unwrap_or(0);
                 assert_eq!(got.len(), want);
             }

@@ -12,6 +12,8 @@
 //!
 //! * [`Task`], [`TaskFnId`], [`Timestamp`], [`TaskArgs`] — the task
 //!   record, with its wire size for message accounting;
+//! * [`TaskId`] — the 4-byte handle queues and messages carry in place
+//!   of a task stored once in the simulator's arena;
 //! * [`ExecCtx`] — the execution context handed to a running task, which
 //!   records its compute cycles, DRAM accesses and spawned child tasks
 //!   (the simulator turns those into timing);
@@ -23,4 +25,4 @@ pub mod app;
 pub mod task;
 
 pub use app::{Application, ExecCtx};
-pub use task::{Task, TaskArgs, TaskFnId, Timestamp};
+pub use task::{Task, TaskArgs, TaskFnId, TaskId, Timestamp};

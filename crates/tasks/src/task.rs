@@ -29,6 +29,14 @@ impl fmt::Display for Timestamp {
     }
 }
 
+/// Handle to a live task stored once in the simulator's task arena.
+///
+/// Queues, mailboxes and messages carry this 4-byte id instead of the
+/// task record; it is opaque (no ordering or arithmetic is meaningful)
+/// and its slot is reused once the task finishes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct TaskId(pub u32);
+
 /// Up to four inline 64-bit task arguments ("any number of additional
 /// arguments" in the paper, bounded here by the 64-byte message format).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -168,10 +168,10 @@ fn no_pick_is_ranked_strictly_worse_than_an_affordable_skip() {
 #[test]
 fn byte_budget_scales_with_the_workload_budget() {
     // The W_th inversion: every W_th of stolen workload buys
-    // budget_gxfer * g_xfer bytes, with a one-round floor.
+    // STEAL_BUDGET_GXFER * g_xfer bytes, with a one-round floor.
     for w_th in [1u64, 13, 52, 500] {
         for wl in [0u64, 1, 51, 52, 53, 1000] {
-            let b = steal_byte_budget(wl, w_th, 256, 2);
+            let b = steal_byte_budget(wl, w_th, 256);
             assert!(b >= 512, "one round is always granted");
             assert_eq!(b % 512, 0, "whole G_xfer rounds only");
             let rounds = wl.max(1).div_ceil(w_th.max(1));
