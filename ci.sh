@@ -94,7 +94,13 @@ echo "== repro all under --audit: every figure's path audited, output unchanged 
 # Every figure over all eight apps, DIMM-Link's link deliveries
 # included, with the full audit in a release build: a violated law
 # aborts the sweep, and the audited stdout must equal the unaudited.
-"$REPRO" all --tiny --no-cache --jobs 2 > "$SMOKE_DIR/all-plain.txt" 2>/dev/null
+# The 493 points hold 328 distinct ones, and the sweeper's key table
+# simulates each once even without a disk cache; one worker must print
+# the same bytes as two.
+"$REPRO" all --tiny --no-cache --jobs 2 > "$SMOKE_DIR/all-plain.txt" 2> "$SMOKE_DIR/all-plain.err"
+grep -q "493 points, 165 cache hits, 328 simulated" "$SMOKE_DIR/all-plain.err"
+"$REPRO" all --tiny --no-cache --jobs 1 > "$SMOKE_DIR/all-plain-j1.txt" 2>/dev/null
+cmp "$SMOKE_DIR/all-plain.txt" "$SMOKE_DIR/all-plain-j1.txt"
 "$REPRO" all --tiny --no-cache --audit --jobs 2 > "$SMOKE_DIR/all-audited.txt" 2>/dev/null
 cmp "$SMOKE_DIR/all-plain.txt" "$SMOKE_DIR/all-audited.txt"
 

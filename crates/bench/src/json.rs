@@ -35,6 +35,12 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so the cap keeps a hostile document (a
+/// `/run` body of a million `[`) from overflowing the thread's stack;
+/// the writers' own documents nest a handful of levels.
+const MAX_DEPTH: usize = 128;
+
 /// A parse error with byte offset context.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
@@ -54,8 +60,10 @@ impl Json {
     /// Parses a complete JSON document (trailing whitespace allowed).
     pub fn parse(text: &str) -> Result<Json, ParseError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -133,8 +141,11 @@ impl Json {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -172,8 +183,19 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, ParseError> {
         match self.peek().ok_or_else(|| self.err("unexpected end"))? {
-            b'{' => self.object(),
-            b'[' => self.array(),
+            open @ (b'{' | b'[') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("nesting too deep"));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             b'"' => Ok(Json::Str(self.string()?)),
             b't' => self.literal("true", Json::Bool(true)),
             b'f' => self.literal("false", Json::Bool(false)),
@@ -257,11 +279,13 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 _ => {
-                    // Consume one UTF-8 scalar (input is a &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let ch = s.chars().next().ok_or_else(|| self.err("unexpected end"))?;
+                    // Consume one UTF-8 scalar: `pos` only ever moves
+                    // over whole scalars, so it sits on a boundary.
+                    let ch = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| self.err("unexpected end"))?;
                     out.push(ch);
                     self.pos += ch.len_utf8();
                 }
@@ -365,6 +389,24 @@ mod tests {
         for bad in ["{", "[1,", "\"open", "{\"a\":}", "1 2", "tru", "{'a':1}"] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_and_long_strings_parse_in_one_pass() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.msg, "nesting too deep");
+        // A million levels would overflow the stack without the cap.
+        assert!(Json::parse(&"{\"a\":[".repeat(1 << 20)).is_err());
+        // Multi-byte scalars survive, and a megabyte string is one pass
+        // over its bytes, not one per character.
+        let long = format!("\"{}é\"", "ü".repeat(1 << 19));
+        let parsed = Json::parse(&long).unwrap();
+        assert_eq!(
+            parsed.as_str().map(|s| s.chars().count()),
+            Some((1 << 19) + 1)
+        );
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! [`timing`]) reuse the same entry points at reduced scale.
 //!
 //! All multi-point work routes through a [`Sweeper`]: one resident
-//! worker pool with deterministic result merging and an optional
+//! worker pool with deterministic result merging, one key table that
+//! simulates each distinct point once per process, and an optional
 //! content-addressed on-disk [`cache`] keyed by
 //! `SystemConfig::fingerprint`, so a warm `repro all` rerun simulates
 //! nothing. There is no process-wide engine: the caller builds the

@@ -1,5 +1,7 @@
 //! The sweep engine: one resident worker pool that runs simulation
-//! points, with an optional content-addressed result cache.
+//! points, one key table that shares each distinct point's result
+//! within the process, and an optional content-addressed result cache
+//! on disk.
 //!
 //! Every table/figure of the paper is one *sweep*: a list of
 //! (application, design column, configuration, scale) points whose
@@ -11,36 +13,50 @@
 //! test) builds its own `Sweeper` and passes it down. The engine
 //! exploits exactly that independence and nothing more:
 //!
-//! * **One worker loop.** `--jobs N` workers start on the first
-//!   [`Sweeper::submit`] and pull points from one shared queue
+//! * **One worker loop.** `--jobs N` workers start on the first point
+//!   that has to be simulated and pull points from one shared queue
 //!   (whichever worker finishes first takes the next point). A
 //!   panicking simulation is caught in the worker loop and fails only
 //!   its own point. Batch sweeps ([`Sweeper::run`]) and the `ndpb-serve`
-//!   service both submit here.
+//!   service both go through [`Sweeper::submit`].
+//! * **One key table.** A point is identified by its [`SweepPoint::key`],
+//!   the key the disk cache uses. A queued or running key holds the
+//!   callbacks waiting on it, and a later submit of the same key
+//!   attaches to it (`sweep/deduped`). A finished key keeps its result
+//!   for the `Sweeper`'s life, up to `KEPT_RESULTS` (1,024) of them
+//!   with the oldest evicted first, and a later submit is answered from
+//!   it (`sweep/cache_hits`). A point whose simulation failed leaves the
+//!   table, so submitting it again simulates it again. Each distinct
+//!   point therefore simulates once per process, within one sweep and
+//!   across sweeps.
 //! * **Deterministic merge.** `run` collects outcomes into slots by
 //!   point index, so callers observe the same ordering regardless of
 //!   worker count or scheduling. `--jobs 1` and `--jobs 8` produce
 //!   byte-identical harness output.
-//! * **Result cache.** With a cache directory configured, each point's
-//!   [`point_key`] is probed before simulating; hits skip the
-//!   simulation entirely and misses are stored after it. A warm rerun
-//!   of `repro all` simulates nothing.
-//! * **Observability.** Point counts, cache hits/misses, simulations
-//!   and per-worker progress all land in a [`SharedMetrics`] table the
-//!   harness can snapshot and dump (`sweep/points_total`,
-//!   `sweep/cache_hits`, `sweep/cache_misses`, `sweep/simulated`,
-//!   `sweep/worker-N/points`).
+//! * **Result cache.** With a cache directory configured, a key that is
+//!   not in the table is probed on disk before it is queued; a hit
+//!   skips the simulation and joins the table, and a simulated result
+//!   is stored before its callbacks run. A warm rerun of `repro all`
+//!   simulates nothing.
+//! * **Observability.** Point counts, hits, attachments, simulations,
+//!   failures and per-worker progress all land in a [`SharedMetrics`]
+//!   table the harness can snapshot and dump (`sweep/points_total`,
+//!   `sweep/cache_hits`, `sweep/deduped`, `sweep/cache_misses`,
+//!   `sweep/simulated`, `sweep/failed`, `sweep/worker-N/points`), with
+//!   the last simulated point's event count and simulation wall time
+//!   (`sweep/last_run/events`, `sweep/last_run/wall_ns`).
 //! * **Shutdown.** Dropping a `Sweeper` closes its queue: the workers
 //!   finish the points already queued (their results still reach the
 //!   cache and their callbacks), then exit.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock, PoisonError};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, Once, PoisonError};
 use std::thread;
+use std::time::Instant;
 
 use ndpb_core::audit::AuditLevel;
 use ndpb_core::config::SystemConfig;
@@ -51,6 +67,11 @@ use ndpb_workloads::Scale;
 
 use crate::cache::{point_key, ResultCache};
 use crate::{run_host, run_one, Column};
+
+/// Finished results a [`Sweeper`] keeps in its key table; beyond this
+/// the oldest is evicted. A Small result encodes to about 8 KB, so a
+/// full table holds about 10 MB.
+const KEPT_RESULTS: usize = 1024;
 
 /// One independent simulation in a sweep.
 #[derive(Debug, Clone)]
@@ -98,31 +119,90 @@ pub type PointOutcome = Result<RunResult, String>;
 /// The completion callback of one submitted point.
 type Done = Box<dyn FnOnce(PointOutcome) + Send>;
 
-/// Shared state of the resident pool: the job queue plus the condvar
-/// workers park on while it is empty.
-#[derive(Default)]
-struct ResidentPool {
-    queue: Mutex<PoolQueue>,
-    ready: Condvar,
+/// Why [`Sweeper::submit`] refused a batch: queueing its new keys would
+/// leave more keys pending than the bound it was given.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct QueueFull {
+    /// Keys queued or running when the batch arrived.
+    pub pending: usize,
+    /// Distinct keys of the batch that would have been queued.
+    pub fresh: usize,
 }
 
+/// One key's state in the table.
+enum Entry {
+    /// Queued or running: the callbacks waiting on the key.
+    Pending(Vec<Done>),
+    /// Simulated in this process, or read from the disk cache.
+    Finished(Arc<RunResult>),
+}
+
+/// The key table and the pool's work queue, under one lock.
 #[derive(Default)]
-struct PoolQueue {
-    jobs: VecDeque<(SweepPoint, Done)>,
+struct Table {
+    entries: HashMap<u64, Entry>,
+    /// The finished keys, oldest first: the eviction order.
+    finished: VecDeque<u64>,
+    /// Pending keys no worker has taken yet, in submission order.
+    queue: VecDeque<(u64, SweepPoint)>,
     /// Set when the owning [`Sweeper`] is dropped: workers exit once
     /// the queue is empty.
     closed: bool,
 }
 
+impl Table {
+    /// Keys queued or running.
+    fn pending(&self) -> usize {
+        self.entries.len() - self.finished.len()
+    }
+
+    /// Keeps a finished result, evicting the oldest beyond `bound`.
+    fn keep(&mut self, key: u64, result: Arc<RunResult>, bound: usize) {
+        self.entries.insert(key, Entry::Finished(result));
+        self.finished.push_back(key);
+        while self.finished.len() > bound {
+            if let Some(oldest) = self.finished.pop_front() {
+                self.entries.remove(&oldest);
+            }
+        }
+    }
+
+    /// Settles a pending key and returns the callbacks waiting on it:
+    /// the key keeps its result, or leaves the table if it failed.
+    fn settle(&mut self, key: u64, kept: Option<Arc<RunResult>>, bound: usize) -> Vec<Done> {
+        let waiting = match self.entries.remove(&key) {
+            Some(Entry::Pending(waiting)) => waiting,
+            _ => unreachable!("only a pending key is queued"),
+        };
+        if let Some(result) = kept {
+            self.keep(key, result, bound);
+        }
+        waiting
+    }
+}
+
+/// Shared state of the resident pool: the table plus the condvar
+/// workers park on while its queue is empty.
+#[derive(Default)]
+struct ResidentPool {
+    table: Mutex<Table>,
+    ready: Condvar,
+}
+
 impl ResidentPool {
-    /// Blocks until a job is queued; `None` once the pool is closed and
-    /// drained.
-    fn next_job(&self) -> Option<(SweepPoint, Done)> {
-        let q = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
+    /// No callback runs under the lock and every update leaves the
+    /// table whole, so a poisoned lock still guards a valid table.
+    fn lock(&self) -> MutexGuard<'_, Table> {
+        self.table.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Blocks until a point is queued; `None` once the pool is closed
+    /// and drained.
+    fn next_job(&self) -> Option<(u64, SweepPoint)> {
         self.ready
-            .wait_while(q, |q| q.jobs.is_empty() && !q.closed)
+            .wait_while(self.lock(), |t| t.queue.is_empty() && !t.closed)
             .unwrap_or_else(PoisonError::into_inner)
-            .jobs
+            .queue
             .pop_front()
     }
 }
@@ -133,7 +213,8 @@ impl fmt::Debug for ResidentPool {
     }
 }
 
-/// The sweep executor: worker count, optional cache, shared metrics.
+/// The sweep executor: worker count, key table, optional cache, shared
+/// metrics.
 #[derive(Debug)]
 pub struct Sweeper {
     jobs: usize,
@@ -141,7 +222,8 @@ pub struct Sweeper {
     audit: Option<AuditLevel>,
     metrics: SharedMetrics,
     sweeps_run: AtomicU64,
-    resident: OnceLock<Arc<ResidentPool>>,
+    pool: Arc<ResidentPool>,
+    pool_started: Once,
 }
 
 impl Sweeper {
@@ -153,7 +235,8 @@ impl Sweeper {
             audit: None,
             metrics: SharedMetrics::new(),
             sweeps_run: AtomicU64::new(0),
-            resident: OnceLock::new(),
+            pool: Arc::default(),
+            pool_started: Once::new(),
         }
     }
 
@@ -165,9 +248,9 @@ impl Sweeper {
 
     /// Forces every point's [`AuditLevel`] (the `repro --audit` flag).
     ///
-    /// The override is applied *before* the cache key is computed — the
+    /// The override is applied *before* the key is computed — the
     /// audit level is part of `SystemConfig::fingerprint`, so an
-    /// audited sweep is never satisfied by a cached unaudited result
+    /// audited sweep is never satisfied by a stored unaudited result
     /// (which would silently skip the invariant checks).
     pub fn with_audit(mut self, level: AuditLevel) -> Self {
         self.audit = Some(level);
@@ -194,12 +277,18 @@ impl Sweeper {
         &self.metrics
     }
 
+    /// Keys queued or running.
+    pub fn pending(&self) -> usize {
+        self.pool.lock().pending()
+    }
+
     /// Runs all points and returns their results in input order.
     ///
-    /// Every point is probed in the cache first; the misses then go to
-    /// the resident pool, and their outcomes come back by index over one
-    /// channel. The output is a pure function of `points` — worker count
-    /// and scheduling never show.
+    /// The points go to [`submit`](Self::submit) as one batch, and
+    /// their outcomes come back by index over one channel: a repeated
+    /// point simulates once, and a point an earlier sweep finished is
+    /// not simulated again. The output is a pure function of `points` —
+    /// worker count and scheduling never show.
     ///
     /// # Panics
     ///
@@ -211,24 +300,28 @@ impl Sweeper {
         for name in [
             "sweep/points_total",
             "sweep/cache_hits",
+            "sweep/deduped",
             "sweep/cache_misses",
             "sweep/simulated",
         ] {
             self.metrics.register(name);
         }
-        let mut slots: Vec<Option<PointOutcome>> =
-            points.iter().map(|p| self.cached(p).map(Ok)).collect();
+        let mut slots: Vec<Option<PointOutcome>> = points.iter().map(|_| None).collect();
         let (tx, rx) = mpsc::channel();
-        for (i, point) in points.into_iter().enumerate() {
-            if slots[i].is_none() {
+        let batch = points
+            .into_iter()
+            .enumerate()
+            .map(|(i, point)| {
                 let tx = tx.clone();
-                self.submit(point, move |outcome| {
-                    // `run` holds the receiver until every callback ran.
+                // `run` holds the receiver until every callback ran.
+                (point, move |outcome| {
                     let _ = tx.send((i, outcome));
-                });
-            }
-        }
+                })
+            })
+            .collect();
         drop(tx);
+        self.submit(batch, usize::MAX)
+            .expect("an unbounded batch is always admitted");
         for (i, outcome) in rx {
             slots[i] = Some(outcome);
         }
@@ -245,89 +338,151 @@ impl Sweeper {
             .collect()
     }
 
-    /// Probes the result cache for `point` without scheduling anything.
+    /// Submits a batch of points, each with the callback that receives
+    /// its outcome, if queueing the batch's new keys leaves at most
+    /// `max_pending` keys queued or running; otherwise nothing of the
+    /// batch is submitted.
     ///
-    /// The audit override is applied before the key is computed, exactly
-    /// as [`submit`](Self::submit) does, so a probe and a later submit of
-    /// the same point agree on the key. A hit counts into
-    /// `sweep/points_total` and `sweep/cache_hits`; a miss counts
-    /// nothing (the caller is expected to `submit`, which does).
-    pub fn cached(&self, point: &SweepPoint) -> Option<RunResult> {
-        let cache = self.cache.as_ref()?;
-        let key = match self.audit {
-            Some(level) => {
-                let mut p = point.clone();
-                p.cfg.audit = level;
-                p.key()
+    /// Each point (after the audit override, which is part of its key)
+    /// attaches to its key if that is pending, or is answered from the
+    /// key's finished result in the table or on disk, or is queued as a
+    /// new pending key. Answered callbacks run before `submit` returns,
+    /// outside the table lock, and a batch that is all answered never
+    /// starts the pool. The pool's `jobs` workers start on the first
+    /// queued point and park on a condvar between points, so neither a
+    /// batch sweep nor a long-running server ever re-warms them. Every
+    /// other callback runs on the worker that simulated its key, after
+    /// the result reached the disk cache: it must be short and must not
+    /// panic.
+    pub fn submit<F>(
+        &self,
+        batch: Vec<(SweepPoint, F)>,
+        max_pending: usize,
+    ) -> Result<(), QueueFull>
+    where
+        F: FnOnce(PointOutcome) + Send + 'static,
+    {
+        let keyed: Vec<(u64, SweepPoint, F)> = batch
+            .into_iter()
+            .map(|(mut point, done)| {
+                if let Some(level) = self.audit {
+                    point.cfg.audit = level;
+                }
+                (point.key(), point, done)
+            })
+            .collect();
+        let mut answered = Vec::new();
+        let (mut attached, mut queued) = (0, 0);
+        {
+            let mut table = self.pool.lock();
+            // Count the batch's new keys before changing any pending
+            // key, so a refused batch leaves nothing behind. A disk hit
+            // joins the table at once: it is a finished result either
+            // way.
+            let mut fresh = HashSet::new();
+            for (key, _, _) in &keyed {
+                if table.entries.contains_key(key) || fresh.contains(key) {
+                    continue;
+                }
+                match self.cache.as_ref().and_then(|c| c.load(*key)) {
+                    Some(result) => table.keep(*key, Arc::new(result), KEPT_RESULTS),
+                    None => {
+                        fresh.insert(*key);
+                    }
+                }
             }
-            None => point.key(),
-        };
-        let hit = cache.load(key)?;
-        let m = &self.metrics;
-        m.inc(m.register("sweep/points_total"));
-        m.inc(m.register("sweep/cache_hits"));
-        Some(hit)
-    }
-
-    /// Schedules one point on the engine's resident pool; a pool worker
-    /// calls `done` with its outcome.
-    ///
-    /// The pool's `jobs` workers start on the first submit and park on a
-    /// condvar between jobs, so neither a batch sweep nor a long-running
-    /// server ever re-warms them. The cache (if configured) is *not*
-    /// probed here — callers that want the fast path probe
-    /// [`cached`](Self::cached) first — but a successful simulation is
-    /// stored to it *before* `done` runs. `done` runs on the worker
-    /// thread: it must be short and must not panic.
-    pub fn submit(&self, mut point: SweepPoint, done: impl FnOnce(PointOutcome) + Send + 'static) {
-        if let Some(level) = self.audit {
-            point.cfg.audit = level;
+            let pending = table.pending();
+            if pending + fresh.len() > max_pending {
+                return Err(QueueFull {
+                    pending,
+                    fresh: fresh.len(),
+                });
+            }
+            for (key, point, done) in keyed {
+                match table.entries.get_mut(&key) {
+                    Some(Entry::Pending(waiting)) => {
+                        attached += 1;
+                        waiting.push(Box::new(done));
+                    }
+                    Some(Entry::Finished(result)) => answered.push((done, Arc::clone(result))),
+                    None => {
+                        queued += 1;
+                        table
+                            .entries
+                            .insert(key, Entry::Pending(vec![Box::new(done)]));
+                        table.queue.push_back((key, point));
+                    }
+                }
+            }
         }
+        let hits = answered.len();
         let m = &self.metrics;
-        m.inc(m.register("sweep/points_total"));
-        m.inc(m.register("sweep/cache_misses"));
-        let pool = self.resident.get_or_init(|| self.spawn_resident_pool());
-        pool.queue
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .jobs
-            .push_back((point, Box::new(done)));
-        pool.ready.notify_one();
+        m.add(
+            m.register("sweep/points_total"),
+            (hits + attached + queued) as u64,
+        );
+        m.add(m.register("sweep/cache_hits"), hits as u64);
+        m.add(m.register("sweep/deduped"), attached as u64);
+        m.add(m.register("sweep/cache_misses"), queued as u64);
+        if queued > 0 {
+            self.pool_started.call_once(|| self.start_pool());
+            self.pool.ready.notify_all();
+        }
+        for (done, result) in answered {
+            done(Ok(Arc::unwrap_or_clone(result)));
+        }
+        Ok(())
     }
 
-    fn spawn_resident_pool(&self) -> Arc<ResidentPool> {
-        let pool = Arc::new(ResidentPool::default());
-        let sim_id = self.metrics.register("sweep/simulated");
+    fn start_pool(&self) {
+        let m = &self.metrics;
+        let sim_id = m.register("sweep/simulated");
+        let failed_id = m.register("sweep/failed");
+        let events_id = m.register("sweep/last_run/events");
+        let wall_id = m.register("sweep/last_run/wall_ns");
         for w in 0..self.jobs {
-            let worker_id = self.metrics.register(&format!("sweep/worker-{w}/points"));
-            let pool = Arc::clone(&pool);
-            let metrics = self.metrics.clone();
+            let worker_id = m.register(&format!("sweep/worker-{w}/points"));
+            let pool = Arc::clone(&self.pool);
+            let metrics = m.clone();
             let cache = self.cache.clone();
             thread::Builder::new()
                 .name(format!("sweep-pool-{w}"))
                 .spawn(move || {
-                    while let Some((point, done)) = pool.next_job() {
-                        let key = point.key();
-                        // A panicking simulation fails only its own point:
-                        // `done` gets the panic message, and the worker
-                        // goes on serving the queue.
+                    while let Some((key, point)) = pool.next_job() {
+                        let start = Instant::now();
+                        // A panicking simulation fails only its own key:
+                        // its callbacks get the panic message, and the
+                        // worker goes on serving the queue.
                         let outcome = panic::catch_unwind(AssertUnwindSafe(|| point.simulate()))
                             .map_err(|payload| panic_message(payload.as_ref()));
-                        if let Ok(result) = &outcome {
-                            if let Some(c) = &cache {
-                                // Best-effort: an unwritable cache directory
-                                // slows reruns down, it does not fail them.
-                                let _ = c.store(key, result);
+                        match &outcome {
+                            Ok(result) => {
+                                if let Some(c) = &cache {
+                                    // Best-effort: an unwritable cache
+                                    // directory slows reruns down, it
+                                    // does not fail them.
+                                    let _ = c.store(key, result);
+                                }
+                                metrics.set(events_id, result.events);
+                                metrics.set(wall_id, start.elapsed().as_nanos() as u64);
+                                metrics.inc(sim_id);
+                                metrics.inc(worker_id);
                             }
-                            metrics.inc(sim_id);
-                            metrics.inc(worker_id);
+                            Err(_) => metrics.inc(failed_id),
                         }
-                        done(outcome);
+                        let kept = outcome.as_ref().ok().map(|r| Arc::new(r.clone()));
+                        let mut waiting = pool.lock().settle(key, kept, KEPT_RESULTS);
+                        let last = waiting.pop();
+                        for done in waiting {
+                            done(outcome.clone());
+                        }
+                        if let Some(done) = last {
+                            done(outcome);
+                        }
                     }
                 })
                 .expect("spawn resident pool worker");
         }
-        pool
     }
 
     /// Formats a one-line summary of the engine's lifetime counters
@@ -341,14 +496,16 @@ impl Sweeper {
         if total == 0 {
             return None;
         }
-        let hits = report.final_value("sweep/cache_hits").unwrap_or(0);
-        let simulated = report.final_value("sweep/simulated").unwrap_or(0);
+        let count = |name| report.final_value(name).unwrap_or(0);
         let cache = match self.cache_dir() {
             Some(d) => format!("{}", d.display()),
             None => "off".to_string(),
         };
         Some(format!(
-            "[sweep: {total} points, {hits} cache hits, {simulated} simulated, jobs={}, cache={cache}]",
+            "[sweep: {total} points, {} cache hits, {} simulated, {} deduped, jobs={}, cache={cache}]",
+            count("sweep/cache_hits"),
+            count("sweep/simulated"),
+            count("sweep/deduped"),
             self.jobs
         ))
     }
@@ -356,13 +513,8 @@ impl Sweeper {
 
 impl Drop for Sweeper {
     fn drop(&mut self) {
-        if let Some(pool) = self.resident.get() {
-            pool.queue
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .closed = true;
-            pool.ready.notify_all();
-        }
+        self.pool.lock().closed = true;
+        self.pool.ready.notify_all();
     }
 }
 
@@ -387,7 +539,7 @@ mod tests {
     use super::*;
     use ndpb_core::design::DesignPoint;
     use ndpb_dram::Geometry;
-    use std::time::{Duration, Instant};
+    use std::time::Duration;
 
     /// How long a test waits for one outcome before calling the pool
     /// stuck.
@@ -415,15 +567,25 @@ mod tests {
         results.iter().map(RunResult::to_json).collect()
     }
 
-    /// Submits every point with a callback that reports back by index.
+    fn count(sw: &Sweeper, name: &str) -> Option<u64> {
+        sw.metrics().live_report().final_value(name)
+    }
+
+    /// Submits every point, unbounded, with a callback that reports
+    /// back by index.
     fn submit_all(sw: &Sweeper, points: Vec<SweepPoint>) -> mpsc::Receiver<(usize, PointOutcome)> {
         let (tx, rx) = mpsc::channel();
-        for (i, p) in points.into_iter().enumerate() {
-            let tx = tx.clone();
-            sw.submit(p, move |outcome| {
-                let _ = tx.send((i, outcome));
-            });
-        }
+        let batch = points
+            .into_iter()
+            .enumerate()
+            .map(|(i, p)| {
+                let tx = tx.clone();
+                (p, move |outcome| {
+                    let _ = tx.send((i, outcome));
+                })
+            })
+            .collect();
+        sw.submit(batch, usize::MAX).expect("unbounded");
         rx
     }
 
@@ -437,6 +599,25 @@ mod tests {
             slots[i] = Some(outcome);
         }
         slots.into_iter().map(Option::unwrap).collect()
+    }
+
+    /// Parks the one worker of `sw` in a callback until the returned
+    /// gate is opened: every point submitted meanwhile stays pending.
+    fn park_worker(sw: &Sweeper) -> mpsc::Sender<()> {
+        let (gate, parked) = mpsc::channel::<()>();
+        let (arrived, at_gate) = mpsc::channel::<()>();
+        sw.submit(
+            vec![(point("tree"), move |_| {
+                let _ = arrived.send(());
+                let _ = parked.recv();
+            })],
+            usize::MAX,
+        )
+        .expect("unbounded");
+        at_gate
+            .recv_timeout(PATIENCE)
+            .expect("the worker reached the gate");
+        gate
     }
 
     #[test]
@@ -565,9 +746,9 @@ mod tests {
             .map(|o| o.expect("valid point").to_json())
             .collect();
         assert_eq!(got, batch, "resident pool must reproduce batch output");
-        let report = sw.metrics().live_report();
-        assert_eq!(report.final_value("sweep/simulated"), Some(6));
-        assert_eq!(report.final_value("sweep/points_total"), Some(6));
+        assert_eq!(count(&sw, "sweep/simulated"), Some(6));
+        assert_eq!(count(&sw, "sweep/points_total"), Some(6));
+        assert_eq!(sw.pending(), 0);
     }
 
     #[test]
@@ -590,28 +771,163 @@ mod tests {
     }
 
     #[test]
-    fn cached_probe_hits_after_submit_and_respects_audit_override() {
+    fn concurrent_submits_of_one_key_simulate_once() {
+        let sw = Sweeper::new(1);
+        let gate = park_worker(&sw);
+        // The only worker is parked, so the key stays pending while two
+        // threads submit it: one queues it, the other attaches.
+        let rxs: Vec<_> = thread::scope(|s| {
+            let submits: Vec<_> = (0..2)
+                .map(|_| s.spawn(|| submit_all(&sw, vec![point("ll")])))
+                .collect();
+            submits.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(sw.pending(), 1, "one shared key");
+        assert_eq!(count(&sw, "sweep/deduped"), Some(1));
+        gate.send(()).expect("the worker is parked on the gate");
+        let got: Vec<String> = rxs
+            .iter()
+            .map(|rx| outcomes(rx, 1).remove(0).expect("valid point").to_json())
+            .collect();
+        assert_eq!(got[0], got[1]);
+        assert_eq!(got[0], point("ll").simulate().to_json());
+        assert_eq!(count(&sw, "sweep/simulated"), Some(2), "tree and ll once");
+        assert_eq!(sw.pending(), 0);
+    }
+
+    #[test]
+    fn a_finished_key_answers_at_submit_without_simulating() {
+        let sw = Sweeper::new(2);
+        let live = sw.run(vec![point("ll")]).remove(0);
+        let rx = submit_all(&sw, vec![point("ll")]);
+        let (_, hit) = rx.try_recv().expect("answered before submit returned");
+        assert_eq!(hit.expect("a kept result").to_json(), live.to_json());
+        assert_eq!(count(&sw, "sweep/simulated"), Some(1));
+        assert_eq!(count(&sw, "sweep/cache_hits"), Some(1));
+        assert_eq!(sw.pending(), 0);
+    }
+
+    #[test]
+    fn a_panic_fails_every_attached_callback_and_can_be_resubmitted() {
+        let sw = Sweeper::new(1);
+        let gate = park_worker(&sw);
+        let rx = submit_all(&sw, vec![point("no-such-app"), point("no-such-app")]);
+        assert_eq!(count(&sw, "sweep/deduped"), Some(1));
+        gate.send(()).expect("the worker is parked on the gate");
+        for outcome in outcomes(&rx, 2) {
+            let msg = outcome.expect_err("an unknown app cannot simulate");
+            assert!(msg.contains("unknown application"), "{msg}");
+        }
+        assert_eq!(count(&sw, "sweep/failed"), Some(1));
+        assert_eq!(sw.pending(), 0, "a failed key leaves the table");
+        // Nothing was kept, so the resubmission simulates (and fails)
+        // again instead of being answered.
+        let again = outcomes(&submit_all(&sw, vec![point("no-such-app")]), 1);
+        assert!(again[0].is_err());
+        assert_eq!(count(&sw, "sweep/failed"), Some(2));
+        assert_eq!(count(&sw, "sweep/cache_hits"), Some(0));
+    }
+
+    #[test]
+    fn the_table_evicts_its_oldest_result_beyond_the_bound() {
+        let result = Arc::new(point("ll").simulate());
+        let mut table = Table::default();
+        for key in 1..=3 {
+            table.keep(key, result.clone(), 2);
+        }
+        assert!(!table.entries.contains_key(&1), "the oldest is evicted");
+        assert!(table.entries.contains_key(&2) && table.entries.contains_key(&3));
+        assert_eq!(table.finished, [2, 3]);
+        // A pending key is never evicted and counts as pending.
+        table.entries.insert(9, Entry::Pending(Vec::new()));
+        table.keep(4, result, 2);
+        assert!(table.entries.contains_key(&9));
+        assert_eq!(table.pending(), 1);
+        assert_eq!(table.finished, [3, 4]);
+    }
+
+    #[test]
+    fn a_repeated_point_in_one_run_simulates_once() {
+        let sw = Sweeper::new(2);
+        let r = sw.run(vec![point("ll"), point("spmv"), point("ll")]);
+        assert_eq!(r[0].to_json(), r[2].to_json());
+        assert_eq!(r[1].app, "spmv");
+        assert_eq!(count(&sw, "sweep/simulated"), Some(2));
+        assert_eq!(count(&sw, "sweep/deduped"), Some(1));
+        assert_eq!(count(&sw, "sweep/points_total"), Some(3));
+        assert!(sw.summary().unwrap().contains("2 simulated, 1 deduped"));
+        // A second sweep over the same points is answered from the table.
+        let again = sw.run(vec![point("spmv"), point("ll")]);
+        assert_eq!(again[1].to_json(), r[0].to_json());
+        assert_eq!(count(&sw, "sweep/simulated"), Some(2));
+        assert_eq!(count(&sw, "sweep/cache_hits"), Some(2));
+    }
+
+    #[test]
+    fn a_bounded_submit_is_refused_whole() {
+        let sw = Sweeper::new(1);
+        let gate = park_worker(&sw);
+        // Two new keys and a repeat of one need two pending slots.
+        let batch = || vec![point("ll"), point("spmv"), point("ll")];
+        let refused = sw.submit(batch().into_iter().map(|p| (p, |_| {})).collect(), 1);
+        assert_eq!(
+            refused,
+            Err(QueueFull {
+                pending: 0,
+                fresh: 2
+            })
+        );
+        assert_eq!(sw.pending(), 0, "a refused batch leaves nothing behind");
+        assert_eq!(count(&sw, "sweep/points_total"), Some(1));
+        let rx = {
+            let (tx, rx) = mpsc::channel();
+            let batch = batch()
+                .into_iter()
+                .map(|p| {
+                    let tx = tx.clone();
+                    (p, move |o: PointOutcome| {
+                        let _ = tx.send(o.is_ok());
+                    })
+                })
+                .collect();
+            sw.submit(batch, 2).expect("within the bound");
+            rx
+        };
+        assert_eq!(sw.pending(), 2);
+        gate.send(()).expect("the worker is parked on the gate");
+        for _ in 0..3 {
+            assert_eq!(rx.recv_timeout(PATIENCE), Ok(true));
+        }
+    }
+
+    #[test]
+    fn a_disk_hit_answers_at_submit_without_starting_the_pool() {
         let dir = std::env::temp_dir().join(format!("ndpb-submit-cache-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
 
         let sw = Sweeper::new(2).with_cache(&dir).with_audit(AuditLevel::Off);
-        let p = point("ll");
-        assert!(sw.cached(&p).is_none(), "cold cache misses");
-        let live = outcomes(&submit_all(&sw, vec![p.clone()]), 1)
+        let live = outcomes(&submit_all(&sw, vec![point("ll")]), 1)
             .remove(0)
             .expect("valid point");
-        let hit = sw.cached(&p).expect("submit populated the cache");
-        assert_eq!(hit.to_json(), live.to_json());
+
+        let warm = Sweeper::new(2).with_cache(&dir).with_audit(AuditLevel::Off);
+        let rx = submit_all(&warm, vec![point("ll")]);
+        let (_, hit) = rx.try_recv().expect("answered before submit returned");
+        assert_eq!(hit.expect("a stored result").to_json(), live.to_json());
+        assert_eq!(count(&warm, "sweep/cache_hits"), Some(1));
+        assert_eq!(
+            count(&warm, "sweep/simulated"),
+            None,
+            "the pool never started"
+        );
 
         // A different audit level keys differently, so it misses.
         let audited = Sweeper::new(2)
             .with_cache(&dir)
             .with_audit(AuditLevel::Full);
-        assert!(audited.cached(&p).is_none());
-
-        let report = sw.metrics().live_report();
-        assert_eq!(report.final_value("sweep/cache_hits"), Some(1));
-        assert_eq!(report.final_value("sweep/points_total"), Some(2));
+        outcomes(&submit_all(&audited, vec![point("ll")]), 1);
+        assert_eq!(count(&audited, "sweep/cache_hits"), Some(0));
+        assert_eq!(count(&audited, "sweep/simulated"), Some(1));
 
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -625,10 +941,7 @@ mod tests {
         let sw = Sweeper::new(1).with_cache(&dir);
         // The one worker parks in this point's callback until the gate
         // opens, so every point below is still queued at the drop.
-        let (gate, parked) = mpsc::channel::<()>();
-        sw.submit(point("ll"), move |_| {
-            let _ = parked.recv();
-        });
+        let gate = park_worker(&sw);
         let rx = submit_all(&sw, points());
         drop(sw);
         gate.send(()).expect("the worker is parked on the gate");
@@ -638,7 +951,8 @@ mod tests {
             .collect();
         assert_eq!(got, batch);
         let warm = Sweeper::new(1).with_cache(&dir);
-        assert!(points().iter().all(|p| warm.cached(p).is_some()));
+        assert_eq!(fingerprint(&warm.run(points())), batch);
+        assert_eq!(count(&warm, "sweep/cache_hits"), Some(6));
 
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -647,7 +961,7 @@ mod tests {
     fn every_worker_exits_once_its_sweeper_is_dropped() {
         let sw = Sweeper::new(3);
         outcomes(&submit_all(&sw, vec![point("ll")]), 1);
-        let pool = Arc::downgrade(sw.resident.get().expect("submit started the pool"));
+        let pool = Arc::downgrade(&sw.pool);
         drop(sw);
         // Each worker holds the pool until its loop returns.
         let deadline = Instant::now() + PATIENCE;

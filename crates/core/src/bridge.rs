@@ -200,23 +200,23 @@ impl RankBridge {
 
     /// Children whose queue (plus in-flight correction when enabled)
     /// falls below `threshold` — the load-balancing receivers.
-    pub fn idle_children(&self, threshold: u64, correction: bool) -> Vec<usize> {
-        (0..self.children())
-            .filter(|&i| {
-                let mut w = self.child_state[i].queue_workload;
-                if correction {
-                    w += self.to_arrive[i];
-                }
-                w < threshold.max(1)
-            })
-            .collect()
+    pub fn idle_children(
+        &self,
+        threshold: u64,
+        correction: bool,
+    ) -> impl Iterator<Item = usize> + '_ {
+        (0..self.children()).filter(move |&i| {
+            let mut w = self.child_state[i].queue_workload;
+            if correction {
+                w += self.to_arrive[i];
+            }
+            w < threshold.max(1)
+        })
     }
 
     /// Children with work to give (queue above `threshold`).
-    pub fn busy_children(&self, threshold: u64) -> Vec<usize> {
-        (0..self.children())
-            .filter(|&i| self.child_state[i].queue_workload > threshold)
-            .collect()
+    pub fn busy_children(&self, threshold: u64) -> impl Iterator<Item = usize> + '_ {
+        (0..self.children()).filter(move |&i| self.child_state[i].queue_workload > threshold)
     }
 
     /// Updates the execution-speed EWMA from one interval's finished
@@ -377,11 +377,11 @@ mod tests {
         b.child_state[1].queue_workload = 100;
         b.to_arrive[0] = 50;
         // Without correction unit 0 is idle below threshold 10.
-        assert!(b.idle_children(10, false).contains(&0));
+        assert!(b.idle_children(10, false).any(|i| i == 0));
         // With correction its 50 in-flight workload disqualifies it.
-        assert!(!b.idle_children(10, true).contains(&0));
-        assert!(b.busy_children(10).contains(&1));
-        assert!(!b.busy_children(10).contains(&0));
+        assert!(!b.idle_children(10, true).any(|i| i == 0));
+        assert!(b.busy_children(10).any(|i| i == 1));
+        assert!(!b.busy_children(10).any(|i| i == 0));
     }
 
     #[test]

@@ -124,12 +124,30 @@ pub struct System {
     exec_ctx: ExecCtx,
     /// Free list of child-id `Vec`s riding [`Ev::TaskDone`] events.
     spawn_pool: crate::pool::BufPool<TaskId>,
+    /// Recycled buffers of the load-balancing rounds, so a round
+    /// allocates nothing once they have grown.
+    lb_scratch: LbScratch,
     /// Event-loop phase profile, armed by [`System::set_profile`] and
     /// surfaced as [`RunResult::profile`]. Deliberately *not* part of
     /// [`SystemConfig`]: the config's debug representation is hashed
     /// into cache fingerprints, and a wall-clock measurement toggle
     /// must never change a result's identity.
     profile: Option<ProfileStats>,
+}
+
+/// Recycled buffers of `System::lb_rank` and `System::lb_cross_rank`.
+#[derive(Default)]
+struct LbScratch {
+    /// Idle units (receivers) of a rank, or idle ranks.
+    idle: Vec<usize>,
+    /// Busy units (givers) of a rank, or busy ranks.
+    busy: Vec<usize>,
+    /// (giver, budget) per matched giver, in first-matched order.
+    budgets: Vec<(usize, u64)>,
+    /// (index into `budgets`, receiver), in receiver order.
+    matches: Vec<(usize, usize)>,
+    /// The receivers handed to one `schedule_giver` call.
+    recvs: Vec<usize>,
 }
 
 /// Per-cause attribution of communication-DRAM traffic. Every byte
@@ -374,6 +392,7 @@ impl System {
             vec_pool: crate::pool::BufPool::new(),
             exec_ctx: ExecCtx::new(ndpb_dram::UnitId(0)),
             spawn_pool,
+            lb_scratch: LbScratch::default(),
             profile: None,
         }
     }
@@ -1385,12 +1404,26 @@ impl System {
     /// Rank-level load balancing (Figure 6): match idle receivers to
     /// random givers, SCHEDULE budgets, move blocks + tasks.
     fn lb_rank(&mut self, r: usize, now: SimTime) {
+        let mut scratch = std::mem::take(&mut self.lb_scratch);
+        self.lb_rank_in(r, now, &mut scratch);
+        self.lb_scratch = scratch;
+    }
+
+    fn lb_rank_in(&mut self, r: usize, now: SimTime, s: &mut LbScratch) {
+        let LbScratch {
+            idle: receivers,
+            busy: givers,
+            budgets,
+            matches,
+            recvs,
+        } = s;
         let w_th = if self.lb.in_advance {
             self.rank_w_threshold(r)
         } else {
             1 // steal only when the queue is empty
         };
-        let receivers = self.bridges[r].idle_children(w_th, self.lb.workload_correction);
+        receivers.clear();
+        receivers.extend(self.bridges[r].idle_children(w_th, self.lb.workload_correction));
         if receivers.is_empty() {
             return;
         }
@@ -1399,15 +1432,18 @@ impl System {
         } else {
             w_th.max(1)
         };
-        let givers = self.bridges[r].busy_children(giver_floor);
+        givers.clear();
+        givers.extend(self.bridges[r].busy_children(giver_floor));
         if givers.is_empty() {
             return;
         }
         self.metrics.inc(self.m.bridge_lb_rounds);
         let base = r * self.cfg.geometry.units_per_rank() as usize;
-        // Random matching: receiver → giver; budgets accumulate per giver.
-        let mut budgets: Vec<(usize, u64, Vec<usize>)> = Vec::new(); // (giver, budget, receivers)
-        for &recv in &receivers {
+        // Random matching: receiver → giver; budgets accumulate per
+        // giver, in the order givers are first matched.
+        budgets.clear();
+        matches.clear();
+        for &recv in receivers.iter() {
             let gi = self.bridges[r].rng.next_index(givers.len());
             let giver = givers[gi];
             if giver == recv {
@@ -1421,19 +1457,30 @@ impl System {
             if amount == 0 {
                 continue;
             }
-            match budgets.iter_mut().find(|(g2, _, _)| *g2 == giver) {
-                Some((_, b, rs)) => {
-                    *b += amount;
-                    rs.push(recv);
+            let slot = match budgets.iter().position(|&(g, _)| g == giver) {
+                Some(k) => {
+                    budgets[k].1 += amount;
+                    k
                 }
-                None => budgets.push((giver, amount, vec![recv])),
-            }
+                None => {
+                    budgets.push((giver, amount));
+                    budgets.len() - 1
+                }
+            };
+            matches.push((slot, recv));
         }
-        for (giver, budget, recvs) in budgets {
+        for (k, &(giver, budget)) in budgets.iter().enumerate() {
+            recvs.clear();
+            recvs.extend(
+                matches
+                    .iter()
+                    .filter(|&&(slot, _)| slot == k)
+                    .map(|&(_, recv)| recv),
+            );
             // Traditional stealing takes at most half the victim's queue
             // per round, no matter how many receivers matched to it.
             let cap = (self.bridges[r].child_state[giver].queue_workload / 2).max(1);
-            self.schedule_giver(r, base + giver, budget.min(cap), &recvs, now, false);
+            self.schedule_giver(r, base + giver, budget.min(cap), recvs, now, false);
         }
     }
 
@@ -1696,33 +1743,46 @@ impl System {
     }
 
     fn lb_cross_rank(&mut self, now: SimTime) {
+        let mut scratch = std::mem::take(&mut self.lb_scratch);
+        self.lb_cross_rank_in(now, &mut scratch);
+        self.lb_scratch = scratch;
+    }
+
+    fn lb_cross_rank_in(&mut self, now: SimTime, s: &mut LbScratch) {
+        let LbScratch {
+            idle: idle_ranks,
+            busy: busy_ranks,
+            recvs,
+            ..
+        } = s;
         let ranks = self.bridges.len();
         let w_th_global: u64 = (0..ranks)
             .map(|r| self.rank_w_threshold(r))
             .max()
             .unwrap_or(1);
-        let idle_ranks: Vec<usize> = (0..ranks)
-            .filter(|&r| {
-                let mut w = self.host.rank_queue_workload[r];
-                if self.lb.workload_correction {
-                    w += self.host.to_arrive[r];
-                }
-                // Every unit idle: aggregate under one unit's threshold.
-                w < w_th_global.max(1)
-            })
-            .collect();
+        idle_ranks.clear();
+        idle_ranks.extend((0..ranks).filter(|&r| {
+            let mut w = self.host.rank_queue_workload[r];
+            if self.lb.workload_correction {
+                w += self.host.to_arrive[r];
+            }
+            // Every unit idle: aggregate under one unit's threshold.
+            w < w_th_global.max(1)
+        }));
         if idle_ranks.is_empty() {
             return;
         }
         let upr = self.cfg.geometry.units_per_rank() as u64;
-        let busy_ranks: Vec<usize> = (0..ranks)
-            .filter(|&r| self.host.rank_queue_workload[r] > 4 * w_th_global.max(1) * upr / 8)
-            .collect();
+        busy_ranks.clear();
+        busy_ranks.extend(
+            (0..ranks)
+                .filter(|&r| self.host.rank_queue_workload[r] > 4 * w_th_global.max(1) * upr / 8),
+        );
         if busy_ranks.is_empty() {
             return;
         }
         self.metrics.inc(self.m.host_lb_rounds);
-        for &recv_rank in &idle_ranks {
+        for &recv_rank in idle_ranks.iter() {
             let gi = self.host.rng.next_index(busy_ranks.len());
             let giver_rank = busy_ranks[gi];
             if giver_rank == recv_rank {
@@ -1745,14 +1805,16 @@ impl System {
                 .unwrap_or(0);
             // Receivers: idle units of the receiving rank.
             let rbase = recv_rank * self.cfg.geometry.units_per_rank() as usize;
-            let recvs: Vec<usize> = (0..self.cfg.geometry.units_per_rank() as usize)
-                .filter(|&i| self.bridges[recv_rank].child_state[i].queue_workload == 0)
-                .map(|i| rbase + i)
-                .collect();
+            recvs.clear();
+            recvs.extend(
+                (0..self.cfg.geometry.units_per_rank() as usize)
+                    .filter(|&i| self.bridges[recv_rank].child_state[i].queue_workload == 0)
+                    .map(|i| rbase + i),
+            );
             if recvs.is_empty() {
                 continue;
             }
-            self.schedule_giver(giver_rank, gbase + giver_local, budget, &recvs, now, true);
+            self.schedule_giver(giver_rank, gbase + giver_local, budget, recvs, now, true);
         }
     }
 

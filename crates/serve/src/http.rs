@@ -14,12 +14,14 @@
 
 use std::io::{self, BufRead, Read, Write};
 
-/// Cap on header block and body sizes: the service's real requests are
-/// tiny, so anything huge is a mistake or abuse, not a workload. The
-/// first line carries a line-protocol `run {...}` body, so it gets the
-/// body cap; header lines share the header cap.
-const MAX_HEADER_BYTES: usize = 16 * 1024;
-const MAX_BODY_BYTES: usize = 1024 * 1024;
+/// Cap on the header block of one request: the service's real requests
+/// are tiny, so anything huge is a mistake or abuse, not a workload.
+/// Header lines share it.
+pub const MAX_HEADER_BYTES: usize = 16 * 1024;
+
+/// Cap on a request body, and on the first line, which carries a
+/// line-protocol `run {...}` body.
+pub const MAX_BODY_BYTES: usize = 1024 * 1024;
 
 /// One parsed inbound request, either HTTP or line-protocol.
 #[derive(Debug)]

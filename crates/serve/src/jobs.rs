@@ -1,17 +1,14 @@
-//! The job subsystem: typed requests, admission control, and the
-//! dedup/fan-out layer between HTTP handlers and the sweep pool.
+//! The job subsystem: typed requests and the jobs that collect their
+//! points' outcomes.
 //!
 //! A request names one or more (app × design) cells at one scale; each
-//! cell becomes a [`SweepPoint`] whose content-addressed key (the same
-//! key the on-disk cache uses) also identifies it for *in-flight
-//! deduplication*: all concurrently submitted requests for one key
-//! share a single [`PointCell`], the simulation runs exactly once, and
-//! the result fans back out to every attached job. Keys whose result is
-//! already on disk are served straight from the cache and never touch
-//! the pool.
+//! cell becomes a [`SweepPoint`], which admission submits to the
+//! `Sweeper`. The sweeper's key table shares one simulation among every
+//! request for the same key and answers finished keys at once; each
+//! job keeps one [`PointCell`] per point, filled by the point's
+//! callback.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 use ndpb_bench::json::Json;
 use ndpb_bench::{Column, SweepPoint};
@@ -159,14 +156,12 @@ impl RunRequest {
     }
 }
 
-/// The rendezvous for one in-flight (or already-served) point: set
-/// exactly once — by the pool worker that ran the point, or at admission
-/// on a cache hit — with the result's JSON or the message its
-/// simulation failed with, then read by every job that attached to it.
+/// One point of a job: set exactly once — by the pool worker that ran
+/// the point's key, or at admission when the key had finished — with
+/// the result's JSON or the message its simulation failed with.
 pub type PointCell = OnceLock<Result<String, String>>;
 
-/// One accepted job: an ordered list of point cells (shared with other
-/// jobs that requested the same points).
+/// One accepted job: an ordered list of point cells.
 #[derive(Debug, Clone)]
 pub struct Job {
     /// Cells in request point order.
@@ -247,12 +242,6 @@ pub(crate) fn escape_json(s: &str) -> String {
     }
     out
 }
-
-/// The in-flight dedup table: point key → the cell its simulation will
-/// fill. Entries are removed *after* the cell is filled and the result
-/// is stored in the on-disk cache, so a key is always obtainable from
-/// exactly one of {inflight table, cache} once submitted.
-pub type Inflight = Mutex<HashMap<u64, Arc<PointCell>>>;
 
 #[cfg(test)]
 mod tests {

@@ -5,38 +5,35 @@
 //! CLI into a long-running server. The pipeline per request is
 //!
 //! ```text
-//! admission → dedup/batch → resident pool → result cache
+//! admission → the Sweeper's key table → resident pool → result cache
 //! ```
 //!
-//! * **Admission** bounds the number of unique in-flight points
+//! * **Admission** bounds the number of unique pending points
 //!   (`max_queue`, 429 on overflow) and the per-request point count
 //!   (`max_points`, 413 on overflow); a draining server answers 503.
-//! * **Dedup** coalesces identical in-flight [`SweepPoint`]s: all
-//!   concurrent requests for one content-addressed key share one
-//!   [`jobs::PointCell`], the simulation runs exactly once, and the
-//!   result fans out to every attached job.
-//! * The **resident pool** is [`Sweeper::submit`], the same worker loop
-//!   the CLI's batch sweeps use. Its workers survive between requests,
-//!   and the worker that ran a point fills the point's cell and releases
-//!   its in-flight key through the submit callback.
-//! * The **cache** serves repeat keys without touching the pool at all:
-//!   pool workers store results on disk *before* completing a point, so
-//!   every submitted key is obtainable from exactly one of
-//!   {in-flight table, cache}.
-//! * A **failed** point (its simulation panicked) leaves the in-flight
-//!   table without a cache entry, so a later request re-runs it; every
-//!   job attached to it reports `"status":"failed"` with the message.
+//!   The queue bound is checked and the request's points submitted in
+//!   one [`Sweeper::submit`] call, so concurrent requests cannot
+//!   overshoot it.
+//! * The **key table** of the [`Sweeper`] does the rest: a point whose
+//!   key is pending attaches to it (`deduped`), a point whose key
+//!   finished in this process or is on disk is answered at admission
+//!   (`cache_hits`), and any other point is queued on the **resident
+//!   pool**, the same worker loop the CLI's batch sweeps use. Each job
+//!   point's callback fills its [`jobs::PointCell`].
+//! * A **failed** point (its simulation panicked) leaves the key table
+//!   without a cache entry, so a later request re-runs it; every job
+//!   attached to it reports `"status":"failed"` with the message.
 //!
 //! Endpoints: `POST /run`, `GET /job/{id}`, `GET /metrics`,
 //! `GET /healthz`, `POST /shutdown`. The same port speaks a one-line
 //! protocol (see [`http`]) so `bash` alone can drive a smoke test.
-//! SIGINT or `/shutdown` drains in-flight jobs before exiting.
+//! SIGINT or `/shutdown` drains pending points before exiting.
 
 pub mod http;
 pub mod jobs;
 
-use std::collections::{BTreeMap, HashMap};
-use std::io::{self, Write as _};
+use std::collections::BTreeMap;
+use std::io::{self, Read, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -44,7 +41,7 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use ndpb_bench::sweep::PointOutcome;
+use ndpb_bench::sweep::{PointOutcome, QueueFull};
 use ndpb_bench::{SweepPoint, Sweeper};
 
 use http::Request;
@@ -57,10 +54,11 @@ pub struct ServerConfig {
     pub port: u16,
     /// Simulation worker count for the resident pool.
     pub jobs: usize,
-    /// Result-cache directory (`None` disables the cache — every
-    /// request simulates, and restarts serve nothing).
+    /// Result-cache directory (`None` disables the disk cache: repeats
+    /// are still answered from the sweeper's key table, but a restart
+    /// starts empty).
     pub cache_dir: Option<PathBuf>,
-    /// Admission bound on unique in-flight points (429 beyond it).
+    /// Admission bound on unique pending points (429 beyond it).
     pub max_queue: usize,
     /// Admission bound on points per request (413 beyond it).
     pub max_points: usize,
@@ -85,40 +83,27 @@ const HTTP_WORKERS: usize = 8;
 /// How often the supervisor thread polls for shutdown/drain progress.
 const POLL: Duration = Duration::from_millis(25);
 
-/// Per-connection read timeout so an idle keep-alive client cannot pin
-/// a worker forever.
-const READ_TIMEOUT: Duration = Duration::from_secs(10);
+/// How long one request may take to arrive, from the start of waiting
+/// for it to the end of its body, so that neither an idle keep-alive
+/// client nor one that trickles bytes can pin an HTTP worker.
+const REQUEST_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Settled (done or failed) jobs kept for `GET /job/{id}`. Admitting a
 /// job evicts the oldest settled ones beyond this; queued and running
 /// jobs are never evicted, and an evicted id answers 404.
 const MAX_SETTLED_JOBS: usize = 1024;
 
-/// Shared server state: the engine, the job/dedup tables, counters.
+/// Shared server state: the engine, the job table, counters.
 #[derive(Debug)]
 pub struct State {
     sweeper: Sweeper,
     /// Jobs by id; ids grow with admission, so the first is the oldest.
     jobs: Mutex<BTreeMap<u64, Job>>,
     next_job: AtomicU64,
-    inflight: jobs::Inflight,
     max_queue: usize,
     max_points: usize,
     accepted: AtomicU64,
     rejected: AtomicU64,
-    deduped: AtomicU64,
-    cache_hits: AtomicU64,
-    // Last-completed-run throughput snapshot (latest writer wins):
-    // simulated event count and submit→completion wall time, surfaced
-    // as events/sec by `/metrics` so a resident server exposes the same
-    // headline number `repro bench` prints. Zeros until a point
-    // completes; cache fast-path hits simulate nothing and leave it
-    // untouched.
-    last_events: AtomicU64,
-    last_wall_ns: AtomicU64,
-    completed: AtomicU64,
-    /// Points whose simulation panicked.
-    failed: AtomicU64,
     shutdown: AtomicBool,
 }
 
@@ -132,17 +117,10 @@ impl State {
             sweeper,
             jobs: Mutex::new(BTreeMap::new()),
             next_job: AtomicU64::new(1),
-            inflight: Mutex::new(HashMap::new()),
             max_queue: cfg.max_queue.max(1),
             max_points: cfg.max_points.max(1),
             accepted: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
-            deduped: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            last_events: AtomicU64::new(0),
-            last_wall_ns: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
         })
     }
@@ -162,16 +140,13 @@ impl State {
         self.shutdown.store(true, Ordering::SeqCst);
     }
 
-    /// Unique in-flight (submitted, not yet completed) points.
+    /// Unique pending (queued or running) points.
     pub fn in_flight(&self) -> u64 {
-        self.inflight
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .len() as u64
+        self.sweeper.pending() as u64
     }
 
     /// Routes one parsed request to its handler; returns (status, body).
-    pub fn dispatch(self: &Arc<Self>, method: &str, path: &str, body: &str) -> (u16, String) {
+    pub fn dispatch(&self, method: &str, path: &str, body: &str) -> (u16, String) {
         match (method, path) {
             ("POST", "/run") => self.handle_run(body),
             ("GET", "/metrics") => (200, self.metrics_json()),
@@ -186,8 +161,8 @@ impl State {
         }
     }
 
-    /// `POST /run`: admission → cache fast path → dedup → pool.
-    fn handle_run(self: &Arc<Self>, body: &str) -> (u16, String) {
+    /// `POST /run`: parse, then admission.
+    fn handle_run(&self, body: &str) -> (u16, String) {
         if self.shutting_down() {
             self.rejected.fetch_add(1, Ordering::SeqCst);
             return (503, err_body("shutting down"));
@@ -201,10 +176,9 @@ impl State {
         }
     }
 
-    /// The post-parse half of `POST /run`: point budget, then per point
-    /// the dedup table, the cache, or a fresh pool submission, and the
-    /// queue bound over the fresh ones.
-    fn admit(self: &Arc<Self>, points: Vec<SweepPoint>) -> (u16, String) {
+    /// The post-parse half of `POST /run`: the point budget, then one
+    /// bounded submit of every point, each filling its job cell.
+    fn admit(&self, points: Vec<SweepPoint>) -> (u16, String) {
         if points.len() > self.max_points {
             self.rejected.fetch_add(1, Ordering::SeqCst);
             return (
@@ -217,51 +191,26 @@ impl State {
             );
         }
 
-        // Classify every point under the in-flight lock so admission,
-        // dedup and the cache fast path are atomic with respect to
-        // concurrent submitters and completions. (Pool workers store a
-        // result to the cache *before* its key leaves the table, so a
-        // key missing here and missing in the cache is genuinely new.)
-        let mut cells: Vec<Arc<PointCell>> = Vec::with_capacity(points.len());
-        let mut fresh: Vec<(u64, SweepPoint, Arc<PointCell>)> = Vec::new();
-        {
-            let mut inflight = self.inflight.lock().unwrap_or_else(|e| e.into_inner());
-            for p in points {
-                let key = p.key();
-                if let Some(cell) = inflight.get(&key) {
-                    self.deduped.fetch_add(1, Ordering::SeqCst);
-                    cells.push(cell.clone());
-                } else if let Some(hit) = self.sweeper.cached(&p) {
-                    self.cache_hits.fetch_add(1, Ordering::SeqCst);
-                    cells.push(Arc::new(PointCell::from(Ok(hit.to_json()))));
-                } else {
-                    let cell = Arc::new(PointCell::new());
-                    cells.push(cell.clone());
-                    fresh.push((key, p, cell));
-                }
-            }
-            if inflight.len() + fresh.len() > self.max_queue {
-                // Reject before submitting anything; attached dedup
-                // cells cost nothing (their owners keep running).
-                self.rejected.fetch_add(1, Ordering::SeqCst);
-                return (
-                    429,
-                    err_body(&format!(
-                        "queue full ({} in flight, {} requested, bound {})",
-                        inflight.len(),
-                        fresh.len(),
-                        self.max_queue
-                    )),
-                );
-            }
-            for (key, point, cell) in fresh {
-                inflight.insert(key, cell.clone());
-                let state = Arc::clone(self);
-                let submitted = Instant::now();
-                self.sweeper.submit(point, move |outcome| {
-                    state.complete(key, &cell, submitted, outcome);
-                });
-            }
+        let cells: Vec<Arc<PointCell>> = points.iter().map(|_| Arc::default()).collect();
+        let batch = points
+            .into_iter()
+            .zip(&cells)
+            .map(|(point, cell)| {
+                let cell = Arc::clone(cell);
+                (point, move |outcome: PointOutcome| {
+                    let _ = cell.set(outcome.map(|result| result.to_json()));
+                })
+            })
+            .collect();
+        if let Err(QueueFull { pending, fresh }) = self.sweeper.submit(batch, self.max_queue) {
+            self.rejected.fetch_add(1, Ordering::SeqCst);
+            return (
+                429,
+                err_body(&format!(
+                    "queue full ({pending} in flight, {fresh} requested, bound {})",
+                    self.max_queue
+                )),
+            );
         }
 
         self.accepted.fetch_add(1, Ordering::SeqCst);
@@ -284,29 +233,6 @@ impl State {
         (200, doc)
     }
 
-    /// The submit callback of a fresh point, run on the pool worker
-    /// that simulated it (after the result reached the cache): records
-    /// the outcome, fills the cell, then releases the in-flight key.
-    fn complete(&self, key: u64, cell: &PointCell, submitted: Instant, outcome: PointOutcome) {
-        let outcome = match outcome {
-            Ok(result) => {
-                let wall = submitted.elapsed();
-                self.last_events.store(result.events, Ordering::SeqCst);
-                self.last_wall_ns
-                    .store(wall.as_nanos() as u64, Ordering::SeqCst);
-                self.completed.fetch_add(1, Ordering::SeqCst);
-                Ok(result.to_json())
-            }
-            Err(msg) => {
-                self.failed.fetch_add(1, Ordering::SeqCst);
-                Err(msg)
-            }
-        };
-        let mut inflight = self.inflight.lock().unwrap_or_else(|e| e.into_inner());
-        let _ = cell.set(outcome);
-        inflight.remove(&key);
-    }
-
     /// `GET /job/{id}`.
     fn handle_job(&self, id: &str) -> (u16, String) {
         let Ok(id) = id.parse::<u64>() else {
@@ -322,11 +248,17 @@ impl State {
         }
     }
 
-    /// `GET /metrics`: server counters, the last completed run's
-    /// throughput, plus the engine's live table.
+    /// `GET /metrics`: server counters, the last simulated point's
+    /// throughput, plus the engine's live table. Points answered from a
+    /// finished result count as `cache_hits`, points attached to a
+    /// pending one as `deduped`, and simulations that finished or
+    /// panicked as `completed` or `failed`; all four are read from the
+    /// engine's table.
     pub fn metrics_json(&self) -> String {
-        let last_events = self.last_events.load(Ordering::SeqCst);
-        let last_wall_ns = self.last_wall_ns.load(Ordering::SeqCst);
+        let sweep = self.sweeper.metrics().live_report();
+        let count = |name| sweep.final_value(name).unwrap_or(0);
+        let last_events = count("sweep/last_run/events");
+        let last_wall_ns = count("sweep/last_run/wall_ns");
         let eps = if last_wall_ns > 0 {
             last_events as f64 * 1e9 / last_wall_ns as f64
         } else {
@@ -336,15 +268,15 @@ impl State {
             "{{\"server\":{{\"accepted\":{},\"rejected\":{},\"deduped\":{},\"cache_hits\":{},\"in_flight\":{},\"completed\":{},\"failed\":{}}},\"last_run\":{{\"events\":{},\"wall_ns\":{},\"events_per_sec\":{:.1}}},\"sweep\":{}}}",
             self.accepted.load(Ordering::SeqCst),
             self.rejected.load(Ordering::SeqCst),
-            self.deduped.load(Ordering::SeqCst),
-            self.cache_hits.load(Ordering::SeqCst),
+            count("sweep/deduped"),
+            count("sweep/cache_hits"),
             self.in_flight(),
-            self.completed.load(Ordering::SeqCst),
-            self.failed.load(Ordering::SeqCst),
+            count("sweep/simulated"),
+            count("sweep/failed"),
             last_events,
             last_wall_ns,
             eps,
-            self.sweeper.metrics().live_report().to_json(),
+            sweep.to_json(),
         )
     }
 
@@ -395,7 +327,7 @@ impl Server {
     }
 
     /// Serves until `/shutdown` (or SIGINT), then drains: waits for
-    /// every in-flight point to finish — and land in the cache — before
+    /// every pending point to finish — and land in the cache — before
     /// returning. Blocks the calling thread for the server's lifetime.
     pub fn run(self) -> io::Result<()> {
         #[cfg(unix)]
@@ -415,7 +347,7 @@ impl Server {
                                     if state.shutting_down() {
                                         break;
                                     }
-                                    let _ = handle_connection(stream, &state);
+                                    let _ = handle_connection(stream, &state, REQUEST_TIMEOUT);
                                 }
                                 Err(_) => break,
                             }
@@ -452,11 +384,36 @@ impl Server {
     }
 }
 
+/// The read half of a connection: every read gives up at the deadline
+/// of the request being read.
+struct Deadline {
+    stream: TcpStream,
+    until: Instant,
+}
+
+impl Read for Deadline {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let left = self.until.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                "request deadline passed",
+            ));
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        self.stream.read(buf)
+    }
+}
+
 /// Serves one connection: keep-alive HTTP requests, or one
-/// line-protocol command.
-fn handle_connection(stream: TcpStream, state: &Arc<State>) -> io::Result<()> {
-    stream.set_read_timeout(Some(READ_TIMEOUT))?;
-    let mut reader = io::BufReader::new(stream.try_clone()?);
+/// line-protocol command. Each request must arrive whole within
+/// `timeout` of the moment the handler starts waiting for it, or the
+/// connection is closed.
+fn handle_connection(stream: TcpStream, state: &State, timeout: Duration) -> io::Result<()> {
+    let mut reader = io::BufReader::new(Deadline {
+        stream: stream.try_clone()?,
+        until: Instant::now() + timeout,
+    });
     let mut stream = stream;
     while let Some(req) = http::read_request(&mut reader)? {
         match req {
@@ -472,6 +429,7 @@ fn handle_connection(stream: TcpStream, state: &Arc<State>) -> io::Result<()> {
                 if !keep {
                     break;
                 }
+                reader.get_mut().until = Instant::now() + timeout;
             }
             Request::Line { cmd, rest } => {
                 let (method, path, body) = match cmd.as_str() {
@@ -529,69 +487,104 @@ mod tests {
     use ndpb_bench::Column;
     use ndpb_core::design::DesignPoint;
     use ndpb_workloads::Scale;
+    use std::sync::mpsc;
+
+    /// How long a test waits for the pool before calling it stuck.
+    const PATIENCE: Duration = Duration::from_secs(120);
 
     fn test_state(max_queue: usize, max_points: usize) -> Arc<State> {
         State::new(&ServerConfig {
             port: 0,
-            jobs: 2,
+            jobs: 1,
             cache_dir: None,
             max_queue,
             max_points,
         })
     }
 
+    /// The Table I point `POST /run` makes of `app` on design C.
+    fn point(app: &str) -> SweepPoint {
+        SweepPoint::new(
+            app,
+            Column::Ndp(DesignPoint::C),
+            ndpb_core::config::SystemConfig::table1(),
+            Scale::Tiny,
+        )
+    }
+
+    /// Runs `tree` on the state's one pool worker and parks the worker
+    /// in its callback until the returned gate is opened: `tree` is then
+    /// a finished key, and every point queued meanwhile stays pending.
+    fn park_pool(state: &State) -> mpsc::Sender<()> {
+        let (gate, parked) = mpsc::channel::<()>();
+        let (arrived, at_gate) = mpsc::channel::<()>();
+        let callback = move |_: PointOutcome| {
+            let _ = arrived.send(());
+            let _ = parked.recv();
+        };
+        state
+            .sweeper
+            .submit(vec![(point("tree"), callback)], usize::MAX)
+            .expect("unbounded");
+        at_gate
+            .recv_timeout(PATIENCE)
+            .expect("the worker reached the gate");
+        gate
+    }
+
+    /// One `server` counter of `/metrics`.
+    fn counter(state: &State, name: &str) -> u64 {
+        let doc = state.metrics_json();
+        ndpb_bench::json::Json::parse(&doc)
+            .expect("valid JSON")
+            .get("server")
+            .and_then(|s| s.u64_field(name))
+            .unwrap_or_else(|| panic!("no server counter {name} in {doc}"))
+    }
+
     #[test]
-    fn dedup_attaches_to_a_preinserted_inflight_cell() {
-        // Deterministic dedup check, no timing: pre-insert the cell an
-        // "earlier request" would own, then submit the same point.
+    fn a_request_for_a_pending_point_attaches_to_it() {
         let state = test_state(8, 8);
-        let req = RunRequest::parse("{\"app\":\"ll\",\"design\":\"C\"}").unwrap();
-        let key = req.points()[0].key();
-        let cell = Arc::new(PointCell::new());
-        state.inflight.lock().unwrap().insert(key, cell.clone());
+        let gate = park_pool(&state);
+        let body = "{\"app\":\"ll\",\"design\":\"C\"}";
+        for id in 1..=2 {
+            let (status, doc) = state.dispatch("POST", "/run", body);
+            assert_eq!(status, 200);
+            assert!(doc.contains("\"status\":\"queued\""), "job {id}: {doc}");
+        }
+        assert_eq!(counter(&state, "deduped"), 1, "the second request attached");
+        assert_eq!(counter(&state, "in_flight"), 1);
 
-        let (status, body) = state.dispatch("POST", "/run", "{\"app\":\"ll\",\"design\":\"C\"}");
-        assert_eq!(status, 200);
-        assert!(body.contains("\"status\":\"queued\""), "{body}");
-        assert_eq!(state.deduped.load(Ordering::SeqCst), 1);
+        // The one simulation completes both jobs with the same bytes.
+        gate.send(()).expect("the worker is parked on the gate");
+        let first = settled_job(&state, 1);
+        assert!(first.contains("\"status\":\"done\""), "{first}");
         assert_eq!(
-            state
-                .sweeper
-                .metrics()
-                .live_report()
-                .final_value("sweep/simulated"),
-            None,
-            "nothing was ever submitted to the pool"
+            first.replace("\"id\":1,", ""),
+            settled_job(&state, 2).replace("\"id\":2,", "")
         );
-
-        // Filling the shared cell completes the attached job.
-        cell.set(Ok("{\"fake\":true}".to_string())).unwrap();
-        let (status, body) = state.dispatch("GET", "/job/1", "");
-        assert_eq!(status, 200);
-        assert_eq!(
-            body,
-            "{\"id\":1,\"status\":\"done\",\"points\":1,\"results\":[{\"fake\":true}]}"
-        );
+        assert_eq!(counter(&state, "completed"), 2, "tree and ll, once each");
     }
 
     #[test]
     fn queue_bound_rejects_with_429() {
         let state = test_state(1, 8);
-        let other = SweepPoint::new(
-            "pr",
-            Column::Ndp(DesignPoint::C),
-            ndpb_core::config::SystemConfig::table1(),
-            Scale::Tiny,
-        );
-        state
-            .inflight
-            .lock()
-            .unwrap()
-            .insert(other.key(), Arc::new(PointCell::new()));
+        let gate = park_pool(&state);
+        let (status, body) = state.dispatch("POST", "/run", "{\"app\":\"pr\",\"design\":\"C\"}");
+        assert_eq!(status, 200, "{body}");
         let (status, body) = state.dispatch("POST", "/run", "{\"app\":\"ll\"}");
         assert_eq!(status, 429, "{body}");
-        assert_eq!(state.rejected.load(Ordering::SeqCst), 1);
-        assert_eq!(state.accepted.load(Ordering::SeqCst), 0);
+        assert_eq!(counter(&state, "rejected"), 1);
+        assert_eq!(counter(&state, "accepted"), 1);
+        // Attaching to the pending key and a finished key need no slot.
+        let (status, body) = state.dispatch(
+            "POST",
+            "/run",
+            "{\"apps\":[\"pr\",\"tree\"],\"design\":\"C\"}",
+        );
+        assert_eq!(status, 200, "{body}");
+        assert_eq!(counter(&state, "in_flight"), 1);
+        drop(gate);
     }
 
     #[test]
@@ -656,16 +649,7 @@ mod tests {
         let state = test_state(8, 8);
         let (status, _) = state.dispatch("POST", "/run", "{\"app\":\"ll\",\"design\":\"C\"}");
         assert_eq!(status, 200);
-        // The pool worker fills the snapshot when the point finishes.
-        let deadline = std::time::Instant::now() + Duration::from_secs(120);
-        while state.completed.load(Ordering::SeqCst) == 0 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "run never completed; metrics: {}",
-                state.metrics_json()
-            );
-            thread::sleep(Duration::from_millis(10));
-        }
+        settled_job(&state, 1);
         let doc = state.metrics_json();
         let j = ndpb_bench::json::Json::parse(&doc).expect("valid JSON");
         let last = j.get("last_run").expect("last_run block");
@@ -682,33 +666,15 @@ mod tests {
     #[test]
     fn admission_evicts_the_oldest_settled_jobs_only() {
         let state = test_state(8, 8);
-        let point = |app: &str| {
-            SweepPoint::new(
-                app,
-                Column::Ndp(DesignPoint::C),
-                ndpb_core::config::SystemConfig::table1(),
-                Scale::Tiny,
-            )
-        };
-        // Job 1 attaches to an in-flight cell that never fills: queued
+        let _gate = park_pool(&state);
+        // Job 1 waits on a point queued behind the parked worker: queued
         // for the whole test.
-        let pending = point("ll");
-        state
-            .inflight
-            .lock()
-            .unwrap()
-            .insert(pending.key(), Arc::new(PointCell::new()));
-        assert_eq!(state.admit(vec![pending]).0, 200);
-        // Jobs 2..=MAX_SETTLED_JOBS + 3 attach to a filled cell: each is
-        // done as it is admitted.
-        let filled = point("pr");
-        state.inflight.lock().unwrap().insert(
-            filled.key(),
-            Arc::new(PointCell::from(Ok("{}".to_string()))),
-        );
+        assert_eq!(state.admit(vec![point("ll")]).0, 200);
+        // Jobs 2..=MAX_SETTLED_JOBS + 3 ask for the finished `tree` key:
+        // each is done as it is admitted.
         let last = MAX_SETTLED_JOBS as u64 + 3;
         for _ in 2..=last {
-            assert_eq!(state.admit(vec![filled.clone()]).0, 200);
+            assert_eq!(state.admit(vec![point("tree")]).0, 200);
         }
         let status = |id: u64| state.dispatch("GET", &format!("/job/{id}"), "");
         assert!(status(1).1.contains("\"status\":\"queued\""));
@@ -723,18 +689,15 @@ mod tests {
     }
 
     /// Polls `GET /job/{id}` until its status leaves queued/running.
-    fn settled_job(state: &Arc<State>, id: u64) -> String {
-        let deadline = std::time::Instant::now() + Duration::from_secs(120);
+    fn settled_job(state: &State, id: u64) -> String {
+        let deadline = Instant::now() + PATIENCE;
         loop {
             let (status, body) = state.dispatch("GET", &format!("/job/{id}"), "");
             assert_eq!(status, 200, "{body}");
             if !body.contains("\"status\":\"queued\"") && !body.contains("\"status\":\"running\"") {
                 return body;
             }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "job {id} never settled: {body}"
-            );
+            assert!(Instant::now() < deadline, "job {id} never settled: {body}");
             thread::sleep(Duration::from_millis(10));
         }
     }
@@ -743,21 +706,7 @@ mod tests {
     fn a_panicking_simulation_fails_its_job_and_releases_its_slot() {
         // One worker and one queue slot: the valid point can only be
         // admitted, and run, once the failed one has let go of both.
-        let state = State::new(&ServerConfig {
-            port: 0,
-            jobs: 1,
-            cache_dir: None,
-            max_queue: 1,
-            max_points: 8,
-        });
-        let point = |app: &str| {
-            SweepPoint::new(
-                app,
-                Column::Ndp(DesignPoint::C),
-                ndpb_core::config::SystemConfig::table1(),
-                Scale::Tiny,
-            )
-        };
+        let state = test_state(1, 8);
         let (status, body) = state.admit(vec![point("no-such-app")]);
         assert_eq!(status, 200, "{body}");
         let doc = settled_job(&state, 1);
@@ -776,15 +725,71 @@ mod tests {
         );
         let doc = settled_job(&state, 2);
         assert!(doc.contains("\"status\":\"done\""), "{doc}");
-        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        let deadline = Instant::now() + Duration::from_secs(30);
         while state.in_flight() > 0 {
-            assert!(std::time::Instant::now() < deadline, "in_flight stuck");
+            assert!(Instant::now() < deadline, "in_flight stuck");
             thread::sleep(Duration::from_millis(10));
         }
-        let m = ndpb_bench::json::Json::parse(&state.metrics_json()).expect("valid JSON");
-        let server = m.get("server").expect("server block");
-        assert_eq!(server.u64_field("failed"), Some(1));
-        assert_eq!(server.u64_field("completed"), Some(1));
-        assert_eq!(server.u64_field("in_flight"), Some(0));
+        assert_eq!(counter(&state, "failed"), 1);
+        assert_eq!(counter(&state, "completed"), 1);
+        assert_eq!(counter(&state, "in_flight"), 0);
+    }
+
+    #[test]
+    fn a_trickling_client_is_cut_off_while_others_are_served() {
+        let state = test_state(8, 8);
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("local addr");
+        let timeout = Duration::from_secs(1);
+        // Two handlers, each serving one connection, like two of the
+        // server's HTTP workers.
+        let handlers: Vec<_> = (0..2)
+            .map(|_| {
+                let listener = listener.try_clone().expect("clone listener");
+                let state = Arc::clone(&state);
+                thread::spawn(move || {
+                    handle_connection(listener.accept().expect("accept").0, &state, timeout)
+                })
+            })
+            .collect();
+
+        // One byte every 250 ms: each read returns well within the
+        // timeout, but the request could not arrive whole in under 9 s.
+        let mut slow = TcpStream::connect(addr).expect("connect");
+        let mut drip = slow.try_clone().expect("clone stream");
+        let started = Instant::now();
+        let dripping = thread::spawn(move || {
+            for &b in b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n" {
+                if drip.write_all(&[b]).is_err() {
+                    return;
+                }
+                thread::sleep(Duration::from_millis(250));
+            }
+        });
+        let mut fast = TcpStream::connect(addr).expect("connect");
+        fast.write_all(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
+            .expect("send");
+        let mut answer = String::new();
+        fast.read_to_string(&mut answer).expect("answer");
+        assert!(answer.starts_with("HTTP/1.1 200 OK"), "{answer}");
+        assert!(
+            started.elapsed() < timeout,
+            "healthz waited on the slow client"
+        );
+
+        // The server closes the slow connection at the deadline, without
+        // an answer.
+        let mut unanswered = Vec::new();
+        let _ = slow.read_to_end(&mut unanswered);
+        let after = started.elapsed();
+        assert!(unanswered.is_empty(), "the trickled request was answered");
+        assert!(
+            after >= timeout && after < 3 * timeout,
+            "cut off after {after:?}"
+        );
+        dripping.join().expect("drip thread");
+        for h in handlers {
+            let _ = h.join().expect("handler thread");
+        }
     }
 }

@@ -4,7 +4,9 @@
 //! * the worker count is observationally invisible — `--jobs 1`,
 //!   `--jobs 2` and `--jobs 8` yield byte-identical serialized results,
 //!   including the per-epoch metrics JSON;
-//! * repeating a sweep in the same process changes nothing.
+//! * repeating a sweep in the same process changes nothing, whether
+//!   the engine answers it from its key table or reused workers
+//!   simulate new points.
 
 use ndpbridge::bench::{Column, SweepPoint, Sweeper};
 use ndpbridge::core::config::SystemConfig;
@@ -125,10 +127,27 @@ fn profiled_runs_are_byte_identical_to_the_sweep() {
 fn repeating_a_sweep_in_one_process_is_bit_identical() {
     let sweeper = Sweeper::new(4);
     let first = serialize(&sweeper.run(points()));
+    // A repeat is answered from the engine's key table.
     let second = serialize(&sweeper.run(points()));
     assert_eq!(second, first, "same-process rerun drifted");
-    // And a fresh engine in the same process agrees too (no hidden
-    // global state seeded by the first run).
+    // Disjoint points simulate on the same, reused workers and must
+    // match a fresh engine's.
+    let reseeded = || {
+        points()
+            .into_iter()
+            .map(|mut p| {
+                p.cfg.seed += 1;
+                p
+            })
+            .collect::<Vec<_>>()
+    };
+    let reused = serialize(&sweeper.run(reseeded()));
+    let simulated = sweeper.metrics().report().final_value("sweep/simulated");
+    assert_eq!(simulated, Some(2 * points().len() as u64));
+    let fresh = serialize(&Sweeper::new(4).run(reseeded()));
+    assert_eq!(reused, fresh, "reused workers drifted from a fresh engine");
+    // And a fresh engine in the same process agrees on the first points
+    // too (no hidden global state seeded by the first run).
     let fresh = serialize(&Sweeper::new(4).run(points()));
     assert_eq!(fresh, first, "fresh-engine rerun drifted");
 }
