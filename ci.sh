@@ -36,10 +36,16 @@ echo "== golden + determinism + invariant suites (incl. Small tier) =="
 # to keep the tier-1 `cargo test` lane fast).
 cargo test --release -q --test golden_runs --test determinism --test invariants
 
-echo "== footprint: record sizes and run() allocation budget =="
-# Fails if a task record creeps back into `Message` or the allocator
-# calls / requested bytes of a Tiny run exceed their pinned budget;
-# prints the measured counts either way.
+echo "== workloads in release: generator and placement pins =="
+# The generator digests, tree's placement digests and its chunked-
+# shuffle test, run against the optimised build the benchmark times.
+cargo test --release -q -p ndpb-workloads
+
+echo "== footprint: record sizes, run() allocation budget, set-up block size =="
+# Fails if a task record creeps back into `Message`, if the allocator
+# calls / requested bytes of a Tiny run exceed their pinned budget, or
+# if any app's Tiny set-up asks for a block above 128 KiB; prints the
+# measured counts and each app's largest block either way.
 cargo test --release -q --test footprint -- --nocapture
 
 echo "== repro fig10 smoke: --jobs determinism and warm cache =="

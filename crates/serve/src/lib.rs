@@ -33,7 +33,7 @@ pub mod http;
 pub mod jobs;
 
 use std::collections::BTreeMap;
-use std::io::{self, Read, Write as _};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -384,37 +384,65 @@ impl Server {
     }
 }
 
-/// The read half of a connection: every read gives up at the deadline
-/// of the request being read.
+/// One half of a connection: every read or write gives up at the
+/// deadline of the request being read or the response being written.
 struct Deadline {
     stream: TcpStream,
     until: Instant,
 }
 
-impl Read for Deadline {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+impl Deadline {
+    /// Sets the deadline `timeout` from now.
+    fn arm(&mut self, timeout: Duration) -> &mut Self {
+        self.until = Instant::now() + timeout;
+        self
+    }
+
+    /// The time left before the deadline, or `TimedOut` once it passed.
+    fn left(&self) -> io::Result<Duration> {
         let left = self.until.saturating_duration_since(Instant::now());
         if left.is_zero() {
             return Err(io::Error::new(
                 io::ErrorKind::TimedOut,
-                "request deadline passed",
+                "connection deadline passed",
             ));
         }
-        self.stream.set_read_timeout(Some(left))?;
+        Ok(left)
+    }
+}
+
+impl Read for Deadline {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.stream.set_read_timeout(Some(self.left()?))?;
         self.stream.read(buf)
+    }
+}
+
+impl Write for Deadline {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.stream.set_write_timeout(Some(self.left()?))?;
+        self.stream.write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.stream.flush()
     }
 }
 
 /// Serves one connection: keep-alive HTTP requests, or one
 /// line-protocol command. Each request must arrive whole within
-/// `timeout` of the moment the handler starts waiting for it, or the
+/// `timeout` of the moment the handler starts waiting for it, and each
+/// response must be written within `timeout` of its first byte, or the
 /// connection is closed.
 fn handle_connection(stream: TcpStream, state: &State, timeout: Duration) -> io::Result<()> {
     let mut reader = io::BufReader::new(Deadline {
         stream: stream.try_clone()?,
         until: Instant::now() + timeout,
     });
-    let mut stream = stream;
+    let mut writer = Deadline {
+        stream,
+        until: Instant::now(),
+    };
     while let Some(req) = http::read_request(&mut reader)? {
         match req {
             Request::Http {
@@ -425,11 +453,11 @@ fn handle_connection(stream: TcpStream, state: &State, timeout: Duration) -> io:
             } => {
                 let (status, body) = state.dispatch(&method, &path, &body);
                 let keep = keep_alive && !state.shutting_down();
-                http::write_response(&mut stream, status, &body, keep)?;
+                http::write_response(writer.arm(timeout), status, &body, keep)?;
                 if !keep {
                     break;
                 }
-                reader.get_mut().until = Instant::now() + timeout;
+                reader.get_mut().arm(timeout);
             }
             Request::Line { cmd, rest } => {
                 let (method, path, body) = match cmd.as_str() {
@@ -440,20 +468,20 @@ fn handle_connection(stream: TcpStream, state: &State, timeout: Duration) -> io:
                     "shutdown" => ("POST", "/shutdown".to_string(), String::new()),
                     other => {
                         http::write_line(
-                            &mut stream,
+                            writer.arm(timeout),
                             &err_body(&format!("unknown command {other:?}")),
                         )?;
                         return Ok(());
                     }
                 };
                 let (_status, body) = state.dispatch(method, &path, &body);
-                http::write_line(&mut stream, &body)?;
+                http::write_line(writer.arm(timeout), &body)?;
                 // Line protocol is one command per connection.
                 return Ok(());
             }
         }
     }
-    stream.flush()
+    writer.flush()
 }
 
 #[cfg(unix)]
@@ -733,6 +761,82 @@ mod tests {
         assert_eq!(counter(&state, "failed"), 1);
         assert_eq!(counter(&state, "completed"), 1);
         assert_eq!(counter(&state, "in_flight"), 0);
+    }
+
+    #[test]
+    fn a_client_that_never_reads_is_cut_off_while_others_are_served() {
+        let state = test_state(8, 8);
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("local addr");
+        let timeout = Duration::from_secs(1);
+        // Two handlers, each serving one connection, like two of the
+        // server's HTTP workers; each reports how its connection ended.
+        let (ended, handler_results) = mpsc::channel();
+        let handlers: Vec<_> = (0..2)
+            .map(|_| {
+                let listener = listener.try_clone().expect("clone listener");
+                let state = Arc::clone(&state);
+                let ended = ended.clone();
+                thread::spawn(move || {
+                    let stream = listener.accept().expect("accept").0;
+                    let _ = ended.send(handle_connection(stream, &state, timeout));
+                })
+            })
+            .collect();
+
+        // Pipelined requests whose answers are never read: once the
+        // socket buffers are full, writing the next answer blocks.
+        const REQUESTS: usize = 100_000;
+        let mut deaf = TcpStream::connect(addr).expect("connect");
+        let mut sender = deaf.try_clone().expect("clone stream");
+        let started = Instant::now();
+        let flooding = thread::spawn(move || {
+            for _ in 0..REQUESTS {
+                if sender.write_all(b"GET /metrics HTTP/1.1\r\n\r\n").is_err() {
+                    return;
+                }
+            }
+        });
+        let mut fast = TcpStream::connect(addr).expect("connect");
+        fast.write_all(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
+            .expect("send");
+        let mut answer = String::new();
+        fast.read_to_string(&mut answer).expect("answer");
+        assert!(answer.starts_with("HTTP/1.1 200 OK"), "{answer}");
+        assert!(
+            started.elapsed() < timeout,
+            "healthz waited on the client that never reads"
+        );
+
+        // The healthz handler ends cleanly; the other gives up on a
+        // blocked write and closes the connection.
+        let mut results: Vec<io::Result<()>> = (0..2)
+            .map(|_| {
+                handler_results
+                    .recv_timeout(PATIENCE)
+                    .expect("a handler stayed pinned by the client that never reads")
+            })
+            .collect();
+        let after = started.elapsed();
+        results.sort_by_key(|r| r.is_err());
+        assert!(results[0].is_ok(), "{:?}", results[0]);
+        let kind = results[1].as_ref().expect_err("the deaf connection").kind();
+        assert!(
+            matches!(kind, io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut),
+            "{kind:?}"
+        );
+        assert!(
+            after >= timeout && after < 3 * timeout,
+            "cut off after {after:?}"
+        );
+        let mut answers = Vec::new();
+        let _ = deaf.read_to_end(&mut answers);
+        let answered = answers.windows(8).filter(|w| w == b"HTTP/1.1").count();
+        assert!(answered < REQUESTS, "every pipelined request was answered");
+        flooding.join().expect("flood thread");
+        for h in handlers {
+            h.join().expect("handler thread");
+        }
     }
 
     #[test]

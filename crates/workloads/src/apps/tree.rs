@@ -20,6 +20,53 @@ const CYCLES_PER_NODE: u64 = 30;
 /// Node record bytes (key, value, two child pointers).
 const NODE_BYTES: u32 = 32;
 
+/// Placement slots per chunk (64 KiB of `u32`s). Chunks this size fit
+/// in heap that earlier points freed; one 4 MiB table (Tiny) is carved
+/// above it and grows the heap (EXPERIMENTS.md "Peak memory: tree's
+/// placement in chunks").
+const CHUNK_SHIFT: u32 = 14;
+const CHUNK: usize = 1 << CHUNK_SHIFT;
+
+/// One chunk of the placement table. A fixed length lets indexing by
+/// `i & (CHUNK - 1)` skip its bounds check.
+type Chunk = Box<[u32; CHUNK]>;
+
+/// The identity on `0..total`, Fisher–Yates shuffled exactly as
+/// [`SimRng::shuffle`] shuffles a flat `Vec`: the same draws in the same
+/// order, so the permutation and `rng`'s state afterwards are the same.
+/// Slot `i` lives at `[i >> CHUNK_SHIFT][i & (CHUNK - 1)]`; the last
+/// chunk's slots past `total` are never read.
+fn shuffled_placement(total: usize, rng: &mut SimRng) -> Vec<Chunk> {
+    let mut chunks: Vec<Chunk> = (0..total.div_ceil(CHUNK))
+        .map(|c| {
+            let base = (c * CHUNK) as u32;
+            let slots: Vec<u32> = (base..base + CHUNK as u32).collect();
+            slots.into_boxed_slice().try_into().expect("CHUNK slots")
+        })
+        .collect();
+    // Swaps go through raw chunk pointers, with slot `i`'s chunk looked
+    // up once per chunk: bounds-checked `chunks[c][o]` indexing, or a
+    // lookup of `i`'s chunk per swap, made the shuffle 5–10% slower
+    // (EXPERIMENTS.md "Peak memory: tree's placement in chunks").
+    let ptrs: Vec<*mut u32> = chunks.iter_mut().map(|c| c.as_mut_ptr()).collect();
+    for (c, &chunk) in ptrs.iter().enumerate().rev() {
+        let base = c << CHUNK_SHIFT;
+        for i in (base.max(1)..total.min(base + CHUNK)).rev() {
+            let j = rng.next_index(i + 1);
+            // SAFETY: `ptrs` holds `total.div_ceil(CHUNK)` chunks of
+            // `CHUNK` slots, built above; `i - base < CHUNK` and
+            // `j <= i < total`, so both pointers stay inside their
+            // chunks. Nothing else touches `chunks` while the pointers
+            // are in use, and `ptr::swap` allows `i == j`.
+            unsafe {
+                let slot_j = ptrs.get_unchecked(j >> CHUNK_SHIFT).add(j & (CHUNK - 1));
+                std::ptr::swap(chunk.add(i - base), slot_j);
+            }
+        }
+    }
+    chunks
+}
+
 /// The `tree` workload: a forest of implicit balanced BSTs. Within a
 /// tree, heap-node `i`'s children are `2i+1`/`2i+2`; placement of
 /// (tree, node) pairs across units is a seeded pseudo-random
@@ -27,8 +74,9 @@ const NODE_BYTES: u32 = 32;
 #[derive(Debug)]
 pub struct TreeTraversal {
     layout: Layout,
-    /// placement[tree * nodes_per_tree + node] = element slot.
-    placement: Vec<u32>,
+    /// Slot `tree * nodes_per_tree + node` holds the node's element,
+    /// in chunks (see [`shuffled_placement`]).
+    placement: Vec<Chunk>,
     trees: usize,
     nodes_per_tree: usize,
     /// Queries as (tree, target heap node).
@@ -46,8 +94,7 @@ impl TreeTraversal {
         let nodes_per_tree = ((s.elems_per_unit * 2).next_power_of_two() * 32 - 1).max(1023);
         let total = trees * nodes_per_tree;
         let mut rng = SimRng::new(seed);
-        let mut placement: Vec<u32> = (0..total as u32).collect();
-        rng.shuffle(&mut placement);
+        let placement = shuffled_placement(total, &mut rng);
         // θ=0.65 keeps hot indexes (units hosting hot-tree upper levels
         // are overloaded) without one tree's root serializing the run.
         let tree_zipf = Zipfian::new(trees as u64, 0.65);
@@ -72,7 +119,8 @@ impl TreeTraversal {
     }
 
     fn addr_of_node(&self, tree: u32, heap_idx: u32) -> ndpb_dram::DataAddr {
-        let slot = self.placement[tree as usize * self.nodes_per_tree + heap_idx as usize];
+        let i = tree as usize * self.nodes_per_tree + heap_idx as usize;
+        let slot = self.placement[i >> CHUNK_SHIFT][i & (CHUNK - 1)];
         self.layout.addr_of(slot as u64)
     }
 
@@ -157,6 +205,21 @@ impl Application for TreeTraversal {
 mod tests {
     use super::*;
     use ndpb_dram::UnitId;
+
+    #[test]
+    fn chunked_shuffle_matches_the_flat_shuffle() {
+        for len in [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5] {
+            let mut flat_rng = SimRng::new(24301);
+            let mut flat: Vec<u32> = (0..len as u32).collect();
+            flat_rng.shuffle(&mut flat);
+            let mut rng = SimRng::new(24301);
+            let chunks = shuffled_placement(len, &mut rng);
+            let slots: Vec<u32> = chunks.iter().flat_map(|c| c.iter().copied()).collect();
+            assert_eq!(chunks.len(), len.div_ceil(CHUNK), "len {len}");
+            assert!(slots[..len] == flat[..], "len {len}: permutations differ");
+            assert_eq!(rng, flat_rng, "len {len}: generator states differ");
+        }
+    }
 
     #[test]
     fn every_query_eventually_hits() {

@@ -8,8 +8,10 @@
 //! keep the output must leave every digest as it is; one that changes
 //! the output on purpose re-records them together with the goldens.
 
+use ndpb_dram::{Geometry, UnitId};
 use ndpb_sim::{Fnv1a64, SimRng};
-use ndpb_workloads::{Graph, Zipfian};
+use ndpb_tasks::ExecCtx;
+use ndpb_workloads::{build_app, Graph, Scale, Zipfian};
 
 /// Table I's seed (`SystemConfig::table1().seed`).
 const TABLE1_SEED: u64 = 0x5EED;
@@ -128,6 +130,58 @@ fn generators_match_recorded_fingerprints() {
     assert!(
         wrong.is_empty(),
         "generator output moved:\n{}",
+        wrong.join("\n")
+    );
+}
+
+/// FNV-1a over the data address of every task a serial traversal of
+/// `tree` on Table I geometry creates: the initial tasks in order, then
+/// each task's children as it executes, last created first. Every query
+/// walks from its root to its target, so this reads every placement
+/// slot a run reads, and the query stream drawn after the shuffle.
+/// Returns the digest and the number of tasks.
+fn tree_digest(scale: Scale, seed: u64) -> (u64, u64) {
+    let mut app = build_app("tree", &Geometry::table1(), scale, seed);
+    let mut h = Fnv1a64::new();
+    let mut frontier = app.initial_tasks();
+    for t in &frontier {
+        h.write_u64(t.data.0);
+    }
+    let mut tasks = frontier.len() as u64;
+    while let Some(t) = frontier.pop() {
+        let mut ctx = ExecCtx::new(UnitId(0));
+        app.execute(&t, &mut ctx);
+        for child in ctx.into_spawned() {
+            h.write_u64(child.data.0);
+            tasks += 1;
+            frontier.push(child);
+        }
+    }
+    (h.finish(), tasks)
+}
+
+#[test]
+fn tree_placement_matches_recorded_fingerprints() {
+    // The digest at each seed, recorded before the placement table was
+    // stored in chunks.
+    let pins: [(Scale, [u64; 2]); 2] = [
+        (Scale::Tiny, [0x2c21_c91f_b2c9_6fce, 0xa9ec_d34e_0536_2e36]),
+        (Scale::Small, [0x7c82_f169_8c20_17be, 0x60e1_d66f_e94d_daed]),
+    ];
+    let mut wrong = Vec::new();
+    for (scale, want) in pins {
+        for (seed, want) in [TABLE1_SEED, HELD_OUT_SEED].into_iter().zip(want) {
+            let (got, tasks) = tree_digest(scale, seed);
+            if got != want {
+                wrong.push(format!(
+                    "tree {scale:?} seed {seed} ({tasks} tasks): {got:#018x}, pinned {want:#018x}"
+                ));
+            }
+        }
+    }
+    assert!(
+        wrong.is_empty(),
+        "tree placement moved:\n{}",
         wrong.join("\n")
     );
 }

@@ -1,11 +1,13 @@
 //! Memory footprint pins: the size of the records every queue moves,
-//! and the allocator traffic of one simulation.
+//! the allocator traffic of one simulation, and the largest block
+//! set-up asks for.
 //!
 //! Tasks live once in `System`'s task arena; messages and events carry
 //! a 4-byte `TaskId`. These tests fail if a task record creeps back
-//! into `Message`, or if `System::run` starts allocating per task
-//! again. This file is its own test binary because it installs a
-//! counting global allocator.
+//! into `Message`, if `System::run` starts allocating per task again,
+//! or if an app's set-up asks for one large block again. This file is
+//! its own test binary because it installs a counting global
+//! allocator.
 //!
 //! `cargo test --release --test footprint -- --nocapture` prints the
 //! measured counts.
@@ -17,16 +19,18 @@ use std::mem::size_of;
 use ndpbridge::core::{AuditLevel, DesignPoint, System, SystemConfig};
 use ndpbridge::proto::Message;
 use ndpbridge::tasks::TaskId;
-use ndpbridge::workloads::{build_app, Scale};
+use ndpbridge::workloads::{build_app, Scale, APP_NAMES};
 
-/// Counts allocator calls (alloc, alloc_zeroed, realloc) and the bytes
-/// they request, on threads that armed the count.
+/// Counts allocator calls (alloc, alloc_zeroed, realloc), the bytes
+/// they request and the largest single request, on threads that armed
+/// the count.
 struct Counting;
 
 thread_local! {
     static ARMED: Cell<bool> = const { Cell::new(false) };
     static CALLS: Cell<u64> = const { Cell::new(0) };
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
 fn note(bytes: usize) {
@@ -34,6 +38,7 @@ fn note(bytes: usize) {
     if ARMED.try_with(Cell::get).unwrap_or(false) {
         CALLS.with(|c| c.set(c.get() + 1));
         BYTES.with(|b| b.set(b.get() + bytes as u64));
+        LARGEST.with(|l| l.set(l.get().max(bytes)));
     }
 }
 
@@ -115,4 +120,33 @@ fn run_allocations_stay_within_budget() {
             "{app} on {design}: {bytes} bytes > {bytes_max}"
         );
     }
+}
+
+#[test]
+fn set_up_allocates_no_large_block() {
+    // Blocks above the allocator's 128 KiB mmap threshold are mapped
+    // fresh, or grow the heap once that threshold has risen, instead of
+    // reusing memory an earlier point freed. Measured on x86-64 Linux:
+    // bfs and wcc ask for exactly 131,072 bytes, and tree's placement
+    // table asked for one 4,190,208-byte block before it was stored in
+    // 64 KiB chunks.
+    const BLOCK_MAX: usize = 128 << 10;
+    let cfg = SystemConfig::table1();
+    let mut over = Vec::new();
+    for app in APP_NAMES {
+        LARGEST.with(|l| l.set(0));
+        ARMED.with(|a| a.set(true));
+        let _ = build_app(app, &cfg.geometry, Scale::Tiny, cfg.seed);
+        ARMED.with(|a| a.set(false));
+        let largest = LARGEST.with(Cell::get);
+        println!("{app}: largest block {largest} bytes in build_app");
+        if largest > BLOCK_MAX {
+            over.push(format!("{app}: {largest} bytes"));
+        }
+    }
+    assert!(
+        over.is_empty(),
+        "set-up blocks above {BLOCK_MAX} bytes: {}",
+        over.join(", ")
+    );
 }
