@@ -41,11 +41,12 @@ echo "== workloads in release: generator and placement pins =="
 # shuffle test, run against the optimised build the benchmark times.
 cargo test --release -q -p ndpb-workloads
 
-echo "== footprint: record sizes, run() allocation budget, set-up block size =="
+echo "== footprint: record sizes, run() allocation budget, block sizes =="
 # Fails if a task record creeps back into `Message`, if the allocator
-# calls / requested bytes of a Tiny run exceed their pinned budget, or
-# if any app's Tiny set-up asks for a block above 128 KiB; prints the
-# measured counts and each app's largest block either way.
+# calls / requested bytes of a Tiny run (on W, O and H) exceed their
+# pinned budget, or if such a run or any app's Tiny set-up asks for a
+# block above 128 KiB; prints the measured counts and largest blocks
+# either way.
 cargo test --release -q --test footprint -- --nocapture
 
 echo "== repro fig10 smoke: --jobs determinism and warm cache =="
@@ -145,16 +146,17 @@ echo "== repro gather smoke: gather-cost-aware stealing ablation =="
 grep -q "gather reduction W+GA vs W:" "$SMOKE_DIR/gather.txt"
 grep -q "W+Byte" "$SMOKE_DIR/gather.txt"
 
-echo "== repro bench smoke: engine throughput + Small tier (non-gating timings) =="
+echo "== repro bench smoke: engine throughput + Small and Full tiers (non-gating timings) =="
 # The timings themselves are machine-dependent and NOT gated; what is
 # checked is that the bench harness runs, its repetitions agree on the
 # event count (it asserts determinism internally), and the JSON report
 # is well-formed with all six design columns present.
-"$REPRO" bench --quick --small-tier --profile > "$SMOKE_DIR/bench.txt" 2>&1
+"$REPRO" bench --quick --small-tier --profile --full-tier > "$SMOKE_DIR/bench.txt" 2>&1
 test -s BENCH_repro.json
-# Event counts ARE gated: the simulator is deterministic, so a count
-# that differs from docs/repro/BENCH_repro.json means changed behaviour.
-# A deliberate behaviour change regenerates that baseline with it.
+# Event counts ARE gated, at Tiny and at Full: the simulator is
+# deterministic, so a count that differs from docs/repro/BENCH_repro.json
+# means changed behaviour. A deliberate behaviour change regenerates
+# that baseline with it.
 if grep "EVENT-COUNT DRIFT" "$SMOKE_DIR/bench.txt"; then
     echo "repro bench event counts drifted from docs/repro/BENCH_repro.json"; exit 1
 fi

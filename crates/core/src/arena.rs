@@ -1,12 +1,13 @@
 //! The task arena: every live task is stored exactly once.
 //!
-//! [`System`](crate::System) inserts a task when it counts it as
-//! spawned (the initial tasks, then each child as its parent finishes
-//! executing) and frees the slot when the task's own execution
-//! completes. In between, every ready queue, future-epoch list,
-//! reserved list, mailbox, bridge buffer, queued event and message
-//! carries the task's 4-byte [`TaskId`], and reads the record through
-//! the arena.
+//! Both models own one. [`System`](crate::System) and
+//! [`HostOnly`](crate::hostonly::HostOnly) insert a task when they
+//! count it as spawned (the initial tasks, then each child as its
+//! parent finishes executing) and free the slot when the task's own
+//! execution completes. In between, every ready queue, future-epoch
+//! list, reserved list, mailbox, bridge buffer, queued event and
+//! message carries the task's 4-byte [`TaskId`], and reads the record
+//! through the arena.
 //!
 //! Storage grows in fixed-size chunks, so growth never moves a live
 //! task, and freed slots are reused last-in first-out. Peak memory

@@ -1,14 +1,14 @@
 //! Conservation auditing for the simulated system.
 //!
-//! The auditor is an always-compiled, opt-in invariant engine: with
-//! [`AuditLevel::Full`] the [`System`](crate::system::System) re-derives
-//! its conservation laws from component state at every epoch boundary
-//! (and at end-of-run); [`AuditLevel::Final`] checks only at
-//! end-of-run; [`AuditLevel::Off`] skips the scans entirely. The checks
-//! are purely observational — they read component state and the
-//! pending events but never touch the RNG, the event order, or any
-//! counter the simulation consumes — so results are bit-identical
-//! across levels.
+//! The auditor is an always-compiled, opt-in invariant engine. The one
+//! run loop (`crate::driver`) runs every scan, for both models: with
+//! [`AuditLevel::Full`] the model re-derives its conservation laws from
+//! component state at every epoch boundary (and at end-of-run);
+//! [`AuditLevel::Final`] checks only at end-of-run; [`AuditLevel::Off`]
+//! skips the scans entirely. The checks are purely observational — they
+//! read component state and the pending events but never touch the RNG,
+//! the event order, or any counter the simulation consumes — so results
+//! are bit-identical across levels.
 //!
 //! A scan runs only between event batches, never inside a handler: the
 //! rest of a handler's batch has left the queue but is not yet
@@ -16,7 +16,15 @@
 //! after the batch in which the barrier cleared, under that epoch's
 //! `epoch-N` label.
 //!
-//! The laws checked (see `System::collect_violations`):
+//! Both models check (the two functions below):
+//!
+//! - **Task conservation** — the task arena holds exactly the tasks the
+//!   epoch tracker counts as outstanding, so no slot leaks and no live
+//!   task lost its slot.
+//! - **Bus sanity** — accumulated busy time never exceeds the horizon a
+//!   bus or channel has been driven to.
+//!
+//! The NDP system adds (see `System::collect_violations`):
 //!
 //! - **Message conservation** — every message ever emitted is either
 //!   delivered or still identifiable in flight: in unit mailboxes and
@@ -31,10 +39,16 @@
 //! - **`toArrive` balance** — each bridge's correction counters equal
 //!   the workload of scheduled tasks still in flight toward each child.
 //! - **Ledger totals** — per-cause traffic ledger entries sum exactly to
-//!   the system byte totals, and per-component energy sums to the
-//!   reported total.
-//! - **Bus sanity** — accumulated busy time never exceeds the horizon a
-//!   bus has been driven to, and steal/lend budgets never go negative.
+//!   the system byte totals.
+//!
+//! The host-only baseline adds **host queues**: every outstanding task
+//! is ready, parked for a later epoch, running, or a running task's
+//! child, and every worker is idle or runs one task of the open epoch.
+
+use ndpb_dram::Bus;
+
+use crate::arena::TaskArena;
+use crate::epoch::EpochTracker;
 
 /// How much auditing a run performs. Part of
 /// [`SystemConfig`](crate::config::SystemConfig); the default is
@@ -87,6 +101,36 @@ pub struct Violation {
 impl std::fmt::Display for Violation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "[{}] {}", self.law, self.detail)
+    }
+}
+
+/// Task conservation: the arena holds exactly the tasks the epoch
+/// tracker counts as outstanding (spawned, not yet finished).
+pub(crate) fn check_tasks(v: &mut Vec<Violation>, tasks: &TaskArena, epochs: &EpochTracker) {
+    let live = tasks.live() as u64;
+    let outstanding = epochs.total_outstanding();
+    if live != outstanding {
+        v.push(Violation {
+            law: "task-conservation",
+            detail: format!("{live} live arena slots != {outstanding} outstanding tasks"),
+        });
+    }
+}
+
+/// Bus sanity: no bus's accumulated busy time exceeds the horizon it
+/// has been driven to.
+pub(crate) fn check_buses(v: &mut Vec<Violation>, name: &str, buses: &[Bus]) {
+    for (i, b) in buses.iter().enumerate() {
+        if b.busy > b.free_at() {
+            v.push(Violation {
+                law: "bus-sanity",
+                detail: format!(
+                    "{name} {i}: busy {:?} exceeds horizon {:?}",
+                    b.busy,
+                    b.free_at()
+                ),
+            });
+        }
     }
 }
 

@@ -6,85 +6,82 @@
 //! perfectly balanced (a single global ready queue); the costs are the
 //! far smaller core count and the two channels' worth of DRAM bandwidth
 //! that every access contends for.
+//!
+//! Tasks live in the same [`TaskArena`] as [`System`](crate::System)'s,
+//! and the model runs through the same driver, so the watchdog, the
+//! profiler and the audit reach H too.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::time::Instant;
 
 use ndpb_dram::{Bus, EnergyBreakdown};
 use ndpb_sim::{EventQueue, SimTime, TICKS_PER_CORE_CYCLE};
-use ndpb_tasks::{Application, ExecCtx, Task};
+use ndpb_tasks::{Application, ExecCtx, TaskId};
 
+use crate::arena::TaskArena;
+use crate::audit::{self, AuditLevel, Violation};
 use crate::config::SystemConfig;
+use crate::driver::{self, Model};
 use crate::epoch::EpochTracker;
 use crate::pool::BufPool;
 use crate::result::{ProfileStats, RunResult};
 
-/// Host CPU model parameters.
-#[derive(Debug, Clone)]
-pub struct HostOnlyConfig {
-    /// Number of out-of-order cores.
-    pub workers: usize,
-    /// Host clock relative to the 400 MHz NDP core (2.6 GHz ⇒ 6.5).
-    pub clock_ratio: f64,
-    /// IPC advantage of the OoO pipeline over the wimpy in-order core.
-    pub ipc_ratio: f64,
-    /// Active power per host core in watts.
-    pub core_active_w: f64,
-    /// Static power of the host socket + DIMMs in watts.
-    pub static_w: f64,
-}
+/// Out-of-order host cores.
+const WORKERS: usize = 16;
+/// How many times faster a host core runs task code than an NDP core:
+/// a 2.6 GHz clock (6.5× the 400 MHz NDP core) at 1.5× the IPC, since
+/// pointer-chasing, cache-missing task code gains little from the wide
+/// pipeline.
+const SPEEDUP: f64 = 9.75;
+/// Active power per host core, in watts.
+const CORE_ACTIVE_W: f64 = 1.5;
+/// Static power of the host socket and DIMMs, in watts.
+const STATIC_W: f64 = 10.0;
+
+/// The host CPU model. The paper's configuration is the only one; its
+/// parameters are this module's constants.
+#[derive(Debug, Clone, Default)]
+pub struct HostOnlyConfig;
 
 impl HostOnlyConfig {
     /// The paper's host configuration.
     pub fn paper() -> Self {
-        HostOnlyConfig {
-            workers: 16,
-            clock_ratio: 6.5,
-            // Pointer-chasing, cache-missing task code gains little IPC
-            // from the wide pipeline.
-            ipc_ratio: 1.5,
-            core_active_w: 1.5,
-            static_w: 10.0,
-        }
+        HostOnlyConfig
     }
 }
 
-impl Default for HostOnlyConfig {
-    fn default() -> Self {
-        Self::paper()
-    }
-}
-
+/// A task running on a worker, as its completion event.
 #[derive(Debug)]
-struct Done {
+pub(crate) struct Done {
     worker: u32,
-    task: Task,
-    children: Vec<Task>,
+    task: TaskId,
+    children: Vec<TaskId>,
 }
 
 /// Runs `app` on the host-only baseline and reports metrics comparable
 /// to [`crate::System::run`].
 pub struct HostOnly {
     cfg: SystemConfig,
-    host: HostOnlyConfig,
     app: Box<dyn Application>,
     /// Completion queue.
     q: EventQueue<Done>,
-    ready: VecDeque<Task>,
-    future: BTreeMap<u32, Vec<Task>>,
-    worker_free: Vec<SimTime>,
+    /// Every live task, stored once from spawn until its execution
+    /// completes.
+    tasks: TaskArena,
+    ready: VecDeque<TaskId>,
+    /// Tasks parked until their epoch opens.
+    future: BTreeMap<u32, Vec<TaskId>>,
     worker_busy: Vec<SimTime>,
+    /// When each worker's last task finished.
     worker_last: Vec<SimTime>,
     idle: Vec<usize>,
     channels: Vec<Bus>,
     epochs: EpochTracker,
-    tasks_executed: u64,
     dram_bytes: u64,
-    /// Persistent execution context plus spawn-`Vec` free list: the run
-    /// loop executes every task without per-task heap allocation (same
-    /// recycling scheme as `System`).
+    /// Persistent execution context plus child-id `Vec` free list: the
+    /// run loop executes every task without per-task heap allocation
+    /// (same recycling scheme as `System`).
     ctx: ExecCtx,
-    spawn_pool: BufPool<Task>,
+    spawn_pool: BufPool<TaskId>,
     /// Event-loop phase profile, armed by [`Self::set_profile`] and
     /// surfaced as [`RunResult::profile`] (kept out of `to_json`, like
     /// `System`'s).
@@ -94,14 +91,12 @@ pub struct HostOnly {
 impl HostOnly {
     /// Builds the baseline from the NDP system config (for the shared
     /// DRAM timing/energy parameters) and the host model.
-    pub fn new(cfg: SystemConfig, host: HostOnlyConfig, app: Box<dyn Application>) -> Self {
+    pub fn new(cfg: SystemConfig, _host: HostOnlyConfig, app: Box<dyn Application>) -> Self {
         let channels = (0..cfg.geometry.channels)
             .map(|_| Bus::new(cfg.geometry.channel_dq_bits()))
             .collect();
-        let w = host.workers;
         HostOnly {
             cfg,
-            host,
             app,
             // Host completion times run up to 10,851 ticks ahead of the
             // clock (activation latency plus shared-channel queueing
@@ -110,15 +105,14 @@ impl HostOnly {
             // overflow-dominated, the 0.96x H regression against a
             // plain heap.
             q: EventQueue::new(),
+            tasks: TaskArena::new(),
             ready: VecDeque::new(),
             future: BTreeMap::new(),
-            worker_free: vec![SimTime::ZERO; w],
-            worker_busy: vec![SimTime::ZERO; w],
-            worker_last: vec![SimTime::ZERO; w],
-            idle: (0..w).rev().collect(),
+            worker_busy: vec![SimTime::ZERO; WORKERS],
+            worker_last: vec![SimTime::ZERO; WORKERS],
+            idle: (0..WORKERS).rev().collect(),
             channels,
             epochs: EpochTracker::new(),
-            tasks_executed: 0,
             dram_bytes: 0,
             ctx: ExecCtx::new(ndpb_dram::UnitId(0)),
             spawn_pool: BufPool::new(),
@@ -131,27 +125,28 @@ impl HostOnly {
         self.profile = Some(ProfileStats::default());
     }
 
-    /// Ticks a host core needs for `cycles` NDP-core-equivalent cycles.
-    fn host_compute_ticks(&self, cycles: u64) -> u64 {
-        let scale = self.host.clock_ratio * self.host.ipc_ratio;
-        ((cycles as f64 * TICKS_PER_CORE_CYCLE as f64) / scale).ceil() as u64
+    /// Runs to completion.
+    pub fn run(self) -> RunResult {
+        driver::run(self)
     }
 
-    fn dispatch(&mut self, now: SimTime) {
+    /// Starts ready tasks on idle workers.
+    fn start_ready(&mut self, now: SimTime) {
         while let (Some(&w), false) = (self.idle.last(), self.ready.is_empty()) {
-            let task = self.ready.pop_front().expect("non-empty");
+            let id = self.ready.pop_front().expect("non-empty");
             self.idle.pop();
-            self.start(w, task, now);
+            self.execute(w, id, now);
         }
     }
 
-    fn start(&mut self, w: usize, task: Task, now: SimTime) {
-        let begin = now.max(self.worker_free[w]);
-        let spawn_buf = self.spawn_pool.get();
+    /// Runs task `id` on idle worker `w` from `now` and schedules its
+    /// completion.
+    fn execute(&mut self, w: usize, id: TaskId, now: SimTime) {
+        let spawn_buf = self.ctx.take_spawned();
         self.ctx.reset(ndpb_dram::UnitId(0), spawn_buf);
-        self.app.execute(&task, &mut self.ctx);
-        let ctx = &self.ctx;
-        let mut t = begin + SimTime::from_ticks(self.host_compute_ticks(ctx.compute_cycles()));
+        self.app.execute(self.tasks.get(id), &mut self.ctx);
+        let cycles = self.ctx.compute_cycles() as f64 * TICKS_PER_CORE_CYCLE as f64;
+        let mut t = now + SimTime::from_ticks((cycles / SPEEDUP).ceil() as u64);
         // Each declared access is a cache-missing DRAM access. The
         // accesses a task declares are data-dependent (pointer chases,
         // index lookups), so the out-of-order core exposes one full
@@ -161,157 +156,149 @@ impl HostOnly {
         // Random accesses under 16-core pressure conflict in the open
         // banks: precharge + activate + CAS.
         let latency = self.cfg.timing.t_rp + self.cfg.timing.t_rcd + self.cfg.timing.t_cas;
-        let mut total_bytes = 0u64;
-        for &(addr, bytes) in ctx.reads().iter().chain(ctx.writes().iter()) {
+        for &(addr, bytes) in self.ctx.reads().iter().chain(self.ctx.writes()) {
             let ch = (addr.0 / 64) as usize % self.channels.len();
             let grant = self.channels[ch].reserve(t, bytes as u64);
             t = grant.end.max(t + latency);
-            total_bytes += bytes as u64;
+            self.dram_bytes += bytes as u64;
         }
-        self.dram_bytes += total_bytes;
-        self.worker_free[w] = t;
-        self.worker_busy[w] += t - begin;
+        self.worker_busy[w] += t - now;
         self.worker_last[w] = t;
-        for c in ctx.spawned() {
+        // A child is stored and counted as spawned in one step, so the
+        // arena's live count always equals the tracker's outstanding one.
+        let mut children = self.spawn_pool.get();
+        for c in self.ctx.spawned() {
             self.epochs.spawned(c.ts);
+            children.push(self.tasks.insert(*c));
         }
-        self.q.schedule(
-            t,
-            Done {
-                worker: w as u32,
-                task,
-                children: self.ctx.take_spawned(),
-            },
-        );
+        let done = Done {
+            worker: w as u32,
+            task: id,
+            children,
+        };
+        self.q.schedule(t, done);
     }
 
-    fn enqueue(&mut self, task: Task) {
-        if self.epochs.is_ready(task.ts) {
-            self.ready.push_back(task);
+    fn enqueue(&mut self, id: TaskId) {
+        let ts = self.tasks.get(id).ts;
+        if self.epochs.is_ready(ts) {
+            self.ready.push_back(id);
         } else {
-            self.future.entry(task.ts.0).or_default().push(task);
+            self.future.entry(ts.0).or_default().push(id);
         }
     }
+}
 
-    /// Processes one completion exactly as the pop-at-a-time loop did;
-    /// batching changes how completions are *fetched*, never what each
-    /// one does, so results stay byte-identical.
-    fn complete(&mut self, now: SimTime, mut done: Done) {
-        self.tasks_executed += 1;
+impl Model for HostOnly {
+    type Ev = Done;
+
+    fn start(&mut self) {
+        for t in self.app.initial_tasks() {
+            self.epochs.spawned(t.ts);
+            let id = self.tasks.insert(t);
+            self.enqueue(id);
+        }
+        self.start_ready(SimTime::ZERO);
+    }
+
+    fn dispatch(&mut self, mut done: Done) {
         for child in done.children.drain(..) {
             self.enqueue(child);
         }
         self.spawn_pool.put(done.children);
-        if let Some(next) = self.epochs.completed(done.task.ts) {
-            if let Some(released) = self.future.remove(&next.0) {
-                self.ready.extend(released);
-            }
+        let opened = self.epochs.completed(self.tasks.get(done.task).ts);
+        self.tasks.free(done.task);
+        if let Some(released) = opened.and_then(|next| self.future.remove(&next.0)) {
+            self.ready.extend(released);
         }
         self.idle.push(done.worker as usize);
-        self.dispatch(now);
+        self.start_ready(self.q.now());
     }
 
-    /// Runs to completion.
-    pub fn run(mut self) -> RunResult {
-        for t in self.app.initial_tasks() {
-            self.epochs.spawned(t.ts);
-            self.enqueue(t);
-        }
-        self.dispatch(SimTime::ZERO);
-        // Batched same-tick dispatch (DESIGN.md §3c): one head scan per
-        // run of equal-time completions instead of one per pop. The
-        // phase profiler's clock reads are per-batch hooks in this loop.
-        let mut batch: Vec<Done> = Vec::with_capacity(32);
-        loop {
-            let t0 = self.profile.is_some().then(Instant::now);
-            let now = self.q.pop_run(&mut batch);
-            if let (Some(p), Some(t0)) = (self.profile.as_mut(), t0) {
-                p.queue_ns += t0.elapsed().as_nanos() as u64;
+    fn violations(&self) -> Vec<Violation> {
+        let mut v = Vec::new();
+        audit::check_tasks(&mut v, &self.tasks, &self.epochs);
+        audit::check_buses(&mut v, "channel", &self.channels);
+        // Host queues: every outstanding task is ready, parked, running
+        // or a running task's child, and every worker is idle or runs
+        // one task of the open epoch.
+        let parked: usize = self.future.values().map(Vec::len).sum();
+        let (mut running, mut children) = ([0usize; WORKERS], 0);
+        for done in self.q.iter() {
+            running[done.worker as usize] += 1;
+            children += done.children.len();
+            let ts = self.tasks.get(done.task).ts;
+            if ts != self.epochs.current() {
+                v.push(Violation {
+                    law: "host-queues",
+                    detail: format!("worker {} runs a task of epoch {}", done.worker, ts.0),
+                });
             }
-            let Some(now) = now else { break };
-            let t1 = self.profile.as_mut().map(|p| {
-                p.note_batch(batch.len());
-                Instant::now()
+        }
+        let (ready, run) = (self.ready.len(), running.iter().sum::<usize>());
+        let outstanding = self.epochs.total_outstanding();
+        if (ready + parked + run + children) as u64 != outstanding {
+            v.push(Violation {
+                law: "host-queues",
+                detail: format!(
+                    "{outstanding} outstanding tasks != {ready} ready + {parked} parked + \
+                     {run} running + {children} children"
+                ),
             });
-            for done in batch.drain(..) {
-                self.complete(now, done);
-            }
-            if let (Some(p), Some(t1)) = (self.profile.as_mut(), t1) {
-                p.dispatch_ns += t1.elapsed().as_nanos() as u64;
+        }
+        for (w, &n) in running.iter().enumerate() {
+            let idle = self.idle.iter().filter(|&&i| i == w).count();
+            if idle + n != 1 {
+                v.push(Violation {
+                    law: "host-queues",
+                    detail: format!("worker {w} is idle {idle} times and runs {n} tasks"),
+                });
             }
         }
-        assert!(
-            self.epochs.all_done(),
-            "host-only run drained events with tasks outstanding"
-        );
-        self.finalize()
+        v
     }
 
-    fn finalize(mut self) -> RunResult {
-        let finalize_start = self.profile.is_some().then(Instant::now);
+    fn finish(self) -> RunResult {
         let makespan = self
             .worker_last
             .iter()
-            .copied()
-            .fold(SimTime::ZERO, SimTime::max);
-        let busy_total: SimTime = self.worker_busy.iter().fold(SimTime::ZERO, |a, &b| a + b);
-        let max_busy = self
-            .worker_busy
-            .iter()
-            .copied()
-            .fold(SimTime::ZERO, SimTime::max);
-        let avg_busy = if self.worker_busy.is_empty() {
-            SimTime::ZERO
-        } else {
-            SimTime::from_ticks(busy_total.ticks() / self.worker_busy.len() as u64)
-        };
+            .fold(SimTime::ZERO, |m, &t| m.max(t));
+        let busy_total = self.worker_busy.iter().fold(SimTime::ZERO, |a, &b| a + b);
+        let per_unit_busy = self.worker_busy.iter().map(|b| b.ticks()).collect();
         let e = &self.cfg.energy;
-        let energy = EnergyBreakdown {
-            core_sram_pj: self.host.core_active_w * busy_total.as_secs() * 1e12,
-            dram_local_pj: e.dram_pj(self.dram_bytes) + e.channel_pj(self.dram_bytes),
-            dram_comm_pj: 0.0,
-            static_pj: self.host.static_w * makespan.as_secs() * 1e12,
-        };
-        let channel_bytes = self.channels.iter().map(|c| c.bytes).sum();
         RunResult {
-            app: self.app.name().to_string(),
-            design: "H".to_string(),
-            makespan,
-            avg_unit_time: avg_busy,
-            max_unit_time: max_busy,
-            wait_fraction: if makespan == SimTime::ZERO {
-                0.0
-            } else {
-                1.0 - max_busy.ticks() as f64 / makespan.ticks() as f64
+            energy: EnergyBreakdown {
+                core_sram_pj: CORE_ACTIVE_W * busy_total.as_secs() * 1e12,
+                dram_local_pj: e.dram_pj(self.dram_bytes) + e.channel_pj(self.dram_bytes),
+                dram_comm_pj: 0.0,
+                static_pj: STATIC_W * makespan.as_secs() * 1e12,
             },
-            balance: if makespan == SimTime::ZERO {
-                1.0
-            } else {
-                avg_busy.ticks() as f64 / makespan.ticks() as f64
-            },
-            tasks_executed: self.tasks_executed,
-            tasks_rerouted: 0,
-            messages_delivered: 0,
-            rank_bus_bytes: 0,
-            channel_bytes,
-            comm_dram_bytes: 0,
+            // Every event is one task's completion.
+            tasks_executed: self.q.popped(),
+            channel_bytes: self.channels.iter().map(|c| c.bytes).sum(),
             local_dram_bytes: self.dram_bytes,
-            lb_rounds: 0,
-            blocks_migrated: 0,
-            energy,
-            checksum: self.app.checksum(),
-            events: self.q.popped(),
-            per_unit_busy: self.worker_busy.iter().map(|b| b.ticks()).collect(),
-            metrics: ndpb_trace::MetricsReport::default(),
-            trace: Vec::new(),
-            trace_dropped: 0,
-            profile: self.profile.take().map(|mut p| {
-                p.finalize_ns = finalize_start
-                    .map(|t| t.elapsed().as_nanos() as u64)
-                    .unwrap_or(0);
-                p
-            }),
+            ..RunResult::new(self.app.as_ref(), "H".to_string(), makespan, per_unit_busy)
         }
+    }
+
+    fn queue(&mut self) -> &mut EventQueue<Done> {
+        &mut self.q
+    }
+
+    fn epochs(&self) -> &EpochTracker {
+        &self.epochs
+    }
+
+    fn audit_level(&self) -> AuditLevel {
+        self.cfg.audit
+    }
+
+    fn take_profile(&mut self) -> Option<ProfileStats> {
+        self.profile.take()
+    }
+
+    fn who(&self) -> String {
+        format!("H on {}", self.app.name())
     }
 }
 
@@ -319,7 +306,7 @@ impl HostOnly {
 mod tests {
     use super::*;
     use ndpb_dram::DataAddr;
-    use ndpb_tasks::{TaskArgs, TaskFnId, Timestamp};
+    use ndpb_tasks::{Task, TaskArgs, TaskFnId, Timestamp};
 
     /// N independent tasks of fixed compute.
     struct Flat {
@@ -369,58 +356,53 @@ mod tests {
 
     #[test]
     fn parallel_speedup_vs_single_worker() {
-        let mk = |workers| {
-            let app = Flat {
-                n: 160,
-                executed: 0,
-            };
-            let host = HostOnlyConfig {
-                workers,
-                ..HostOnlyConfig::paper()
-            };
-            HostOnly::new(SystemConfig::table1(), host, Box::new(app)).run()
+        let run = |n| {
+            let app = Flat { n, executed: 0 };
+            HostOnly::new(SystemConfig::table1(), HostOnlyConfig, Box::new(app)).run()
         };
-        let one = mk(1);
-        let sixteen = mk(16);
-        let speedup = one.makespan.ticks() as f64 / sixteen.makespan.ticks() as f64;
+        let one = run(1);
+        let many = run(160);
+        let speedup = 160.0 * one.makespan.ticks() as f64 / many.makespan.ticks() as f64;
         assert!(speedup > 10.0, "compute-bound tasks scale: {speedup}");
+    }
+
+    /// Two-epoch app: each epoch-0 task spawns one epoch-1 task.
+    struct TwoPhase {
+        phase1_seen: u64,
+    }
+
+    impl Application for TwoPhase {
+        fn name(&self) -> &str {
+            "two-phase"
+        }
+        fn initial_tasks(&mut self) -> Vec<Task> {
+            (0..32)
+                .map(|i| {
+                    Task::new(
+                        TaskFnId(0),
+                        Timestamp(0),
+                        DataAddr(i * 64),
+                        10,
+                        TaskArgs::EMPTY,
+                    )
+                })
+                .collect()
+        }
+        fn execute(&mut self, t: &Task, ctx: &mut ExecCtx) {
+            ctx.compute(10);
+            if t.ts == Timestamp(0) {
+                ctx.enqueue_task(TaskFnId(1), Timestamp(1), t.data, 10, TaskArgs::EMPTY);
+            } else {
+                self.phase1_seen += 1;
+            }
+        }
+        fn checksum(&self) -> u64 {
+            self.phase1_seen
+        }
     }
 
     #[test]
     fn epochs_are_barriers() {
-        /// Two-epoch app: each epoch-0 task spawns one epoch-1 task.
-        struct TwoPhase {
-            phase1_seen: u64,
-        }
-        impl Application for TwoPhase {
-            fn name(&self) -> &str {
-                "two-phase"
-            }
-            fn initial_tasks(&mut self) -> Vec<Task> {
-                (0..32)
-                    .map(|i| {
-                        Task::new(
-                            TaskFnId(0),
-                            Timestamp(0),
-                            DataAddr(i * 64),
-                            10,
-                            TaskArgs::EMPTY,
-                        )
-                    })
-                    .collect()
-            }
-            fn execute(&mut self, t: &Task, ctx: &mut ExecCtx) {
-                ctx.compute(10);
-                if t.ts == Timestamp(0) {
-                    ctx.enqueue_task(TaskFnId(1), Timestamp(1), t.data, 10, TaskArgs::EMPTY);
-                } else {
-                    self.phase1_seen += 1;
-                }
-            }
-            fn checksum(&self) -> u64 {
-                self.phase1_seen
-            }
-        }
         let r = HostOnly::new(
             SystemConfig::table1(),
             HostOnlyConfig::paper(),
@@ -466,5 +448,87 @@ mod tests {
         // 64 × 4 kB over 2 channels at 8 B/tick ⇒ ≥ 16384 ticks.
         assert!(r.makespan.ticks() >= 16000, "{}", r.makespan.ticks());
         assert_eq!(r.local_dram_bytes, 64 * 4096);
+    }
+
+    // ---- conservation audit ----------------------------------------------
+
+    /// `app` on a fully audited model, started: its initial tasks are
+    /// stored and the first 16 are running.
+    fn audited(app: impl Application + 'static) -> HostOnly {
+        let mut cfg = SystemConfig::table1();
+        cfg.audit = AuditLevel::Full;
+        let mut h = HostOnly::new(cfg, HostOnlyConfig, Box::new(app));
+        h.start();
+        assert!(h.violations().is_empty());
+        h
+    }
+
+    #[test]
+    fn audit_trips_on_leaked_task() {
+        let mut h = audited(Flat { n: 64, executed: 0 });
+        // A stored task nobody counts as outstanding: a completion that
+        // forgot to free its slot looks exactly like this.
+        let id = h.tasks.insert(*h.tasks.get(h.ready[0]));
+        let v = h.violations();
+        assert!(
+            v.iter().any(|x| x.law == "task-conservation"
+                && x.detail == "65 live arena slots != 64 outstanding tasks"),
+            "{v:?}"
+        );
+        h.tasks.free(id);
+        assert!(h.violations().is_empty());
+    }
+
+    #[test]
+    fn audit_trips_on_task_dropped_at_epoch_release() {
+        let mut h = audited(TwoPhase { phase1_seen: 0 });
+        while h.epochs.current() == Timestamp(0) {
+            let (_, done) = h.q.pop().expect("epoch 1 opens before the queue drains");
+            h.dispatch(done);
+        }
+        assert!(h.violations().is_empty());
+        // The barrier released 32 tasks and 16 started: one released
+        // task that no queue holds is still counted as outstanding.
+        let id = h.ready.pop_back().expect("released tasks wait");
+        let v = h.violations();
+        assert!(
+            v.iter().any(|x| x.law == "host-queues"
+                && x.detail
+                    == "32 outstanding tasks != 15 ready + 0 parked + 16 running + 0 children"),
+            "{v:?}"
+        );
+        h.ready.push_back(id);
+        assert!(h.violations().is_empty());
+    }
+
+    #[test]
+    fn audit_trips_on_worker_idle_while_running() {
+        let mut h = audited(Flat { n: 64, executed: 0 });
+        h.idle.push(3);
+        let v = h.violations();
+        assert!(
+            v.iter().any(|x| x.law == "host-queues"
+                && x.detail == "worker 3 is idle 1 times and runs 1 tasks"),
+            "{v:?}"
+        );
+        h.idle.pop();
+        assert!(h.violations().is_empty());
+    }
+
+    #[test]
+    fn audit_trips_on_channel_busy_past_its_horizon() {
+        let mut h = audited(Flat { n: 1, executed: 0 });
+        h.channels[0].reserve(SimTime::ZERO, 64);
+        assert!(h.violations().is_empty());
+        h.channels[0].busy = h.channels[0].free_at() + SimTime::from_ticks(1);
+        let v = h.violations();
+        assert!(
+            v.iter().any(|x| x.law == "bus-sanity"
+                && x.detail.starts_with("channel 0: busy")
+                && x.detail.contains("exceeds horizon")),
+            "{v:?}"
+        );
+        h.channels[0].busy = h.channels[0].free_at();
+        assert!(h.violations().is_empty());
     }
 }

@@ -15,6 +15,8 @@
 //!   task execution, gather/scatter rounds, dynamic triggering and
 //!   hierarchical data-transfer-aware load balancing;
 //! * [`hostonly::HostOnly`] — the non-NDP host baseline **H**;
+//! * `driver` — the one run loop both models share: batched dispatch,
+//!   the event watchdog, the profiler hooks and the audit;
 //! * [`result::RunResult`] — per-run metrics matching the paper's
 //!   figures (makespan, average unit time, wait fraction, traffic,
 //!   energy breakdown).
@@ -26,6 +28,7 @@ pub mod audit;
 pub mod bridge;
 pub mod config;
 pub mod design;
+mod driver;
 pub mod epoch;
 pub mod hostonly;
 pub mod metadata;

@@ -1,13 +1,13 @@
 //! A tiny free-list pool for hot-path `Vec` buffers.
 //!
-//! The event loop constantly needs short-lived vectors — spawned-task
-//! lists riding `TaskDone` events, per-round message scratch in bridge
-//! forwarding, completion batches in the host-only model. Allocating
-//! them per event shows up directly in the profiler's dispatch phase,
-//! so the system recycles them instead: `get` hands back a cleared
-//! buffer with its old capacity intact, `put` returns it. This
-//! generalizes the ad-hoc `spawn_pool`/`vec_pool` fields the simulator
-//! grew organically (DESIGN.md §3c).
+//! The event loop constantly needs short-lived vectors — child-id
+//! lists riding `System`'s `TaskDone` events and the host-only model's
+//! completion events, per-round message scratch in bridge forwarding.
+//! Allocating them per event shows up directly in the profiler's
+//! dispatch phase, so both models recycle them instead: `get` hands
+//! back a cleared buffer with its old capacity intact, `put` returns
+//! it. This generalizes the ad-hoc `spawn_pool`/`vec_pool` fields the
+//! simulator grew organically (DESIGN.md §3c).
 //!
 //! Determinism note: pooling only reuses *capacity*; every buffer is
 //! cleared on `put`, so observable state is identical to fresh

@@ -2,10 +2,11 @@
 
 use ndpb_dram::EnergyBreakdown;
 use ndpb_sim::SimTime;
+use ndpb_tasks::Application;
 use ndpb_trace::{MetricsReport, TraceRecord};
 
 /// The outcome of one simulation run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RunResult {
     /// Application name.
     pub app: String,
@@ -166,6 +167,33 @@ impl ProfileStats {
 }
 
 impl RunResult {
+    /// A result holding what every model derives the same way: `app`'s
+    /// name and checksum, and the timing fields from per-unit busy
+    /// ticks. Every other field is zero.
+    pub(crate) fn new(
+        app: &dyn Application,
+        design: String,
+        makespan: SimTime,
+        per_unit_busy: Vec<u64>,
+    ) -> Self {
+        let max = per_unit_busy.iter().copied().max().unwrap_or(0);
+        let avg = per_unit_busy.iter().sum::<u64>() / per_unit_busy.len().max(1) as u64;
+        let share = |busy: u64| busy as f64 / makespan.ticks() as f64;
+        let zero = makespan == SimTime::ZERO;
+        RunResult {
+            app: app.name().to_string(),
+            design,
+            makespan,
+            avg_unit_time: SimTime::from_ticks(avg),
+            max_unit_time: SimTime::from_ticks(max),
+            wait_fraction: if zero { 0.0 } else { 1.0 - share(max) },
+            balance: if zero { 1.0 } else { share(avg) },
+            checksum: app.checksum(),
+            per_unit_busy,
+            ..Self::default()
+        }
+    }
+
     /// A 10-bucket histogram of per-unit busy time as fractions of the
     /// makespan (bucket 0 = nearly idle units, bucket 9 = saturated).
     pub fn busy_histogram(&self) -> [u64; 10] {

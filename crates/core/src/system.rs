@@ -7,8 +7,6 @@
 //! bridge gather/scatter rounds with dynamic triggering (Section V),
 //! and hierarchical data-transfer-aware load balancing (Section VI).
 
-use std::time::Instant;
-
 use crate::fasthash::FastMap;
 
 use ndpb_dram::bank::BankAccess;
@@ -21,10 +19,11 @@ use ndpb_tasks::{Application, ExecCtx, TaskId, Timestamp};
 use ndpb_trace::{ComponentId, MetricId, MetricsRegistry, RingRecorder, TraceEvent, TraceRecord};
 
 use crate::arena::TaskArena;
-use crate::audit::{AuditLevel, Violation};
+use crate::audit::{self, AuditLevel, Violation};
 use crate::bridge::{HostBridge, RankBridge};
 use crate::config::{w_threshold, SystemConfig, TriggerPolicy};
 use crate::design::{CommPath, DesignPoint, LbPolicy};
+use crate::driver::{self, Model};
 use crate::epoch::EpochTracker;
 use crate::result::{ProfileStats, RunResult};
 use crate::steal;
@@ -35,10 +34,6 @@ use crate::unit::{NdpUnit, ScheduledBlock};
 pub(crate) const MAILBOX_ROW: u64 = 1 << 21;
 pub(crate) const TASKQ_ROW: u64 = (1 << 21) + 1;
 const BORROW_ROW: u64 = (1 << 21) + 2;
-
-/// Hard event cap: a correctness watchdog against livelock, far above
-/// anything a legitimate run needs.
-const MAX_EVENTS: u64 = 2_000_000_000;
 
 #[derive(Debug)]
 pub(crate) enum Ev {
@@ -533,95 +528,9 @@ impl System {
         &self.map
     }
 
-    /// Dispatches one event to its handler.
-    fn dispatch(&mut self, ev: Ev) {
-        match ev {
-            Ev::CoreWake(u) => self.on_core_wake(u as usize),
-            Ev::TaskDone(u, task, children) => self.on_task_done(u as usize, task, children),
-            Ev::Deliver(u, msg) => self.on_deliver(u as usize, msg),
-            Ev::RankState(r) => self.on_rank_state(r as usize),
-            Ev::RankRound(r) => self.on_rank_round(r as usize),
-            Ev::HostState => self.on_host_state(),
-            Ev::HostRound => self.on_host_round(),
-            Ev::LinkRound(r) => self.on_link_round(r as usize),
-            Ev::LinkDeliver(r, msg) => self.on_link_deliver(r as usize, msg),
-        }
-    }
-
     /// Runs the application to completion and returns the metrics.
-    pub fn run(mut self) -> RunResult {
-        self.inject_initial();
-        // An application with no tasks is already done; don't arm the
-        // periodic machinery at all.
-        if self.epochs.all_done() {
-            return self.finalize();
-        }
-        // Periodic machinery.
-        for r in 0..self.bridges.len() {
-            if self.comm == CommPath::Bridges {
-                self.sched(self.cfg.i_state(), Ev::RankState(r as u32));
-            }
-        }
-        self.sched(self.cfg.i_state(), Ev::HostState);
-
-        // Batched same-tick dispatch: one head scan + bitmap walk +
-        // overflow compare per *run* instead of per event, with pop
-        // order byte-identical to single pops by the `pop_run` contract
-        // (DESIGN.md §3c). The phase profiler is a per-batch hook, so
-        // every run takes this one loop.
-        let mut batch: Vec<Ev> = Vec::with_capacity(64);
-        // Epoch audits run between batches: inside a handler the rest
-        // of its batch is neither queued nor delivered, so the scan
-        // would miss it. A batch closes at most one epoch (a task of the
-        // next epoch cannot finish in the batch that opens it), so each
-        // barrier still gets exactly one audit under its own label.
-        let audit_epochs = self.cfg.audit.at_epochs();
-        let mut audited = self.epochs.current();
-        loop {
-            let t0 = self.profile.is_some().then(Instant::now);
-            let popped = self.q.pop_run(&mut batch).is_some();
-            if let (Some(p), Some(t0)) = (self.profile.as_mut(), t0) {
-                p.queue_ns += t0.elapsed().as_nanos() as u64;
-            }
-            if !popped {
-                break;
-            }
-            assert!(
-                self.q.popped() < MAX_EVENTS,
-                "event watchdog tripped: likely livelock in {} on {}",
-                self.design,
-                self.app.name()
-            );
-            // Deliveries read their tasks from the arena: start those
-            // loads for the whole batch before the first handler runs.
-            for ev in &batch {
-                if let Ev::Deliver(_, Message::Task(tm, _)) = ev {
-                    self.tasks.prefetch(tm.id);
-                }
-            }
-            let t1 = self.profile.as_mut().map(|p| {
-                p.note_batch(batch.len());
-                Instant::now()
-            });
-            for ev in batch.drain(..) {
-                self.dispatch(ev);
-            }
-            if let (Some(p), Some(t1)) = (self.profile.as_mut(), t1) {
-                p.dispatch_ns += t1.elapsed().as_nanos() as u64;
-            }
-            if audit_epochs && self.epochs.current() != audited {
-                audited = self.epochs.current();
-                self.run_audit(&format!("epoch-{}", audited.0));
-            }
-        }
-        assert!(
-            self.epochs.all_done(),
-            "simulation drained its event queue with {} tasks outstanding ({} on {})",
-            self.epochs.total_outstanding(),
-            self.design,
-            self.app.name()
-        );
-        self.finalize()
+    pub fn run(self) -> RunResult {
+        driver::run(self)
     }
 
     // ---- setup ------------------------------------------------------------
@@ -2149,17 +2058,7 @@ impl System {
             });
         }
 
-        // Task conservation: the arena holds exactly the tasks the epoch
-        // tracker counts as outstanding (spawned, not yet finished), so
-        // no slot leaks and no live task lost its slot.
-        let live = self.tasks.live() as u64;
-        let outstanding = self.epochs.total_outstanding();
-        if live != outstanding {
-            v.push(Violation {
-                law: "task-conservation",
-                detail: format!("{live} live arena slots != {outstanding} outstanding tasks"),
-            });
-        }
+        audit::check_tasks(&mut v, &self.tasks, &self.epochs);
 
         // toArrive balance: each correction counter equals the workload
         // of scheduled tasks still in flight toward that child, and the
@@ -2342,50 +2241,10 @@ impl System {
             });
         }
 
-        // Bus sanity: accumulated busy time never exceeds the horizon a
-        // bus has been driven to.
-        let mut check_bus = |name: &str, i: usize, b: &Bus| {
-            if b.busy > b.free_at() {
-                v.push(Violation {
-                    law: "bus-sanity",
-                    detail: format!(
-                        "{name} {i}: busy {:?} exceeds horizon {:?}",
-                        b.busy,
-                        b.free_at()
-                    ),
-                });
-            }
-        };
-        for (i, b) in self.rank_bus.iter().enumerate() {
-            check_bus("rank bus", i, b);
-        }
-        for (i, b) in self.channel.iter().enumerate() {
-            check_bus("channel", i, b);
-        }
-        for (i, b) in self.link_bus.iter().enumerate() {
-            check_bus("link", i, b);
-        }
+        audit::check_buses(&mut v, "rank bus", &self.rank_bus);
+        audit::check_buses(&mut v, "channel", &self.channel);
+        audit::check_buses(&mut v, "link", &self.link_bus);
         v
-    }
-
-    /// Runs one audit scan and panics with the full violation list if
-    /// any law fails.
-    fn run_audit(&self, label: &str) {
-        let violations = self.collect_violations();
-        if violations.is_empty() {
-            return;
-        }
-        let mut msg = format!(
-            "conservation audit failed at {label} ({} on {}, {} violation(s)):",
-            self.design,
-            self.app.name(),
-            violations.len()
-        );
-        for w in violations.iter().take(20) {
-            msg.push_str("\n  ");
-            msg.push_str(&w.to_string());
-        }
-        panic!("{msg}");
     }
 
     // ---- metrics + finalize ---------------------------------------------------
@@ -2434,37 +2293,69 @@ impl System {
             TraceEvent::EpochAdvance { epoch: new_epoch.0 },
         ));
     }
+}
 
-    fn finalize(mut self) -> RunResult {
-        let finalize_start = self.profile.is_some().then(Instant::now);
-        let mut per_unit_busy = Vec::with_capacity(self.units.len());
-        let mut makespan = SimTime::ZERO;
-        let mut max_busy = SimTime::ZERO;
-        let mut core_busy_total = SimTime::ZERO;
-        for u in &self.units {
-            per_unit_busy.push(u.busy.ticks());
-            makespan = makespan.max(u.last_finish);
-            max_busy = max_busy.max(u.busy);
-            core_busy_total += u.busy;
+impl Model for System {
+    type Ev = Ev;
+
+    fn start(&mut self) {
+        self.inject_initial();
+        // An application with no tasks is already done; don't arm the
+        // periodic machinery at all.
+        if self.epochs.all_done() {
+            return;
         }
-        let avg_busy =
-            SimTime::from_ticks(core_busy_total.ticks() / self.units.len().max(1) as u64);
+        if self.comm == CommPath::Bridges {
+            for r in 0..self.bridges.len() {
+                self.sched(self.cfg.i_state(), Ev::RankState(r as u32));
+            }
+        }
+        self.sched(self.cfg.i_state(), Ev::HostState);
+    }
+
+    fn dispatch(&mut self, ev: Ev) {
+        match ev {
+            Ev::CoreWake(u) => self.on_core_wake(u as usize),
+            Ev::TaskDone(u, task, children) => self.on_task_done(u as usize, task, children),
+            Ev::Deliver(u, msg) => self.on_deliver(u as usize, msg),
+            Ev::RankState(r) => self.on_rank_state(r as usize),
+            Ev::RankRound(r) => self.on_rank_round(r as usize),
+            Ev::HostState => self.on_host_state(),
+            Ev::HostRound => self.on_host_round(),
+            Ev::LinkRound(r) => self.on_link_round(r as usize),
+            Ev::LinkDeliver(r, msg) => self.on_link_deliver(r as usize, msg),
+        }
+    }
+
+    /// Deliveries read their tasks from the arena: start those loads
+    /// for the whole batch before the first handler runs.
+    fn prefetch(&self, batch: &[Ev]) {
+        for ev in batch {
+            if let Ev::Deliver(_, Message::Task(tm, _)) = ev {
+                self.tasks.prefetch(tm.id);
+            }
+        }
+    }
+
+    fn violations(&self) -> Vec<Violation> {
+        self.collect_violations()
+    }
+
+    fn finish(mut self) -> RunResult {
+        let makespan = self
+            .units
+            .iter()
+            .fold(SimTime::ZERO, |m, u| m.max(u.last_finish));
+        let core_busy_total = self.units.iter().fold(SimTime::ZERO, |t, u| t + u.busy);
+        let per_unit_busy = self.units.iter().map(|u| u.busy.ticks()).collect();
         self.harvest_metrics();
         self.metrics.snapshot("final", makespan);
-        if self.cfg.audit.at_end() {
-            self.run_audit("final");
-        }
         let (trace, trace_dropped) = match self.trace.take() {
             Some(mut ring) => (ring.take_records(), ring.dropped()),
             None => (Vec::new(), 0),
         };
         let comm_dram_bytes = self.metrics.get(self.m.comm_dram_bytes);
         let sram_staged_bytes = self.metrics.get(self.m.sram_staged_bytes);
-        let wait_fraction = if makespan == SimTime::ZERO {
-            0.0
-        } else {
-            1.0 - max_busy.ticks() as f64 / makespan.ticks() as f64
-        };
         let rank_bus_bytes = self.metrics.get(self.m.bus_rank_bytes);
         let channel_bytes = self.metrics.get(self.m.bus_channel_bytes);
         let lb_rounds =
@@ -2483,24 +2374,7 @@ impl System {
                 makespan,
             ),
         };
-        let profile = self.profile.take().map(|mut p| {
-            p.finalize_ns = finalize_start
-                .map(|t| t.elapsed().as_nanos() as u64)
-                .unwrap_or(0);
-            p
-        });
         RunResult {
-            app: self.app.name().to_string(),
-            design: self.design.to_string(),
-            makespan,
-            avg_unit_time: avg_busy,
-            max_unit_time: max_busy,
-            wait_fraction,
-            balance: if makespan == SimTime::ZERO {
-                1.0
-            } else {
-                avg_busy.ticks() as f64 / makespan.ticks() as f64
-            },
             tasks_executed: self.metrics.get(self.m.unit_tasks_executed),
             tasks_rerouted: self.metrics.get(self.m.unit_tasks_rerouted),
             messages_delivered: self.metrics.get(self.m.msgs_delivered),
@@ -2511,14 +2385,36 @@ impl System {
             lb_rounds,
             blocks_migrated: self.metrics.get(self.m.blocks_migrated),
             energy,
-            checksum: self.app.checksum(),
-            events: self.q.popped(),
-            per_unit_busy,
             metrics: self.metrics.into_report(),
             trace,
             trace_dropped,
-            profile,
+            ..RunResult::new(
+                self.app.as_ref(),
+                self.design.to_string(),
+                makespan,
+                per_unit_busy,
+            )
         }
+    }
+
+    fn queue(&mut self) -> &mut EventQueue<Ev> {
+        &mut self.q
+    }
+
+    fn epochs(&self) -> &EpochTracker {
+        &self.epochs
+    }
+
+    fn audit_level(&self) -> AuditLevel {
+        self.cfg.audit
+    }
+
+    fn take_profile(&mut self) -> Option<ProfileStats> {
+        self.profile.take()
+    }
+
+    fn who(&self) -> String {
+        format!("{} on {}", self.design, self.app.name())
     }
 }
 

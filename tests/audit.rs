@@ -1,11 +1,11 @@
 //! End-to-end conservation audit over the golden-run reference
-//! configuration: every design column, fully audited, at two worker
-//! counts.
+//! configuration: every design column, the host-only baseline H
+//! included, fully audited, at two worker counts.
 //!
-//! The auditor (`ndpbridge::core::audit`, enforced inside
-//! `System::run`) re-derives the system's conservation laws from
-//! independent state after the event batch that clears each epoch
-//! barrier and at end of run:
+//! The auditor (`ndpbridge::core::audit`) runs inside the one run loop
+//! that `System::run` and `HostOnly::run` share. It re-derives each
+//! model's conservation laws from independent state after the event
+//! batch that clears each epoch barrier and at end of run:
 //!
 //! * messages emitted = delivered + in-flight across every hop
 //!   (unit mailboxes, bridge buffers, host buffers, and the
@@ -15,13 +15,18 @@
 //! * the two-level inclusive `dataBorrowed` tables mirror the `isLent`
 //!   bitmaps exactly (no orphans, no stale entries, rank ⊆ host);
 //! * the per-cause traffic ledger sums to the system byte totals;
-//! * bus busy time never exceeds wall time.
+//! * in both models, the task arena holds exactly the outstanding
+//!   tasks, and bus busy time never exceeds wall time;
+//! * in H, every outstanding task sits in the ready queue, a parked
+//!   epoch list or a running worker's completion, and every worker is
+//!   idle or runs one task of the open epoch.
 //!
 //! A single violated law panics the simulation with the full violation
 //! list, so these tests assert zero violations simply by completing.
-//! `System`-level unit tests prove the same machinery *does* trip on
-//! deliberately corrupted state (see `audit_trips_on_*` in
-//! `crates/core/src/system.rs`), so a green run here is meaningful.
+//! Unit tests prove the same machinery *does* trip on deliberately
+//! corrupted state (see `audit_trips_on_*` in
+//! `crates/core/src/system.rs` and `crates/core/src/hostonly.rs`), so a
+//! green run here is meaningful.
 
 use ndpbridge::bench::{Column, SweepPoint, Sweeper};
 use ndpbridge::core::audit::AuditLevel;

@@ -2,12 +2,12 @@
 //! the allocator traffic of one simulation, and the largest block
 //! set-up asks for.
 //!
-//! Tasks live once in `System`'s task arena; messages and events carry
-//! a 4-byte `TaskId`. These tests fail if a task record creeps back
-//! into `Message`, if `System::run` starts allocating per task again,
-//! or if an app's set-up asks for one large block again. This file is
-//! its own test binary because it installs a counting global
-//! allocator.
+//! Tasks live once in a task arena, in both `System` and `HostOnly`;
+//! messages and events carry a 4-byte `TaskId`. These tests fail if a
+//! task record creeps back into `Message`, if either model's `run`
+//! starts allocating per task again or asks for a large block, or if
+//! an app's set-up asks for one large block again. This file is its
+//! own test binary because it installs a counting global allocator.
 //!
 //! `cargo test --release --test footprint -- --nocapture` prints the
 //! measured counts.
@@ -16,7 +16,9 @@ use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::cell::Cell;
 use std::mem::size_of;
 
-use ndpbridge::core::{AuditLevel, DesignPoint, System, SystemConfig};
+use ndpbridge::bench::Column;
+use ndpbridge::core::hostonly::{HostOnly, HostOnlyConfig};
+use ndpbridge::core::{AuditLevel, DesignPoint, RunResult, System, SystemConfig};
 use ndpbridge::proto::Message;
 use ndpbridge::tasks::TaskId;
 use ndpbridge::workloads::{build_app, Scale, APP_NAMES};
@@ -66,24 +68,36 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOC: Counting = Counting;
 
-/// Allocator calls and requested bytes inside `System::run` for one
-/// Tiny point on Table I (seed 24301, audit off), set-up excluded.
-fn run_allocations(app: &str, design: DesignPoint) -> (u64, u64) {
+/// Allocator calls, requested bytes and the largest block inside the
+/// model's `run` for one Tiny point on Table I (seed 24301, audit off),
+/// set-up excluded.
+fn run_allocations(app: &str, column: Column) -> (u64, u64, usize) {
     let mut cfg = SystemConfig::table1();
     cfg.seed = 24301;
     cfg.audit = AuditLevel::Off;
-    let sys = System::new(
-        cfg.clone(),
-        design,
-        build_app(app, &cfg.geometry, Scale::Tiny, cfg.seed),
-    );
+    let built = build_app(app, &cfg.geometry, Scale::Tiny, cfg.seed);
+    let run: Box<dyn FnOnce() -> RunResult> = match column {
+        Column::Ndp(design) => {
+            let sys = System::new(cfg, design, built);
+            Box::new(move || sys.run())
+        }
+        Column::Host => {
+            let host = HostOnly::new(cfg, HostOnlyConfig::paper(), built);
+            Box::new(move || host.run())
+        }
+    };
     CALLS.with(|c| c.set(0));
     BYTES.with(|b| b.set(0));
+    LARGEST.with(|l| l.set(0));
     ARMED.with(|a| a.set(true));
-    let result = sys.run();
+    let result = run();
     ARMED.with(|a| a.set(false));
     assert!(result.tasks_executed > 0);
-    (CALLS.with(Cell::get), BYTES.with(Cell::get))
+    (
+        CALLS.with(Cell::get),
+        BYTES.with(Cell::get),
+        LARGEST.with(Cell::get),
+    )
 }
 
 #[test]
@@ -104,20 +118,30 @@ fn run_allocations_stay_within_budget() {
     // Before the load-balancing rounds reused `System`'s buffers the
     // same runs made 22,429 calls for 8,055,296 bytes and 17,610 calls
     // for 2,393,737 bytes, and before the task arena 32,437 calls for
-    // 36,371,472 bytes and 29,408 calls for 7,222,797 bytes.
-    for (app, design, calls_max, bytes_max) in [
-        ("wcc", DesignPoint::W, 16_600, 7_920_000),
-        ("tree", DesignPoint::O, 16_660, 2_362_000),
+    // 36,371,472 bytes and 29,408 calls for 7,222,797 bytes. On the
+    // host-only model wcc makes 206 calls for 1,746,096 bytes and bfs
+    // 192 for 1,093,012; before H stored its tasks in the arena, wcc
+    // made 168 calls for 7,544,292 bytes, the largest 1,048,576 bytes.
+    // No run asks for a block above 128 KiB (wcc on W and on H ask for
+    // exactly 131,072 bytes).
+    const BLOCK_MAX: usize = 128 << 10;
+    for (app, column, calls_max, bytes_max) in [
+        ("wcc", Column::Ndp(DesignPoint::W), 16_600, 7_920_000),
+        ("tree", Column::Ndp(DesignPoint::O), 16_660, 2_362_000),
+        ("wcc", Column::Host, 227, 1_921_000),
+        ("bfs", Column::Host, 212, 1_203_000),
     ] {
-        let (calls, bytes) = run_allocations(app, design);
-        println!("{app} on {design}: {calls} allocator calls, {bytes} bytes requested in run()");
-        assert!(
-            calls <= calls_max,
-            "{app} on {design}: {calls} calls > {calls_max}"
+        let (calls, bytes, largest) = run_allocations(app, column);
+        let on = format!("{app} on {}", column.label());
+        println!(
+            "{on}: {calls} allocator calls, {bytes} bytes requested, largest block \
+             {largest} bytes in run()"
         );
+        assert!(calls <= calls_max, "{on}: {calls} calls > {calls_max}");
+        assert!(bytes <= bytes_max, "{on}: {bytes} bytes > {bytes_max}");
         assert!(
-            bytes <= bytes_max,
-            "{app} on {design}: {bytes} bytes > {bytes_max}"
+            largest <= BLOCK_MAX,
+            "{on}: a {largest}-byte block > {BLOCK_MAX}"
         );
     }
 }
