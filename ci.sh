@@ -110,6 +110,9 @@ grep -q "493 points, 165 cache hits, 328 simulated" "$SMOKE_DIR/all-plain.err"
 cmp "$SMOKE_DIR/all-plain.txt" "$SMOKE_DIR/all-plain-j1.txt"
 "$REPRO" all --tiny --no-cache --audit --jobs 2 > "$SMOKE_DIR/all-audited.txt" 2>/dev/null
 cmp "$SMOKE_DIR/all-plain.txt" "$SMOKE_DIR/all-audited.txt"
+# Every figure's Tiny numbers are pinned: a change that moves any of
+# them regenerates docs/repro/repro_tiny.txt with it.
+cmp "$SMOKE_DIR/all-plain.txt" docs/repro/repro_tiny.txt
 
 echo "== repro instrumented smoke: trace and metrics-registry output =="
 # The instrumented design-O run is the one path that writes the
@@ -145,6 +148,16 @@ echo "== repro gather smoke: gather-cost-aware stealing ablation =="
 "$REPRO" gather --tiny --apps tree,spmv --no-cache > "$SMOKE_DIR/gather.txt" 2>/dev/null
 grep -q "gather reduction W+GA vs W:" "$SMOKE_DIR/gather.txt"
 grep -q "W+Byte" "$SMOKE_DIR/gather.txt"
+
+echo "== repro gather reference outputs: the gather-aware ladder at Tiny and Small =="
+# No figure of `repro all` runs a prefer_lent design, so the W+Byte,
+# W+Lent, W+GA and O+GA columns over all eight apps are pinned here,
+# at Tiny and at Small (about 0.3 s and 3 s on a 2-vCPU host). A change
+# that moves them regenerates docs/repro/gather_{tiny,small}.txt.
+"$REPRO" gather --tiny --no-cache > "$SMOKE_DIR/gather-tiny.txt" 2>/dev/null
+cmp "$SMOKE_DIR/gather-tiny.txt" docs/repro/gather_tiny.txt
+"$REPRO" gather --small --no-cache --jobs 2 > "$SMOKE_DIR/gather-small.txt" 2>/dev/null
+cmp "$SMOKE_DIR/gather-small.txt" docs/repro/gather_small.txt
 
 echo "== repro bench smoke: engine throughput + Small and Full tiers (non-gating timings) =="
 # The timings themselves are machine-dependent and NOT gated; what is

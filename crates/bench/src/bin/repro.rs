@@ -47,7 +47,7 @@ use ndpb_bench::{
     format_speedup_table, matrix_geomean, matrix_geomean_speedup, run_matrix, Column, Sweeper,
 };
 use ndpb_core::audit::AuditLevel;
-use ndpb_core::config::{SystemConfig, TriggerPolicy};
+use ndpb_core::config::{SystemConfig, TriggerPolicy, BORROWED_REGION_BYTES, BRIDGE_MAILBOX_BYTES};
 use ndpb_core::design::DesignPoint;
 use ndpb_core::hostonly::{HostOnly, HostOnlyConfig};
 use ndpb_core::result::geomean;
@@ -371,13 +371,13 @@ fn table1() {
     println!(
         "Unit DRAM    : {} MB mailbox, {} MB borrowed region",
         c.mailbox_bytes >> 20,
-        c.borrowed_region_bytes >> 20
+        BORROWED_REGION_BYTES >> 20
     );
     println!(
         "Bridge SRAM  : {} kB scatter bufs, {} kB backup, {} kB mailbox, dataBorrowed {} entries",
         (c.scatter_buffer_bytes * c.geometry.units_per_rank() as u64) >> 10,
         c.backup_buffer_bytes >> 10,
-        c.bridge_mailbox_bytes >> 10,
+        BRIDGE_MAILBOX_BYTES >> 10,
         c.bridge_borrowed_entries
     );
     println!(
@@ -1378,7 +1378,8 @@ fn main() {
     if cmd == "all" {
         let (flag, file) = match o.scale {
             Scale::Full => ("--full", "docs/repro/repro_full.txt"),
-            _ => ("--small", "docs/repro/repro_small.txt"),
+            Scale::Tiny => ("--tiny", "docs/repro/repro_tiny.txt"),
+            Scale::Small => ("--small", "docs/repro/repro_small.txt"),
         };
         eprintln!("[reference outputs live in docs/repro/; regenerate with:");
         eprintln!(" cargo run --release --bin repro -- all {flag} > {file}]");

@@ -17,7 +17,7 @@ use ndpb_dram::{BlockAddr, RankId, UnitId};
 use ndpb_proto::{Mailbox, Message};
 use ndpb_sim::{SimRng, SimTime};
 
-use crate::config::SystemConfig;
+use crate::config::{SystemConfig, BRIDGE_MAILBOX_BYTES};
 use crate::metadata::LruTable;
 
 /// The bridge's last state snapshot of one child unit. STATE-GATHER
@@ -84,7 +84,7 @@ impl RankBridge {
             backup: VecDeque::new(),
             backup_bytes: 0,
             backup_cap: cfg.backup_buffer_bytes,
-            up_mailbox: Mailbox::new(cfg.bridge_mailbox_bytes),
+            up_mailbox: Mailbox::new(BRIDGE_MAILBOX_BYTES),
             data_borrowed: LruTable::new(cfg.bridge_borrowed_entries),
             child_state: vec![ChildState::default(); children],
             to_arrive: vec![0; children],
@@ -198,19 +198,12 @@ impl RankBridge {
             .chain(self.backup.iter().map(|(_, m)| m))
     }
 
-    /// Children whose queue (plus in-flight correction when enabled)
-    /// falls below `threshold` — the load-balancing receivers.
-    pub fn idle_children(
-        &self,
-        threshold: u64,
-        correction: bool,
-    ) -> impl Iterator<Item = usize> + '_ {
+    /// Children whose queue plus in-flight scheduled workload
+    /// (`toArrive`, the workload correction) falls below `threshold` —
+    /// the load-balancing receivers.
+    pub fn idle_children(&self, threshold: u64) -> impl Iterator<Item = usize> + '_ {
         (0..self.children()).filter(move |&i| {
-            let mut w = self.child_state[i].queue_workload;
-            if correction {
-                w += self.to_arrive[i];
-            }
-            w < threshold.max(1)
+            self.child_state[i].queue_workload + self.to_arrive[i] < threshold.max(1)
         })
     }
 
@@ -375,11 +368,11 @@ mod tests {
         let mut b = bridge(&c);
         b.child_state[0].queue_workload = 0;
         b.child_state[1].queue_workload = 100;
+        // Nothing in flight: unit 0 is idle below threshold 10.
+        assert!(b.idle_children(10).any(|i| i == 0));
+        // The workload correction: 50 in-flight workload disqualifies it.
         b.to_arrive[0] = 50;
-        // Without correction unit 0 is idle below threshold 10.
-        assert!(b.idle_children(10, false).any(|i| i == 0));
-        // With correction its 50 in-flight workload disqualifies it.
-        assert!(!b.idle_children(10, true).any(|i| i == 0));
+        assert!(!b.idle_children(10).any(|i| i == 0));
         assert!(b.busy_children(10).any(|i| i == 1));
         assert!(!b.busy_children(10).any(|i| i == 0));
     }

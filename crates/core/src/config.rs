@@ -20,6 +20,22 @@ pub enum TriggerPolicy {
     Fixed2IMin,
 }
 
+/// Per-unit in-DRAM borrowed data region (Table I: 1 MB).
+pub const BORROWED_REGION_BYTES: u64 = 1 << 20;
+
+/// Level-1 bridge SRAM mailbox for upward messages (Table I: 128 kB).
+pub const BRIDGE_MAILBOX_BYTES: u64 = 128 << 10;
+
+/// Reserved-queue chunk pool per unit (Table I: 1280 chunks).
+pub const RESERVED_CHUNKS: usize = 1280;
+
+/// Tasks per reserved-queue chunk (`G_xfer` / 32 B task records).
+pub const RESERVED_TASKS_PER_CHUNK: usize = 8;
+
+/// Host software latency per forwarding round (the level-2 bridge is a
+/// host-side runtime in the paper's evaluation).
+pub const HOST_ROUND_LATENCY: SimTime = SimTime::from_ns_ceil(500);
+
 /// Full system configuration. Defaults reproduce Table I.
 #[derive(Debug, Clone)]
 pub struct SystemConfig {
@@ -35,10 +51,6 @@ pub struct SystemConfig {
     pub i_state_cycles: u64,
     /// Per-unit in-DRAM mailbox region (1 MB).
     pub mailbox_bytes: u64,
-    /// Per-unit in-DRAM borrowed data region (1 MB).
-    pub borrowed_region_bytes: u64,
-    /// Level-1 bridge SRAM mailbox for upward messages (128 kB).
-    pub bridge_mailbox_bytes: u64,
     /// Per-child scatter buffer in the bridge (1 kB each).
     pub scatter_buffer_bytes: u64,
     /// Bridge backup buffer (64 kB).
@@ -51,15 +63,8 @@ pub struct SystemConfig {
     pub bridge_borrowed_entries: usize,
     /// Hot-data sketch geometry.
     pub sketch: SketchConfig,
-    /// Reserved-queue chunk pool per unit (1280 chunks).
-    pub reserved_chunks: usize,
-    /// Tasks per reserved-queue chunk (`G_xfer` / 32 B task records).
-    pub reserved_tasks_per_chunk: usize,
     /// Communication trigger policy.
     pub trigger: TriggerPolicy,
-    /// Host software latency per forwarding round (the level-2 bridge is
-    /// a host-side runtime in the paper's evaluation).
-    pub host_round_latency: SimTime,
     /// Optional DIMM-Link-style peer-to-peer links between ranks
     /// (Section V-A: "NDPBridge is orthogonal to and can work in tandem
     /// with them"). `Some(bits_per_tick)` routes cross-rank messages
@@ -85,17 +90,12 @@ impl SystemConfig {
             g_xfer: 256,
             i_state_cycles: 2000,
             mailbox_bytes: 1 << 20,
-            borrowed_region_bytes: 1 << 20,
-            bridge_mailbox_bytes: 128 << 10,
             scatter_buffer_bytes: 1 << 10,
             backup_buffer_bytes: 64 << 10,
             unit_borrowed_entries: 1024,
             bridge_borrowed_entries: 65536,
             sketch: SketchConfig::paper(),
-            reserved_chunks: 1280,
-            reserved_tasks_per_chunk: 8,
             trigger: TriggerPolicy::Dynamic,
-            host_round_latency: SimTime::from_ns_ceil(500),
             dimm_link: None,
             seed: 0x5EED,
             audit: AuditLevel::default(),
@@ -162,7 +162,7 @@ impl SystemConfig {
             "mailbox must hold at least one transfer"
         );
         assert!(
-            self.borrowed_region_bytes >= self.g_xfer as u64,
+            BORROWED_REGION_BYTES >= self.g_xfer as u64,
             "borrowed region must hold at least one block"
         );
         assert!(self.i_state_cycles > 0, "I_state must be positive");
@@ -171,7 +171,7 @@ impl SystemConfig {
     /// Maximum number of blocks the borrowed-data region can hold; the
     /// `dataBorrowed` table may be the tighter limit.
     pub fn borrowed_capacity_blocks(&self) -> usize {
-        ((self.borrowed_region_bytes / self.g_xfer as u64) as usize).min(self.unit_borrowed_entries)
+        ((BORROWED_REGION_BYTES / self.g_xfer as u64) as usize).min(self.unit_borrowed_entries)
     }
 
     /// A cheap, stable 64-bit content fingerprint covering every

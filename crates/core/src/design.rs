@@ -20,7 +20,10 @@ pub enum CommPath {
 /// Load-balancing policy knobs (Section VI; ablated in Figure 14a).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LbPolicy {
-    /// Whether dynamic load balancing runs at all.
+    /// Whether dynamic load balancing runs at all. Every balancing
+    /// design counts in-flight scheduled workload (`toArrive`) when it
+    /// looks for idle receivers: Section VII applies this workload
+    /// correction to W and O alike.
     pub enabled: bool,
     /// `+Adv`: schedule *in advance* of queue exhaustion, using the
     /// `W_th` threshold, to hide transfer latency.
@@ -31,9 +34,6 @@ pub struct LbPolicy {
     /// `+Hot`: select hot blocks (sketch + reserved queue) to reduce
     /// transfer traffic.
     pub hot_data: bool,
-    /// Workload correction with the `toArrive` counter (applied to both
-    /// W and O per Section VII).
-    pub workload_correction: bool,
     /// `+Byte`: budget each steal batch by estimated wire bytes moved,
     /// amortized against the gather/scatter cost `W_th` already models
     /// (see `crate::steal::steal_byte_budget`). Steals that would blow
@@ -54,18 +54,16 @@ impl LbPolicy {
         in_advance: false,
         fine_grained: false,
         hot_data: false,
-        workload_correction: false,
         byte_budget: false,
         prefer_lent: false,
     };
 
-    /// Traditional work stealing with workload correction (design W).
+    /// Traditional work stealing (design W).
     pub const WORK_STEALING: LbPolicy = LbPolicy {
         enabled: true,
         in_advance: false,
         fine_grained: false,
         hot_data: false,
-        workload_correction: true,
         byte_budget: false,
         prefer_lent: false,
     };
@@ -76,7 +74,6 @@ impl LbPolicy {
         in_advance: true,
         fine_grained: true,
         hot_data: true,
-        workload_correction: true,
         byte_budget: false,
         prefer_lent: false,
     };
@@ -212,12 +209,6 @@ mod tests {
         assert!(t[2].lb_policy().enabled);
         assert!(!t[2].lb_policy().hot_data);
         assert!(t[3].lb_policy().hot_data);
-    }
-
-    #[test]
-    fn w_has_workload_correction() {
-        // Section VII: "We also apply workload correction to W".
-        assert!(DesignPoint::W.lb_policy().workload_correction);
     }
 
     #[test]

@@ -142,8 +142,7 @@ impl HostOnly {
     /// Runs task `id` on idle worker `w` from `now` and schedules its
     /// completion.
     fn execute(&mut self, w: usize, id: TaskId, now: SimTime) {
-        let spawn_buf = self.ctx.take_spawned();
-        self.ctx.reset(ndpb_dram::UnitId(0), spawn_buf);
+        self.ctx.reset(ndpb_dram::UnitId(0));
         self.app.execute(self.tasks.get(id), &mut self.ctx);
         let cycles = self.ctx.compute_cycles() as f64 * TICKS_PER_CORE_CYCLE as f64;
         let mut t = now + SimTime::from_ticks((cycles / SPEEDUP).ceil() as u64);

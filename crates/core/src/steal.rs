@@ -9,8 +9,8 @@
 //! in preference order until either budget runs dry:
 //!
 //! 1. **task-only forwards** (tier 0): the candidate block is already
-//!    lent to one of this round's receivers, so only the task
-//!    descriptors move — no gather, no scatter;
+//!    lent to another unit of the rank, so only the task descriptors
+//!    move, to that holder — no gather, no scatter;
 //! 2. **sketch-hot blocks** (tier 1): HeavyGuardian says more work for
 //!    this block keeps arriving, so the one-time gather amortizes over
 //!    future tasks too;

@@ -21,13 +21,13 @@ use ndpb_trace::{ComponentId, MetricId, MetricsRegistry, RingRecorder, TraceEven
 use crate::arena::TaskArena;
 use crate::audit::{self, AuditLevel, Violation};
 use crate::bridge::{HostBridge, RankBridge};
-use crate::config::{w_threshold, SystemConfig, TriggerPolicy};
+use crate::config::{w_threshold, SystemConfig, TriggerPolicy, HOST_ROUND_LATENCY};
 use crate::design::{CommPath, DesignPoint, LbPolicy};
 use crate::driver::{self, Model};
 use crate::epoch::EpochTracker;
 use crate::result::{ProfileStats, RunResult};
 use crate::steal;
-use crate::unit::{NdpUnit, ScheduledBlock};
+use crate::unit::{GatherAware, NdpUnit, ScheduledBlock};
 
 /// Synthetic row ids for controller-managed bank regions (beyond the
 /// data rows, like the paper's reserved addresses).
@@ -603,8 +603,7 @@ impl System {
         }
         // Execute, reusing the persistent context: reads, writes and
         // spawns land in buffers that keep their capacity across tasks.
-        let spawn_buf = self.exec_ctx.take_spawned();
-        self.exec_ctx.reset(self.units[u].id, spawn_buf);
+        self.exec_ctx.reset(self.units[u].id);
         self.app.execute(self.tasks.get(id), &mut self.exec_ctx);
         let cycles = self.exec_ctx.compute_cycles();
         let mut t = now + SimTime::from_ticks(cycles * TICKS_PER_CORE_CYCLE);
@@ -1332,7 +1331,7 @@ impl System {
             1 // steal only when the queue is empty
         };
         receivers.clear();
-        receivers.extend(self.bridges[r].idle_children(w_th, self.lb.workload_correction));
+        receivers.extend(self.bridges[r].idle_children(w_th));
         if receivers.is_empty() {
             return;
         }
@@ -1394,8 +1393,9 @@ impl System {
     }
 
     /// Sends a SCHEDULE to a giver unit and moves its chosen blocks +
-    /// tasks into its mailbox, assigning receivers round-robin.
-    /// `cross_rank` receivers are global unit indices already.
+    /// tasks into its mailbox, assigning receivers round-robin; a
+    /// task-only forward goes to its block's holder and takes no
+    /// receiver. `cross_rank` receivers are global unit indices already.
     fn schedule_giver(
         &mut self,
         r: usize,
@@ -1414,44 +1414,48 @@ impl System {
                 receivers: receivers.len() as u32,
             },
         ));
-        if self.lb.byte_budget || self.lb.prefer_lent {
-            return self.schedule_giver_aware(r, giver, budget, receivers, now, cross_rank);
-        }
-        let hot = self.lb.hot_data;
-        let chosen = self.units[giver].choose_scheduled_out(budget, hot, &self.tasks, &self.map);
+        let aware = (self.lb.byte_budget || self.lb.prefer_lent)
+            .then(|| self.gather_aware(r, giver, budget, cross_rank));
+        let chosen = self.units[giver].choose_scheduled_out(
+            budget,
+            self.lb.hot_data,
+            aware.as_ref(),
+            &self.tasks,
+            &self.map,
+        );
         if chosen.is_empty() {
             return;
         }
-        let base = r * self.cfg.geometry.units_per_rank() as usize;
-        for (rr, sb) in chosen.into_iter().enumerate() {
-            let recv_global = if cross_rank {
-                receivers[rr % receivers.len()]
-            } else {
-                base + receivers[rr % receivers.len()]
+        let base = if cross_rank {
+            0
+        } else {
+            r * self.cfg.geometry.units_per_rank() as usize
+        };
+        let mut rr = 0usize;
+        for sb in chosen {
+            let recv_global = match sb.pinned_recv {
+                Some(holder) => holder.index(),
+                None => {
+                    let g = base + receivers[rr % receivers.len()];
+                    rr += 1;
+                    g
+                }
             };
-            self.emit_scheduled_block(r, giver, sb, recv_global, false, cross_rank, now);
+            self.emit_scheduled_block(r, giver, sb, recv_global, cross_rank, now);
         }
         self.consider_comm(giver, now);
     }
 
-    /// Gather-cost-aware variant of `schedule_giver`
+    /// The gather-cost-aware limits of one SCHEDULE
     /// (`LbPolicy::byte_budget` / `prefer_lent`, DESIGN.md §10): the
-    /// round's workload budget is converted into a wire-byte budget via
-    /// `steal::steal_byte_budget`, the giver's queued tasks for blocks
-    /// already lent to one of this round's receivers become task-only
-    /// forward candidates, and `steal::plan_steal` picks in preference
-    /// order (task-only → hot → densest) until either budget runs dry.
-    fn schedule_giver_aware(
-        &mut self,
-        r: usize,
-        giver: usize,
-        budget: u64,
-        receivers: &[usize],
-        now: SimTime,
-        cross_rank: bool,
-    ) {
-        let byte_budget = if self.lb.byte_budget {
-            let w_th = self.rank_w_threshold(r);
+    /// round's workload budget converted into a wire-byte budget via
+    /// `steal::steal_byte_budget`, the payoff filter, and the giver's
+    /// lent blocks whose queued tasks become task-only forwards.
+    fn gather_aware(&self, r: usize, giver: usize, budget: u64, cross_rank: bool) -> GatherAware {
+        let w_th = self.rank_w_threshold(r);
+        let byte_budget = if !self.lb.byte_budget {
+            u64::MAX
+        } else if self.units[giver].queue_workload() < steal::STEAL_GATE_WTH * w_th.max(1) {
             // Overload gate: moving a block only pays when the giver is
             // genuinely backlogged (DESIGN.md §10). Each block move
             // provokes a full gather-round sweep — `chips · G_xfer` of
@@ -1462,105 +1466,63 @@ impl System {
             // path's mail anyway, are still allowed. This is what stops
             // low-parallelism apps from re-stealing thin blocks every
             // idle round.
-            let gate = steal::STEAL_GATE_WTH * w_th.max(1);
-            if self.units[giver].queue_workload() < gate {
-                0
-            } else {
-                // Rate-limit: the *byte* allowance per round is what
-                // the fine-grained policy would move (2·W_th per giver
-                // round), even when the workload budget is steal-half's
-                // much larger half-queue. Deliberately NOT multiplied
-                // by the receiver count: a starved rank has many idle
-                // receivers, and that is exactly when per-round traffic
-                // must stay bounded. Task-only forwards cost almost no
-                // bytes, so they can still fill the rest of the
-                // workload budget past this cap.
-                let fine_equiv = 2 * w_th.max(1);
-                steal::steal_byte_budget(budget.min(fine_equiv), w_th, self.cfg.g_xfer)
-            }
+            0
         } else {
-            u64::MAX
+            // Rate-limit: the *byte* allowance per round is what the
+            // fine-grained policy would move (2·W_th per giver round),
+            // even when the workload budget is steal-half's much larger
+            // half-queue. Deliberately NOT multiplied by the receiver
+            // count: a starved rank has many idle receivers, and that is
+            // exactly when per-round traffic must stay bounded. Task-
+            // only forwards cost almost no bytes, so they can still fill
+            // the rest of the workload budget past this cap.
+            let fine_equiv = 2 * w_th.max(1);
+            steal::steal_byte_budget(budget.min(fine_equiv), w_th, self.cfg.g_xfer)
         };
-        // Blocks this giver owns that are currently lent out with a
-        // known holder in this rank: their queued tasks would be
-        // rerouted to the holder one-by-one on pop anyway, so the steal
-        // round forwards them eagerly, task-only — no gather/scatter at
-        // all. Intra-rank only — at the host level borrowed blocks are
-        // tracked per rank, not per holder unit.
-        let mut lent_to: FastMap<u64, UnitId> = FastMap::default();
-        if self.lb.prefer_lent && !cross_rank {
-            for block in self.units[giver].queued_lent_home_blocks(&self.tasks, &self.map) {
-                if let Some(&holder) = self.bridges[r].data_borrowed.peek(&block) {
-                    if holder.index() != giver {
-                        lent_to.insert(block.0, holder);
-                    }
-                }
-            }
-        }
-        let data_wire = u64::from(
-            DataMessage {
-                block: BlockAddr(0),
-                bytes: self.cfg.g_xfer,
-                workload: 0,
-            }
-            .wire_bytes(),
-        );
-        let hot = self.lb.hot_data;
-        let amortize = self.lb.byte_budget.then(|| steal::AmortizeCfg {
-            g_xfer: self.cfg.g_xfer,
-            w_th: self.rank_w_threshold(r),
-        });
-        let picks = self.units[giver].choose_scheduled_out_aware(
-            budget,
+        // Blocks this giver owns that are lent out with a known holder
+        // in this rank. Intra-rank only — at the host level borrowed
+        // blocks are tracked per rank, not per holder unit.
+        let lent_to = if self.lb.prefer_lent && !cross_rank {
+            self.units[giver].lent_holders(&self.bridges[r].data_borrowed, &self.tasks, &self.map)
+        } else {
+            FastMap::default()
+        };
+        GatherAware {
             byte_budget,
-            hot,
-            &lent_to,
-            data_wire,
-            amortize,
-            &self.tasks,
-            &self.map,
-        );
-        if picks.is_empty() {
-            return;
-        }
-        let base = r * self.cfg.geometry.units_per_rank() as usize;
-        let mut rr = 0usize;
-        for pick in picks {
-            let (recv_global, task_only) = match pick.pinned_recv {
-                Some(holder) => (holder.index(), true),
-                None => {
-                    let g = if cross_rank {
-                        receivers[rr % receivers.len()]
-                    } else {
-                        base + receivers[rr % receivers.len()]
-                    };
-                    rr += 1;
-                    (g, false)
+            data_wire_bytes: u64::from(
+                DataMessage {
+                    block: BlockAddr(0),
+                    bytes: self.cfg.g_xfer,
+                    workload: 0,
                 }
-            };
-            self.emit_scheduled_block(r, giver, pick.sb, recv_global, task_only, cross_rank, now);
+                .wire_bytes(),
+            ),
+            amortize: self.lb.byte_budget.then_some(steal::AmortizeCfg {
+                g_xfer: self.cfg.g_xfer,
+                w_th,
+            }),
+            lent_to,
         }
-        self.consider_comm(giver, now);
     }
 
     /// Emits one scheduled block toward `recv_global`: migration
     /// metadata, `toArrive` accounting at both levels, the data message
-    /// and the task messages. `task_only` (gather-aware forwards to the
-    /// block's current holder) skips everything data-related — no
-    /// migration count, no metadata update, no data message — because
-    /// the block does not move; only the task descriptors travel.
-    #[allow(clippy::too_many_arguments)]
+    /// and the task messages. A task-only forward (`pinned_recv`, sent
+    /// to the block's current holder) skips everything data-related —
+    /// no migration count, no metadata update, no data message —
+    /// because the block does not move; only the task descriptors
+    /// travel.
     fn emit_scheduled_block(
         &mut self,
         r: usize,
         giver: usize,
         sb: ScheduledBlock,
         recv_global: usize,
-        task_only: bool,
         cross_rank: bool,
         now: SimTime,
     ) {
         let recv_id = UnitId(recv_global as u32);
+        let task_only = sb.pinned_recv.is_some();
         if !task_only {
             self.metrics.inc(self.m.blocks_migrated);
             self.record(TraceRecord::instant(
@@ -1670,13 +1632,10 @@ impl System {
             .max()
             .unwrap_or(1);
         idle_ranks.clear();
+        // Every unit idle, in-flight scheduled workload included:
+        // aggregate under one unit's threshold.
         idle_ranks.extend((0..ranks).filter(|&r| {
-            let mut w = self.host.rank_queue_workload[r];
-            if self.lb.workload_correction {
-                w += self.host.to_arrive[r];
-            }
-            // Every unit idle: aggregate under one unit's threshold.
-            w < w_th_global.max(1)
+            self.host.rank_queue_workload[r] + self.host.to_arrive[r] < w_th_global.max(1)
         }));
         if idle_ranks.is_empty() {
             return;
@@ -1812,7 +1771,7 @@ impl System {
             }
             self.msg_scratch = msgs;
         }
-        let t = t_end + self.cfg.host_round_latency;
+        let t = t_end + HOST_ROUND_LATENCY;
         // Scatter down to rank bridges.
         let mut final_end = t;
         for r in 0..self.bridges.len() {
@@ -1916,7 +1875,7 @@ impl System {
                 }
             }
         }
-        let t = t_end + self.cfg.host_round_latency;
+        let t = t_end + HOST_ROUND_LATENCY;
         // Scatter: host → banks, again over channel + rank bus.
         let mut final_end = t;
         for r in 0..self.bridges.len() {
@@ -2935,6 +2894,45 @@ mod tests {
         let mut fwd = s.units[9].mailbox.iter();
         assert!(matches!(fwd.next(), Some(Message::Task(_, None))));
         assert!(fwd.next().is_none());
+    }
+
+    #[test]
+    fn lent_tasks_forward_task_only_and_moves_take_receivers_in_order() {
+        let mut s = sys(DesignPoint::WLent);
+        let g = u64::from(s.cfg.g_xfer);
+        let a = s.map.block_of(task_on(&s, 5, 0).data);
+        let b = s.map.block_of(task_on(&s, 5, g).data);
+        // u5's block a is lent to u9; block b is at home.
+        s.units[5].is_lent.set(a);
+        s.bridges[0].data_borrowed.insert(a, UnitId(9));
+        s.units[9].admit_borrow(a);
+        for offset in [0, g, 16] {
+            let t = task_on(&s, 5, offset);
+            s.epochs.spawned(t.ts);
+            let id = s.tasks.insert(t);
+            s.units[5].enqueue_ready(id, &s.tasks, false, &s.map);
+        }
+        s.schedule_giver(0, 5, 100, &[10, 11], SimTime::ZERO, false);
+        // a's two tasks go task-only to its holder and take no receiver;
+        // b moves to the first receiver, u10, with its task.
+        assert_eq!(s.metrics.get(s.m.blocks_migrated), 1);
+        let mail: Vec<&Message> = s.units[5].mailbox.iter().collect();
+        assert!(
+            matches!(
+                mail[..],
+                [
+                    Message::Task(_, Some(UnitId(9))),
+                    Message::Task(_, Some(UnitId(9))),
+                    Message::Data(d, UnitId(10)),
+                    Message::Task(_, Some(UnitId(10))),
+                ] if d.block == b
+            ),
+            "{mail:?}"
+        );
+        assert_eq!(s.bridges[0].to_arrive[9], 6);
+        assert_eq!(s.bridges[0].to_arrive[10], 3);
+        assert_eq!(s.bridges[0].data_borrowed.peek(&a), Some(&UnitId(9)));
+        assert_eq!(s.bridges[0].data_borrowed.peek(&b), Some(&UnitId(10)));
     }
 
     #[test]

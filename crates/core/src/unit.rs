@@ -10,24 +10,10 @@ use ndpb_sketch::{HotSketch, ReservedQueue};
 use ndpb_tasks::{TaskId, Timestamp};
 
 use crate::arena::TaskArena;
-use crate::config::SystemConfig;
-use crate::fasthash::{FastMap, FastSet};
-use crate::metadata::LentBitmap;
+use crate::config::{SystemConfig, RESERVED_CHUNKS, RESERVED_TASKS_PER_CHUNK};
+use crate::fasthash::FastMap;
+use crate::metadata::{LentBitmap, LruTable};
 use crate::steal;
-
-/// A selection made by the gather-cost-aware steal path
-/// ([`NdpUnit::choose_scheduled_out_aware`]): a scheduled block plus
-/// where it must go. `pinned_recv = Some(holder)` marks a *task-only*
-/// forward — the block already lives at `holder`, so no data message
-/// travels and the block stays marked lent to its current holder.
-#[derive(Debug, Clone)]
-pub struct AwarePick {
-    /// The chosen block and its departing tasks.
-    pub sb: ScheduledBlock,
-    /// Mandatory receiver for task-only forwards; `None` lets the
-    /// bridge assign one round-robin (a normal block move).
-    pub pinned_recv: Option<UnitId>,
-}
 
 /// A block chosen by a giver for lending, with the tasks that leave
 /// alongside it (step ② of Figure 6).
@@ -39,6 +25,28 @@ pub struct ScheduledBlock {
     pub tasks: Vec<TaskId>,
     /// Their cumulative workload.
     pub workload: u64,
+    /// `Some(holder)` marks a *task-only* forward: the block already
+    /// lives at `holder`, so only the tasks travel there and the block
+    /// stays lent to it. `None` is a block move to a receiver the
+    /// bridge assigns round-robin.
+    pub pinned_recv: Option<UnitId>,
+}
+
+/// The gather-cost-aware limits of one steal round
+/// (`LbPolicy::byte_budget` / `prefer_lent`, DESIGN.md §10).
+#[derive(Debug, Clone)]
+pub struct GatherAware {
+    /// Wire bytes the round's block moves may cost (`u64::MAX` without
+    /// `byte_budget`); task-only forwards are exempt.
+    pub byte_budget: u64,
+    /// Wire bytes of one block's data message.
+    pub data_wire_bytes: u64,
+    /// Payoff filter: drops block moves whose workload cannot hide
+    /// their own wire bytes.
+    pub amortize: Option<steal::AmortizeCfg>,
+    /// Lent home blocks whose queued tasks forward task-only to their
+    /// holder (block address → holder; see [`NdpUnit::lent_holders`]).
+    pub lent_to: FastMap<u64, UnitId>,
 }
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -111,7 +119,7 @@ impl NdpUnit {
             future_spare: Vec::new(),
             pending_workload: 0,
             sketch: HotSketch::new(cfg.sketch.clone()),
-            reserved: ReservedQueue::new(cfg.reserved_chunks, cfg.reserved_tasks_per_chunk),
+            reserved: ReservedQueue::new(RESERVED_CHUNKS, RESERVED_TASKS_PER_CHUNK),
             borrowed: Default::default(),
             borrow_clock: 0,
             borrow_capacity: cfg.borrowed_capacity_blocks(),
@@ -346,18 +354,26 @@ impl NdpUnit {
     // ---- giver-side selection (step ② of Figure 6) -----------------------
 
     /// Chooses blocks + tasks worth `budget` workload to lend out.
-    /// With `hot_first`, hot sketch entries are preferred; the task
-    /// queue tail is the fallback (and the only source otherwise).
-    /// Chosen home blocks are marked lent immediately.
+    /// With `hot_first`, hot sketch entries are taken first; the ready
+    /// queue is the fallback (and the only source otherwise): its tail
+    /// for classic stealing ([`choose_from_tail`]), or the
+    /// [`steal::plan_steal`] scan with `aware` ([`plan_from_queue`]),
+    /// which also charges every hot block its wire bytes. Moved home
+    /// blocks are marked lent immediately.
+    ///
+    /// [`choose_from_tail`]: Self::choose_from_tail
+    /// [`plan_from_queue`]: Self::plan_from_queue
     pub fn choose_scheduled_out(
         &mut self,
         budget: u64,
         hot_first: bool,
+        aware: Option<&GatherAware>,
         tasks: &TaskArena,
         map: &AddressMap,
     ) -> Vec<ScheduledBlock> {
         let mut out = Vec::new();
         let mut remaining = budget;
+        let mut bytes_left = aware.map_or(0, |g| g.byte_budget);
         if hot_first {
             while remaining > 0 {
                 let Some((key, _)) = self.sketch.pop_hottest() else {
@@ -374,6 +390,16 @@ impl NdpUnit {
                     self.task_queue.extend(ids);
                     continue;
                 }
+                if let Some(g) = aware {
+                    // The first hot block the byte budget cannot afford
+                    // goes back to the ready queue and ends the phase.
+                    let cost = g.data_wire_bytes + task_wire_bytes(&ids, tasks);
+                    if cost > bytes_left {
+                        self.task_queue.extend(ids);
+                        break;
+                    }
+                    bytes_left -= cost;
+                }
                 let wl = workload_of(&ids, tasks);
                 self.is_lent.set(block);
                 self.pending_workload -= wl;
@@ -382,11 +408,15 @@ impl NdpUnit {
                     block,
                     tasks: ids,
                     workload: wl,
+                    pinned_recv: None,
                 });
             }
         }
         if remaining > 0 {
-            out.extend(self.choose_from_tail(remaining, tasks, map));
+            match aware {
+                None => self.choose_from_tail(remaining, &mut out, tasks, map),
+                Some(g) => self.plan_from_queue(remaining, bytes_left, g, &mut out, tasks, map),
+            }
         }
         out
     }
@@ -397,14 +427,15 @@ impl NdpUnit {
 
     /// Tail-of-queue selection (traditional work stealing): walk the
     /// ready queue from the back, grouping tasks by block, until
-    /// `budget` workload is gathered.
+    /// `budget` workload is gathered; the groups are appended to `out`.
     fn choose_from_tail(
         &mut self,
         budget: u64,
+        out: &mut Vec<ScheduledBlock>,
         tasks: &TaskArena,
         map: &AddressMap,
-    ) -> Vec<ScheduledBlock> {
-        let mut groups: Vec<(BlockAddr, Vec<TaskId>, u64)> = Vec::new();
+    ) {
+        let first = out.len();
         let mut collected = 0u64;
         // Walk back from the tail until the budget is met. Whether a
         // block is lendable cannot change during the walk, so tasks of
@@ -421,12 +452,17 @@ impl NdpUnit {
             }
             let wl = task.workload_or_default();
             collected += wl;
-            match groups.iter_mut().find(|(b, _, _)| *b == block) {
-                Some((_, ids, gwl)) => {
-                    ids.push(id);
-                    *gwl += wl;
+            match out[first..].iter_mut().find(|sb| sb.block == block) {
+                Some(sb) => {
+                    sb.tasks.push(id);
+                    sb.workload += wl;
                 }
-                None => groups.push((block, vec![id], wl)),
+                None => out.push(ScheduledBlock {
+                    block,
+                    tasks: vec![id],
+                    workload: wl,
+                    pinned_recv: None,
+                }),
             }
         }
         // Close the picked tasks' gaps in the examined tail; the passed
@@ -440,119 +476,36 @@ impl NdpUnit {
             }
         }
         self.task_queue.truncate(kept);
-        let mut out = Vec::new();
-        for (block, mut ids, wl) in groups {
-            ids.reverse(); // restore original queue order
-            self.is_lent.set(block);
-            self.pending_workload -= wl;
-            out.push(ScheduledBlock {
-                block,
-                tasks: ids,
-                workload: wl,
-            });
+        for sb in &mut out[first..] {
+            sb.tasks.reverse(); // restore original queue order
+            self.is_lent.set(sb.block);
+            self.pending_workload -= sb.workload;
         }
-        out
     }
 
-    /// Distinct home blocks that are currently lent out but still have
-    /// tasks queued here. Such tasks would be rerouted to the holder
-    /// one-by-one on pop anyway; the gather-aware steal path forwards
-    /// them eagerly (task-only, no data transfer) when the holder is
-    /// one of the round's receivers.
-    pub fn queued_lent_home_blocks(&self, tasks: &TaskArena, map: &AddressMap) -> Vec<BlockAddr> {
-        let mut seen = FastSet::default();
-        let mut out = Vec::new();
-        for &id in &self.task_queue {
-            let block = map.block_of(tasks.get(id).data);
-            if map.block_home(block) == self.id
-                && self.is_lent.is_lent(block)
-                && seen.insert(block.0)
-            {
-                out.push(block);
-            }
-        }
-        out
-    }
-
-    /// Gather-cost-aware giver-side selection (`LbPolicy::byte_budget`
-    /// / `prefer_lent`): like [`choose_scheduled_out`], but every pick
-    /// is charged its wire bytes against `byte_budget`, candidates that
-    /// cannot amortize their own transfer (`amortize`, see
-    /// [`steal::AmortizeCfg`]) are skipped outright, and tasks whose
-    /// blocks are already lent out (the `lent_to` map, block address →
-    /// holder) are forwarded task-only, pinned to that holder.
-    /// Candidates are ranked by [`crate::steal`]'s preference order;
-    /// over-budget candidates are deferred to a later round.
-    ///
-    /// [`choose_scheduled_out`]: Self::choose_scheduled_out
-    #[allow(clippy::too_many_arguments)]
-    pub fn choose_scheduled_out_aware(
+    /// Gather-aware queue selection: group the ready queue by block
+    /// and let [`steal::plan_steal`] pick within `budget` workload and
+    /// `bytes_left` wire bytes, in its preference order; the picks are
+    /// appended to `out`. Tasks of blocks in `aware.lent_to` are
+    /// task-only candidates pinned to the holder; tasks of other lent
+    /// or borrowed blocks stay put for the ordinary reroute path.
+    fn plan_from_queue(
         &mut self,
         budget: u64,
-        byte_budget: u64,
-        hot_first: bool,
-        lent_to: &FastMap<u64, UnitId>,
-        data_wire_bytes: u64,
-        amortize: Option<steal::AmortizeCfg>,
+        bytes_left: u64,
+        aware: &GatherAware,
+        out: &mut Vec<ScheduledBlock>,
         tasks: &TaskArena,
         map: &AddressMap,
-    ) -> Vec<AwarePick> {
-        let mut out = Vec::new();
-        let mut wl_left = budget;
-        let mut bytes_left = byte_budget;
-        // Hot pre-phase: same source as the non-aware path (sketch +
-        // reserved queue), but each block is charged data + task wire
-        // bytes. The first unaffordable hot block is deferred back to
-        // the ready queue and ends the phase.
-        if hot_first {
-            while wl_left > 0 {
-                let Some((key, _)) = self.sketch.pop_hottest() else {
-                    break;
-                };
-                let block = BlockAddr(key);
-                let mut ids = Vec::new();
-                self.reserved.take_into(key, &mut ids);
-                if ids.is_empty() {
-                    continue;
-                }
-                if !self.lendable(block, map) {
-                    self.task_queue.extend(ids);
-                    continue;
-                }
-                let cost = data_wire_bytes + task_wire_bytes(&ids, tasks);
-                if cost > bytes_left {
-                    self.task_queue.extend(ids);
-                    break;
-                }
-                let wl = workload_of(&ids, tasks);
-                self.is_lent.set(block);
-                self.pending_workload -= wl;
-                wl_left = wl_left.saturating_sub(wl);
-                bytes_left -= cost;
-                out.push(AwarePick {
-                    sb: ScheduledBlock {
-                        block,
-                        tasks: ids,
-                        workload: wl,
-                    },
-                    pinned_recv: None,
-                });
-            }
-        }
-        if wl_left == 0 {
-            return out;
-        }
-        // Candidate scan: group the ready queue by block (back-to-front,
-        // matching steal-half's tail preference — earlier-scanned groups
-        // win planner ties). Tasks for blocks lent elsewhere (holder not
-        // receiving this round) or borrowed here stay put for the
-        // ordinary reroute path.
+    ) {
+        // Back to front, matching steal-half's tail preference: earlier-
+        // scanned groups win planner ties.
         let mut cands: Vec<steal::StealCandidate> = Vec::new();
         let mut idx_of: FastMap<u64, usize> = FastMap::default();
         for &id in self.task_queue.iter().rev() {
             let task = tasks.get(id);
             let block = map.block_of(task.data);
-            let task_only = lent_to.contains_key(&block.0);
+            let task_only = aware.lent_to.contains_key(&block.0);
             if !task_only && !self.lendable(block, map) {
                 continue;
             }
@@ -569,7 +522,7 @@ impl NdpUnit {
                         key: block.0,
                         workload: wl,
                         task_bytes: tb,
-                        data_bytes: if task_only { 0 } else { data_wire_bytes },
+                        data_bytes: if task_only { 0 } else { aware.data_wire_bytes },
                         hot: self.sketch.get(block.0).is_some(),
                     });
                 }
@@ -578,46 +531,66 @@ impl NdpUnit {
         // Payoff filter: a block move whose queued workload cannot hide
         // its own wire bytes is not worth making at any budget — the
         // receiver would stall longer than the stolen work runs.
-        if let Some(am) = amortize {
+        if let Some(am) = aware.amortize {
             cands.retain(|c| am.pays(c));
         }
-        let picked = steal::plan_steal(&cands, wl_left, bytes_left);
-        if picked.is_empty() {
-            return out;
-        }
-        // Extract the picked blocks' tasks in one front-to-back pass
-        // (preserves queue order within each group and for the rest).
-        let planned_start = out.len();
+        let first = out.len();
         let mut slot_of: FastMap<u64, usize> = FastMap::default();
-        for i in picked {
+        for i in steal::plan_steal(&cands, budget, bytes_left) {
             let block = BlockAddr(cands[i].key);
             slot_of.insert(block.0, out.len());
-            out.push(AwarePick {
-                sb: ScheduledBlock {
-                    block,
-                    tasks: Vec::new(),
-                    workload: 0,
-                },
-                pinned_recv: lent_to.get(&block.0).copied(),
+            out.push(ScheduledBlock {
+                block,
+                tasks: Vec::new(),
+                workload: 0,
+                pinned_recv: aware.lent_to.get(&block.0).copied(),
             });
         }
-        let mut remaining: VecDeque<TaskId> = VecDeque::with_capacity(self.task_queue.len());
-        for id in self.task_queue.drain(..) {
+        if slot_of.is_empty() {
+            return;
+        }
+        // One front-to-back pass moves the picked blocks' tasks out, in
+        // queue order within each pick and for the rest.
+        self.task_queue.retain(|&id| {
             let task = tasks.get(id);
-            match slot_of.get(&map.block_of(task.data).0) {
-                Some(&si) => {
-                    let sb = &mut out[si].sb;
-                    sb.workload += task.workload_or_default();
-                    sb.tasks.push(id);
-                }
-                None => remaining.push_back(id),
+            let Some(&si) = slot_of.get(&map.block_of(task.data).0) else {
+                return true;
+            };
+            out[si].workload += task.workload_or_default();
+            out[si].tasks.push(id);
+            false
+        });
+        for sb in &out[first..] {
+            self.pending_workload -= sb.workload;
+            if sb.pinned_recv.is_none() {
+                self.is_lent.set(sb.block);
             }
         }
-        self.task_queue = remaining;
-        for pick in &out[planned_start..] {
-            self.pending_workload -= pick.sb.workload;
-            if pick.pinned_recv.is_none() {
-                self.is_lent.set(pick.sb.block);
+    }
+
+    /// The holders of this unit's lent home blocks that still have
+    /// tasks queued here (block address → holder), as `data_borrowed`
+    /// (the rank bridge's table) records them. Those tasks would be
+    /// rerouted to the holder one by one on pop anyway; the gather-
+    /// aware steal round forwards them eagerly, task-only. Blocks with
+    /// no recorded holder, or recorded at this unit, are left out.
+    pub fn lent_holders(
+        &self,
+        data_borrowed: &LruTable<BlockAddr, UnitId>,
+        tasks: &TaskArena,
+        map: &AddressMap,
+    ) -> FastMap<u64, UnitId> {
+        let mut out = FastMap::default();
+        for &id in &self.task_queue {
+            let block = map.block_of(tasks.get(id).data);
+            if map.block_home(block) != self.id || !self.is_lent.is_lent(block) {
+                continue;
+            }
+            match data_borrowed.peek(&block) {
+                Some(&holder) if holder != self.id => {
+                    out.insert(block.0, holder);
+                }
+                _ => {}
             }
         }
         out
@@ -823,7 +796,7 @@ mod tests {
         enqueue(&mut u, &mut a, &m, 0, 0, 4, false);
         enqueue(&mut u, &mut a, &m, 0, 256, 4, false);
         enqueue(&mut u, &mut a, &m, 0, 16, 4, false);
-        let out = u.choose_scheduled_out(8, false, &a, &m);
+        let out = u.choose_scheduled_out(8, false, None, &a, &m);
         let total: u64 = out.iter().map(|s| s.workload).sum();
         assert!(total >= 8);
         // All chosen blocks are marked lent.
@@ -844,7 +817,7 @@ mod tests {
             enqueue(&mut u, &mut a, &m, 0, 0, 2, true);
         }
         enqueue(&mut u, &mut a, &m, 0, 512, 2, true);
-        let out = u.choose_scheduled_out(10, true, &a, &m);
+        let out = u.choose_scheduled_out(10, true, None, &a, &m);
         assert!(!out.is_empty());
         let hot = m.block_of(m.addr_in_unit(UnitId(0), 0));
         assert_eq!(out[0].block, hot);
@@ -858,13 +831,100 @@ mod tests {
         let mut u = unit(&c, 0);
         let mut a = TaskArena::new();
         enqueue(&mut u, &mut a, &m, 0, 0, 4, false);
-        let first = u.choose_scheduled_out(4, false, &a, &m);
+        let first = u.choose_scheduled_out(4, false, None, &a, &m);
         assert_eq!(first.len(), 1);
         // Re-enqueue a task on the now-lent block; it must not be chosen.
         enqueue(&mut u, &mut a, &m, 0, 8, 4, false);
-        let second = u.choose_scheduled_out(4, false, &a, &m);
+        let second = u.choose_scheduled_out(4, false, None, &a, &m);
         assert!(second.is_empty());
         assert_eq!(u.queued_tasks(), 1);
+    }
+
+    /// Gather-aware limits with no lent blocks; a data message costs
+    /// 264 wire bytes.
+    fn aware(byte_budget: u64, amortize: Option<steal::AmortizeCfg>) -> GatherAware {
+        GatherAware {
+            byte_budget,
+            data_wire_bytes: 264,
+            amortize,
+            lent_to: FastMap::default(),
+        }
+    }
+
+    #[test]
+    fn gather_aware_hot_block_waits_until_its_bytes_fit() {
+        let c = cfg();
+        let m = map(&c);
+        let mut u = unit(&c, 0);
+        let mut a = TaskArena::new();
+        for _ in 0..20 {
+            enqueue(&mut u, &mut a, &m, 0, 0, 2, true);
+        }
+        assert_eq!(u.reserved.total_tasks(), 20, "the block is hot");
+        let hot = m.block_of(m.addr_in_unit(UnitId(0), 0));
+        let task_bytes = u64::from(task_at(&m, 0, 0, 2).wire_bytes().min(MAX_MESSAGE_BYTES));
+        let cost = 264 + 20 * task_bytes;
+        // One byte short: deferred, tasks back in the ready queue.
+        let out = u.choose_scheduled_out(100, true, Some(&aware(cost - 1, None)), &a, &m);
+        assert!(out.is_empty());
+        assert!(!u.is_lent.is_lent(hot));
+        assert_eq!((u.task_queue.len(), u.reserved.total_tasks()), (20, 0));
+        assert_eq!(u.queue_workload(), 40);
+        // Affordable: the whole block leaves.
+        let out = u.choose_scheduled_out(100, true, Some(&aware(cost, None)), &a, &m);
+        assert_eq!(out.len(), 1);
+        assert_eq!((out[0].block, out[0].tasks.len()), (hot, 20));
+        assert_eq!((out[0].workload, out[0].pinned_recv), (40, None));
+        assert!(u.is_lent.is_lent(hot));
+        assert_eq!((u.queued_tasks(), u.queue_workload()), (0, 0));
+    }
+
+    #[test]
+    fn amortize_drops_a_block_that_cannot_hide_its_bytes() {
+        let c = cfg();
+        let m = map(&c);
+        let mut u = unit(&c, 0);
+        let mut a = TaskArena::new();
+        // Thin block A: one task of workload 1; thick block B: 4 × 200.
+        enqueue(&mut u, &mut a, &m, 0, 0, 1, false);
+        for _ in 0..4 {
+            enqueue(&mut u, &mut a, &m, 0, 256, 200, false);
+        }
+        let am = steal::AmortizeCfg {
+            g_xfer: 256,
+            w_th: 256,
+        };
+        let out = u.choose_scheduled_out(1000, false, Some(&aware(u64::MAX, Some(am))), &a, &m);
+        let thick = m.block_of(m.addr_in_unit(UnitId(0), 256));
+        assert_eq!(out.len(), 1);
+        assert_eq!((out[0].block, out[0].workload), (thick, 800));
+        assert_eq!((u.queued_tasks(), u.queue_workload()), (1, 1));
+    }
+
+    #[test]
+    fn lent_holders_skip_the_giver_unknown_holders_and_unlent_blocks() {
+        let c = cfg();
+        let m = map(&c);
+        let mut u = unit(&c, 0);
+        let mut a = TaskArena::new();
+        let b: Vec<BlockAddr> = (0..4u64)
+            .map(|i| {
+                enqueue(&mut u, &mut a, &m, 0, 256 * i, 1, false);
+                m.block_of(m.addr_in_unit(UnitId(0), 256 * i))
+            })
+            .collect();
+        let mut table = LruTable::new(16);
+        // b0 is lent to u3, b1 "to" the giver itself, b2 to nobody
+        // known; b3 is at home despite a (stale) entry.
+        for &blk in &b[..3] {
+            u.is_lent.set(blk);
+        }
+        table.insert(b[0], UnitId(3));
+        table.insert(b[1], UnitId(0));
+        table.insert(b[3], UnitId(5));
+        let holders = u.lent_holders(&table, &a, &m);
+        assert_eq!(holders.len(), 1);
+        assert_eq!(holders.get(&b[0].0), Some(&UnitId(3)));
     }
 
     #[test]

@@ -8,8 +8,9 @@ use crate::task::{Task, TaskArgs, TaskFnId, Timestamp};
 /// local bank, and child tasks it spawned. The simulator prices the
 /// accesses through the bank model and routes the children.
 ///
-/// A fresh `ExecCtx` is handed to [`Application::execute`] for every
-/// task; the runner drains it afterwards.
+/// The runner hands one context to [`Application::execute`] per task,
+/// reads it afterwards, and [`reset`](ExecCtx::reset)s it before the
+/// next task, so its buffers keep their capacity across tasks.
 ///
 /// # Example
 ///
@@ -113,27 +114,15 @@ impl ExecCtx {
         self.spawned
     }
 
-    /// Takes the spawned tasks out, leaving the context reusable (its
-    /// other buffers keep their contents until the next [`reset`]).
-    ///
-    /// [`reset`]: Self::reset
-    pub fn take_spawned(&mut self) -> Vec<Task> {
-        std::mem::take(&mut self.spawned)
-    }
-
-    /// Resets this context for reuse on `unit`, adopting `spawned`
-    /// (cleared) as the spawn buffer. Together with
-    /// [`take_spawned`](Self::take_spawned) this lets an event loop
-    /// execute every task without per-task heap allocation: the
-    /// read/write buffers keep their capacity, and spawn `Vec`s cycle
-    /// through a caller-owned free list.
-    pub fn reset(&mut self, unit: UnitId, mut spawned: Vec<Task>) {
-        spawned.clear();
+    /// Clears this context in place for the next task, on `unit`. Its
+    /// buffers keep their capacity, so an event loop executes every
+    /// task without per-task heap allocation.
+    pub fn reset(&mut self, unit: UnitId) {
         self.unit = unit;
         self.compute_cycles = 0;
         self.reads.clear();
         self.writes.clear();
-        self.spawned = spawned;
+        self.spawned.clear();
     }
 }
 
@@ -214,6 +203,20 @@ mod tests {
         let mut ctx = ExecCtx::new(UnitId(0));
         app.execute(&t1, &mut ctx);
         assert!(ctx.into_spawned().is_empty());
+    }
+
+    #[test]
+    fn reset_clears_in_place_for_the_next_task() {
+        let mut app = Echo;
+        let tasks = app.initial_tasks();
+        let mut ctx = ExecCtx::new(UnitId(0));
+        app.execute(&tasks[0], &mut ctx);
+        let caps = (ctx.reads.capacity(), ctx.spawned.capacity());
+        ctx.reset(UnitId(7));
+        assert_eq!(ctx.unit(), UnitId(7));
+        assert_eq!(ctx.compute_cycles(), 0);
+        assert!(ctx.reads().is_empty() && ctx.writes().is_empty() && ctx.spawned().is_empty());
+        assert_eq!((ctx.reads.capacity(), ctx.spawned.capacity()), caps);
     }
 
     #[test]

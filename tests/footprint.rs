@@ -115,15 +115,17 @@ fn run_allocations_stay_within_budget() {
     // Bounds are 10% above the counts measured on x86-64 Linux, which
     // are the same in debug and release builds: wcc on W 15,094 calls
     // for 7,197,632 bytes, tree on O 15,141 calls for 2,146,593 bytes.
-    // Before the load-balancing rounds reused `System`'s buffers the
-    // same runs made 22,429 calls for 8,055,296 bytes and 17,610 calls
-    // for 2,393,737 bytes, and before the task arena 32,437 calls for
-    // 36,371,472 bytes and 29,408 calls for 7,222,797 bytes. On the
-    // host-only model wcc makes 206 calls for 1,746,096 bytes and bfs
-    // 192 for 1,093,012; before H stored its tasks in the arena, wcc
-    // made 168 calls for 7,544,292 bytes, the largest 1,048,576 bytes.
-    // No run asks for a block above 128 KiB (wcc on W and on H ask for
-    // exactly 131,072 bytes).
+    // Since the steal path's tail phase appends to its one output `Vec`
+    // they read 14,182 calls for 7,066,304 bytes and 15,043 calls for
+    // 2,148,065 bytes. Before the load-balancing rounds reused
+    // `System`'s buffers the same runs made 22,429 calls for 8,055,296
+    // bytes and 17,610 calls for 2,393,737 bytes, and before the task
+    // arena 32,437 calls for 36,371,472 bytes and 29,408 calls for
+    // 7,222,797 bytes. On the host-only model wcc makes 206 calls for
+    // 1,746,096 bytes and bfs 192 for 1,093,012; before H stored its
+    // tasks in the arena, wcc made 168 calls for 7,544,292 bytes, the
+    // largest 1,048,576 bytes. No run asks for a block above 128 KiB
+    // (wcc on W and on H ask for exactly 131,072 bytes).
     const BLOCK_MAX: usize = 128 << 10;
     for (app, column, calls_max, bytes_max) in [
         ("wcc", Column::Ndp(DesignPoint::W), 16_600, 7_920_000),
