@@ -11,6 +11,31 @@ cd "$(dirname "$0")"
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 
+echo "== no unused ndpb-* dependency =="
+# Every `ndpb-*` crate a workspace member lists under [dependencies]
+# must be named (as `ndpb_*`) by one of that member's source files: its
+# src/, tests/, benches/ and examples/, plus any target `path` its
+# manifest sets (the root package's `repro` bin lives in crates/bench).
+UNUSED=0
+for manifest in Cargo.toml crates/*/Cargo.toml; do
+    dir=$(dirname "$manifest")
+    sources=()
+    for sub in src tests benches examples; do
+        if [ -d "$dir/$sub" ]; then sources+=("$dir/$sub"); fi
+    done
+    for target in $(sed -n 's/^path = "\(.*\)"$/\1/p' "$manifest"); do
+        sources+=("$dir/$target")
+    done
+    for dep in $(awk '/^\[/ { in_deps = ($0 == "[dependencies]") }
+            in_deps && /^ndpb-/ { sub(/[ .=].*/, ""); print }' "$manifest"); do
+        if ! grep -rqw "${dep//-/_}" "${sources[@]}"; then
+            echo "$manifest lists $dep, but none of its sources names ${dep//-/_}"
+            UNUSED=1
+        fi
+    done
+done
+[ "$UNUSED" -eq 0 ]
+
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -23,9 +48,19 @@ cargo test -q --workspace
 echo "== perfbench harness: fmt, clippy, unit tests =="
 # perfbench/ (the repository benchmark) is a Cargo workspace of its
 # own, so the workspace-wide steps above never reach it.
+# Its committed Cargo.lock lags the workspace's dependency graph, and
+# Cargo rewrites it on every build of the harness; the committed file
+# goes back after each build, so a CI run leaves the tree as it was.
+PERFBENCH_LOCK=$(mktemp)
+cp perfbench/Cargo.lock "$PERFBENCH_LOCK"
+trap 'cp "$PERFBENCH_LOCK" perfbench/Cargo.lock; rm -f "$PERFBENCH_LOCK"' EXIT
 cargo fmt --manifest-path perfbench/Cargo.toml -- --check
 cargo clippy --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
+cp "$PERFBENCH_LOCK" perfbench/Cargo.lock
 cargo test -q --manifest-path perfbench/Cargo.toml
+cp "$PERFBENCH_LOCK" perfbench/Cargo.lock
+rm -f "$PERFBENCH_LOCK"
+trap - EXIT
 
 echo "== golden + determinism + invariant suites (incl. Small tier) =="
 # Also part of the workspace run above; named here so a regression in

@@ -1,8 +1,8 @@
 //! Microbenchmarks of the substrate data structures the system is
 //! built on: the event queue, RNG, Zipfian sampler, hot-data sketch,
 //! mailbox, bank timing model, graph generator, all eight apps' Tiny
-//! set-up, and the sweep engine's substrate (FNV fingerprinting, the
-//! result-cache codec, the JSON reader).
+//! set-up and tree's on its own, and the sweep engine's substrate (FNV
+//! fingerprinting, the result-cache codec, the JSON reader).
 //!
 //! `harness = false` binary using the in-repo `Instant` timer
 //! (`ndpb_bench::timing`) so no external bench framework is needed.
@@ -260,6 +260,10 @@ fn main() {
             .iter()
             .map(|app| build_app(app, &table1, Scale::Tiny, 0x5EED))
             .collect::<Vec<_>>()
+    });
+    // The largest of them on its own: tree's placement shuffle.
+    bench("micro/tree_build_tiny", ITERS, || {
+        build_app("tree", &table1, Scale::Tiny, 0x5EED)
     });
 
     bench("micro/fnv1a_config_fingerprint_1k", ITERS, || {

@@ -31,6 +31,12 @@ const CHUNK: usize = 1 << CHUNK_SHIFT;
 /// `i & (CHUNK - 1)` skip its bounds check.
 type Chunk = Box<[u32; CHUNK]>;
 
+/// How many steps ahead of its swap the shuffle draws each step's
+/// random slot and prefetches it. Distances of 32–256 measured alike;
+/// 8 and 16 hid less of the load (EXPERIMENTS.md "Set-up cost: tree's
+/// shuffle draws ahead").
+const DRAW_AHEAD: usize = 64;
+
 /// The identity on `0..total`, Fisher–Yates shuffled exactly as
 /// [`SimRng::shuffle`] shuffles a flat `Vec`: the same draws in the same
 /// order, so the permutation and `rng`'s state afterwards are the same.
@@ -49,18 +55,45 @@ fn shuffled_placement(total: usize, rng: &mut SimRng) -> Vec<Chunk> {
     // lookup of `i`'s chunk per swap, made the shuffle 5–10% slower
     // (EXPERIMENTS.md "Peak memory: tree's placement in chunks").
     let ptrs: Vec<*mut u32> = chunks.iter_mut().map(|c| c.as_mut_ptr()).collect();
+    // Step `k` draws `j = next_index(k + 1)` `DRAW_AHEAD` steps before
+    // it swaps, and asks for slot `j`'s line then, so the swap's load of
+    // the random slot no longer waits on memory. The draws depend on
+    // nothing in the table, so they are the same calls in the same
+    // order; only the swaps read the ring, and they run in step order.
+    let mut draw = |k: usize| -> *mut u32 {
+        let j = rng.next_index(k + 1);
+        // SAFETY: `ptrs` holds `total.div_ceil(CHUNK)` chunks of `CHUNK`
+        // slots, built above, and `j <= k < total`, so the pointer stays
+        // inside its chunk.
+        let slot_j = unsafe { ptrs.get_unchecked(j >> CHUNK_SHIFT).add(j & (CHUNK - 1)) };
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            // SAFETY: a prefetch reads nothing architecturally and
+            // cannot fault; `slot_j` points into a live chunk anyway.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(slot_j as *const i8) };
+        }
+        slot_j
+    };
+    // Step `k`'s slot waits in `ring[k % DRAW_AHEAD]` from its draw to
+    // its swap; the first `DRAW_AHEAD` steps draw before any swap, and
+    // each swap frees its entry for the step `DRAW_AHEAD` below it.
+    let mut ring = [std::ptr::null_mut::<u32>(); DRAW_AHEAD];
+    for k in (total.saturating_sub(DRAW_AHEAD).max(1)..total).rev() {
+        ring[k % DRAW_AHEAD] = draw(k);
+    }
     for (c, &chunk) in ptrs.iter().enumerate().rev() {
         let base = c << CHUNK_SHIFT;
         for i in (base.max(1)..total.min(base + CHUNK)).rev() {
-            let j = rng.next_index(i + 1);
-            // SAFETY: `ptrs` holds `total.div_ceil(CHUNK)` chunks of
-            // `CHUNK` slots, built above; `i - base < CHUNK` and
-            // `j <= i < total`, so both pointers stay inside their
-            // chunks. Nothing else touches `chunks` while the pointers
-            // are in use, and `ptr::swap` allows `i == j`.
-            unsafe {
-                let slot_j = ptrs.get_unchecked(j >> CHUNK_SHIFT).add(j & (CHUNK - 1));
-                std::ptr::swap(chunk.add(i - base), slot_j);
+            // SAFETY: step `i` was drawn, by the loop above or at step
+            // `i + DRAW_AHEAD` of this one, so `ring[i % DRAW_AHEAD]`
+            // holds its slot from `draw`, inside a chunk; `i - base <
+            // CHUNK` keeps `i`'s pointer inside `chunk`. Nothing else
+            // touches `chunks` while the pointers are in use, and
+            // `ptr::swap` allows `i == j`.
+            unsafe { std::ptr::swap(chunk.add(i - base), ring[i % DRAW_AHEAD]) };
+            if i > DRAW_AHEAD {
+                ring[i % DRAW_AHEAD] = draw(i - DRAW_AHEAD);
             }
         }
     }
@@ -208,7 +241,20 @@ mod tests {
 
     #[test]
     fn chunked_shuffle_matches_the_flat_shuffle() {
-        for len in [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5] {
+        let d = DRAW_AHEAD;
+        for len in [
+            0,
+            1,
+            2,
+            d - 1,
+            d,
+            d + 1,
+            CHUNK - 1,
+            CHUNK,
+            CHUNK + 1,
+            CHUNK + d,
+            3 * CHUNK + 5,
+        ] {
             let mut flat_rng = SimRng::new(24301);
             let mut flat: Vec<u32> = (0..len as u32).collect();
             flat_rng.shuffle(&mut flat);
